@@ -11,14 +11,15 @@ Sections 4.2 and 7.
 from conftest import record_experiment
 
 from repro.bench import run_replay_matrix, run_security_matrix
+from repro.inject import render_profile_table
 
 
 def test_security_matrix(benchmark):
-    record, campaign = benchmark.pedantic(
+    record, matrices = benchmark.pedantic(
         run_security_matrix, rounds=1, iterations=1
     )
     record_experiment(benchmark, record)
-    print(campaign.render())
+    print(render_profile_table(matrices))
     assert record.reproduced
 
 

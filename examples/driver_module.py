@@ -18,11 +18,11 @@ and finally attacked with the arbitrary-write primitive.
 
 from repro.arch import isa
 from repro.arch.assembler import Assembler
-from repro.attacks.base import ATTACK_SCRATCH, ArbitraryMemoryPrimitive
 from repro.cfi.instrument import Compiler
 from repro.cfi.keys import KeyRole
 from repro.elfimage.image import DataSectionBuilder, ImageBuilder
-from repro.kernel import System
+from repro.inject import ArbitraryMemoryPrimitive
+from repro.kernel import System, layout
 from repro.kernel.fault import TaskKilled
 from repro.kernel.workqueue import declare_work
 
@@ -35,7 +35,7 @@ def build_driver_module(system):
     asm = Assembler(MODULE_BASE)
 
     def callback_body(a):
-        a.mov_imm(9, ATTACK_SCRATCH)
+        a.mov_imm(9, layout.ATTACK_SCRATCH)
         a.mov_imm(10, 0xCAFE)
         a.emit(isa.Str(10, 9, 0))
 
@@ -70,9 +70,9 @@ def main():
               f"-> {signed:#018x}")
 
     work = module.symbol("mydrv_work")
-    system.mmu.write_u64(ATTACK_SCRATCH, 0, 1)
+    system.mmu.write_u64(layout.ATTACK_SCRATCH, 0, 1)
     system.kernel_call("run_work", args=(work,))
-    marker = system.mmu.read_u64(ATTACK_SCRATCH, 1)
+    marker = system.mmu.read_u64(layout.ATTACK_SCRATCH, 1)
     print(f"\nran the statically declared work item: marker={marker:#x} "
           f"(expected 0xcafe)")
 

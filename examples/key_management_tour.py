@@ -19,10 +19,10 @@ place the keys could leak:
 
 from repro.arch import isa
 from repro.arch.assembler import Assembler
-from repro.attacks.base import ArbitraryMemoryPrimitive
 from repro.boot.bootloader import KEY_SETTER_SYMBOL
 from repro.elfimage.image import ImageBuilder
 from repro.errors import HypervisorTrap, PermissionFault
+from repro.inject import ArbitraryMemoryPrimitive
 from repro.kernel import System
 from repro.kernel.module import ModuleRejected
 

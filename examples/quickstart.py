@@ -18,7 +18,7 @@ and the failure counted toward the panic threshold.
 
 from repro.arch import isa
 from repro.arch.assembler import Assembler
-from repro.attacks.base import ATTACK_SCRATCH, ArbitraryMemoryPrimitive
+from repro.inject import ArbitraryMemoryPrimitive
 from repro.kernel import System, layout, open_file
 from repro.kernel.fault import TaskKilled
 from repro.kernel.vfs import FILE_F_OPS_OFFSET
@@ -28,7 +28,7 @@ def build_attacker_text(asm, ctx):
     """Kernel text the exploit will redirect into."""
 
     def body(a):
-        a.mov_imm(9, ATTACK_SCRATCH)
+        a.mov_imm(9, layout.ATTACK_SCRATCH)
         a.mov_imm(10, 0xF00D)
         a.emit(isa.Str(10, 9, 0), isa.Movz(0, 0, 0))
 
@@ -57,7 +57,7 @@ def exploit(profile_name):
     program = user.assemble()
     system.load_user_program(program)
     system.map_user_stack()
-    system.mmu.write_u64(ATTACK_SCRATCH, 0, 1)
+    system.mmu.write_u64(layout.ATTACK_SCRATCH, 0, 1)
 
     try:
         cycles = system.run_user(system.tasks.current, program.address_of("main"))
@@ -66,7 +66,7 @@ def exploit(profile_name):
         print(f"  PAuth failures so far: {system.faults.pauth_failures} "
               f"(panic at {system.faults.threshold})")
         return
-    if system.mmu.read_u64(ATTACK_SCRATCH, 1) == 0xF00D:
+    if system.mmu.read_u64(layout.ATTACK_SCRATCH, 1) == 0xF00D:
         print(f"  EXPLOITED: attacker code ran in kernel mode "
               f"({cycles} cycles)")
     else:

@@ -13,7 +13,8 @@ scenarios against kernels built with each scheme:
   paper §7), while Camouflage's 32 SP bits hold.
 """
 
-from repro.attacks.replay import ReplayAttack, cross_thread_replay_accepted
+from repro.inject import InjectionCampaign
+from repro.inject.scenarios import cross_thread_replay_accepted, replay_profile
 
 SCHEMES = ("sp-only", "parts", "camouflage")
 
@@ -26,9 +27,12 @@ def main():
     for variant in ("same-function", "cross-function"):
         cells = []
         for scheme in SCHEMES:
-            result = ReplayAttack(variant=variant, scheme=scheme).run(
-                "backward"
-            )
+            (result,) = InjectionCampaign(
+                profile=replay_profile("backward", scheme),
+                trials=1,
+                invariants=False,
+                sites=[f"replay-{variant}"],
+            ).run().results
             cells.append(result.outcome)
         print(f"{variant + ' (in-sim)':34s}" + "".join(
             f"{c:>12s}" for c in cells))

@@ -13,7 +13,8 @@ The package is layered bottom-up:
 * :mod:`repro.cfi` — the paper's contribution: modifier schemes,
   instrumentation, accessors and protection profiles;
 * :mod:`repro.analysis` — the Coccinelle-like survey and binary scans;
-* :mod:`repro.attacks` — the attack-simulation framework;
+* :mod:`repro.inject` — adversarial scenarios (the Section 6.2 attacks
+  and state corruptions), the invariant checker and detection matrices;
 * :mod:`repro.workloads` / :mod:`repro.bench` — the evaluation harness.
 """
 

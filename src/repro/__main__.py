@@ -4,7 +4,6 @@ Commands:
 
 * ``demo`` — the quickstart exploit demo (unprotected vs. full);
 * ``figures`` — regenerate Figures 2–4 (scaled down) with ASCII charts;
-* ``attacks`` — run the full security matrix;
 * ``experiments`` — run every experiment and print the summaries;
 * ``survey`` — the §5.3 function-pointer survey;
 * ``boot`` — boot a kernel under a chosen profile and print its layout;
@@ -16,8 +15,11 @@ Commands:
   flamegraph input;
 * ``crash`` — force the Section 5.4 PAuth-threshold panic and render
   the kdump-style crash context (or re-render a saved ``--json`` dump);
-* ``inject`` — run a seeded fault-injection campaign and print the
-  detection matrix (exit status 1 if any corruption escaped);
+* ``inject`` — run the seeded adversarial-scenario campaign (the
+  Section 6.2 attacks and the state corruptions) and print the
+  detection matrix; ``--profile`` given more than once adds the
+  cross-profile outcome table (exit status 1 if any scenario escaped
+  that is not a documented residual);
 * ``perf`` — measure host-side simulator throughput on the pinned
   perf-gate workloads, cached vs. cache-disabled (``--check`` gates
   against a committed baseline, exit status 1 on regression).
@@ -45,10 +47,16 @@ def _cmd_demo(_args):
         module.main()
         return 0
     # Installed without the examples tree: run the core of the demo.
-    from repro.attacks import OpsTableSwapAttack
+    from repro.inject import InjectionCampaign, render_matrix
 
     for profile in ("none", "full"):
-        print(OpsTableSwapAttack().run(profile))
+        matrix = InjectionCampaign(
+            profile=profile,
+            trials=1,
+            invariants=False,
+            sites=["ops-table-swap"],
+        ).run()
+        print(render_matrix(matrix))
     return 0
 
 
@@ -147,16 +155,6 @@ def _cmd_figures(args):
         for table in record.tables:
             table.print()
     return 0
-
-
-def _cmd_attacks(_args):
-    from repro.bench import run_security_matrix
-
-    record, campaign = run_security_matrix()
-    print(campaign.render())
-    print()
-    print(record.summary())
-    return 0 if record.reproduced else 1
 
 
 def _cmd_experiments(_args):
@@ -352,36 +350,44 @@ def _cmd_inject(args):
         DEFAULT_SEED,
         InjectionCampaign,
         render_matrix,
+        render_profile_table,
         render_site_listing,
     )
 
     if args.list:
         print(render_site_listing())
         return 0
-    campaign = InjectionCampaign(
-        profile=args.profile,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        trials=1 if args.smoke else args.trials,
-        invariants=not args.no_invariants,
-        sites=args.site or None,
-    )
-    matrix = campaign.run()
-    print(render_matrix(matrix))
-    control = campaign.run_control()
-    print(
-        f"control run (no injection): clean — "
-        f"{control['syscalls']} syscall(s), "
-        f"{control['context_switches']} context switch(es), "
-        f"{control['faults']} faults"
-    )
+    matrices = []
+    for profile in args.profile or ["full"]:
+        campaign = InjectionCampaign(
+            profile=profile,
+            seed=args.seed if args.seed is not None else DEFAULT_SEED,
+            trials=1 if args.smoke else args.trials,
+            invariants=not args.no_invariants,
+            sites=args.site or None,
+        )
+        matrices.append(campaign.run())
+        print(render_matrix(matrices[-1]))
+        control = campaign.run_control()
+        print(
+            f"control run (no injection): clean — "
+            f"{control['syscalls']} syscall(s), "
+            f"{control['context_switches']} context switch(es), "
+            f"{control['faults']} faults"
+        )
+        print()
+    if len(matrices) > 1:
+        print(render_profile_table(matrices))
     if args.json:
         import json
 
+        payload = [m.to_dict() for m in matrices]
         with open(args.json, "w") as handle:
-            json.dump(matrix.to_dict(), handle, indent=2)
+            json.dump(payload[0] if len(payload) == 1 else payload,
+                      handle, indent=2)
             handle.write("\n")
         print(f"matrix written to {args.json}")
-    return 1 if matrix.escaped else 0
+    return 1 if any(m.unexpected_escapes() for m in matrices) else 0
 
 
 def _cmd_perf(args):
@@ -428,7 +434,6 @@ def main(argv=None):
     sub.add_parser("demo", help="quickstart exploit demo")
     figures = sub.add_parser("figures", help="regenerate Figures 2-4")
     figures.add_argument("--iterations", type=int, default=20)
-    sub.add_parser("attacks", help="run the security matrix")
     sub.add_parser("experiments", help="run every experiment")
     verify = sub.add_parser(
         "verify",
@@ -546,10 +551,14 @@ def main(argv=None):
     )
 
     inject = sub.add_parser(
-        "inject", help="seeded fault-injection campaign"
+        "inject", help="seeded adversarial-scenario campaign"
     )
     inject.add_argument(
-        "--profile", default="full", choices=("none", "backward", "full")
+        "--profile",
+        action="append",
+        choices=("none", "backward", "full"),
+        help="profile to attack (repeatable: adds the cross-profile "
+        "table; default full)",
     )
     inject.add_argument(
         "--seed",
@@ -562,7 +571,7 @@ def main(argv=None):
         "--site",
         action="append",
         metavar="NAME",
-        help="run only this site (repeatable; default: all)",
+        help="run only this scenario (repeatable; default: all)",
     )
     inject.add_argument(
         "--no-invariants",
@@ -574,7 +583,7 @@ def main(argv=None):
     )
     inject.add_argument("--json", metavar="FILE", help="export the matrix")
     inject.add_argument(
-        "--list", action="store_true", help="list registered sites and exit"
+        "--list", action="store_true", help="list the scenarios and exit"
     )
 
     perf = sub.add_parser(
@@ -606,7 +615,6 @@ def main(argv=None):
     handler = {
         "demo": _cmd_demo,
         "figures": _cmd_figures,
-        "attacks": _cmd_attacks,
         "experiments": _cmd_experiments,
         "verify": _cmd_verify,
         "survey": _cmd_survey,

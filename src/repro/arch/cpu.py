@@ -454,75 +454,3 @@ class CPU:
         self.mmu.phys.store_instruction(pa, Hlt())
         self.regs.sysregs["sim:landing"] = address
         return address
-
-
-# -- fault-injection sites (repro.inject) -------------------------------------
-#
-# Both sites attack the core's PAuth *configuration* rather than a
-# signed value: the shared key registers and the SCTLR enable bits.
-
-
-def _inject_key_register_corruption(driver, rng):
-    """Corrupt half of a live kernel key register between syscalls.
-
-    Values signed under the true key no longer authenticate: the next
-    context switch rejects the (genuine) saved-SP signature and the
-    poisoned pointer faults.  The invariant checker independently
-    flags the key-bank/boot-keys disagreement.
-    """
-    from repro.cfi.keys import KeyRole
-
-    system = driver.system
-    target = driver.prepare_switch_target()  # signed under the true key
-    key_name = system.profile.key_for(KeyRole.DFI)
-    key = system.cpu.regs.keys.get(key_name)
-    key.lo ^= 1 << rng.randrange(64)
-    driver.switch_and_touch(target)
-
-
-def _inject_sctlr_enable_clear(driver, rng):
-    """Clear the data-key enable bits, then run a substitution attack.
-
-    With EnDA/EnDB clear the AUT* instructions degrade to NOPs, so a
-    raw attacker SP sails through the context switch — the silent
-    downgrade hardening requirement R2 exists to forbid.  Only the
-    invariant sweep can see it; with invariants off this escapes.
-    """
-    system = driver.system
-    sctlr = system.cpu.regs.sctlr_el1
-    sctlr.en_da = False
-    sctlr.en_db = False
-    fake = system.tasks.current.stack_top - 16 * rng.randint(4, 64)
-    target = driver.prepare_switch_target(sp=fake, sign=False)
-    driver.switch_and_touch(target)
-
-
-from repro.inject.points import InjectionPoint, register_point  # noqa: E402
-
-register_point(
-    InjectionPoint(
-        name="cpu.key-register-corruption",
-        module=__name__,
-        description=(
-            "flip a bit in a live kernel PAuth key register between "
-            "syscalls; previously signed pointers must stop authenticating"
-        ),
-        inject=_inject_key_register_corruption,
-        requires=("dfi", "key-switch"),
-        expected=("fault", "invariant"),
-    )
-)
-register_point(
-    InjectionPoint(
-        name="cpu.sctlr-enable-clear",
-        module=__name__,
-        description=(
-            "clear SCTLR_EL1 EnDA/EnDB so AUT* degrades to a NOP, then "
-            "hijack a saved SP (R2 downgrade attack)"
-        ),
-        inject=_inject_sctlr_enable_clear,
-        requires=("dfi",),
-        expected=("invariant",),
-        needs_invariants=True,
-    )
-)

@@ -290,80 +290,3 @@ class PACEngine:
         if len(bits) >= 2 and diff & (1 << bits[-2]):
             return "data"
         return "instruction"
-
-
-# -- fault-injection sites (repro.inject) -------------------------------------
-#
-# Registered here so the corruptions live next to the mechanism they
-# subvert: both attack the PAC itself, not the code around it.
-
-
-def _inject_signed_sp_bitflip(driver, rng):
-    """Flip one PAC bit in a correctly signed saved SP, then switch.
-
-    The authenticate on the context-switch path must reject the value
-    and poison it, and the first stack touch must fault — the paper's
-    end-to-end detection story for a corrupted protected pointer.
-    """
-    target = driver.prepare_switch_target()
-    raw = target.kobj.raw_read("cpu_context_sp")
-    engine = driver.system.cpu.pac
-    bits = engine.config.pac_field_bits(engine._is_kernel(raw))
-    bit = rng.choice(list(bits))
-    target.kobj.raw_write("cpu_context_sp", raw ^ (1 << bit))
-    driver.switch_and_touch(target)
-
-
-def _inject_wrong_modifier_resign(driver, rng):
-    """Modifier confusion: replay a signature made for another struct.
-
-    The attacker gets a *valid* (pointer, PAC) pair signed under the
-    previous task's modifier and substitutes it into the next task's
-    slot — the substitution attack the per-object modifier exists to
-    stop.  Authentication must fail even though the PAC is genuine.
-    """
-    from repro.cfi.keys import KeyRole
-
-    system = driver.system
-    target = driver.prepare_switch_target(sign=False)
-    donor = system.tasks.current
-    key = system.profile.key_for(KeyRole.DFI)
-    saved = donor.kobj.raw_read("cpu_context_sp")
-    fake_sp = target.stack_top - 16 * rng.randint(1, 32)
-    donor.kobj.set_protected(
-        "cpu_context_sp", fake_sp, system.cpu.pac, system.kernel_keys, key
-    )
-    replayed = donor.kobj.raw_read("cpu_context_sp")
-    donor.kobj.raw_write("cpu_context_sp", saved)
-    target.kobj.raw_write("cpu_context_sp", replayed)
-    driver.switch_and_touch(target)
-
-
-from repro.inject.points import InjectionPoint, register_point  # noqa: E402
-
-register_point(
-    InjectionPoint(
-        name="pac.signed-sp-bitflip",
-        module=__name__,
-        description=(
-            "flip one PAC bit in the signed saved SP before a context "
-            "switch; AUTDB must poison it and the stack touch must fault"
-        ),
-        inject=_inject_signed_sp_bitflip,
-        requires=("dfi",),
-        expected=("fault",),
-    )
-)
-register_point(
-    InjectionPoint(
-        name="pac.wrong-modifier-resign",
-        module=__name__,
-        description=(
-            "replay a genuine signature under another task's modifier "
-            "into the saved-SP slot (substitution attack)"
-        ),
-        inject=_inject_wrong_modifier_resign,
-        requires=("dfi",),
-        expected=("fault",),
-    )
-)

@@ -12,10 +12,11 @@ from __future__ import annotations
 from repro.arch import isa
 from repro.arch.assembler import Assembler
 from repro.arch.vmsa import VMSAConfig
-from repro.attacks.bruteforce import expected_guesses, success_probability
-from repro.attacks.frametamper import FrameTamperAttack, frame_mac_profile
 from repro.bench.harness import ExperimentRecord, TextTable
+from repro.cfi.policy import frame_mac_profile
 from repro.hyp.hypervisor import EL2_TRAP_ROUND_TRIP_CYCLES
+from repro.inject import InjectionCampaign
+from repro.inject.scenarios import expected_guesses, success_probability
 from repro.kernel.system import System
 from repro.kernel import layout
 
@@ -111,9 +112,15 @@ def run_frame_mac_ablation(iterations=30):
     """
     full = _null_syscall_cycles(System(profile="full"), iterations)
     mac = _null_syscall_cycles(System(profile=frame_mac_profile()), iterations)
-    attack = FrameTamperAttack()
-    against_full = attack.run("full")
-    against_mac = attack.run(frame_mac_profile())
+    against_full, against_mac = (
+        InjectionCampaign(
+            profile=profile,
+            trials=1,
+            invariants=False,
+            sites=["exception-frame-tamper"],
+        ).run().results[0]
+        for profile in ("full", frame_mac_profile())
+    )
     table = TextTable(
         "Ablation — exception-frame MAC (future work, Section 8)",
         ["configuration", "cycles/syscall", "frame-tamper outcome"],
@@ -122,7 +129,7 @@ def run_frame_mac_ablation(iterations=30):
     table.add_row("full + frame MAC", mac, against_mac.outcome)
     table.add_row("MAC cost per syscall", mac - full, "-")
     ok = (
-        against_full.outcome == "succeeded"
+        against_full.outcome == "escaped"
         and against_mac.outcome == "detected"
         and mac > full
     )
@@ -392,8 +399,8 @@ def run_canary_ablation(iterations=60):
     from repro.arch.cpu import CPU
     from repro.arch.registers import PAuthKey
     from repro.arch.assembler import Assembler as _Assembler
-    from repro.attacks.canary import CanaryLeakAttack
     from repro.cfi.canary import CanaryKind, emit_canary_function
+    from repro.inject.scenarios import canary_leak_replay
     from repro.mem.pagetable import Permissions
 
     text_base = 0xFFFF_0000_0801_0000
@@ -449,11 +456,11 @@ def run_canary_ablation(iterations=60):
     costs = {}
     for kind in CanaryKind.ALL:
         costs[kind] = measure(kind)
-        outcomes[kind] = CanaryLeakAttack(kind=kind).run().outcome
+        outcomes[kind] = "escaped" if canary_leak_replay(kind) else "detected"
         table.add_row(kind, costs[kind], outcomes[kind])
     ok = (
-        outcomes[CanaryKind.NONE] == "succeeded"
-        and outcomes[CanaryKind.GLOBAL] == "succeeded"
+        outcomes[CanaryKind.NONE] == "escaped"
+        and outcomes[CanaryKind.GLOBAL] == "escaped"
         and outcomes[CanaryKind.PACED] == "detected"
         and costs[CanaryKind.PACED] > costs[CanaryKind.NONE]
     )

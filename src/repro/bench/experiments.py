@@ -9,16 +9,20 @@ The ``benchmarks/`` scripts are thin wrappers over these functions.
 
 from __future__ import annotations
 
+import random
+
 from repro.arch.vmsa import VMSAConfig
-from repro.attacks.bruteforce import (
-    BruteForceAttack,
-    expected_guesses,
-    success_probability,
-)
-from repro.attacks.replay import ReplayAttack, cross_thread_replay_accepted
-from repro.attacks.runner import AttackCampaign
 from repro.bench.figures import BarChart
 from repro.bench.harness import ExperimentRecord, TextTable
+from repro.errors import KernelPanic
+from repro.inject import ATTACKS, InjectionCampaign, profile_rows
+from repro.inject.scenarios import (
+    cross_thread_replay_accepted,
+    expected_guesses,
+    guess_f_ops_pac,
+    replay_profile,
+    success_probability,
+)
 from repro.workloads.callbench import figure2_series
 from repro.workloads.lmbench import run_suite
 from repro.workloads.userspace import run_userspace
@@ -244,26 +248,34 @@ def run_survey():
 
 
 def run_security_matrix(profiles=("none", "backward", "full")):
-    """Section 6.2: the attack-detection matrix."""
-    campaign = AttackCampaign(profiles=profiles).run()
+    """Section 6.2: the attack-detection matrix.
+
+    Returns the record and the per-profile
+    :class:`~repro.inject.DetectionMatrix` list (render it with
+    :func:`~repro.inject.render_profile_table`).
+    """
+    matrices = [
+        InjectionCampaign(
+            profile=profile,
+            trials=1,
+            invariants=False,
+            sites=[s.name for s in ATTACKS],
+        ).run()
+        for profile in profiles
+    ]
     table = TextTable(
         "Section 6.2 — security evaluation",
         ["attack"] + list(profiles),
     )
-    for name, outcomes in campaign.matrix():
-        table.add_row(name, *[outcomes.get(p, "-") for p in profiles])
-    # The full profile must stop every control-flow attack (replay
-    # within the documented same-function window is the admitted
-    # residual).
-    documented_residuals = ("replay-same-function", "exception-frame-tamper")
-    full_ok = all(
-        outcomes.get("full") in ("detected", "blocked", None)
-        or name.startswith(documented_residuals)
-        for name, outcomes in campaign.matrix()
-    )
-    none_broken = any(
-        outcomes.get("none") == "succeeded"
-        for _, outcomes in campaign.matrix()
+    for name, cells in profile_rows(matrices):
+        table.add_row(name, *cells)
+    # The full profile must stop every attack but the documented
+    # residuals (same-function replay, the Section 8 frame gap).
+    by_profile = {m.profile: m for m in matrices}
+    full = by_profile.get("full")
+    full_ok = full is None or not full.unexpected_escapes()
+    none_broken = bool(
+        "none" in by_profile and by_profile["none"].escaped
     )
     return ExperimentRecord(
         experiment_id="E6+E10 / Section 6.2",
@@ -280,7 +292,7 @@ def run_security_matrix(profiles=("none", "backward", "full")):
         ),
         reproduced=full_ok and none_broken,
         tables=[table],
-    ), campaign
+    ), matrices
 
 
 def run_replay_matrix():
@@ -293,21 +305,24 @@ def run_replay_matrix():
     for variant in ("same-function", "cross-function"):
         row = []
         for scheme in ("sp-only", "camouflage", "parts"):
-            outcome = ReplayAttack(variant=variant, scheme=scheme).run(
-                "backward"
-            )
-            row.append(outcome.outcome)
-            in_sim[(variant, scheme)] = outcome.outcome
+            (result,) = InjectionCampaign(
+                profile=replay_profile("backward", scheme),
+                trials=1,
+                invariants=False,
+                sites=[f"replay-{variant}"],
+            ).run().results
+            row.append(result.outcome)
+            in_sim[(variant, scheme)] = result.outcome
         table.add_row(f"{variant} (in-sim)", *row)
     for stride in (4096, 65536):
         row = [
-            "succeeded" if cross_thread_replay_accepted(s, stride)
+            "escaped" if cross_thread_replay_accepted(s, stride)
             else "detected"
             for s in ("sp-only", "camouflage", "parts")
         ]
         table.add_row(f"cross-thread stride {stride}", *row)
     ok = (
-        in_sim[("cross-function", "sp-only")] == "succeeded"
+        in_sim[("cross-function", "sp-only")] == "escaped"
         and in_sim[("cross-function", "camouflage")] == "detected"
         and in_sim[("cross-function", "parts")] == "detected"
         and cross_thread_replay_accepted("parts", 65536)
@@ -329,11 +344,22 @@ def run_replay_matrix():
 
 def run_bruteforce(threshold=8):
     """Section 5.4: PAC size, brute-force cost, panic threshold."""
+    from repro.kernel.system import System
+
     config = VMSAConfig()
     pac_bits = config.pac_size(kernel=True)
     expectation = expected_guesses(pac_bits)
-    unlimited = BruteForceAttack(unlimited=True).run("full")
-    limited = BruteForceAttack(unlimited=False).run("full")
+    # The guessing order is seeded for reproducibility.
+    unlimited = System(profile="full")
+    unlimited.faults.panic_on_threshold = False
+    guesses = guess_f_ops_pac(unlimited, random.Random(1))
+    limited = System(profile="full", fault_threshold=threshold)
+    try:
+        guess_f_ops_pac(limited, random.Random(1))
+        limited_outcome = "escaped"
+    except KernelPanic:
+        limited_outcome = "detected"
+    faults = limited.faults
     probability = success_probability(threshold, pac_bits)
     table = TextTable(
         "Section 5.4 — PAC brute force",
@@ -341,8 +367,15 @@ def run_bruteforce(threshold=8):
     )
     table.add_row("kernel PAC size (48-bit VA, TBI off)", f"{pac_bits} bits")
     table.add_row("expected guesses (no mitigation)", expectation)
-    table.add_row("unmitigated attack", unlimited.detail)
-    table.add_row(f"with threshold {threshold}", limited.detail)
+    table.add_row(
+        "unmitigated attack",
+        f"PAC guessed after {guesses} attempts (2^{pac_bits} space)",
+    )
+    table.add_row(
+        f"with threshold {threshold}",
+        f"system panicked after {faults.pauth_failures} failed guesses "
+        f"(threshold {faults.threshold})",
+    )
     table.add_row(
         f"P[success before panic], k={threshold}", f"{probability:.2e}"
     )
@@ -353,15 +386,11 @@ def run_bruteforce(threshold=8):
             "failures defeats the attack"
         ),
         measured=(
-            f"{pac_bits}-bit PAC; unlimited: {unlimited.outcome}; "
-            f"with threshold: {limited.outcome} "
+            f"{pac_bits}-bit PAC; unlimited: escaped; "
+            f"with threshold: {limited_outcome} "
             f"(P[success] ~= {probability:.1e})"
         ),
-        reproduced=(
-            pac_bits == 15
-            and unlimited.outcome == "succeeded"
-            and limited.outcome == "detected"
-        ),
+        reproduced=pac_bits == 15 and limited_outcome == "detected",
         tables=[table],
     )
 

@@ -1,18 +1,18 @@
 """Fault-injection detection matrix as a bench experiment.
 
-Runs the default :class:`~repro.inject.InjectionCampaign` across the
-three protection profiles and condenses the per-site outcomes into one
-table: which corruptions each profile detects, which it lets escape and
-which do not even apply to it.  The paper's security argument is
-exactly this matrix — the full profile turns every modelled corruption
-into a fault, a panic or an invariant violation.
+Runs the state-corruption scenarios of
+:data:`~repro.inject.scenarios.CORRUPTIONS` across the three
+protection profiles, invariant checker on, and condenses the outcomes
+into one table: which corruptions each profile detects, which it lets
+escape and which do not even apply to it.  The paper's security
+argument is exactly this matrix — the full profile turns every
+modelled corruption into a fault, a panic or an invariant violation.
 """
 
 from __future__ import annotations
 
 from repro.bench.harness import ExperimentRecord, TextTable
-from repro.inject import InjectionCampaign
-from repro.inject.points import all_points
+from repro.inject import CORRUPTIONS, InjectionCampaign, profile_rows
 
 __all__ = ["run_injection_matrix"]
 
@@ -22,43 +22,26 @@ _PROFILES = ("none", "backward", "full")
 def run_injection_matrix(seed=None, trials=1):
     """One campaign per profile; reproduced iff ``full`` has no escapes."""
     kwargs = {} if seed is None else {"seed": seed}
-    matrices = {
-        profile: InjectionCampaign(
-            profile=profile, trials=trials, **kwargs
+    matrices = [
+        InjectionCampaign(
+            profile=profile,
+            trials=trials,
+            sites=[s.name for s in CORRUPTIONS],
+            **kwargs,
         ).run()
         for profile in _PROFILES
-    }
-
+    ]
     table = TextTable(
         "Fault-injection detection matrix (outcome per profile)",
         ["site"] + list(_PROFILES),
     )
-    for point in all_points():
-        cells = []
-        for profile in _PROFILES:
-            outcomes = {
-                r.outcome
-                for r in matrices[profile].results
-                if r.site == point.name
-            }
-            if outcomes == {"skipped"}:
-                cells.append("n/a")
-            elif "escaped" in outcomes:
-                cells.append("ESCAPED")
-            else:
-                detectors = {
-                    r.detected_by
-                    for r in matrices[profile].results
-                    if r.site == point.name and r.detected_by
-                }
-                cells.append("+".join(sorted(detectors)) or "detected")
-        table.add_row(point.name, *cells)
-
-    full = matrices["full"]
+    for name, cells in profile_rows(matrices):
+        table.add_row(name, *cells)
+    full = matrices[-1]
     measured = ", ".join(
-        f"{profile}: {m.detected}/{m.injected} detected"
+        f"{m.profile}: {m.detected}/{m.injected} detected"
         f" ({m.escaped} escaped)"
-        for profile, m in matrices.items()
+        for m in matrices
     )
     return ExperimentRecord(
         experiment_id="E17 / fault injection",

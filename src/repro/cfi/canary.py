@@ -147,38 +147,3 @@ def canary_cost_cycles(kind):
         return 4 + 2 + 2 + 4 + 2 + 2 + 1 + 1
     # PACed: mov + pacga(4) + str on each side, plus cmp + branch.
     return (1 + isa.PAUTH_CYCLES + 2) * 2 + 1 + 1
-
-
-# -- fault-injection site (repro.inject) --------------------------------------
-
-
-def _inject_linear_overflow(driver, rng):
-    """Smash the canary slot through the victim's linear overflow.
-
-    The campaign's kernel image carries a canary-guarded victim
-    function whose copy loop runs one word long when its input slot is
-    non-zero.  PACed canaries catch the clobber in the epilogue and
-    panic; the unprotected baseline builds the victim with no canary,
-    so there the overflow escapes — which the matrix reports honestly.
-    """
-    from repro.inject.campaign import CANARY_SMASH_SLOT
-
-    smash = rng.getrandbits(64) | 1
-    driver.system.mmu.write_u64(CANARY_SMASH_SLOT, smash, 1)
-    driver.call_canary_victim()
-
-
-from repro.inject.points import InjectionPoint, register_point  # noqa: E402
-
-register_point(
-    InjectionPoint(
-        name="canary.linear-overflow",
-        module=__name__,
-        description=(
-            "linear stack-buffer overflow clobbering the canary word of "
-            "a guarded kernel function"
-        ),
-        inject=_inject_linear_overflow,
-        expected=("panic",),
-    )
-)

@@ -16,7 +16,14 @@ from repro.cfi.keys import KeyAllocation, KeyRole
 from repro.cfi.modifiers import SCHEMES, ModifierScheme
 from repro.errors import ReproError
 
-__all__ = ["ProtectionProfile", "PROFILE_NONE", "PROFILE_BACKWARD", "PROFILE_FULL", "profile_by_name"]
+__all__ = [
+    "ProtectionProfile",
+    "PROFILE_NONE",
+    "PROFILE_BACKWARD",
+    "PROFILE_FULL",
+    "frame_mac_profile",
+    "profile_by_name",
+]
 
 
 @dataclass
@@ -124,6 +131,17 @@ def _make_backward():
 def _make_full():
     return ProtectionProfile(
         name="full", backward_scheme="camouflage", forward=True, dfi=True
+    )
+
+
+def frame_mac_profile():
+    """The full design plus the frame-MAC future-work extension."""
+    return ProtectionProfile(
+        name="full+framemac",
+        backward_scheme="camouflage",
+        forward=True,
+        dfi=True,
+        frame_mac=True,
     )
 
 

@@ -1,63 +1,54 @@
-"""Fault injection and invariant checking (``repro.inject``).
+"""Adversarial scenarios and invariant checking (``repro.inject``).
 
-Adversarial state mutation against the live simulated kernel — PAC
-bit-flips in signed pointers, key-register corruption, exception-frame
-tampering, mid-``cpu_switch_to`` task-struct rewrites, stack-canary
-smashes — run as seeded, deterministic campaigns whose product is a
-*detection matrix*: injected vs. detected vs. escaped.
-
-The package is deliberately lazy: host modules (``arch/pac.py``,
-``kernel/fault.py``, ...) import :mod:`repro.inject.points` at the
-bottom of their bodies to register their injection sites, so this
-``__init__`` must not import the campaign machinery (which imports the
-whole kernel stack) at module scope.
+One framework for every way this reproduction attacks the kernel: the
+Section 6.2 exploits (ROP, replay, pointer overwrites, key leaks, brute
+force) and direct state corruptions (PAC bit-flips, key-register
+corruption, exception-frame tampering, mid-``cpu_switch_to`` rewrites,
+canary smashes).  :data:`~repro.inject.scenarios.SCENARIOS` lists them
+all; an :class:`InjectionCampaign` runs them as seeded, deterministic
+trials whose product is a *detection matrix*: detected vs. blocked vs.
+escaped.
 """
 
-from __future__ import annotations
+from repro.inject.campaign import (
+    DEFAULT_SEED,
+    CampaignDriver,
+    DetectionMatrix,
+    InjectionCampaign,
+    InjectionResult,
+)
+from repro.inject.invariants import InvariantChecker, InvariantViolation
+from repro.inject.report import (
+    profile_rows,
+    render_matrix,
+    render_profile_table,
+    render_site_listing,
+)
+from repro.inject.scenarios import (
+    ATTACKS,
+    CORRUPTIONS,
+    SCENARIOS,
+    ArbitraryMemoryPrimitive,
+    Scenario,
+    scenario_by_name,
+)
 
 __all__ = [
+    "ATTACKS",
+    "CORRUPTIONS",
     "DEFAULT_SEED",
+    "SCENARIOS",
+    "ArbitraryMemoryPrimitive",
     "CampaignDriver",
     "DetectionMatrix",
     "InjectionCampaign",
-    "InjectionPoint",
     "InjectionResult",
     "InvariantChecker",
     "InvariantViolation",
-    "all_points",
-    "point_by_name",
-    "register_point",
+    "Scenario",
+    "profile_rows",
     "render_matrix",
+    "render_profile_table",
     "render_site_listing",
+    "scenario_by_name",
 ]
-
-_LAZY = {
-    "DEFAULT_SEED": "repro.inject.campaign",
-    "CampaignDriver": "repro.inject.campaign",
-    "DetectionMatrix": "repro.inject.campaign",
-    "InjectionCampaign": "repro.inject.campaign",
-    "InjectionResult": "repro.inject.campaign",
-    "InjectionPoint": "repro.inject.points",
-    "all_points": "repro.inject.points",
-    "point_by_name": "repro.inject.points",
-    "register_point": "repro.inject.points",
-    "InvariantChecker": "repro.inject.invariants",
-    "InvariantViolation": "repro.inject.invariants",
-    "render_matrix": "repro.inject.report",
-    "render_site_listing": "repro.inject.report",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))

@@ -1,53 +1,70 @@
-"""Seeded fault-injection campaigns over a live simulated kernel.
+"""Seeded adversarial-scenario campaigns over a live simulated kernel.
 
-A campaign boots one fresh system per trial, lets the injection point
-corrupt live state (signed pointers, key registers, exception frames,
-the fault-counting machinery itself), drives the victim workload, and
-classifies the outcome:
+A campaign boots one fresh system per (scenario, trial), lets the
+scenario (:mod:`repro.inject.scenarios`) corrupt live state and drive
+the victim, and classifies the outcome in one place
+(:meth:`InjectionCampaign._run_trial`):
 
-* ``fault`` — the corruption surfaced as a memory fault and the kernel
-  killed the task (the paper's poisoned-pointer detection path);
-* ``panic`` — the kernel halted (threshold panic, frame MAC, canary);
+* ``fault`` — the kernel killed the task (``TaskKilled``: the paper's
+  poisoned-pointer detection path);
+* ``panic`` — the kernel halted (``KernelPanic``: threshold, frame MAC,
+  canary);
 * ``invariant`` — the :class:`~repro.inject.invariants.InvariantChecker`
-  caught it (event protocol or state sweep);
-* ``escaped`` — the corruption survived undetected.  Escapes are the
-  product: each one is either a real gap (reported honestly, e.g. the
-  Section 8 exception-frame window with invariants disabled) or a bug.
+  caught it (``InvariantViolation``);
+* ``blocked`` — the attacker's primitive itself was refused
+  (``PermissionFault``, ``ModuleRejected``, ``HypervisorTrap``);
+* ``escaped`` — no exception: the corruption survived undetected.
+  Escapes are the product: each one is either a documented residual
+  (the scenario says so) or a gap.
 
-Everything is deterministic: the campaign seed derives one sub-seed per
-(site, trial) arithmetically — no ``hash()``, no wall clock — and that
-sub-seed feeds both the trial's ``random.Random`` and the booted
-system's firmware entropy, so the same seed reproduces the same
-detection matrix byte for byte.
+The first three are reported as outcome ``detected``, with the kind in
+``detected_by``.
+
+Everything is deterministic: a trial's sub-seed is a stable hash of
+(campaign seed, scenario name, trial) — no ``hash()``, no wall clock —
+and feeds both the trial's ``random.Random`` and the booted system's
+firmware entropy.  The same seed reproduces the same matrix byte for
+byte, and a single scenario run alone reproduces its row of the full
+campaign.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import zlib
 from dataclasses import dataclass, field
 
 from repro.arch import isa
 from repro.arch.assembler import Assembler
-from repro.arch.isa import SP
-from repro.arch.registers import XZR
 from repro.cfi.keys import KeyRole
 from repro.cfi.policy import profile_by_name
-from repro.errors import KernelPanic, ReproError
+from repro.errors import (
+    HypervisorTrap,
+    KernelPanic,
+    PermissionFault,
+    ReproError,
+    SimFault,
+)
 from repro.inject.invariants import InvariantChecker, InvariantViolation
-from repro.inject.points import all_points
+from repro.inject.scenarios import (
+    CANARY_VICTIM_SYMBOL,
+    SCENARIOS,
+    build_canary_victim,
+)
 from repro.kernel import layout
+from repro.kernel.fault import TaskKilled
+from repro.kernel.module import ModuleRejected
+from repro.kernel.system import System
+from repro.trace import Tracer
 
 __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_TRIALS",
-    "CANARY_SMASH_SLOT",
-    "CANARY_VICTIM_SYMBOL",
     "CampaignDriver",
     "InjectionCampaign",
     "InjectionResult",
     "DetectionMatrix",
-    "build_canary_victim",
     "capabilities_of",
 ]
 
@@ -55,58 +72,9 @@ __all__ = [
 DEFAULT_SEED = 0xC4F1
 DEFAULT_TRIALS = 2
 
-#: Per-CPU scratch slot the canary victim reads its "network input"
-#: from: a non-zero value there makes the victim's linear copy run long
-#: enough to clobber the canary word.  (+0xE00 keeps clear of the fd
-#: table at +0x100 and the attack scratch at +0xF00.)
-CANARY_SMASH_SLOT = layout.KERNEL_PERCPU_BASE + 0xE00
-CANARY_VICTIM_SYMBOL = "canary_victim"
-
-
-def _canary_panic(cpu):
-    raise KernelPanic(
-        "stack canary clobbered: __stack_chk_fail", reason="stack-canary"
-    )
-
-
-def build_canary_victim(asm, ctx):
-    """Text builder: a canary-guarded function with a linear overflow.
-
-    The canary kind follows the profile: PACed canaries on any profile
-    that uses PAC instructions, none on the unprotected baseline (which
-    is how the baseline's escape shows up honestly in the matrix).
-    """
-    from repro.cfi.canary import (
-        CanaryKind,
-        canary_slot_offset,
-        emit_canary_function,
-    )
-
-    profile = ctx.profile
-    uses_pac = profile.protects_backward or profile.forward or profile.dfi
-    kind = CanaryKind.PACED if uses_pac else CanaryKind.NONE
-
-    def body(a):
-        # The "memcpy": when the smash slot holds a value, the copy
-        # runs one word past the buffer and lands on the canary slot.
-        a.mov_imm(9, CANARY_SMASH_SLOT)
-        a.emit(isa.Ldr(10, 9, 0))
-        a.emit(isa.SubsImm(XZR, 10, 0), isa.BCond("eq", "__canary_clean"))
-        a.emit(isa.Str(10, SP, canary_slot_offset()))
-        a.label("__canary_clean")
-        a.emit(isa.Movz(0, 0x55, 0))
-
-    emit_canary_function(
-        asm,
-        CANARY_VICTIM_SYMBOL,
-        kind,
-        body,
-        stack_chk_fail=_canary_panic,
-    )
-
 
 def capabilities_of(profile):
-    """Capability tags a profile provides to injection points."""
+    """Capability tags a profile provides to scenarios."""
     caps = set()
     if profile.dfi:
         caps.add("dfi")
@@ -119,13 +87,13 @@ def capabilities_of(profile):
 
 class CampaignDriver:
     """One trial's worth of live kernel: a booted system plus the
-    victim workloads injection points corrupt and then drive.
+    victim workloads scenarios corrupt and then drive.
 
-    The driver owns a tracer (instruction events on, so mid-run tamper
-    listeners can key on PC regions) and, when enabled, the invariant
-    checker.  Injection points receive the driver and a seeded RNG and
-    use only these helpers plus public system API — they never reach
-    into campaign internals.
+    The kernel carries the canary victim plus whatever text and
+    syscalls ``scenario`` adds.  The driver owns a tracer (instruction
+    events on, so mid-run corruptions can key on function entries) and,
+    when enabled, the invariant checker.  Scenarios use only these
+    helpers plus public system API.
     """
 
     def __init__(
@@ -133,22 +101,22 @@ class CampaignDriver:
         profile="full",
         invariants=True,
         system_seed=0xC0FFEE,
-        capacity=16384,
+        scenario=None,
     ):
-        from repro.kernel.system import System
-        from repro.trace import Tracer
-
+        text, syscalls = (
+            (scenario.text, scenario.syscalls) if scenario else ((), ())
+        )
         self.system = System(
             profile=profile,
             seed=system_seed,
-            text_builders=(build_canary_victim,),
+            syscalls=syscalls,
+            text_builders=(build_canary_victim,) + tuple(text),
         )
-        self.tracer = Tracer(capacity=capacity, instructions=True)
+        self.tracer = Tracer(capacity=16384, instructions=True)
         self.system.attach_tracer(self.tracer)
         self.checker = (
             InvariantChecker(self.system, self.tracer) if invariants else None
         )
-        self._user_entry = None
 
     def close(self):
         if self.checker is not None:
@@ -162,6 +130,19 @@ class CampaignDriver:
     @property
     def capabilities(self):
         return capabilities_of(self.system.profile)
+
+    def at_entry(self, symbol, action):
+        """Call ``action(cpu)`` whenever the first instruction of kernel
+        function ``symbol`` retires — the moment a bug in that function
+        would strike, with its caller's frame live."""
+        entry = self.system.kernel_symbol(symbol)
+        cpu = self.system.cpu
+
+        def listener(event):
+            if event.kind == "insn_retire" and event.data.get("pc") == entry:
+                action(cpu)
+
+        self.tracer.add_listener(listener)
 
     # -- context-switch victim workload --------------------------------------
 
@@ -218,8 +199,6 @@ class CampaignDriver:
         Each round switches to a task whose saved SP carries no valid
         PAC; the AUTDB poisons it and the next stack touch faults.
         """
-        from repro.kernel.fault import TaskKilled
-
         for _ in range(count):
             victim = self.prepare_switch_target(sign=False)
             self.switch_to(victim)
@@ -236,25 +215,24 @@ class CampaignDriver:
 
     # -- user-mode syscall workload ------------------------------------------
 
-    def user_entry(self):
-        """Map (once) and return the entry of a one-syscall user program."""
-        if self._user_entry is None:
-            system = self.system
-            system.map_user_stack()
-            user = Assembler(layout.USER_TEXT_BASE)
-            user.fn("main")
-            user.mov_imm(8, system.syscall_numbers["getpid"])
-            user.emit(isa.Svc(0), isa.Hlt())
-            program = user.assemble()
-            system.load_user_program(program)
-            self._user_entry = program.address_of("main")
-        return self._user_entry
+    def run_user_syscall(self, name="getpid", x0=None, max_steps=200_000):
+        """One ``name`` round trip from EL0 through the full entry path.
 
-    def run_user_syscall(self, max_steps=200_000):
-        """One getpid() round trip from EL0 through the full entry path."""
-        entry = self.user_entry()
-        return self.system.run_user(
-            self.system.tasks.current, entry, max_steps=max_steps
+        Maps the user stack and the program ``main: [x0 = x0;] x8 = nr;
+        svc #0; hlt`` at ``USER_TEXT_BASE``, its entry, then runs it on
+        the current task.
+        """
+        system = self.system
+        system.map_user_stack()
+        user = Assembler(layout.USER_TEXT_BASE)
+        user.fn("main")
+        if x0 is not None:
+            user.mov_imm(0, x0)
+        user.mov_imm(8, system.syscall_numbers[name])
+        user.emit(isa.Svc(0), isa.Hlt())
+        system.load_user_program(user.assemble())
+        return system.run_user(
+            system.tasks.current, layout.USER_TEXT_BASE, max_steps=max_steps
         )
 
     # -- canary victim workload ----------------------------------------------
@@ -277,14 +255,16 @@ class CampaignDriver:
 
 @dataclass
 class InjectionResult:
-    """Outcome of one (site, trial) injection."""
+    """Outcome of one (scenario, trial)."""
 
     site: str
     trial: int
     seed: int
-    outcome: str  # "detected" | "escaped" | "skipped"
+    outcome: str  # "detected" | "blocked" | "escaped" | "skipped"
     detected_by: str = None  # "fault" | "panic" | "invariant"
-    expected: bool = None  # detection kind was the designed one
+    #: The outcome is the designed one: a detection or block of an
+    #: expected kind, or the escape of a documented residual.
+    expected: bool = None
     detail: str = ""
     evidence: dict = field(default_factory=dict)
 
@@ -323,6 +303,10 @@ class DetectionMatrix:
         return self._count("detected")
 
     @property
+    def blocked(self):
+        return self._count("blocked")
+
+    @property
     def escaped(self):
         return self._count("escaped")
 
@@ -332,6 +316,10 @@ class DetectionMatrix:
 
     def escapes(self):
         return [r for r in self.results if r.outcome == "escaped"]
+
+    def unexpected_escapes(self):
+        """Escapes that are not a documented residual."""
+        return [r for r in self.escapes() if not r.expected]
 
     def by_site(self):
         sites = {}
@@ -348,6 +336,7 @@ class DetectionMatrix:
             "summary": {
                 "injected": self.injected,
                 "detected": self.detected,
+                "blocked": self.blocked,
                 "escaped": self.escaped,
                 "skipped": self.skipped,
             },
@@ -359,21 +348,22 @@ class DetectionMatrix:
 
 
 class InjectionCampaign:
-    """A seeded sweep of every applicable injection point.
+    """A seeded sweep of every applicable scenario.
 
     Parameters
     ----------
     profile:
-        Protection profile name each trial's system boots with.
+        Protection profile each trial's system boots with: a name or a
+        :class:`~repro.cfi.policy.ProtectionProfile`.
     seed:
-        Campaign seed; per-trial sub-seeds are derived arithmetically.
+        Campaign seed; per-trial sub-seeds are derived from it.
     trials:
-        Injections per site (different sub-seed, fresh system each).
+        Trials per scenario (different sub-seed, fresh system each).
     invariants:
         Attach the :class:`InvariantChecker` (the default).  Disabling
         it shows which corruptions only the checker can see.
     sites:
-        Optional iterable of site names to restrict the campaign to.
+        Optional iterable of scenario names to restrict the campaign to.
     """
 
     def __init__(
@@ -390,103 +380,102 @@ class InjectionCampaign:
         self.invariants = invariants
         self.sites = None if sites is None else frozenset(sites)
 
-    def _derived_seed(self, site_index, trial):
-        # Arithmetic only: hash() is salted per process and would break
-        # cross-run determinism.
-        return (
-            self.seed * 1_000_003 + site_index * 8191 + trial * 127
-        ) & 0x7FFF_FFFF
+    def _derived_seed(self, name, trial):
+        # A stable hash: hash() is salted per process, and a position
+        # in the selected list would change with the selection.
+        key = f"{self.seed}/{name}/{trial}".encode()
+        return zlib.crc32(key) & 0x7FFF_FFFF
 
-    def selected_points(self):
-        points = all_points()
+    def selected_scenarios(self):
+        scenarios = SCENARIOS
         if self.sites is not None:
-            unknown = self.sites - {p.name for p in points}
+            unknown = self.sites - {s.name for s in scenarios}
             if unknown:
                 raise ReproError(
                     f"unknown injection site(s): {sorted(unknown)}"
                 )
-            points = tuple(p for p in points if p.name in self.sites)
-        return points
+            scenarios = tuple(s for s in scenarios if s.name in self.sites)
+        return scenarios
 
     def run(self):
-        profile_obj = profile_by_name(self.profile)
-        caps = capabilities_of(profile_obj)
+        profile = self.profile
+        if isinstance(profile, str):
+            profile = profile_by_name(profile)
+        caps = capabilities_of(profile)
         matrix = DetectionMatrix(
-            profile=self.profile,
+            profile=profile.name,
             seed=self.seed,
             invariants=self.invariants,
             trials=self.trials,
         )
-        for index, point in enumerate(self.selected_points()):
-            missing = [c for c in point.requires if c not in caps]
+        for scenario in self.selected_scenarios():
+            missing = [c for c in scenario.requires if c not in caps]
             for trial in range(self.trials):
-                derived = self._derived_seed(index, trial)
+                derived = self._derived_seed(scenario.name, trial)
                 if missing:
                     matrix.results.append(
                         InjectionResult(
-                            site=point.name,
+                            site=scenario.name,
                             trial=trial,
                             seed=derived,
                             outcome="skipped",
                             detail=(
-                                f"profile {self.profile!r} lacks "
+                                f"profile {profile.name!r} lacks "
                                 f"{'+'.join(missing)}"
                             ),
                         )
                     )
                     continue
-                matrix.results.append(self._run_trial(point, trial, derived))
+                matrix.results.append(
+                    self._run_trial(scenario, trial, derived)
+                )
         return matrix
 
-    def _run_trial(self, point, trial, derived):
-        from repro.kernel.fault import TaskKilled
-
-        rng = random.Random(derived)
+    def _run_trial(self, scenario, trial, derived):
         driver = CampaignDriver(
             profile=self.profile,
             invariants=self.invariants,
             system_seed=derived,
+            scenario=scenario,
         )
-        detected_by = None
-        detail = ""
+        kind = None
         try:
             try:
-                point.inject(driver, rng)
+                detail = scenario.inject(driver, random.Random(derived))
                 if driver.checker is not None:
                     driver.checker.sweep()
             except KernelPanic as exc:
-                detected_by, detail = "panic", str(exc)
+                kind, detail = "panic", str(exc)
             except TaskKilled as exc:
-                detected_by, detail = "fault", str(exc)
+                kind, detail = "fault", str(exc)
             except InvariantViolation as exc:
-                detected_by, detail = "invariant", str(exc)
-            except ReproError as exc:
-                # An unclassified host error is NOT a detection — the
+                kind, detail = "invariant", str(exc)
+            except (PermissionFault, ModuleRejected, HypervisorTrap) as exc:
+                kind, detail = "blocked", str(exc)
+            except (ReproError, SimFault) as exc:
+                # An unclassified error is NOT a detection — the
                 # corruption broke the harness, not the kernel's
                 # defences.  Report it as an escape so it gets fixed.
                 detail = f"harness error: {exc}"
             evidence = driver.evidence()
         finally:
             driver.close()
-        if detected_by is None:
-            return InjectionResult(
-                site=point.name,
-                trial=trial,
-                seed=derived,
-                outcome="escaped",
-                detail=detail or "corruption survived undetected",
-                evidence=evidence,
-            )
-        return InjectionResult(
-            site=point.name,
+        result = InjectionResult(
+            site=scenario.name,
             trial=trial,
             seed=derived,
-            outcome="detected",
-            detected_by=detected_by,
-            expected=detected_by in point.expected,
-            detail=detail,
+            outcome="escaped",
+            expected=scenario.residual,
+            detail=detail or "corruption survived undetected",
             evidence=evidence,
         )
+        if kind == "blocked":
+            result.outcome = "blocked"
+        elif kind is not None:
+            result.outcome, result.detected_by = "detected", kind
+        if kind is not None:
+            result.expected = kind in scenario.expected
+        return result
 
     def run_control(self):
         """One clean trial: every workload, no corruption, full sweep.

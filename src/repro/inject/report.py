@@ -1,11 +1,19 @@
-"""Rendering the detection matrix (text tables for the CLI and docs)."""
+"""Rendering detection matrices (text tables for the CLI and docs).
+
+``repro.bench`` imports this package, so its table helper is imported
+where it is used rather than at module level.
+"""
 
 from __future__ import annotations
 
-from repro.bench.harness import TextTable
-from repro.inject.points import all_points
+from repro.inject.scenarios import SCENARIOS
 
-__all__ = ["render_matrix", "render_site_listing"]
+__all__ = [
+    "profile_rows",
+    "render_matrix",
+    "render_profile_table",
+    "render_site_listing",
+]
 
 
 def _clip(text, width=52):
@@ -14,7 +22,9 @@ def _clip(text, width=52):
 
 
 def render_matrix(matrix):
-    """The campaign's detection matrix as one printable string."""
+    """One campaign's detection matrix as one printable string."""
+    from repro.bench.harness import TextTable
+
     table = TextTable(
         f"Injection detection matrix "
         f"(profile={matrix.profile}, seed={matrix.seed:#x}, "
@@ -31,23 +41,57 @@ def render_matrix(matrix):
         )
     summary = (
         f"{matrix.injected} injected: {matrix.detected} detected, "
-        f"{matrix.escaped} escaped ({matrix.skipped} skipped)"
+        f"{matrix.blocked} blocked, {matrix.escaped} escaped "
+        f"({matrix.skipped} skipped)"
     )
     return table.render() + "\n\n" + summary
 
 
-def render_site_listing():
-    """Every registered injection point, for ``inject --list``."""
-    table = TextTable(
-        "Registered injection points",
-        ["site", "module", "requires", "invariants-only", "description"],
+def profile_rows(matrices):
+    """``(scenario, [cell per matrix])`` rows across per-profile
+    matrices, in scenario order.  A cell is the scenario's outcome; if
+    its trials disagree, their distinct outcomes joined by ``/``."""
+    cells = {}
+    for column, matrix in enumerate(matrices):
+        for result in matrix.results:
+            row = cells.setdefault(result.site, [[] for _ in matrices])
+            if result.outcome not in row[column]:
+                row[column].append(result.outcome)
+    return [
+        (name, ["/".join(cell) or "-" for cell in row])
+        for name, row in cells.items()
+    ]
+
+
+def render_profile_table(matrices):
+    """The cross-profile outcome table: one column per matrix."""
+    rows = profile_rows(matrices)
+    width = max(len(name) for name, _ in rows) + 2
+    header = "attack".ljust(width) + "".join(
+        m.profile.rjust(12) for m in matrices
     )
-    for point in all_points():
+    lines = [header, "-" * len(header)]
+    for name, row in rows:
+        lines.append(name.ljust(width) + "".join(c.rjust(12) for c in row))
+    return "\n".join(lines)
+
+
+def render_site_listing():
+    """Every scenario, for ``inject --list``."""
+    from repro.bench.harness import TextTable
+
+    table = TextTable(
+        "Adversarial scenarios",
+        ["site", "requires", "expected", "invariants-only", "residual",
+         "description"],
+    )
+    for scenario in SCENARIOS:
         table.add_row(
-            point.name,
-            point.module,
-            "+".join(point.requires) or "-",
-            "yes" if point.needs_invariants else "no",
-            _clip(point.description, 60),
+            scenario.name,
+            "+".join(scenario.requires) or "-",
+            "+".join(scenario.expected),
+            "yes" if scenario.needs_invariants else "no",
+            "yes" if scenario.residual else "no",
+            _clip(scenario.description, 60),
         )
     return table.render()

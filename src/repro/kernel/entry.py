@@ -495,90 +495,3 @@ def build_restore_user_keys(asm, profile, current_ptr_address, banked=False):
         )
     asm.emit(isa.Ret())
     return asm
-
-
-# -- fault-injection sites (repro.inject) -------------------------------------
-#
-# Both sites rewrite the saved exception frame (pt_regs) while the
-# kernel is handling a system call — the Section 8 observation that
-# "attacks targeting the interrupt handler could potentially modify or
-# replace kernel register content".  The tamper is host-side but timed
-# architecturally: a tracer listener fires it when the first handler
-# instruction retires, i.e. after the frame is saved and before the
-# exit path reads it back.
-
-
-def _tamper_frame_during_syscall(driver, offset, value):
-    """Run one user syscall; rewrite frame word ``offset`` mid-handler."""
-    system = driver.system
-    task = system.tasks.current
-    slot = task.stack_top - S_FRAME_SIZE + offset
-    handler = _symbol_range(system.kernel_image, "sys_getpid")
-    state = {"done": False}
-
-    def tamper(event):
-        if state["done"] or event.kind != "insn_retire":
-            return
-        pc = event.data.get("pc", 0)
-        if handler[0] <= pc < handler[1]:
-            state["done"] = True
-            system.mmu.write_u64(slot, value, 1)
-
-    system.tracer.add_listener(tamper)
-    try:
-        driver.run_user_syscall()
-    finally:
-        system.tracer.remove_listener(tamper)
-    if not state["done"]:
-        raise ReproError("frame tamper never triggered — no handler ran")
-
-
-def _inject_frame_elr_tamper(driver, rng):
-    """Redirect the saved ELR to a *mapped* user address.
-
-    The classic ERET hijack: control resumes somewhere the user never
-    was.  Nothing faults (the target is mapped and executable at EL0),
-    so only the entry/return ELR-pairing invariant sees it — exactly
-    the unprotected window the paper's frame-MAC future work targets.
-    """
-    target = driver.user_entry()
-    _tamper_frame_during_syscall(driver, FRAME_ELR_OFFSET, target)
-
-
-def _inject_frame_spsr_el_escalation(driver, rng):
-    """Flip the saved SPSR from EL0 to EL1: ERET-to-kernel escalation.
-
-    The invariant checker rejects the ERET before it completes; even
-    without it, the first EL1 fetch of user text trips the
-    no-execute mapping and the task is killed.
-    """
-    _tamper_frame_during_syscall(driver, FRAME_SPSR_OFFSET, 1)
-
-
-from repro.inject.points import InjectionPoint, register_point  # noqa: E402
-
-register_point(
-    InjectionPoint(
-        name="entry.frame-elr-tamper",
-        module=__name__,
-        description=(
-            "rewrite the saved ELR in the exception frame mid-syscall; "
-            "ERET resumes user space at an attacker-chosen address"
-        ),
-        inject=_inject_frame_elr_tamper,
-        expected=("invariant", "panic"),
-        needs_invariants=True,
-    )
-)
-register_point(
-    InjectionPoint(
-        name="entry.frame-spsr-el-escalation",
-        module=__name__,
-        description=(
-            "rewrite the saved SPSR from EL0 to EL1 mid-syscall; ERET "
-            "'returns' to kernel mode at a user-controlled PC"
-        ),
-        inject=_inject_frame_spsr_el_escalation,
-        expected=("invariant", "fault"),
-    )
-)

@@ -217,56 +217,3 @@ class FaultManager:
     def reset(self):
         self.records.clear()
         self.pauth_failures = 0
-
-
-# -- fault-injection sites (repro.inject) -------------------------------------
-#
-# Both sites attack the Section 5.4 brute-force mitigation itself: an
-# attacker who can neuter the failure counter or the panic threshold
-# gets unlimited PAC guesses back.  Neither corruption faults on its
-# own — only the invariant checker's bookkeeping can see them.
-
-
-def _inject_counter_rollback(driver, rng):
-    """Take real PAuth faults, then roll the failure counter back."""
-    driver.provoke_pauth_failures(2)
-    driver.system.faults.pauth_failures = rng.randrange(0, 2)
-
-
-def _inject_threshold_tamper(driver, rng):
-    """Raise the panic threshold (or disable the panic) at run time."""
-    faults = driver.system.faults
-    faults.threshold += rng.randrange(100, 1 << 20)
-    if rng.random() < 0.5:
-        faults.panic_on_threshold = False
-
-
-from repro.inject.points import InjectionPoint, register_point  # noqa: E402
-
-register_point(
-    InjectionPoint(
-        name="fault.counter-rollback",
-        module=__name__,
-        description=(
-            "reset pauth_failures after real authentication faults, "
-            "restoring the attacker's brute-force budget"
-        ),
-        inject=_inject_counter_rollback,
-        requires=("dfi",),
-        expected=("invariant",),
-        needs_invariants=True,
-    )
-)
-register_point(
-    InjectionPoint(
-        name="fault.threshold-tamper",
-        module=__name__,
-        description=(
-            "raise the Section 5.4 panic threshold (or disable the "
-            "panic) out from under the fault manager"
-        ),
-        inject=_inject_threshold_tamper,
-        expected=("invariant",),
-        needs_invariants=True,
-    )
-)

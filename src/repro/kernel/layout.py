@@ -12,6 +12,8 @@ from __future__ import annotations
 __all__ = [
     "KERNEL_IMAGE_BASE",
     "KERNEL_PERCPU_BASE",
+    "CANARY_SMASH_SLOT",
+    "ATTACK_SCRATCH",
     "XOM_BASE",
     "KERNEL_STACK_REGION",
     "KERNEL_STACK_SIZE",
@@ -47,6 +49,13 @@ KERNEL_HEAP_SIZE = 4 * 1024 * 1024
 #: Fixed per-CPU page holding the ``current`` task pointer (slot 0).
 #: A fixed address lets text reference it without relocations.
 KERNEL_PERCPU_BASE = 0xFFFF_0000_0600_0000
+#: Per-CPU slot the canary victim reads its "network input" from: a
+#: non-zero value makes its linear copy run long enough to clobber the
+#: canary word.  (+0xE00 keeps clear of the fd table at +0x100.)
+CANARY_SMASH_SLOT = KERNEL_PERCPU_BASE + 0xE00
+#: Per-CPU slot attack code uses as an in-memory marker/counter
+#: (register markers would be wiped by the kernel-exit GPR restore).
+ATTACK_SCRATCH = KERNEL_PERCPU_BASE + 0xF00
 
 #: User space (TTBR0).
 USER_TEXT_BASE = 0x0000_0000_0040_0000

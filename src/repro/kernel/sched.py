@@ -141,55 +141,3 @@ class Scheduler:
         system.faults.current_task_id = next_task.tid
         self.switches += 1
         return next_task
-
-
-# -- fault-injection site (repro.inject) --------------------------------------
-
-
-def _inject_mid_switch_sp_redirect(driver, rng):
-    """Rewrite the next task's saved SP *while* ``cpu_switch_to`` runs.
-
-    The race the signing is designed to win: the attacker's raw stack
-    pointer lands in the task struct after the victim signed it but
-    before the switch path authenticates it.  A tracer listener fires
-    the write when the first switch instruction retires — before the
-    LDR of ``cpu_context_sp`` — so the AUTDB sees the attacker value,
-    rejects it, and the poisoned SP faults on the next stack touch.
-    """
-    system = driver.system
-    target = driver.prepare_switch_target()  # correctly signed
-    fake = system.tasks.current.stack_top - 16 * rng.randint(8, 64)
-    switch = _symbol_range(system.kernel_image, CPU_SWITCH_TO_SYMBOL)
-    state = {"done": False}
-
-    def tamper(event):
-        if state["done"] or event.kind != "insn_retire":
-            return
-        pc = event.data.get("pc", 0)
-        if switch[0] <= pc < switch[1]:
-            state["done"] = True
-            target.kobj.raw_write("cpu_context_sp", fake)
-
-    system.tracer.add_listener(tamper)
-    try:
-        driver.switch_and_touch(target)
-    finally:
-        system.tracer.remove_listener(tamper)
-
-
-from repro.inject.points import InjectionPoint, register_point  # noqa: E402
-from repro.kernel.entry import _symbol_range  # noqa: E402
-
-register_point(
-    InjectionPoint(
-        name="sched.mid-switch-sp-redirect",
-        module=__name__,
-        description=(
-            "rewrite the saved SP in the task struct mid-cpu_switch_to, "
-            "racing the authenticate on the switch path"
-        ),
-        inject=_inject_mid_switch_sp_redirect,
-        requires=("dfi",),
-        expected=("fault",),
-    )
-)

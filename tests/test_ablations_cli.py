@@ -113,13 +113,25 @@ class TestCli:
         assert main(["survey"]) == 0
         assert "1285" in capsys.readouterr().out
 
-    def test_attacks_command(self, capsys):
+    def test_inject_cross_profile_command(self, capsys):
         from repro.__main__ import main
 
-        assert main(["attacks"]) == 0
+        argv = ["inject", "--smoke", "--no-invariants"]
+        for profile in ("none", "backward", "full"):
+            argv += ["--profile", profile]
+        # The unprotected kernel lets the attacks through: exit 1.
+        assert main(argv) == 1
         out = capsys.readouterr().out
-        assert "rop-injection" in out
-        assert "REPRODUCED" in out
+        table = out[out.index("attack    "):]
+        assert "none    backward        full" in table
+        assert "rop-injection" in table
+        assert "exception-frame-tamper" in table
+
+    def test_removed_attacks_command_rejected(self):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["attacks"])
 
     def test_unknown_command_rejected(self):
         from repro.__main__ import main

@@ -1,57 +1,71 @@
-"""Tests for the attack suite: the security-evaluation matrix.
+"""Tests for the Section 6.2 attack scenarios: the security matrix.
 
 These assert the paper's Section 6.2 claims attack by attack: what an
 unprotected kernel loses, what each protection level stops, and which
-residual windows remain.
+residual windows remain.  Every attack runs through the one campaign
+(``repro.inject``) with the invariant checker off, as E6/E10 does.
 """
+
+import random
 
 import pytest
 
-from repro.attacks import (
-    AttackCampaign,
-    BruteForceAttack,
-    CredPointerAttack,
-    JopGadgetAttack,
-    ModuleMrsAttack,
-    OpsTableSwapAttack,
-    OracleProbeAttack,
-    ReplayAttack,
-    RodataWriteAttack,
-    RopInjectionAttack,
-    SctlrDisableAttack,
-    WritableFnPtrAttack,
-    XomReadAttack,
+from repro.errors import KernelPanic
+from repro.inject import (
+    CampaignDriver,
+    InjectionCampaign,
+    profile_rows,
+    render_profile_table,
+    scenario_by_name,
+)
+from repro.inject.scenarios import (
     cross_thread_replay_accepted,
     expected_guesses,
+    guess_f_ops_pac,
+    replay_profile,
     success_probability,
 )
+from repro.kernel import System
+
+
+def _run(name, profile):
+    (result,) = InjectionCampaign(
+        profile=profile, trials=1, invariants=False, sites=[name]
+    ).run().results
+    return result
+
+
+def _replay(variant, scheme):
+    return _run(f"replay-{variant}", replay_profile("backward", scheme))
 
 
 class TestRopInjection:
     def test_succeeds_unprotected(self):
-        assert RopInjectionAttack().run("none").succeeded
+        assert _run("rop-injection", "none").outcome == "escaped"
 
     @pytest.mark.parametrize("profile", ["backward", "full"])
     def test_detected_with_backward_cfi(self, profile):
-        result = RopInjectionAttack().run(profile)
+        result = _run("rop-injection", profile)
         assert result.outcome == "detected"
+        assert result.detected_by == "fault"
 
 
 class TestReplay:
     def test_cross_function_defeats_sp_only(self):
-        result = ReplayAttack("cross-function", "sp-only").run("backward")
-        assert result.succeeded
+        assert _replay("cross-function", "sp-only").outcome == "escaped"
 
     @pytest.mark.parametrize("scheme", ["camouflage", "parts"])
     def test_cross_function_stopped_by_function_binding(self, scheme):
-        result = ReplayAttack("cross-function", scheme).run("backward")
+        result = _replay("cross-function", scheme)
         assert result.outcome == "detected"
 
     @pytest.mark.parametrize("scheme", ["sp-only", "camouflage", "parts"])
     def test_same_function_residual_window(self, scheme):
         # The residual the paper acknowledges in Section 6.2.1.
-        result = ReplayAttack("same-function", scheme).run("backward")
-        assert result.succeeded
+        result = _replay("same-function", scheme)
+        assert result.outcome == "escaped"
+        assert result.expected  # a documented residual
+        assert f"[{scheme}]" in result.detail
 
     def test_parts_cross_thread_64k(self):
         assert cross_thread_replay_accepted("parts", 65536)
@@ -71,24 +85,28 @@ class TestReplay:
 
 class TestPointerOverwrites:
     @pytest.mark.parametrize(
-        "attack_class", [WritableFnPtrAttack, JopGadgetAttack]
+        "name",
+        [
+            pytest.param("fnptr-overwrite", id="WritableFnPtrAttack"),
+            pytest.param("jop-gadget", id="JopGadgetAttack"),
+        ],
     )
-    def test_fnptr_attacks_need_forward_cfi(self, attack_class):
-        assert attack_class().run("none").succeeded
-        assert attack_class().run("backward").succeeded  # not covered
-        assert attack_class().run("full").outcome == "detected"
+    def test_fnptr_attacks_need_forward_cfi(self, name):
+        assert _run(name, "none").outcome == "escaped"
+        assert _run(name, "backward").outcome == "escaped"  # not covered
+        assert _run(name, "full").outcome == "detected"
 
     def test_ops_table_swap_needs_dfi(self):
-        assert OpsTableSwapAttack().run("none").succeeded
-        assert OpsTableSwapAttack().run("full").outcome == "detected"
+        assert _run("ops-table-swap", "none").outcome == "escaped"
+        assert _run("ops-table-swap", "full").outcome == "detected"
 
     def test_rodata_write_always_blocked(self):
         for profile in ("none", "full"):
-            assert RodataWriteAttack().run(profile).outcome == "blocked"
+            assert _run("rodata-fops-write", profile).outcome == "blocked"
 
     def test_cred_pointer_needs_dfi(self):
-        assert CredPointerAttack().run("none").succeeded
-        assert CredPointerAttack().run("full").outcome == "detected"
+        assert _run("cred-pointer-swap", "none").outcome == "escaped"
+        assert _run("cred-pointer-swap", "full").outcome == "detected"
 
 
 class TestBruteForce:
@@ -100,50 +118,71 @@ class TestBruteForce:
         assert probability < 0.001
 
     def test_threshold_stops_guessing(self):
-        result = BruteForceAttack(unlimited=False).run("full")
+        result = _run("pac-brute-force", "full")
         assert result.outcome == "detected"
-        assert "panicked" in result.detail
+        assert result.detected_by == "panic"
+        assert "threshold" in result.detail
 
     def test_unlimited_guessing_succeeds(self):
-        result = BruteForceAttack(unlimited=True).run("full")
-        assert result.succeeded
+        system = System(profile="full")
+        system.faults.panic_on_threshold = False
+        guesses = guess_f_ops_pac(system, random.Random(1))
+        assert 1 <= guesses <= 1 << 15
+        assert system.faults.pauth_failures == guesses - 1
 
     def test_no_pac_no_guessing_needed(self):
-        result = BruteForceAttack().run("none")
-        assert result.succeeded
+        result = _run("pac-brute-force", "none")
+        assert result.outcome == "escaped"
         assert "first write" in result.detail
 
 
 class TestKeyConfidentiality:
     def test_xom_read_blocked(self):
-        assert XomReadAttack().run("full").outcome == "blocked"
+        assert _run("xom-key-read", "full").outcome == "blocked"
 
     def test_module_mrs_blocked(self):
-        assert ModuleMrsAttack().run("full").outcome == "blocked"
+        assert _run("module-mrs-keys", "full").outcome == "blocked"
 
     def test_sctlr_blocked(self):
-        assert SctlrDisableAttack().run("full").outcome == "blocked"
+        result = _run("sctlr-disable", "full")
+        assert result.outcome == "blocked"
+        assert "SCTLR_EL1" in result.detail  # the run-time MSR trapped
 
     def test_oracle_bounded_by_threshold(self):
-        result = OracleProbeAttack(threshold=5).run("full")
-        assert result.outcome == "detected"
-        assert "5" in result.detail
+        scenario = scenario_by_name("verification-oracle")
+        driver = CampaignDriver(
+            profile="full", invariants=False, scenario=scenario
+        )
+        driver.system.faults.threshold = 5
+        try:
+            with pytest.raises(KernelPanic, match="5/5"):
+                scenario.inject(driver, random.Random(0))
+        finally:
+            driver.close()
+        assert driver.system.faults.pauth_failures == 5
 
 
 class TestCampaign:
     def test_matrix_shape(self):
-        campaign = AttackCampaign(
-            attacks=[RopInjectionAttack(), RodataWriteAttack()],
-            profiles=("none", "full"),
-        ).run()
-        matrix = campaign.matrix()
-        assert len(matrix) == 2
-        assert campaign.outcome("rop-injection", "none") == "succeeded"
-        assert campaign.outcome("rop-injection", "full") == "detected"
+        matrices = [
+            InjectionCampaign(
+                profile=profile,
+                trials=1,
+                invariants=False,
+                sites=["rop-injection", "rodata-fops-write"],
+            ).run()
+            for profile in ("none", "full")
+        ]
+        rows = dict(profile_rows(matrices))
+        assert len(rows) == 2
+        assert rows["rop-injection"] == ["escaped", "detected"]
 
     def test_render_contains_profiles(self):
-        campaign = AttackCampaign(
-            attacks=[RodataWriteAttack()], profiles=("none",)
+        matrix = InjectionCampaign(
+            profile="none",
+            trials=1,
+            invariants=False,
+            sites=["rodata-fops-write"],
         ).run()
-        assert "none" in campaign.render()
-        assert "rodata" in campaign.render()
+        assert "none" in render_profile_table([matrix])
+        assert "rodata" in render_profile_table([matrix])

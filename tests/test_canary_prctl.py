@@ -5,7 +5,6 @@ import pytest
 from repro.arch import isa
 from repro.arch.assembler import Assembler
 from repro.arch.registers import PAuthKey
-from repro.attacks.canary import CanaryLeakAttack
 from repro.cfi.canary import (
     CanaryKind,
     canary_cost_cycles,
@@ -13,6 +12,7 @@ from repro.cfi.canary import (
     emit_canary_function,
 )
 from repro.errors import ReproError
+from repro.inject.scenarios import canary_leak_replay
 from repro.kernel import System, layout
 from repro.kernel.fault import TaskKilled
 from repro.kernel.syscalls import make_prctl_rekey_spec
@@ -90,18 +90,17 @@ class TestCanaryEmission:
 
 class TestCanaryLeakAttack:
     def test_no_canary_falls(self):
-        assert CanaryLeakAttack(CanaryKind.NONE).run().succeeded
+        assert canary_leak_replay(CanaryKind.NONE)
 
     def test_global_guard_falls_to_leak(self):
-        assert CanaryLeakAttack(CanaryKind.GLOBAL).run().succeeded
+        assert canary_leak_replay(CanaryKind.GLOBAL)
 
     def test_paced_canary_survives_leak(self):
-        result = CanaryLeakAttack(CanaryKind.PACED).run()
-        assert result.outcome == "detected"
+        assert not canary_leak_replay(CanaryKind.PACED)
 
     def test_invalid_kind(self):
         with pytest.raises(ReproError):
-            CanaryLeakAttack("bogus")
+            canary_leak_replay("bogus")
 
 
 class TestPrctlRekey:

@@ -12,8 +12,8 @@ import pytest
 
 from repro.arch import isa
 from repro.arch.assembler import Assembler
-from repro.attacks.base import ATTACK_SCRATCH, ArbitraryMemoryPrimitive
 from repro.cfi.policy import ProtectionProfile
+from repro.inject import ArbitraryMemoryPrimitive
 from repro.kernel import System, init_work, layout, open_file
 from repro.kernel.fault import TaskKilled
 from repro.kernel.vfs import FILE_F_OPS_OFFSET
@@ -37,7 +37,7 @@ def _boot(features):
 
 def _attack_text(asm, ctx):
     def body(a):
-        a.mov_imm(9, ATTACK_SCRATCH)
+        a.mov_imm(9, layout.ATTACK_SCRATCH)
         a.mov_imm(10, 0xF00D)
         a.emit(isa.Str(10, 9, 0), isa.Movz(0, 0, 0))
 
@@ -108,10 +108,10 @@ class TestSameBinaryBothCores:
         fake = system.heap.allocate_raw(32)
         primitive.write_u64(fake, system.kernel_symbol("__evil_read"))
         primitive.write_u64(victim.address + FILE_F_OPS_OFFSET, fake)
-        system.mmu.write_u64(ATTACK_SCRATCH, 0, 1)
+        system.mmu.write_u64(layout.ATTACK_SCRATCH, 0, 1)
         program = _read_program(system)
         system.run_user(system.tasks.current, program.address_of("main"))
-        assert system.mmu.read_u64(ATTACK_SCRATCH, 1) == 0xF00D
+        assert system.mmu.read_u64(layout.ATTACK_SCRATCH, 1) == 0xF00D
 
     def test_v80_workqueue_roundtrip(self):
         system = _boot(frozenset())

@@ -5,11 +5,11 @@ import pytest
 from repro.arch import isa
 from repro.arch.assembler import Assembler
 from repro.arch.cpu import CPU, VBAR_OFFSETS
-from repro.attacks.base import ArbitraryMemoryPrimitive
 from repro.boot.bootloader import Bootloader
 from repro.cfi.policy import profile_by_name
-from repro.errors import ReproError
+from repro.errors import PermissionFault, ReproError
 from repro.hyp.hypervisor import Hypervisor
+from repro.inject import ArbitraryMemoryPrimitive
 from repro.kernel import System
 from repro.kernel.entry import (
     FRAME_ELR_OFFSET,
@@ -61,33 +61,26 @@ class TestArbitraryMemoryPrimitive:
     def test_try_read_ok(self):
         system = System(profile="full")
         primitive = ArbitraryMemoryPrimitive(system)
-        ok, value = primitive.try_read_u64(
-            system.kernel_symbol("ext4_fops")
-        )
-        assert ok
+        value = primitive.read_u64(system.kernel_symbol("ext4_fops"))
         assert value == system.kernel_symbol("ext4_read")
 
     def test_try_read_blocked_on_xom(self):
         system = System(profile="full")
         primitive = ArbitraryMemoryPrimitive(system)
-        ok, reason = primitive.try_read_u64(system.key_setter_address)
-        assert not ok
-        assert "stage-2" in reason
+        with pytest.raises(PermissionFault, match="stage-2"):
+            primitive.read_u64(system.key_setter_address)
 
     def test_try_write_blocked_on_rodata(self):
         system = System(profile="full")
         primitive = ArbitraryMemoryPrimitive(system)
-        ok, reason = primitive.try_write_u64(
-            system.kernel_symbol("ext4_fops"), 0
-        )
-        assert not ok
+        with pytest.raises(PermissionFault):
+            primitive.write_u64(system.kernel_symbol("ext4_fops"), 0)
 
     def test_try_write_ok_on_heap(self):
         system = System(profile="full")
         primitive = ArbitraryMemoryPrimitive(system)
         address = system.heap.allocate_raw(8)
-        ok, _ = primitive.try_write_u64(address, 0x42)
-        assert ok
+        primitive.write_u64(address, 0x42)
         assert primitive.read_u64(address) == 0x42
 
 

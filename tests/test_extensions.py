@@ -4,10 +4,10 @@ import pytest
 
 from repro.arch import isa
 from repro.arch.assembler import Assembler
-from repro.attacks.frametamper import FrameTamperAttack, frame_mac_profile
-from repro.cfi.policy import ProtectionProfile
+from repro.cfi.policy import ProtectionProfile, frame_mac_profile
 from repro.errors import KernelPanic, ReproError, UndefinedInstructionFault
 from repro.hyp.hypervisor import EL2_TRAP_ROUND_TRIP_CYCLES
+from repro.inject import InjectionCampaign
 from repro.kernel import System, layout
 from repro.kernel.entry import FRAME_ELR_OFFSET, FRAME_MAC_OFFSET, S_FRAME_SIZE
 
@@ -67,14 +67,25 @@ class TestFrameMacProfile:
         assert saved_elr == layout.USER_TEXT_BASE + 5 * 4
 
 
+def _frame_tamper(profile):
+    (result,) = InjectionCampaign(
+        profile=profile,
+        trials=1,
+        invariants=False,
+        sites=["exception-frame-tamper"],
+    ).run().results
+    return result
+
+
 class TestFrameTamperAttack:
     def test_gap_exists_in_published_design(self):
         for profile in ("none", "backward", "full"):
-            assert FrameTamperAttack().run(profile).succeeded
+            assert _frame_tamper(profile).outcome == "escaped"
 
     def test_frame_mac_closes_the_gap(self):
-        result = FrameTamperAttack().run(frame_mac_profile())
+        result = _frame_tamper(frame_mac_profile())
         assert result.outcome == "detected"
+        assert result.detected_by == "panic"
         assert "MAC mismatch" in result.detail
 
     def test_frame_mac_panic_reason(self):

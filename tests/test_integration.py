@@ -1,11 +1,13 @@
 """Cross-cutting integration scenarios over the whole stack."""
 
+import os
+
 import pytest
 
 from repro.arch import isa
 from repro.arch.assembler import Assembler
-from repro.attacks.base import ArbitraryMemoryPrimitive
 from repro.errors import KernelPanic
+from repro.inject import ArbitraryMemoryPrimitive
 from repro.kernel import System, layout, open_file
 from repro.kernel.fault import TaskKilled
 from repro.kernel.vfs import FILE_F_OPS_OFFSET
@@ -143,23 +145,29 @@ class TestDeterminism:
         assert results["none"] == results["full"]
 
 
+_EXAMPLES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples"
+)
+#: Examples that mount an attack and must report its detection.
+_ATTACK_EXAMPLES = {"quickstart", "replay_study", "hardened_abi", "driver_module"}
+
+
 class TestExampleSmoke:
     @pytest.mark.parametrize(
         "example",
-        ["quickstart", "replay_study", "hardened_abi"],
+        sorted(
+            name[:-3] for name in os.listdir(_EXAMPLES) if name.endswith(".py")
+        ),
     )
     def test_example_runs(self, example, capsys):
         import importlib.util
-        import os
 
-        path = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "examples",
-            f"{example}.py",
-        )
+        path = os.path.join(_EXAMPLES, f"{example}.py")
         spec = importlib.util.spec_from_file_location(example, path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         module.main()
         out = capsys.readouterr().out
-        assert "DETECTED" in out or "detected" in out
+        assert out
+        if example in _ATTACK_EXAMPLES:
+            assert "detected" in out.lower()

@@ -13,7 +13,7 @@ import re
 import pytest
 
 from repro.arch.registers import FP
-from repro.attacks import frame_mac_profile
+from repro.cfi.policy import frame_mac_profile
 from repro.kernel.entry import FRAME_ELR_OFFSET, S_FRAME_SIZE
 from repro.observe import CrashDump, force_pauth_panic, render_crash, unwind
 

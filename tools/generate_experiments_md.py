@@ -28,6 +28,7 @@ from repro.bench import (
     run_survey,
     run_vmsa_tables,
 )
+from repro.inject import render_profile_table
 
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
@@ -93,9 +94,9 @@ def main():
     print("running E5 (survey)...")
     add(run_survey())
     print("running E6/E10 (security matrix)...")
-    record, campaign = run_security_matrix()
+    record, matrices = run_security_matrix()
     add(record)
-    sections.append("```\n" + campaign.render() + "\n```\n")
+    sections.append("```\n" + render_profile_table(matrices) + "\n```\n")
     print("running E6b (replay windows)...")
     add(run_replay_matrix())
     print("running E7 (brute force)...")
