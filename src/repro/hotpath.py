@@ -8,8 +8,9 @@ interpreter fast without changing a single architectural outcome:
   MMU on every fetch;
 * the **translation cache** (:mod:`repro.mem.mmu`): successful stage-1 +
   stage-2 translations are memoised per (page, access, EL);
-* the **PAC cache** (:mod:`repro.arch.pac`): an LRU over
-  (key value, pointer bits, modifier) → MAC, explicitly invalidated on
+* the **PAC cache** (:mod:`repro.arch.pac`): a bounded FIFO over
+  (key value, pointer bits, modifier) → MAC (the oldest-inserted entry
+  is evicted; hits do not refresh an entry), explicitly invalidated on
   PAuth key-register writes (the paper's key-bank flush contract);
 * the **cipher memo** (:mod:`repro.qarma.qarma64`): pure memoisation of
   QARMA-64 encryptions per cipher instance (a cipher is immutable, so

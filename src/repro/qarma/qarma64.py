@@ -21,6 +21,12 @@ S-boxes (sigma0, sigma1, sigma2).  The tweak itself is updated every
 round by the permutation h followed by an LFSR on seven designated
 cells.
 
+Every layer but the S-box is XOR-linear, so the cipher runs word-sliced:
+each round is a handful of whole-word lookups in byte-indexed tables
+(:class:`WordTables`) instead of cell-by-cell work.  The tables are
+process-wide constants built once per S-box, on first use, from the
+cell-level helpers below.
+
 The implementation is validated in the test suite against the published
 reference test vectors (rounds 5, 6 and 7, S-boxes sigma0 and sigma1;
 sigma1 is the variant the ARM reference PAC algorithm uses).
@@ -28,7 +34,9 @@ sigma1 is the variant the ARM reference PAC algorithm uses).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro import hotpath
 
@@ -36,9 +44,8 @@ __all__ = ["CipherMemoStats", "Qarma64", "SBOXES", "ALPHA", "ROUND_CONSTANTS"]
 
 _MASK64 = (1 << 64) - 1
 
-#: Capacity bounds for the host-side memo structures below.
+#: Capacity bound for each instance's encryption memo.
 _MEMO_LIMIT = 1 << 16
-_TWEAK_SCHEDULE_LIMIT = 1 << 16
 
 #: The published QARMA S-boxes sigma0 and sigma1.  sigma1 is the S-box
 #: the ARM reference PAC algorithm (ComputePAC) uses and the default.
@@ -91,13 +98,7 @@ def _invert_perm(perm):
 
 TAU_INV = _invert_perm(TAU)
 H_PERM_INV = _invert_perm(H_PERM)
-
-
-def _invert_sbox(sbox):
-    return tuple(_invert_perm(sbox))
-
-
-SBOXES_INV = tuple(_invert_sbox(sbox) for sbox in SBOXES)
+SBOXES_INV = tuple(_invert_perm(sbox) for sbox in SBOXES)
 
 
 def _text_to_cells(value):
@@ -119,74 +120,33 @@ def _rot4(cell, amount):
 
 def _lfsr(cell):
     """Forward tweak LFSR: (b3 b2 b1 b0) -> (b0^b1, b3, b2, b1)."""
-    b0 = cell & 1
-    b1 = (cell >> 1) & 1
-    b2 = (cell >> 2) & 1
-    b3 = (cell >> 3) & 1
-    return ((b0 ^ b1) << 3) | (b3 << 2) | (b2 << 1) | b1
+    return (((cell ^ (cell >> 1)) & 1) << 3) | (cell >> 1)
 
 
 def _lfsr_inv(cell):
     """Inverse of :func:`_lfsr`."""
-    n0 = cell & 1
-    n1 = (cell >> 1) & 1
-    n2 = (cell >> 2) & 1
-    n3 = (cell >> 3) & 1
-    b1 = n0
-    b2 = n1
-    b3 = n2
-    b0 = n3 ^ b1
-    return (b3 << 3) | (b2 << 2) | (b1 << 1) | b0
+    return ((cell << 1) & 0xF) | (((cell >> 3) ^ cell) & 1)
 
 
 def _shuffle(cells, perm):
     return [cells[perm[index]] for index in range(16)]
 
 
-def _build_mix_tables():
-    """Per-input-row contribution tables for the M multiplication.
-
-    M is linear over XOR, so one column's product is the XOR of four
-    16-entry table lookups (one per input cell), each packing the cell's
-    contribution to all four output rows — the classic T-table trick.
-    """
-    tables = []
-    for j in range(4):
-        table = []
-        for cell in range(16):
-            packed = 0
-            for row in range(4):
-                amount = M_MATRIX[row][j]
-                contribution = _rot4(cell, amount) if amount else 0
-                packed |= contribution << (4 * (3 - row))
-            table.append(packed)
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-_MIX_TABLES = _build_mix_tables()
+#: _RING[amount][cell]: ``cell`` times an M entry (amount 0 is the zero).
+_RING = tuple(
+    tuple(_rot4(cell, amount) if amount else 0 for cell in range(16))
+    for amount in range(4)
+)
 
 
 def _mix_columns(cells):
     """Multiply the 4x4 cell array by M over the rotation ring."""
-    t0, t1, t2, t3 = _MIX_TABLES
-    result = [0] * 16
-    for col in range(4):
-        packed = (
-            t0[cells[col]]
-            ^ t1[cells[4 + col]]
-            ^ t2[cells[8 + col]]
-            ^ t3[cells[12 + col]]
-        )
-        result[col] = (packed >> 12) & 0xF
-        result[4 + col] = (packed >> 8) & 0xF
-        result[8 + col] = (packed >> 4) & 0xF
-        result[12 + col] = packed & 0xF
-    return result
-
-
-def _sub_cells(cells, sbox):
-    return [sbox[cell] for cell in cells]
+    return [
+        _RING[a0][cells[col]] ^ _RING[a1][cells[4 + col]]
+        ^ _RING[a2][cells[8 + col]] ^ _RING[a3][cells[12 + col]]
+        for a0, a1, a2, a3 in M_MATRIX
+        for col in range(4)
+    ]
 
 
 def _omega(word):
@@ -194,27 +154,94 @@ def _omega(word):
     return (((word >> 1) | (word << 63)) ^ (word >> 63)) & _MASK64
 
 
-#: Tweak schedules are key-independent, so one bounded memo serves every
-#: cipher instance: (tweak, rounds) -> (t_0, ..., t_rounds) where t_r is
-#: the tweak in effect at forward round r and t_rounds wraps the
-#: reflector.  Pure recomputation — never observable, never stale.
-_TWEAK_SCHEDULES = {}
+def _cellwise(*steps):
+    """A word -> word map running ``steps`` on the cell list in order."""
+
+    def apply(word):
+        cells = _text_to_cells(word)
+        for step in steps:
+            cells = step(cells)
+        return _cells_to_text(cells)
+
+    return apply
 
 
-def _tweak_schedule(tweak, rounds):
-    key = (tweak, rounds)
-    schedule = _TWEAK_SCHEDULES.get(key)
-    if schedule is None:
-        steps = [tweak]
-        current = tweak
-        for _ in range(rounds):
-            current = Qarma64._tweak_forward(current)
-            steps.append(current)
-        schedule = tuple(steps)
-        if len(_TWEAK_SCHEDULES) >= _TWEAK_SCHEDULE_LIMIT:
-            _TWEAK_SCHEDULES.pop(next(iter(_TWEAK_SCHEDULES)))
-        _TWEAK_SCHEDULES[key] = schedule
-    return schedule
+def _byte_tables(linear, sbox=tuple(range(16))):
+    """Eight byte-indexed tables computing ``linear`` after ``sbox``.
+
+    ``sbox`` acts on each cell and ``linear`` is XOR-linear on words, so
+    the image of a word is the XOR of its bytes' images, each the XOR of
+    its two cells' images.  Only the 64 single-bit words go through the
+    (slow) cell-level map; everything else is combined by XOR.
+    """
+    per_cell = []
+    for position in range(16):
+        images = [0]
+        for bit in range(4):
+            image = linear(1 << (4 * (15 - position) + bit))
+            images += [value ^ image for value in images]
+        per_cell.append([images[cell] for cell in sbox])
+    return tuple(
+        tuple(high ^ low for high in per_cell[2 * byte]
+              for low in per_cell[2 * byte + 1])
+        for byte in range(8)
+    )
+
+
+def _apply(tables, word):
+    """``word`` through eight byte tables from :func:`_byte_tables`."""
+    result = 0
+    for table, byte in zip(tables, word.to_bytes(8, "big")):
+        result ^= table[byte]
+    return result
+
+
+def _byte_sbox(sbox):
+    """``sbox`` on both cells of a byte, as a ``bytes.translate`` table."""
+    return bytes((sbox[v >> 4] << 4) | sbox[v & 0xF] for v in range(256))
+
+
+#: The word-sliced cipher: every round layer as whole-word lookups.
+#: L = tau then M; LB = S^-1 then M then tau^-1; R = the reflector's
+#: linear part tau^-1 M tau; TW = h then the LFSR (the tweak update);
+#: SB / SIB = the S-box and its inverse on both cells of a byte.
+WordTables = namedtuple("WordTables", "L LB SB SIB R TW")
+
+
+@lru_cache(maxsize=None)
+def _linear_tables():
+    """The S-box-independent tables (L, R, TW), built on first use."""
+    return (
+        _byte_tables(_cellwise(lambda c: _shuffle(c, TAU), _mix_columns)),
+        _byte_tables(_cellwise(lambda c: _shuffle(c, TAU), _mix_columns,
+                               lambda c: _shuffle(c, TAU_INV))),
+        _byte_tables(Qarma64._tweak_forward),
+    )
+
+
+@lru_cache(maxsize=None)
+def _word_tables(sbox_index):
+    """The :class:`WordTables` of one S-box, built on first use."""
+    sbox, inverse = SBOXES[sbox_index], SBOXES_INV[sbox_index]
+    forward, reflect, tweak = _linear_tables()
+    return WordTables(
+        L=forward,
+        LB=_byte_tables(
+            _cellwise(_mix_columns, lambda c: _shuffle(c, TAU_INV)), inverse
+        ),
+        SB=_byte_sbox(sbox),
+        SIB=_byte_sbox(inverse),
+        R=reflect,
+        TW=tweak,
+    )
+
+
+def _round_keys(core, whitening, centre, rounds):
+    """Tweak-free tweakeys of one half: core ^ c_r per round, the
+    whitening key folded into round 0, the centre round's key last."""
+    keys = [core ^ constant for constant in ROUND_CONSTANTS[:rounds]]
+    keys[0] ^= whitening
+    return tuple(keys) + (centre,)
 
 
 class CipherMemoStats:
@@ -263,24 +290,34 @@ class Qarma64:
         if self.sbox_index not in (0, 1):
             raise ValueError("sbox_index must be 0 or 1")
         # Host-side precomputation on the frozen instance: the derived
-        # whitening key, and (when enabled, see repro.hotpath) a pure
-        # (plaintext, tweak) -> ciphertext memo.  A frozen instance's
-        # encryption is a pure function of its inputs, so the memo can
-        # never serve a stale value — it survives key switches because
-        # a *new* key value gets a *new* cipher instance.
-        object.__setattr__(self, "_w1", _omega(self.w0))
+        # whitening key, the word tables of its S-box (process-wide
+        # constants), each direction's round keys, and (when enabled, see
+        # repro.hotpath) a pure (plaintext, tweak) -> ciphertext memo.  A
+        # frozen instance's encryption is a pure function of its inputs,
+        # so the memo can never serve a stale value — it survives key
+        # switches because a *new* key value gets a *new* cipher instance.
+        w1 = _omega(self.w0)
+        tables = _word_tables(self.sbox_index)
+        forward = _round_keys(self.k0, self.w0, w1, self.rounds)
+        backward = _round_keys(self.k0 ^ ALPHA, w1, self.w0, self.rounds)
+        # The reflector is R(x) ^ tau^-1(k1); R is an involution, so its
+        # inverse is R(x) ^ R(tau^-1(k1)).
+        reflect_key = _cells_to_text(
+            _shuffle(_text_to_cells(self.k1), TAU_INV)
+        )
+        object.__setattr__(self, "_w1", w1)
+        object.__setattr__(self, "_tables", tables)
+        object.__setattr__(
+            self, "_encrypt_keys", (forward, backward, reflect_key)
+        )
+        object.__setattr__(
+            self, "_decrypt_keys",
+            (backward, forward, _apply(tables.R, reflect_key)),
+        )
         object.__setattr__(
             self, "_memo", {} if hotpath.cipher_memo_enabled() else None
         )
         object.__setattr__(self, "memo_stats", CipherMemoStats())
-
-    @property
-    def _sbox(self):
-        return SBOXES[self.sbox_index]
-
-    @property
-    def _sbox_inv(self):
-        return SBOXES_INV[self.sbox_index]
 
     @property
     def w1(self):
@@ -298,33 +335,7 @@ class Qarma64:
         """
         return self.k0
 
-    # -- round primitives -------------------------------------------------
-
-    def _forward_round(self, state, tweakey, full):
-        state ^= tweakey
-        cells = _text_to_cells(state)
-        if full:
-            cells = _shuffle(cells, TAU)
-            cells = _mix_columns(cells)
-        cells = _sub_cells(cells, self._sbox)
-        return _cells_to_text(cells)
-
-    def _backward_round(self, state, tweakey, full):
-        cells = _text_to_cells(state)
-        cells = _sub_cells(cells, self._sbox_inv)
-        if full:
-            cells = _mix_columns(cells)
-            cells = _shuffle(cells, TAU_INV)
-        return _cells_to_text(cells) ^ tweakey
-
-    def _pseudo_reflect(self, state, tweakey):
-        cells = _text_to_cells(state)
-        cells = _shuffle(cells, TAU)
-        cells = _mix_columns(cells)
-        tk_cells = _text_to_cells(tweakey)
-        cells = [cell ^ tk for cell, tk in zip(cells, tk_cells)]
-        cells = _shuffle(cells, TAU_INV)
-        return _cells_to_text(cells)
+    # -- the tweak update (the TW table is built from it) --------------------
 
     @staticmethod
     def _tweak_forward(tweak):
@@ -339,6 +350,54 @@ class Qarma64:
         for index in LFSR_CELLS:
             cells[index] = _lfsr_inv(cells[index])
         return _cells_to_text(_shuffle(cells, H_PERM_INV))
+
+    # -- the cipher circuit --------------------------------------------------
+
+    def _crypt(self, block, tweak, keys):
+        """Run the whole cipher on the word tables.
+
+        ``keys`` is (forward, backward, reflector key) as built in
+        ``__post_init__``.  Decryption is this same circuit with the
+        forward and backward keys swapped: each inverse round has the
+        shape of its mirror round, so one table set serves both.
+        """
+        forward, backward, reflect_key = keys
+        tables = self._tables
+        l0, l1, l2, l3, l4, l5, l6, l7 = tables.L
+        b0, b1, b2, b3, b4, b5, b6, b7 = tables.LB
+        r0, r1, r2, r3, r4, r5, r6, r7 = tables.R
+        h0, h1, h2, h3, h4, h5, h6, h7 = tables.TW
+        sbox, sbox_inv = tables.SB, tables.SIB
+        from_bytes = int.from_bytes
+        rounds = self.rounds
+        # tweaks[r] is in effect at round r; tweaks[rounds] at the centre.
+        tweaks = [tweak]
+        for _ in range(rounds):
+            x0, x1, x2, x3, x4, x5, x6, x7 = tweak.to_bytes(8, "big")
+            tweak = (h0[x0] ^ h1[x1] ^ h2[x2] ^ h3[x3]
+                     ^ h4[x4] ^ h5[x5] ^ h6[x6] ^ h7[x7])
+            tweaks.append(tweak)
+        # Forward rounds: round 0 is S only, the rest (and the centre
+        # round) are L then S.
+        state = block ^ forward[0] ^ tweaks[0]
+        for r in range(1, rounds + 1):
+            state = from_bytes(state.to_bytes(8, "big").translate(sbox), "big")
+            x0, x1, x2, x3, x4, x5, x6, x7 = (
+                state ^ forward[r] ^ tweaks[r]
+            ).to_bytes(8, "big")
+            state = (l0[x0] ^ l1[x1] ^ l2[x2] ^ l3[x3]
+                     ^ l4[x4] ^ l5[x5] ^ l6[x6] ^ l7[x7])
+        state = from_bytes(state.to_bytes(8, "big").translate(sbox), "big")
+        x0, x1, x2, x3, x4, x5, x6, x7 = state.to_bytes(8, "big")
+        state = (r0[x0] ^ r1[x1] ^ r2[x2] ^ r3[x3]
+                 ^ r4[x4] ^ r5[x5] ^ r6[x6] ^ r7[x7] ^ reflect_key)
+        # Backward rounds, centre first: LB then the key; round 0 is S^-1.
+        for r in range(rounds, 0, -1):
+            x0, x1, x2, x3, x4, x5, x6, x7 = state.to_bytes(8, "big")
+            state = (b0[x0] ^ b1[x1] ^ b2[x2] ^ b3[x3] ^ b4[x4] ^ b5[x5]
+                     ^ b6[x6] ^ b7[x7] ^ backward[r] ^ tweaks[r])
+        state = from_bytes(state.to_bytes(8, "big").translate(sbox_inv), "big")
+        return state ^ backward[0] ^ tweaks[0]
 
     # -- public API --------------------------------------------------------
 
@@ -355,21 +414,7 @@ class Qarma64:
                 self.memo_stats.hits += 1
                 return cached
             self.memo_stats.misses += 1
-        schedule = _tweak_schedule(tweak, self.rounds)
-        k0 = self.k0
-        state = plaintext ^ self.w0
-        for r in range(self.rounds):
-            tweakey = k0 ^ schedule[r] ^ ROUND_CONSTANTS[r]
-            state = self._forward_round(state, tweakey, full=r != 0)
-        center_tweak = schedule[self.rounds]
-        state = self._forward_round(state, self._w1 ^ center_tweak, full=True)
-        state = self._pseudo_reflect(state, self.k1)
-        state = self._backward_round(state, self.w0 ^ center_tweak, full=True)
-        k0_alpha = k0 ^ ALPHA
-        for r in range(self.rounds - 1, -1, -1):
-            tweakey = k0_alpha ^ schedule[r] ^ ROUND_CONSTANTS[r]
-            state = self._backward_round(state, tweakey, full=r != 0)
-        result = state ^ self._w1
+        result = self._crypt(plaintext, tweak, self._encrypt_keys)
         if memo is not None:
             if len(memo) >= _MEMO_LIMIT:
                 memo.pop(next(iter(memo)))
@@ -387,52 +432,4 @@ class Qarma64:
             raise ValueError("ciphertext must be a 64-bit integer")
         if not 0 <= tweak <= _MASK64:
             raise ValueError("tweak must be a 64-bit integer")
-        state = ciphertext ^ self.w1
-        # tweaks[r] is the tweak in effect at forward round r; the final
-        # entry is the tweak used around the reflector.
-        tweaks = _tweak_schedule(tweak, self.rounds)
-        center_tweak = tweaks[-1]
-        for r in range(self.rounds):
-            tweakey = self.k0 ^ ALPHA ^ tweaks[r] ^ ROUND_CONSTANTS[r]
-            state = self._inverse_backward_round(state, tweakey, full=r != 0)
-        state = self._inverse_backward_round(
-            state, self.w0 ^ center_tweak, full=True
-        )
-        state = self._inverse_reflect(state)
-        state = self._inverse_forward_round(
-            state, self.w1 ^ center_tweak, full=True
-        )
-        for r in range(self.rounds - 1, -1, -1):
-            tweakey = self.k0 ^ tweaks[r] ^ ROUND_CONSTANTS[r]
-            state = self._inverse_forward_round(state, tweakey, full=r != 0)
-        return state ^ self.w0
-
-    def _inverse_forward_round(self, state, tweakey, full):
-        """Exact inverse of :meth:`_forward_round`."""
-        cells = _text_to_cells(state)
-        cells = _sub_cells(cells, self._sbox_inv)
-        if full:
-            cells = _mix_columns(cells)  # M is an involution
-            cells = _shuffle(cells, TAU_INV)
-        return _cells_to_text(cells) ^ tweakey
-
-    def _inverse_backward_round(self, state, tweakey, full):
-        """Exact inverse of :meth:`_backward_round`."""
-        state ^= tweakey
-        cells = _text_to_cells(state)
-        if full:
-            cells = _shuffle(cells, TAU)
-            cells = _mix_columns(cells)
-        cells = _sub_cells(cells, self._sbox)
-        return _cells_to_text(cells)
-
-    def _inverse_reflect(self, state):
-        """Exact inverse of :meth:`_pseudo_reflect` (it is an involution
-        up to the tweakey ordering, but we invert it step by step)."""
-        cells = _text_to_cells(state)
-        cells = _shuffle(cells, TAU)
-        tk_cells = _text_to_cells(self.k1)
-        cells = [cell ^ tk for cell, tk in zip(cells, tk_cells)]
-        cells = _mix_columns(cells)  # involution
-        cells = _shuffle(cells, TAU_INV)
-        return _cells_to_text(cells)
+        return self._crypt(ciphertext, tweak, self._decrypt_keys)

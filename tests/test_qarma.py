@@ -10,15 +10,19 @@ from repro.qarma.qarma64 import (
     H_PERM_INV,
     LFSR_CELLS,
     M_MATRIX,
+    SBOXES_INV,
     TAU,
     TAU_INV,
+    _apply,
     _cells_to_text,
     _lfsr,
     _lfsr_inv,
     _mix_columns,
     _omega,
     _rot4,
+    _shuffle,
     _text_to_cells,
+    _word_tables,
 )
 
 # Published reference test vectors (w0, k0, tweak, plaintext fixed).
@@ -44,6 +48,76 @@ REGRESSION_VECTORS = {(5, 0): 0x544B0AB95BDA7C3A}
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
+# -- cell-by-cell oracle -------------------------------------------------------
+#
+# The straightforward QARMA-64: every round on a list of sixteen cells.
+# Qarma64 runs the same circuit word-sliced on lookup tables; the
+# differential tests below hold the two bit-identical.
+
+
+def _oracle_forward(state, tweakey, sbox, full):
+    cells = _text_to_cells(state ^ tweakey)
+    if full:
+        cells = _mix_columns(_shuffle(cells, TAU))
+    return _cells_to_text([sbox[cell] for cell in cells])
+
+
+def _oracle_backward(state, tweakey, sbox_inv, full):
+    cells = [sbox_inv[cell] for cell in _text_to_cells(state)]
+    if full:
+        cells = _shuffle(_mix_columns(cells), TAU_INV)
+    return _cells_to_text(cells) ^ tweakey
+
+
+def _oracle_tweaks(tweak, rounds):
+    tweaks = [tweak]
+    for _ in range(rounds):
+        tweaks.append(Qarma64._tweak_forward(tweaks[-1]))
+    return tweaks
+
+
+def oracle_encrypt(cipher, plaintext, tweak):
+    sbox, sbox_inv = SBOXES[cipher.sbox_index], SBOXES_INV[cipher.sbox_index]
+    rounds, k0, w0, w1 = cipher.rounds, cipher.k0, cipher.w0, cipher.w1
+    tweaks = _oracle_tweaks(tweak, rounds)
+    state = plaintext ^ w0
+    for r in range(rounds):
+        tweakey = k0 ^ tweaks[r] ^ ROUND_CONSTANTS[r]
+        state = _oracle_forward(state, tweakey, sbox, r != 0)
+    state = _oracle_forward(state, w1 ^ tweaks[rounds], sbox, True)
+    # Pseudo-reflector: tau, M, add k1, tau^-1.
+    cells = _mix_columns(_shuffle(_text_to_cells(state), TAU))
+    cells = [c ^ k for c, k in zip(cells, _text_to_cells(cipher.k1))]
+    state = _cells_to_text(_shuffle(cells, TAU_INV))
+    state = _oracle_backward(state, w0 ^ tweaks[rounds], sbox_inv, True)
+    for r in range(rounds - 1, -1, -1):
+        tweakey = k0 ^ ALPHA ^ tweaks[r] ^ ROUND_CONSTANTS[r]
+        state = _oracle_backward(state, tweakey, sbox_inv, r != 0)
+    return state ^ w1
+
+
+def oracle_decrypt(cipher, ciphertext, tweak):
+    # Each inverse round is its mirror round's shape: the inverse of a
+    # backward round is a forward round and vice versa.
+    sbox, sbox_inv = SBOXES[cipher.sbox_index], SBOXES_INV[cipher.sbox_index]
+    rounds, k0, w0, w1 = cipher.rounds, cipher.k0, cipher.w0, cipher.w1
+    tweaks = _oracle_tweaks(tweak, rounds)
+    state = ciphertext ^ w1
+    for r in range(rounds):
+        tweakey = k0 ^ ALPHA ^ tweaks[r] ^ ROUND_CONSTANTS[r]
+        state = _oracle_forward(state, tweakey, sbox, r != 0)
+    state = _oracle_forward(state, w0 ^ tweaks[rounds], sbox, True)
+    # Inverse reflector: tau, add k1, M (an involution), tau^-1.
+    cells = _shuffle(_text_to_cells(state), TAU)
+    cells = [c ^ k for c, k in zip(cells, _text_to_cells(cipher.k1))]
+    state = _cells_to_text(_shuffle(_mix_columns(cells), TAU_INV))
+    state = _oracle_backward(state, w1 ^ tweaks[rounds], sbox_inv, True)
+    for r in range(rounds - 1, -1, -1):
+        tweakey = k0 ^ tweaks[r] ^ ROUND_CONSTANTS[r]
+        state = _oracle_backward(state, tweakey, sbox_inv, r != 0)
+    return state ^ w0
+
+
 class TestReferenceVectors:
     @pytest.mark.parametrize("params,expected", sorted(REFERENCE_VECTORS.items()))
     def test_published_vector(self, params, expected):
@@ -62,6 +136,116 @@ class TestReferenceVectors:
         rounds, sbox = params
         cipher = Qarma64(W0, K0, rounds=rounds, sbox_index=sbox)
         assert cipher.decrypt(expected, TWEAK) == PLAINTEXT
+
+
+class TestOracle:
+    """Qarma64 (word-sliced) against the cell-by-cell oracle."""
+
+    @pytest.mark.parametrize(
+        "params,expected",
+        sorted({**REFERENCE_VECTORS, **REGRESSION_VECTORS}.items()),
+    )
+    def test_oracle_matches_vector(self, params, expected):
+        rounds, sbox = params
+        cipher = Qarma64(W0, K0, rounds=rounds, sbox_index=sbox)
+        assert oracle_encrypt(cipher, PLAINTEXT, TWEAK) == expected
+        assert oracle_decrypt(cipher, expected, TWEAK) == PLAINTEXT
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rounds=st.integers(min_value=1, max_value=len(ROUND_CONSTANTS)),
+        sbox=st.sampled_from([0, 1]),
+        w0=u64, k0=u64, tweak=u64, block=u64,
+    )
+    def test_every_variant_matches_oracle(self, rounds, sbox, w0, k0,
+                                          tweak, block):
+        cipher = Qarma64(w0, k0, rounds=rounds, sbox_index=sbox)
+        assert cipher.encrypt(block, tweak) == oracle_encrypt(
+            cipher, block, tweak
+        )
+        assert cipher.decrypt(block, tweak) == oracle_decrypt(
+            cipher, block, tweak
+        )
+
+    def test_seeded_corpus_matches_oracle(self):
+        import random
+
+        rng = random.Random(0x51CED)
+        for rounds in range(1, len(ROUND_CONSTANTS) + 1):
+            for sbox in (0, 1):
+                cipher = Qarma64(rng.getrandbits(64), rng.getrandbits(64),
+                                 rounds=rounds, sbox_index=sbox)
+                for _ in range(3):
+                    block, tweak = rng.getrandbits(64), rng.getrandbits(64)
+                    assert cipher.encrypt(block, tweak) == oracle_encrypt(
+                        cipher, block, tweak
+                    )
+                    assert cipher.decrypt(block, tweak) == oracle_decrypt(
+                        cipher, block, tweak
+                    )
+
+
+class TestWordTables:
+    """Each word table is exactly the cell-wise map it replaces."""
+
+    WORDS = (0, 1, (1 << 64) - 1, W0, K0, TWEAK, 0x0123456789ABCDEF)
+
+    @staticmethod
+    def _cellwise(word, *steps):
+        cells = _text_to_cells(word)
+        for step in steps:
+            cells = step(cells)
+        return _cells_to_text(cells)
+
+    @pytest.mark.parametrize("sbox", [0, 1])
+    def test_tables_match_cell_maps(self, sbox):
+        tables = _word_tables(sbox)
+        s, s_inv = SBOXES[sbox], SBOXES_INV[sbox]
+        tau = lambda cells: _shuffle(cells, TAU)  # noqa: E731
+        tau_inv = lambda cells: _shuffle(cells, TAU_INV)  # noqa: E731
+        for x in self.WORDS:
+            assert _apply(tables.L, x) == self._cellwise(x, tau, _mix_columns)
+            assert _apply(tables.LB, x) == self._cellwise(
+                x, lambda cells: [s_inv[c] for c in cells], _mix_columns,
+                tau_inv,
+            )
+            assert _apply(tables.R, x) == self._cellwise(
+                x, tau, _mix_columns, tau_inv
+            )
+            assert _apply(tables.TW, x) == Qarma64._tweak_forward(x)
+            for table, cell_box in ((tables.SB, s), (tables.SIB, s_inv)):
+                substituted = int.from_bytes(
+                    x.to_bytes(8, "big").translate(table), "big"
+                )
+                assert substituted == self._cellwise(
+                    x, lambda cells, box=cell_box: [box[c] for c in cells]
+                )
+
+    @settings(max_examples=25, deadline=None)
+    @given(x=u64)
+    def test_linear_tables_on_random_words(self, x):
+        tables = _word_tables(1)
+        tau = lambda cells: _shuffle(cells, TAU)  # noqa: E731
+        assert _apply(tables.L, x) == self._cellwise(x, tau, _mix_columns)
+        assert _apply(tables.R, _apply(tables.R, x)) == x  # an involution
+        assert _apply(tables.TW, x) == Qarma64._tweak_forward(x)
+
+    def test_tables_are_built_per_sbox_on_first_use(self):
+        _word_tables.cache_clear()
+        try:
+            Qarma64(W0, K0, sbox_index=1).encrypt(PLAINTEXT, TWEAK)
+            info = _word_tables.cache_info()
+            assert info.currsize == 1  # sbox 0's tables were not built
+            _word_tables(1)
+            assert _word_tables.cache_info().hits == info.hits + 1
+        finally:
+            _word_tables.cache_clear()
+
+    def test_tables_are_shared_between_instances(self):
+        a = Qarma64(W0, K0, sbox_index=0)
+        b = Qarma64(K0, W0, sbox_index=0)
+        assert a._tables is b._tables
+        assert a._tables.L is Qarma64(W0, K0, sbox_index=1)._tables.L
 
 
 class TestRoundTrip:
