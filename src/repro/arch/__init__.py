@@ -1,7 +1,6 @@
 """AArch64 architecture model: pointers, registers, PAC, ISA and CPU."""
 
 from repro.arch.assembler import Assembler, Program
-from repro.arch.cpu import CPU, CYCLES_PER_SECOND
 from repro.arch.pac import PACEngine, PACResult
 from repro.arch.registers import (
     FP,
@@ -36,3 +35,14 @@ __all__ = [
     "IP1",
     "XZR",
 ]
+
+
+def __getattr__(name):
+    # The core owns an MMU, and repro.mem.mmu imports repro.arch.vmsa:
+    # loading the core on first use lets either package be imported
+    # first.
+    if name in ("CPU", "CYCLES_PER_SECOND"):
+        from repro.arch import cpu
+
+        return getattr(cpu, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -127,8 +127,9 @@ class CPU:
         self.irqs_delivered = 0
         #: Host-side decode cache (see repro.hotpath): retired
         #: instructions dispatch through bound handlers keyed by
-        #: (PC, EL), stamped with the MMU's fetch epoch so any write to
-        #: a code page, mapping change or stage-2 update flushes it.
+        #: (PC, EL), stamped with the MMU's machine generation so any
+        #: write to a code page, mapping change or stage-2 update (or
+        #: installing a stage-2 table) flushes it.
         #: Purely host-visible — cycle counts and retired streams are
         #: identical with the cache off (tests/test_diff_cached.py).
         self._decode_enabled = hotpath.decode_cache_enabled()
@@ -358,12 +359,12 @@ class CPU:
         pc = self.regs.pc
         try:
             if self._decode_enabled:
-                epoch = self.mmu.fetch_epoch
-                if epoch != self._decode_stamp:
+                generation = self.mmu.generation.value
+                if generation != self._decode_stamp:
                     if self._decode_cache:
                         self._decode_cache.clear()
                         self.decode_stats.flushes += 1
-                    self._decode_stamp = epoch
+                    self._decode_stamp = generation
                 key = (pc, self.regs.current_el)
                 entry = self._decode_cache.get(key)
                 if entry is None:
@@ -372,7 +373,8 @@ class CPU:
                     # cacheable: cost_on depends only on the immutable
                     # feature set, and instruction objects are never
                     # mutated in place (code changes go through
-                    # store/erase_instruction, which bump the epoch).
+                    # store/erase_instruction, which bump the machine
+                    # generation).
                     entry = (
                         instruction,
                         instruction.execute,
@@ -424,12 +426,7 @@ class CPU:
         self.regs.pc = address
         self.halted = False
         start_cycles = self.cycles
-        steps = 0
-        while not self.halted:
-            if steps >= max_steps:
-                raise ReproError(f"call overran {max_steps} steps")
-            self.step()
-            steps += 1
+        self.run(max_steps)
         self.halted = False
         return self.regs.read(0), self.cycles - start_cycles
 

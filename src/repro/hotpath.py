@@ -36,7 +36,6 @@ from contextlib import contextmanager
 
 __all__ = [
     "CACHE_KINDS",
-    "cache_enabled",
     "decode_cache_enabled",
     "translate_cache_enabled",
     "pac_cache_enabled",
@@ -52,11 +51,6 @@ CACHE_KINDS = ("decode", "translate", "pac", "cipher")
 _DISABLED_FROM_ENV = os.environ.get("REPRO_DISABLE_CACHES", "") not in ("", "0")
 
 _FLAGS = {kind: not _DISABLED_FROM_ENV for kind in CACHE_KINDS}
-
-
-def cache_enabled(kind):
-    """Is the named cache layer currently enabled?"""
-    return _FLAGS[kind]
 
 
 def decode_cache_enabled():

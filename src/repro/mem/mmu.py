@@ -21,11 +21,6 @@ __all__ = ["MMU", "AddressSpace"]
 
 _MASK64 = (1 << 64) - 1
 
-#: Shift that keeps the stage-2 *replacement* generation strictly above
-#: any realistic sum of per-table mutation counters, so swapping in a
-#: fresh (low-epoch) stage-2 table can never produce an epoch collision.
-_STRUCTURE_SHIFT = 44
-
 
 class AddressSpace:
     """A pair of stage-1 tables: user (TTBR0) and kernel (TTBR1).
@@ -34,9 +29,9 @@ class AddressSpace:
     own user table.
     """
 
-    def __init__(self, page_shift=12):
-        self.user = Stage1Table(page_shift)
-        self.kernel = Stage1Table(page_shift)
+    def __init__(self, page_shift=12, generation=None):
+        self.user = Stage1Table(page_shift, generation)
+        self.kernel = Stage1Table(page_shift, generation)
 
     def table_for(self, kind):
         return self.kernel if kind == AddressKind.KERNEL else self.user
@@ -48,20 +43,24 @@ class MMU:
     def __init__(self, phys=None, config=None, stage2=None):
         self.config = config or VMSAConfig()
         self.phys = phys or PhysicalMemory(self.config.page_shift)
-        self._stage2 = stage2 or Stage2Table()
-        self._stage2_generation = 0
-        self.address_space = AddressSpace(self.config.page_shift)
+        #: The machine generation, shared by physical memory, both
+        #: stage-1 tables and stage 2; both host caches stamp against it.
+        self.generation = self.phys.generation
+        self.address_space = AddressSpace(
+            self.config.page_shift, self.generation
+        )
+        self.stage2 = stage2 or Stage2Table()
         self.page_shift = self.config.page_shift
         self.page_size = 1 << self.page_shift
         # Host-side translation cache (see repro.hotpath): successful
-        # (page, access, EL) walks memoised until any table mutates.
+        # (page, access, EL) walks memoised until the generation moves.
         # Faults are never cached, so the faulting paths re-walk and
         # behave identically with the cache on or off.
         self._cache_walks = hotpath.translate_cache_enabled()
         self._walk_cache = {}
         self._walk_stamp = -1
 
-    # -- epochs -----------------------------------------------------------------
+    # -- generation -------------------------------------------------------------
 
     @property
     def stage2(self):
@@ -69,27 +68,20 @@ class MMU:
 
     @stage2.setter
     def stage2(self, table):
-        # The hypervisor replaces the whole table at enable time; a
-        # fresh table restarts its mutation counter, so bump a separate
-        # structure generation that dominates the composite epoch.
+        # The hypervisor replaces the whole table at enable time.  The
+        # incoming table joins the machine generation, and installing it
+        # is itself a mutation.
+        table.generation = self.generation
         self._stage2 = table
-        self._stage2_generation += 1
+        self.generation.value += 1
 
     @property
     def translation_epoch(self):
-        """Composite generation of everything a translation depends on."""
-        space = self.address_space
-        return (
-            (self._stage2_generation << _STRUCTURE_SHIFT)
-            + space.user.epoch
-            + space.kernel.epoch
-            + self._stage2.epoch
-        )
+        """The machine generation: changes whenever a cached translation
+        or decoded instruction may have gone stale."""
+        return self.generation.value
 
-    @property
-    def fetch_epoch(self):
-        """Generation of everything an instruction fetch depends on."""
-        return self.translation_epoch + self.phys.code_epoch
+    fetch_epoch = translation_epoch
 
     # -- translation ------------------------------------------------------------
 
@@ -101,10 +93,10 @@ class MMU:
         """
         va &= _MASK64
         if self._cache_walks:
-            epoch = self.translation_epoch
-            if epoch != self._walk_stamp:
+            generation = self.generation.value
+            if generation != self._walk_stamp:
                 self._walk_cache.clear()
-                self._walk_stamp = epoch
+                self._walk_stamp = generation
             key = (va >> self.page_shift, access, el)
             base = self._walk_cache.get(key, -1)
             if base >= 0:

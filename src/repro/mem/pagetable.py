@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ReproError
+from repro.mem.phys import Generation
 
 __all__ = ["Permissions", "Stage1Table", "Stage2Table", "Mapping"]
 
@@ -80,31 +81,28 @@ class Stage1Table:
     limitation that every mapping is readable at EL1.
     """
 
-    def __init__(self, page_shift=12):
+    def __init__(self, page_shift=12, generation=None):
         self.page_shift = page_shift
         self._entries = {}
-        #: Monotonic generation counter: bumped on every mutation, so
-        #: host-side translation caches can stamp entries (a stale stamp
-        #: means re-walk; analogous to a TLB invalidate).
-        self.epoch = 0
+        #: The machine :class:`Generation`, bumped on every mutation so
+        #: host-side caches re-walk (analogous to a TLB invalidate).  A
+        #: table built on its own gets a private cell.
+        self.generation = Generation() if generation is None else generation
 
     def map_page(self, vpn, frame, permissions):
         """Install a mapping; EL1 read is forced on (VMSAv8 rule)."""
         if not permissions.r_el1:
             permissions = replace(permissions, r_el1=True)
         self._entries[vpn] = Mapping(frame=frame, permissions=permissions)
-        self.epoch += 1
+        self.generation.value += 1
 
     def unmap_page(self, vpn):
         if self._entries.pop(vpn, None) is not None:
-            self.epoch += 1
+            self.generation.value += 1
 
     def lookup(self, vpn):
         """Return the :class:`Mapping` for a virtual page, or None."""
         return self._entries.get(vpn)
-
-    def mapped_pages(self):
-        return sorted(self._entries)
 
 
 class Stage2Table:
@@ -119,16 +117,17 @@ class Stage2Table:
     def __init__(self, default_allow=True):
         self.default_allow = default_allow
         self._entries = {}
-        #: Monotonic generation counter, as on :class:`Stage1Table`.
-        self.epoch = 0
+        #: As on :class:`Stage1Table`; installing the table into an MMU
+        #: replaces this cell with the machine's.
+        self.generation = Generation()
 
     def set_frame(self, frame, *, r, w, x_el1, x_el0=False):
         self._entries[frame] = (r, w, x_el1, x_el0)
-        self.epoch += 1
+        self.generation.value += 1
 
     def clear_frame(self, frame):
         if self._entries.pop(frame, None) is not None:
-            self.epoch += 1
+            self.generation.value += 1
 
     def allows(self, frame, access, el):
         entry = self._entries.get(frame)
@@ -142,6 +141,3 @@ class Stage2Table:
         if access == "x":
             return x_el1 if el == 1 else x_el0
         raise ReproError(f"unknown access type {access!r}")
-
-    def restricted_frames(self):
-        return sorted(self._entries)

@@ -11,7 +11,22 @@ from __future__ import annotations
 
 from repro.errors import ReproError
 
-__all__ = ["PhysicalMemory"]
+__all__ = ["Generation", "PhysicalMemory"]
+
+
+class Generation:
+    """The machine generation: one strictly increasing mutation count.
+
+    Physical memory and every page table of one machine share a single
+    cell and bump it on each change a cached fetch or translation could
+    depend on (code stores, mappings, stage-2 permissions, installing a
+    table).  A host-side cache stamped with an older value is stale.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value = 0
 
 
 class PhysicalMemory:
@@ -29,11 +44,10 @@ class PhysicalMemory:
         self._frames = {}
         #: Decoded instructions, keyed by physical address.
         self._instructions = {}
-        #: Monotonic generation counter for code contents: bumped on
-        #: every instruction store/erase and on every data write that
-        #: touches a frame holding decoded instructions.  Host-side
-        #: decode caches stamp their entries with this epoch.
-        self.code_epoch = 0
+        #: Bumped on every instruction store/erase and on every data
+        #: write that touches a frame holding decoded instructions; an
+        #: MMU shares this cell with its page tables.
+        self.generation = Generation()
         self._code_frames = set()
 
     def _frame(self, frame_number):
@@ -67,7 +81,7 @@ class PhysicalMemory:
                 offset_in_data:offset_in_data + chunk
             ]
             if frame_number in self._code_frames:
-                self.code_epoch += 1
+                self.generation.value += 1
             pa += chunk
             offset_in_data += chunk
 
@@ -88,8 +102,9 @@ class PhysicalMemory:
         if pa % 4:
             raise ReproError(f"instruction address {pa:#x} not 4-aligned")
         self._instructions[pa] = instruction
+        # The frame is code from here on, so the write below bumps the
+        # generation.
         self._code_frames.add(pa >> self.page_shift)
-        self.code_epoch += 1
         self.write(pa, instruction.encoding())
 
     def fetch_instruction(self, pa):
@@ -98,12 +113,4 @@ class PhysicalMemory:
 
     def erase_instruction(self, pa):
         if self._instructions.pop(pa, None) is not None:
-            self.code_epoch += 1
-
-    def instructions_in_range(self, pa, size):
-        """Decoded instructions within [pa, pa+size), address-ordered."""
-        return [
-            (address, self._instructions[address])
-            for address in sorted(self._instructions)
-            if pa <= address < pa + size
-        ]
+            self.generation.value += 1

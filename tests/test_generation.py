@@ -1,0 +1,244 @@
+"""The machine generation: one counter behind both host-side caches.
+
+Physical memory, both stage-1 tables and the stage-2 table of one MMU
+share a single :class:`~repro.mem.phys.Generation` cell.  Every change a
+cached translation or decoded instruction could depend on moves it
+forward, and nothing else does.  The property test below drives random
+mutations and lookups through a cached machine and a cache-free twin
+and requires the two to agree at every step.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import hotpath
+from repro.arch import isa
+from repro.arch.cpu import CPU
+from repro.errors import SimFault
+from repro.mem.mmu import MMU
+from repro.mem.pagetable import Permissions, Stage2Table
+
+KERNEL_VA = 0xFFFF_0000_0800_0000
+USER_VA = 0x0000_0000_0040_0000
+CODE_FRAME = 0x100
+DATA_FRAME = 0x200
+RESTRICTED_FRAME = 0x300
+
+
+def _vpn(mmu, va):
+    return (va & ((1 << mmu.config.va_bits) - 1)) >> mmu.page_shift
+
+
+@pytest.fixture
+def mmu():
+    mmu = MMU()
+    mmu.map_range(KERNEL_VA, 0x1000, CODE_FRAME, Permissions.kernel_text())
+    mmu.map_range(
+        KERNEL_VA + 0x1000, 0x1000, DATA_FRAME, Permissions.kernel_data()
+    )
+    mmu.phys.store_instruction(CODE_FRAME << 12, isa.Nop())
+    mmu.stage2.set_frame(RESTRICTED_FRAME, r=False, w=False, x_el1=True)
+    return mmu
+
+
+#: Every mutator a cached fetch or translation depends on.
+MUTATIONS = {
+    "map_range": lambda mmu: mmu.map_range(
+        KERNEL_VA + 0x2000, 0x1000, 0x400, Permissions.kernel_data()
+    ),
+    "unmap_page": lambda mmu: mmu.address_space.kernel.unmap_page(
+        _vpn(mmu, KERNEL_VA)
+    ),
+    "set_frame": lambda mmu: mmu.stage2.set_frame(
+        CODE_FRAME, r=True, w=False, x_el1=False
+    ),
+    "clear_frame": lambda mmu: mmu.stage2.clear_frame(RESTRICTED_FRAME),
+    "install_stage2": lambda mmu: setattr(mmu, "stage2", Stage2Table()),
+    "store_instruction": lambda mmu: mmu.phys.store_instruction(
+        (CODE_FRAME << 12) + 4, isa.Ret()
+    ),
+    "erase_instruction": lambda mmu: mmu.phys.erase_instruction(
+        CODE_FRAME << 12
+    ),
+    "write_code_frame": lambda mmu: mmu.phys.write(
+        (CODE_FRAME << 12) + 0x800, b"\x01\x02"
+    ),
+}
+
+#: Calls that change nothing a cache could depend on.
+NON_MUTATIONS = {
+    "write_data_frame": lambda mmu: mmu.phys.write(DATA_FRAME << 12, b"\xff"),
+    "unmap_unmapped_page": lambda mmu: mmu.address_space.kernel.unmap_page(
+        _vpn(mmu, KERNEL_VA + 0x8000)
+    ),
+    "clear_unrestricted_frame": lambda mmu: mmu.stage2.clear_frame(0x999),
+    "erase_missing_instruction": lambda mmu: mmu.phys.erase_instruction(
+        (CODE_FRAME << 12) + 0x100
+    ),
+}
+
+
+class TestOneGeneration:
+    def test_one_cell_per_machine(self, mmu):
+        cell = mmu.generation
+        assert mmu.phys.generation is cell
+        assert mmu.address_space.user.generation is cell
+        assert mmu.address_space.kernel.generation is cell
+        assert mmu.stage2.generation is cell
+        assert MMU().generation is not cell
+
+    def test_both_epochs_are_the_generation(self, mmu):
+        assert mmu.translation_epoch == mmu.fetch_epoch == mmu.generation.value
+        assert MMU.fetch_epoch is MMU.translation_epoch
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_mutator_advances_generation(self, mmu, name):
+        before = mmu.translation_epoch
+        MUTATIONS[name](mmu)
+        assert mmu.translation_epoch > before
+
+    @pytest.mark.parametrize("name", sorted(NON_MUTATIONS))
+    def test_non_mutation_keeps_generation(self, mmu, name):
+        before = mmu.translation_epoch
+        NON_MUTATIONS[name](mmu)
+        assert mmu.translation_epoch == before
+
+    def test_installed_stage2_joins_the_generation(self, mmu):
+        table = Stage2Table()
+        mmu.stage2 = table
+        assert table.generation is mmu.generation
+        before = mmu.translation_epoch
+        table.set_frame(CODE_FRAME, r=False, w=False, x_el1=False)
+        assert mmu.translation_epoch > before
+
+
+# -- cached machine vs cache-free twin -----------------------------------------
+
+# A small universe, fully mapped and filled with code at the start, so
+# that random operations keep landing on the same few entries.
+PAGES = 2
+FRAMES = (0x100, 0x101)
+SLOTS = 2
+PERMISSIONS = (
+    Permissions.all_access(),
+    Permissions.kernel_text(),
+    Permissions.kernel_data(),
+    Permissions.user_text(),
+)
+
+_page = st.integers(0, PAGES - 1)
+_frame = st.sampled_from(FRAMES)
+_slot = st.integers(0, SLOTS - 1)
+_bool = st.booleans()
+
+MUTATION_OPS = st.one_of(
+    st.tuples(st.just("map"), _bool, _page, _frame,
+              st.integers(0, len(PERMISSIONS) - 1)),
+    st.tuples(st.just("unmap"), _bool, _page),
+    st.tuples(st.just("set_frame"), _frame, _bool, _bool, _bool, _bool),
+    st.tuples(st.just("clear_frame"), _frame),
+    st.tuples(st.just("install_stage2"), _bool),
+    st.tuples(st.just("store"), _frame, _slot, st.integers(0, 3)),
+    st.tuples(st.just("erase"), _frame, _slot),
+    st.tuples(st.just("write"), _frame, _slot, st.binary(min_size=1, max_size=8)),
+)
+
+#: Every lookup in the universe, run after each mutation: whatever the
+#: cached machine memoised before the mutation is looked up again.
+LOOKUPS = [
+    (name, kernel, page, slot, *rest)
+    for kernel in (True, False)
+    for page in range(PAGES)
+    for slot in range(SLOTS)
+    for name, *rest in (
+        [("translate", access, el) for access in "rwx" for el in (0, 1)]
+        + [(name, el) for name in ("fetch", "step") for el in (0, 1)]
+    )
+]
+
+
+def _machine():
+    cpu = CPU()
+    for kernel in (True, False):
+        for page in range(PAGES):
+            _apply(cpu, ("map", kernel, page, FRAMES[page], 0))
+    _apply(cpu, ("install_stage2", False))
+    for frame in FRAMES:
+        _apply(cpu, ("set_frame", frame, True, True, True, True))
+        for slot in range(SLOTS):
+            _apply(cpu, ("store", frame, slot, slot))
+    return cpu
+
+
+def _va(kernel, page, slot=0):
+    return (KERNEL_VA if kernel else USER_VA) + page * 0x1000 + slot * 4
+
+
+def _apply(cpu, operation):
+    """Run one operation; return what it observed (or the fault class)."""
+    mmu = cpu.mmu
+    name, *args = operation
+    try:
+        if name == "map":
+            kernel, page, frame, perms = args
+            mmu.map_range(_va(kernel, page), 0x1000, frame, PERMISSIONS[perms])
+        elif name == "unmap":
+            kernel, page = args
+            table = mmu.address_space.kernel if kernel else mmu.address_space.user
+            table.unmap_page(_vpn(mmu, _va(kernel, page)))
+        elif name == "set_frame":
+            frame, r, w, x_el1, x_el0 = args
+            mmu.stage2.set_frame(frame, r=r, w=w, x_el1=x_el1, x_el0=x_el0)
+        elif name == "clear_frame":
+            mmu.stage2.clear_frame(args[0])
+        elif name == "install_stage2":
+            mmu.stage2 = Stage2Table(default_allow=args[0])
+        elif name == "store":
+            frame, slot, imm = args
+            instruction = isa.Nop() if imm == 0 else isa.Movz(0, imm, 0)
+            mmu.phys.store_instruction((frame << 12) + slot * 4, instruction)
+        elif name == "erase":
+            frame, slot = args
+            mmu.phys.erase_instruction((frame << 12) + slot * 4)
+        elif name == "write":
+            frame, slot, data = args
+            mmu.phys.write((frame << 12) + slot * 4, data)
+        elif name == "translate":
+            kernel, page, slot, access, el = args
+            return mmu.translate(_va(kernel, page, slot), access, el)
+        elif name == "fetch":
+            kernel, page, slot, el = args
+            return mmu.fetch(_va(kernel, page, slot), el).text()
+        else:
+            kernel, page, slot, el = args
+            cpu.regs.write(0, 0)
+            cpu.regs.pc = _va(kernel, page, slot)
+            cpu.regs.current_el = el
+            cpu.step()
+            return cpu.regs.read(0), cpu.regs.pc, cpu.cycles
+    except SimFault as fault:
+        return type(fault)
+    return None
+
+
+class TestCachedMatchesReference:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(MUTATION_OPS, min_size=1, max_size=20))
+    def test_interleaved_mutations_and_lookups(self, mutations):
+        cached = _machine()
+        with hotpath.disabled_caches():
+            reference = _machine()
+        assert not reference._decode_enabled
+        assert not reference.mmu._cache_walks
+        for mutation in [None, *mutations]:
+            if mutation is not None:
+                _apply(cached, mutation)
+                _apply(reference, mutation)
+            for lookup in LOOKUPS:
+                assert _apply(cached, lookup) == _apply(reference, lookup), (
+                    mutation,
+                    lookup,
+                )

@@ -182,9 +182,9 @@ class TestTranslationCacheInvalidation:
             mmu.translate(DATA_BASE, "r", 1)
 
     def test_stage2_wholesale_replacement_invalidates(self, machine):
-        # The hypervisor swaps in a whole new table at enable time; the
-        # fresh table's epoch restarts at 0, which a naive epoch sum
-        # would mistake for "nothing changed".
+        # The hypervisor swaps in a whole new table at enable time.  The
+        # fresh table has never been mutated, so only the install itself
+        # (which bumps the machine generation) can flush the cached walk.
         mmu = machine.cpu.mmu
         mmu.translate(DATA_BASE, "r", 1)
         mmu.stage2 = Stage2Table(default_allow=False)

@@ -51,15 +51,6 @@ class TestPhysicalMemory:
         with pytest.raises(ReproError):
             PhysicalMemory().store_instruction(0x1002, isa.Nop())
 
-    def test_instructions_in_range(self):
-        from repro.arch import isa
-
-        phys = PhysicalMemory()
-        phys.store_instruction(0x1000, isa.Nop())
-        phys.store_instruction(0x1008, isa.Ret())
-        pairs = phys.instructions_in_range(0x1000, 16)
-        assert [a for a, _ in pairs] == [0x1000, 0x1008]
-
     def test_erase_instruction(self):
         from repro.arch import isa
 
