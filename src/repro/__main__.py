@@ -5,6 +5,9 @@ Commands:
 * ``demo`` — the quickstart exploit demo (unprotected vs. full);
 * ``figures`` — regenerate Figures 2–4 (scaled down) with ASCII charts;
 * ``experiments`` — run every experiment and print the summaries;
+* ``verify`` — statically verify the kernel image and the example
+  modules against the CFI contract (``--strict`` fails on warnings
+  too, ``--json`` exports the reports);
 * ``survey`` — the §5.3 function-pointer survey;
 * ``boot`` — boot a kernel under a chosen profile and print its layout;
 * ``trace`` — run a workload under the tracer and report per-event
@@ -20,9 +23,6 @@ Commands:
   detection matrix; ``--profile`` given more than once adds the
   cross-profile outcome table (exit status 1 if any scenario escaped
   that is not a documented residual);
-* ``perf`` — measure host-side simulator throughput on the pinned
-  perf-gate workloads, cached vs. cache-disabled (``--check`` gates
-  against a committed baseline, exit status 1 on regression).
 """
 
 from __future__ import annotations
@@ -390,34 +390,6 @@ def _cmd_inject(args):
     return 1 if any(m.unexpected_escapes() for m in matrices) else 0
 
 
-def _cmd_perf(args):
-    from repro.bench.perfgate import (
-        compare,
-        load_report,
-        render_report,
-        run_perf,
-        write_report,
-    )
-
-    report = run_perf(
-        iterations=args.iterations, pac_operations=args.pac_operations
-    )
-    print(render_report(report))
-    if args.output:
-        write_report(report, args.output)
-        print(f"\nreport written to {args.output}")
-    if args.check:
-        baseline = load_report(args.check)
-        failures = compare(report, baseline, tolerance=args.tolerance)
-        if failures:
-            print(f"\nperf gate FAILED against {args.check}:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(f"\nperf gate passed against {args.check}")
-    return 0
-
-
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -586,31 +558,6 @@ def main(argv=None):
         "--list", action="store_true", help="list the scenarios and exit"
     )
 
-    perf = sub.add_parser(
-        "perf", help="host-side throughput on the perf-gate workloads"
-    )
-    perf.add_argument("--iterations", type=_positive_int, default=150)
-    perf.add_argument(
-        "--pac-operations",
-        type=_positive_int,
-        default=3000,
-        help="sign/auth pairs in the bare PAC-engine loop",
-    )
-    perf.add_argument(
-        "--output", metavar="FILE", help="write the JSON report"
-    )
-    perf.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="gate against a baseline report (exit 1 on regression)",
-    )
-    perf.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional regression (default 0.25)",
-    )
-
     args = parser.parse_args(argv)
     handler = {
         "demo": _cmd_demo,
@@ -623,7 +570,6 @@ def main(argv=None):
         "profile": _cmd_profile,
         "crash": _cmd_crash,
         "inject": _cmd_inject,
-        "perf": _cmd_perf,
     }[args.command]
     return handler(args)
 

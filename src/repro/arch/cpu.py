@@ -132,7 +132,7 @@ class CPU:
         #: installing a stage-2 table) flushes it.
         #: Purely host-visible — cycle counts and retired streams are
         #: identical with the cache off (tests/test_diff_cached.py).
-        self._decode_enabled = hotpath.decode_cache_enabled()
+        self._decode_enabled = hotpath.caches_enabled()
         self._decode_cache = {}
         self._decode_stamp = -1
         self.decode_stats = DecodeCacheStats()

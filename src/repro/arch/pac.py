@@ -113,7 +113,7 @@ class PACEngine:
         #: (:meth:`note_key_write`), which is the invalidation contract
         #: the key-bank model requires and the staleness regression
         #: test pins.
-        self._cache_macs = hotpath.pac_cache_enabled()
+        self._cache_macs = hotpath.caches_enabled()
         self._mac_cache = {}
         self.cache_stats = PACCacheStats()
 

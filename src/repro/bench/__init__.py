@@ -24,13 +24,6 @@ from repro.bench.experiments import (
 )
 from repro.bench.harness import ExperimentRecord, TextTable, ns_from_cycles
 from repro.bench.injection import run_injection_matrix
-from repro.bench.perfgate import (
-    compare as compare_perf,
-    load_report as load_perf_report,
-    render_report as render_perf_report,
-    run_perf,
-    write_report as write_perf_report,
-)
 
 __all__ = [
     "run_key_mgmt_ablation",
@@ -52,11 +45,6 @@ __all__ = [
     "run_vmsa_tables",
     "run_compat",
     "run_injection_matrix",
-    "run_perf",
-    "compare_perf",
-    "load_perf_report",
-    "render_perf_report",
-    "write_perf_report",
     "ExperimentRecord",
     "TextTable",
     "ns_from_cycles",

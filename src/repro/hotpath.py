@@ -1,4 +1,4 @@
-"""Central switchboard for the host-side hot-path caches.
+"""One switch for the host-side hot-path caches.
 
 The simulator carries several *host-side* caches that make the
 interpreter fast without changing a single architectural outcome:
@@ -19,14 +19,14 @@ interpreter fast without changing a single architectural outcome:
 Every cache is architecturally invisible — simulated cycle counts,
 retired-instruction streams, fault logs and PAC values are bit-identical
 with the caches on or off; ``tests/test_diff_cached.py`` enforces that
-differentially.  This module is the single point of control: components
-read the flags at construction time, so building a system inside
+differentially.  All four follow one switch, read by ``CPU``, ``MMU``,
+``PACEngine`` and ``Qarma64`` at construction: building a system inside
 :func:`disabled_caches` yields a fully cold, cache-free simulator (the
-reference behaviour the differential tests and ``python -m repro perf``
-compare against).
+reference behaviour the differential tests and ``perfbench/`` check
+every run against).
 
 Set ``REPRO_DISABLE_CACHES=1`` in the environment to start the process
-with every cache off.
+with the caches off.
 """
 
 from __future__ import annotations
@@ -34,60 +34,28 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
-__all__ = [
-    "CACHE_KINDS",
-    "decode_cache_enabled",
-    "translate_cache_enabled",
-    "pac_cache_enabled",
-    "cipher_memo_enabled",
-    "set_caches_enabled",
-    "disabled_caches",
-    "snapshot",
-]
+__all__ = ["caches_enabled", "disabled_caches", "snapshot"]
 
-#: The individually switchable cache layers.
-CACHE_KINDS = ("decode", "translate", "pac", "cipher")
-
-_DISABLED_FROM_ENV = os.environ.get("REPRO_DISABLE_CACHES", "") not in ("", "0")
-
-_FLAGS = {kind: not _DISABLED_FROM_ENV for kind in CACHE_KINDS}
+_enabled = os.environ.get("REPRO_DISABLE_CACHES", "") in ("", "0")
 
 
-def decode_cache_enabled():
-    return _FLAGS["decode"]
-
-
-def translate_cache_enabled():
-    return _FLAGS["translate"]
-
-
-def pac_cache_enabled():
-    return _FLAGS["pac"]
-
-
-def cipher_memo_enabled():
-    return _FLAGS["cipher"]
-
-
-def set_caches_enabled(enabled, kinds=CACHE_KINDS):
-    """Switch the listed cache layers on or off for new components."""
-    for kind in kinds:
-        if kind not in _FLAGS:
-            raise KeyError(f"unknown cache kind {kind!r}")
-        _FLAGS[kind] = bool(enabled)
+def caches_enabled():
+    """Whether components built now carry their host-side caches."""
+    return _enabled
 
 
 @contextmanager
-def disabled_caches(kinds=CACHE_KINDS):
+def disabled_caches():
     """Context manager: components built inside run fully cache-free."""
-    saved = dict(_FLAGS)
+    global _enabled
+    saved = _enabled
+    _enabled = False
     try:
-        set_caches_enabled(False, kinds)
         yield
     finally:
-        _FLAGS.update(saved)
+        _enabled = saved
 
 
 def snapshot():
-    """Current flag state (recorded into ``BENCH_perf.json``)."""
-    return dict(_FLAGS)
+    """The switch's state, as recorded in perfbench's run manifest."""
+    return {"caches": _enabled}

@@ -56,7 +56,7 @@ class MMU:
         # (page, access, EL) walks memoised until the generation moves.
         # Faults are never cached, so the faulting paths re-walk and
         # behave identically with the cache on or off.
-        self._cache_walks = hotpath.translate_cache_enabled()
+        self._cache_walks = hotpath.caches_enabled()
         self._walk_cache = {}
         self._walk_stamp = -1
 

@@ -315,7 +315,7 @@ class Qarma64:
             (backward, forward, _apply(tables.R, reflect_key)),
         )
         object.__setattr__(
-            self, "_memo", {} if hotpath.cipher_memo_enabled() else None
+            self, "_memo", {} if hotpath.caches_enabled() else None
         )
         object.__setattr__(self, "memo_stats", CipherMemoStats())
 

@@ -48,9 +48,9 @@ class CallCost:
 def _prepare(scheme_name, iterations, compat=False, features=("pauth",)):
     """Build the benchmark machine; returns (cpu, program).
 
-    Split from :func:`_build_and_run` so the perf-gate harness
-    (:mod:`repro.bench.perfgate`) can time the steady-state run alone,
-    excluding assembly and mapping setup.
+    Split from :func:`_build_and_run` so callers (the ``profile`` CLI,
+    the profiler and differential tests) can run or observe the
+    steady-state loop alone, excluding assembly and mapping setup.
     """
     profile = ProtectionProfile(
         name=scheme_name or "none",

@@ -41,15 +41,6 @@ class TestHotpathSwitchboard:
                 raise RuntimeError("boom")
         assert hotpath.snapshot() == before
 
-    def test_partial_disable(self):
-        with hotpath.disabled_caches(kinds=("decode",)):
-            assert not hotpath.decode_cache_enabled()
-            assert hotpath.pac_cache_enabled()
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(KeyError):
-            hotpath.set_caches_enabled(False, kinds=("tlb",))
-
     def test_components_capture_flags_at_construction(self):
         from repro.arch.cpu import CPU
 
