@@ -264,8 +264,6 @@ class CPU:
                 self.pac.note_key_write(target)
                 setattr(target, half, value & _MASK64)
                 return
-            # Flush MACs cached under the value being replaced — the
-            # key-bank model requires a register write to invalidate.
             self.pac.note_key_write(self.regs.keys.get(prefix))
         self.regs.write_sysreg(name, value)
 

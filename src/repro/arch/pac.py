@@ -13,24 +13,22 @@ distinct error code per key class), so that the first dereference takes
 a translation fault.  That indirection is what the paper's brute-force
 mitigation (Section 5.4) hooks: the kernel fault handler counts such
 faults and panics past a threshold.
+
+The engine precomputes each pointer range's PAC field as two contiguous
+bit runs, so inserting a MAC is two mask-and-shift steps.  MACs are
+memoised only by the per-key-value QARMA instance (see repro.hotpath).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import hotpath
 from repro.arch.vmsa import VMSAConfig
 from repro.qarma import Qarma64
 
-__all__ = ["PACCacheStats", "PACEngine", "PACResult"]
+__all__ = ["PACEngine", "PACResult"]
 
 _MASK64 = (1 << 64) - 1
-
-#: Bounds on the host-side MAC cache: per-key-value entry count and the
-#: number of distinct key values kept (oldest-first eviction on both).
-_MAC_CACHE_ENTRY_LIMIT = 8192
-_MAC_CACHE_BUCKET_LIMIT = 64
 
 #: Error codes ORed into the extension on failed authentication, per the
 #: architecture: instruction keys flip bit 62 patterns, data keys bit 61.
@@ -45,34 +43,56 @@ class PACResult:
     ok: bool
 
 
-class PACCacheStats:
-    """Counters for the host-side PAC MAC cache.
+class _PointerField:
+    """Precomputed PAC geometry of one pointer range (bit 55 = select).
 
-    ``flushes`` counts key-register writes that dropped a populated
-    bucket (the architectural invalidation events); ``evictions`` counts
-    entries dropped for capacity only.
+    The extension bits ``[va_bits, top)`` are canonical when they all
+    replicate bit 55.  The PAC field is the extension minus bit 55: two
+    contiguous runs, ``[va_bits, 55)`` for the low MAC bits and
+    ``[56, top)`` (empty under TBI) for the next ones.
     """
 
-    __slots__ = ("hits", "misses", "flushes", "flushed_entries", "evictions")
+    __slots__ = (
+        "ext_keep", "ext_fill", "clear", "va_bits", "low_mask", "low_len",
+        "high_mask", "poison", "code_bit",
+    )
 
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.flushes = 0
-        self.flushed_entries = 0
-        self.evictions = 0
+    def __init__(self, config, kernel):
+        tbi = config.tbi_kernel if kernel else config.tbi_user
+        top = 56 if tbi else 64
+        va_bits = config.va_bits
+        ext = ((1 << (top - va_bits)) - 1) << va_bits
+        bits = config.pac_field_bits(kernel)
+        self.ext_keep = ~ext & _MASK64
+        self.ext_fill = ext if kernel else 0
+        self.clear = self.ext_keep | (1 << 55)
+        self.va_bits = va_bits
+        self.low_len = 55 - va_bits
+        self.low_mask = (1 << self.low_len) - 1
+        self.high_mask = (1 << (top - 56)) - 1
+        #: The highest PAC bit, inverted when signing a non-canonical
+        #: input or failing an authentication; a failure under a data key
+        #: also flips ``code_bit``, the PAC bit below it.
+        self.poison = 1 << bits[-1]
+        self.code_bit = 1 << bits[-2]
 
-    @property
-    def lookups(self):
-        return self.hits + self.misses
+
+class _CipherMemoView:
+    """``cache_stats``: hits and misses summed over the per-key cipher
+    memos, which are the engine's only MAC memo.  Nothing is ever
+    flushed, so ``flushes`` is always 0."""
+
+    __slots__ = ("_ciphers",)
+
+    def __init__(self, ciphers):
+        self._ciphers = ciphers
 
     def to_dict(self):
+        stats = [cipher.memo_stats for cipher in self._ciphers.values()]
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "flushes": self.flushes,
-            "flushed_entries": self.flushed_entries,
-            "evictions": self.evictions,
+            "hits": sum(s.hits for s in stats),
+            "misses": sum(s.misses for s in stats),
+            "flushes": 0,
         }
 
 
@@ -96,26 +116,24 @@ class PACEngine:
         self.config = config or VMSAConfig()
         self.rounds = rounds
         self.sbox_index = sbox_index
+        #: One immutable cipher per 128-bit key *value*.  Each carries
+        #: the (plaintext, tweak) memo (see repro.hotpath), so a MAC is
+        #: only ever served under the key value that computed it: a key
+        #: change, through the MSR path or an in-place corruption,
+        #: selects another cipher and nothing needs flushing.
         self._cipher_cache = {}
+        self.cache_stats = _CipherMemoView(self._cipher_cache)
+        #: User (bit 55 clear) and kernel pointer-field geometry.
+        self._fields = (
+            _PointerField(self.config, False),
+            _PointerField(self.config, True),
+        )
         #: Nullable tracing hook ``(op, ok)`` — one call per
         #: architectural PAC operation, whether it runs on the core or
         #: host-side (boot signing, object initialization).  The
         #: internal AddPAC a failed AuthPAC recomputes is not reported
-        #: separately.  Cache hits/misses/flushes report through the
-        #: same hook with ``cache_*`` ops.
+        #: separately.
         self.trace_hook = None
-        #: Host-side MAC cache (see repro.hotpath): buckets keyed by
-        #: the 128-bit key *value*, each mapping (canonical pointer,
-        #: modifier) -> MAC.  Keying by value (not register identity)
-        #: means even an in-place key corruption — which bypasses the
-        #: MSR path — can never be served a stale MAC; the MSR path
-        #: additionally flushes the replaced value's bucket explicitly
-        #: (:meth:`note_key_write`), which is the invalidation contract
-        #: the key-bank model requires and the staleness regression
-        #: test pins.
-        self._cache_macs = hotpath.caches_enabled()
-        self._mac_cache = {}
-        self.cache_stats = PACCacheStats()
 
     # -- internals -----------------------------------------------------------
 
@@ -136,56 +154,19 @@ class PACEngine:
     def _is_kernel(self, pointer):
         return bool((pointer >> 55) & 1)
 
-    def _pac_bits(self, pointer):
-        return self.config.pac_field_bits(self._is_kernel(pointer))
-
     def compute_pac(self, pointer, modifier, key):
         """Raw 64-bit MAC over the canonicalised pointer and modifier."""
-        canonical = self.config.canonicalize(pointer)
-        modifier &= _MASK64
-        if not self._cache_macs:
-            return self._cipher(key).encrypt(canonical, modifier)
-        stats = self.cache_stats
-        bucket_key = (key.lo, key.hi)
-        bucket = self._mac_cache.get(bucket_key)
-        if bucket is None:
-            if len(self._mac_cache) >= _MAC_CACHE_BUCKET_LIMIT:
-                oldest = next(iter(self._mac_cache))
-                stats.evictions += len(self._mac_cache.pop(oldest))
-            bucket = self._mac_cache[bucket_key] = {}
-        mac = bucket.get((canonical, modifier))
-        if mac is None:
-            stats.misses += 1
-            if self.trace_hook is not None:
-                self.trace_hook("cache_miss", True)
-            mac = self._cipher(key).encrypt(canonical, modifier)
-            if len(bucket) >= _MAC_CACHE_ENTRY_LIMIT:
-                bucket.pop(next(iter(bucket)))
-                stats.evictions += 1
-            bucket[(canonical, modifier)] = mac
-        else:
-            stats.hits += 1
-            if self.trace_hook is not None:
-                self.trace_hook("cache_hit", True)
-        return mac
+        return self._cipher(key).encrypt(
+            self.config.canonicalize(pointer), modifier & _MASK64
+        )
 
     def note_key_write(self, key):
-        """A key register is about to be overwritten: drop its MACs.
+        """A key register is about to be overwritten.
 
-        Called by the CPU's MSR path with the key *currently* in the
-        register, before the new value lands.  MACs computed under the
-        outgoing value are flushed, so a PAC cached before a
-        key-register write is never served after it.  (The cache is
-        additionally keyed by value, so this is belt and braces — but
-        the explicit flush is the architectural contract, and the one
-        the counters and trace events make observable.)
+        Called by the CPU's MSR path with the key currently in the
+        register.  There is nothing to invalidate: MACs are memoised
+        per key value, so the new value gets its own cipher.
         """
-        bucket = self._mac_cache.pop((key.lo, key.hi), None)
-        if bucket is not None:
-            self.cache_stats.flushes += 1
-            self.cache_stats.flushed_entries += len(bucket)
-            if self.trace_hook is not None:
-                self.trace_hook("cache_flush", True)
 
     # -- architectural operations ---------------------------------------------
 
@@ -202,17 +183,18 @@ class PACEngine:
 
     def _add_pac(self, pointer, modifier, key):
         pointer &= _MASK64
-        bits = self._pac_bits(pointer)
-        mac = self.compute_pac(pointer, modifier, key)
-        was_canonical = self.config.is_canonical(pointer)
-        result = self.config.canonicalize(pointer)
-        for mac_index, bit in enumerate(bits):
-            mac_bit = (mac >> mac_index) & 1
-            result = (result & ~(1 << bit)) | (mac_bit << bit)
-        if not was_canonical and bits:
+        field = self._fields[(pointer >> 55) & 1]
+        canonical = (pointer & field.ext_keep) | field.ext_fill
+        mac = self._cipher(key).encrypt(canonical, modifier & _MASK64)
+        result = (
+            (canonical & field.clear)
+            | (mac & field.low_mask) << field.va_bits
+            | ((mac >> field.low_len) & field.high_mask) << 56
+        )
+        if canonical != pointer:
             # Poison one PAC bit so the forged value never authenticates.
-            result ^= 1 << bits[-1]
-        return result & _MASK64
+            result ^= field.poison
+        return result
 
     def auth_pac(self, pointer, modifier, key, key_name=None):
         """AUT* instruction: verify and strip the PAC.
@@ -222,14 +204,13 @@ class PACEngine:
         the per-key error code in the top extension bits.
         """
         pointer &= _MASK64
-        expected = self._add_pac(
-            self.config.canonicalize(pointer), modifier, key
-        )
-        ok = expected == pointer
+        field = self._fields[(pointer >> 55) & 1]
+        canonical = (pointer & field.ext_keep) | field.ext_fill
+        ok = self._add_pac(canonical, modifier, key) == pointer
         if self.trace_hook is not None:
             self.trace_hook("auth", ok)
         if ok:
-            return PACResult(self.config.canonicalize(pointer), True)
+            return PACResult(canonical, True)
         return PACResult(self._poison(pointer, key, key_name), False)
 
     def strip(self, pointer):
@@ -257,36 +238,24 @@ class PACEngine:
         failed authentication used.
         """
         code = _ERROR_CODE.get(key_name or "ia", 0b01)
-        canonical = self.config.canonicalize(pointer)
-        bits = self._pac_bits(pointer)
-        if not bits:
-            return canonical
-        poisoned = canonical ^ (1 << bits[-1])
-        if len(bits) >= 2 and code & 0b10:
-            poisoned ^= 1 << bits[-2]
-        return poisoned & _MASK64
+        field = self._fields[(pointer >> 55) & 1]
+        poisoned = self.config.canonicalize(pointer) ^ field.poison
+        if code & 0b10:
+            poisoned ^= field.code_bit
+        return poisoned
 
     def decode_poison(self, pointer):
         """Inverse of :meth:`_poison`: which key *class* failed?
 
-        Returns ``"instruction"`` (ia/ib: bit ``bits[-2]`` untouched),
-        ``"data"`` (da/db — and ga, whose code shares the high bit:
-        ``bits[-2]`` flipped), or ``None`` when the pointer is canonical
-        or its deviation from canonical is not a poison pattern at all.
+        Returns ``"instruction"`` (ia/ib: the bit below the top PAC bit
+        untouched), ``"data"`` (da/db — and ga, whose code shares the
+        high bit: that bit flipped), or ``None`` when the pointer is
+        canonical or its deviation from canonical is not a poison
+        pattern at all.
         """
         pointer &= _MASK64
-        canonical = self.config.canonicalize(pointer)
-        diff = pointer ^ canonical
-        if diff == 0:
+        field = self._fields[(pointer >> 55) & 1]
+        diff = pointer ^ ((pointer & field.ext_keep) | field.ext_fill)
+        if not diff & field.poison or diff & ~(field.poison | field.code_bit):
             return None
-        bits = self._pac_bits(pointer)
-        if not bits:
-            return None
-        mask = 1 << bits[-1]
-        if len(bits) >= 2:
-            mask |= 1 << bits[-2]
-        if diff & ~mask or not diff & (1 << bits[-1]):
-            return None
-        if len(bits) >= 2 and diff & (1 << bits[-2]):
-            return "data"
-        return "instruction"
+        return "data" if diff & field.code_bit else "instruction"

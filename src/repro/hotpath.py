@@ -8,19 +8,16 @@ interpreter fast without changing a single architectural outcome:
   MMU on every fetch;
 * the **translation cache** (:mod:`repro.mem.mmu`): successful stage-1 +
   stage-2 translations are memoised per (page, access, EL);
-* the **PAC cache** (:mod:`repro.arch.pac`): a bounded FIFO over
-  (key value, pointer bits, modifier) → MAC (the oldest-inserted entry
-  is evicted; hits do not refresh an entry), explicitly invalidated on
-  PAuth key-register writes (the paper's key-bank flush contract);
 * the **cipher memo** (:mod:`repro.qarma.qarma64`): pure memoisation of
-  QARMA-64 encryptions per cipher instance (a cipher is immutable, so
-  its encryption function is a pure function of (plaintext, tweak)).
+  QARMA-64 encryptions per cipher instance.  The PAC engine keeps one
+  immutable cipher per key value, so this is also the only PAC memo and
+  a key change never needs a flush.
 
 Every cache is architecturally invisible — simulated cycle counts,
 retired-instruction streams, fault logs and PAC values are bit-identical
 with the caches on or off; ``tests/test_diff_cached.py`` enforces that
-differentially.  All four follow one switch, read by ``CPU``, ``MMU``,
-``PACEngine`` and ``Qarma64`` at construction: building a system inside
+differentially.  All three follow one switch, read by ``CPU``, ``MMU``
+and ``Qarma64`` at construction: building a system inside
 :func:`disabled_caches` yields a fully cold, cache-free simulator (the
 reference behaviour the differential tests and ``perfbench/`` check
 every run against).

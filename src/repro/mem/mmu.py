@@ -168,10 +168,16 @@ class MMU:
             offset += chunk
 
     def read_u64(self, va, el):
+        """One translate when the 8 bytes sit in one page."""
+        if va & (self.page_size - 1) <= self.page_size - 8:
+            return self.phys.read_u64(self.translate(va, "r", el))
         return int.from_bytes(self.read(va, 8, el), "little")
 
     def write_u64(self, va, value, el):
-        self.write(va, (value & _MASK64).to_bytes(8, "little"), el)
+        if va & (self.page_size - 1) <= self.page_size - 8:
+            self.phys.write_u64(self.translate(va, "w", el), value)
+        else:
+            self.write(va, (value & _MASK64).to_bytes(8, "little"), el)
 
     def fetch(self, va, el):
         """Instruction fetch: execute-permission check, then decode."""

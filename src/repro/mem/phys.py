@@ -13,6 +13,8 @@ from repro.errors import ReproError
 
 __all__ = ["Generation", "PhysicalMemory"]
 
+_MASK64 = (1 << 64) - 1
+
 
 class Generation:
     """The machine generation: one strictly increasing mutation count.
@@ -86,10 +88,23 @@ class PhysicalMemory:
             offset_in_data += chunk
 
     def read_u64(self, pa):
+        """One slice when the 8 bytes sit in one frame."""
+        frame_number, offset = divmod(pa, self.page_size)
+        if offset <= self.page_size - 8:
+            return int.from_bytes(
+                self._frame(frame_number)[offset:offset + 8], "little"
+            )
         return int.from_bytes(self.read(pa, 8), "little")
 
     def write_u64(self, pa, value):
-        self.write(pa, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
+        data = (value & _MASK64).to_bytes(8, "little")
+        frame_number, offset = divmod(pa, self.page_size)
+        if offset > self.page_size - 8:
+            self.write(pa, data)
+            return
+        self._frame(frame_number)[offset:offset + 8] = data
+        if frame_number in self._code_frames:
+            self.generation.value += 1
 
     # -- instruction storage ----------------------------------------------------
 

@@ -53,7 +53,7 @@ CALL_MNEMONICS = frozenset({"bl", "blr", "blraa", "blrab"})
 #: Mnemonics that return through the link register (pop a frame).
 RET_MNEMONICS = frozenset({"ret", "retaa", "retab"})
 
-#: Costed PAC-engine events (the cache events carry zero cycles).
+#: Costed PAC-engine events.
 _PAC_EVENTS = frozenset(
     {ev.PAC_ADD, ev.PAC_AUTH, ev.PAC_STRIP, ev.PAC_GENERIC}
 )

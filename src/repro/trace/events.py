@@ -28,9 +28,6 @@ __all__ = [
     "PAC_AUTH",
     "PAC_STRIP",
     "PAC_GENERIC",
-    "PAC_CACHE_HIT",
-    "PAC_CACHE_MISS",
-    "PAC_CACHE_FLUSH",
     "AUTH_FAILURE",
     "EXC_ENTRY",
     "EXC_RETURN",
@@ -61,14 +58,6 @@ PAC_AUTH = "pac_auth"
 PAC_STRIP = "pac_strip"
 #: One PACGA generic MAC.
 PAC_GENERIC = "pac_generic"
-#: Host-side PAC cache served a MAC without running QARMA (cost 0:
-#: the cache is invisible to the simulated cycle model).
-PAC_CACHE_HIT = "pac_cache_hit"
-#: Host-side PAC cache miss — the MAC was computed and cached.
-PAC_CACHE_MISS = "pac_cache_miss"
-#: A PAuth key-register write flushed the cached MACs of the value it
-#: replaced (the key-bank invalidation contract).
-PAC_CACHE_FLUSH = "pac_cache_flush"
 #: A failed authentication observed on the core (data: key, pointer).
 AUTH_FAILURE = "auth_failure"
 #: Architectural exception entry (data: kind, source_el, syscall).
@@ -88,9 +77,6 @@ ARCH_EVENTS = (
     PAC_AUTH,
     PAC_STRIP,
     PAC_GENERIC,
-    PAC_CACHE_HIT,
-    PAC_CACHE_MISS,
-    PAC_CACHE_FLUSH,
     AUTH_FAILURE,
     EXC_ENTRY,
     EXC_RETURN,

@@ -47,15 +47,7 @@ _PAC_EVENT = {
     "auth": ev.PAC_AUTH,
     "strip": ev.PAC_STRIP,
     "generic": ev.PAC_GENERIC,
-    "cache_hit": ev.PAC_CACHE_HIT,
-    "cache_miss": ev.PAC_CACHE_MISS,
-    "cache_flush": ev.PAC_CACHE_FLUSH,
 }
-
-#: Host-side cache events carry no simulated cycle cost.
-_PAC_CACHE_EVENTS = frozenset(
-    (ev.PAC_CACHE_HIT, ev.PAC_CACHE_MISS, ev.PAC_CACHE_FLUSH)
-)
 
 
 class CycleStats:
@@ -181,8 +173,6 @@ class Tracer:
         kind = _PAC_EVENT.get(op)
         if kind is None:
             raise ReproError(f"unknown PAC engine op {op!r}")
-        if kind in _PAC_CACHE_EVENTS:
-            return self.emit(kind, cost=0)
         if kind == ev.PAC_AUTH:
             return self.emit(kind, cost=PAUTH_CYCLES, ok=ok)
         return self.emit(kind, cost=PAUTH_CYCLES)

@@ -15,18 +15,34 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_BASE, STACK_TOP
 
 from repro import hotpath
 from repro.arch import isa
+from repro.arch.cpu import CPU
 from repro.arch.pac import PACEngine
-from repro.arch.registers import PAuthKey
+from repro.arch.registers import (
+    KEY_REGISTER_NAMES,
+    PAuthKey,
+    _key_register_target,
+)
 from repro.errors import PermissionFault, TranslationFault
 from repro.mem.pagetable import Stage2Table
 
 _POINTER = 0xFFFF_0000_0801_2340
 _MODIFIER = 0xAA55
+
+u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+pointers = st.one_of(
+    u64,
+    st.integers(min_value=0, max_value=(1 << 48) - 1).map(
+        lambda low: (0xFFFF << 48) | low
+    ),
+)
+_STALENESS = settings(max_examples=40, deadline=None)
 
 
 def _stage1_vpn(mmu, va):
@@ -40,78 +56,99 @@ def _cold_pac(pointer, modifier, key):
         return PACEngine().compute_pac(pointer, modifier, key)
 
 
+def _assert_served_fresh(engine, pointer, modifier, key, stale_mac):
+    """Everything the engine serves under ``key`` is computed under its
+    current value, never the ``stale_mac`` of an earlier one."""
+    mac = engine.compute_pac(pointer, modifier, key)
+    assert mac == _cold_pac(pointer, modifier, key)
+    assert mac != stale_mac
+    with hotpath.disabled_caches():
+        cold = PACEngine()
+        signed = cold.add_pac(pointer, modifier, key)
+    assert engine.add_pac(pointer, modifier, key) == signed
+    assert engine.auth_pac(signed, modifier, key) == cold.auth_pac(
+        signed, modifier, key
+    )
+
+
 class TestPacStaleness:
-    """A PAC computed before a key write is never served after it."""
+    """No MAC computed under an old key value is served after the key
+    changes, whichever way the change happens."""
 
-    def test_msr_key_write_flushes_cached_macs(self, machine):
-        cpu = machine.cpu
-        engine = cpu.pac
-        key = cpu.regs.keys.ia
+    @_STALENESS
+    @given(
+        register=st.sampled_from(KEY_REGISTER_NAMES),
+        old=u64, new=u64, pointer=pointers, modifier=u64,
+    )
+    def test_msr_key_write_never_serves_stale(
+        self, register, old, new, pointer, modifier
+    ):
+        assume(old != new)
+        cpu = CPU()
+        name = _key_register_target(register)[0]
+        key = cpu.regs.keys.get(name)
+        other = cpu.regs.keys.get("ga" if name == "ia" else "ia")
+        cpu.write_sysreg_checked(register, old)
+        stale = cpu.pac.compute_pac(pointer, modifier, key)
+        other_mac = cpu.pac.compute_pac(pointer, modifier, other)
+        cpu.write_sysreg_checked(register, new)
+        _assert_served_fresh(cpu.pac, pointer, modifier, key, stale)
+        # Other key registers keep their MACs.
+        assert cpu.pac.compute_pac(pointer, modifier, other) == other_mac
+        # Restoring the old value serves the old value's MAC again.
+        cpu.write_sysreg_checked(register, old)
+        assert cpu.pac.compute_pac(pointer, modifier, key) == stale
 
-        cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xAAAA)
-        mac_a = engine.compute_pac(_POINTER, _MODIFIER, key)
-        assert engine.compute_pac(_POINTER, _MODIFIER, key) == mac_a
-        assert engine.cache_stats.hits == 1
-        assert engine.cache_stats.misses == 1
-        assert mac_a == _cold_pac(_POINTER, _MODIFIER, key)
+    @_STALENESS
+    @given(
+        register=st.sampled_from(KEY_REGISTER_NAMES),
+        old=u64, new=u64, pointer=pointers, modifier=u64,
+    )
+    def test_banked_key_write_never_serves_stale(self, register, old, new, pointer, modifier):
+        assume(old != new)
+        cpu = CPU(features=frozenset({"pauth", "pauth-ks"}))
+        name = _key_register_target(register)[0]
+        cpu.write_sysreg_checked("APKSSEL_EL1", 1)
+        cpu.write_sysreg_checked(register, old)
+        key = cpu.regs.alt_keys.get(name)
+        assert cpu._key(name) is key
+        stale = cpu.pac.compute_pac(pointer, modifier, key)
+        cpu.write_sysreg_checked(register, new)
+        _assert_served_fresh(cpu.pac, pointer, modifier, key, stale)
+        # The primary bank is untouched by the banked write.
+        primary = cpu.regs.keys.get(name)
+        assert cpu.pac.compute_pac(pointer, modifier, primary) == _cold_pac(
+            pointer, modifier, primary
+        )
 
-        # The key register changes: the cached MAC must die with it.
-        cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xBBBB)
-        assert engine.cache_stats.flushes == 1
-        assert engine.cache_stats.flushed_entries == 1
-        mac_b = engine.compute_pac(_POINTER, _MODIFIER, key)
-        assert engine.cache_stats.misses == 2
-        assert mac_b != mac_a
-        assert mac_b == _cold_pac(_POINTER, _MODIFIER, key)
+    @_STALENESS
+    @given(
+        lo=u64, hi=u64, bit=st.integers(min_value=0, max_value=127),
+        pointer=pointers, modifier=u64,
+    )
+    def test_in_place_key_corruption_never_served_stale(
+        self, lo, hi, bit, pointer, modifier
+    ):
+        # A fault-injection site flips a key bit directly, bypassing the
+        # MSR path entirely.
+        engine = PACEngine()
+        key = PAuthKey(lo=lo, hi=hi)
+        stale = engine.compute_pac(pointer, modifier, key)
+        half = "lo" if bit < 64 else "hi"
+        setattr(key, half, getattr(key, half) ^ (1 << (bit % 64)))
+        _assert_served_fresh(engine, pointer, modifier, key, stale)
+        setattr(key, half, getattr(key, half) ^ (1 << (bit % 64)))
+        assert engine.compute_pac(pointer, modifier, key) == stale
 
-        # Restoring the old value must *recompute*, not resurrect: the
-        # flush dropped the bucket, so this is a miss — and it still
-        # agrees with the cold computation.
-        cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xAAAA)
-        mac_a2 = engine.compute_pac(_POINTER, _MODIFIER, key)
-        assert engine.cache_stats.misses == 3
-        assert mac_a2 == mac_a
-
-    def test_key_write_emits_flush_trace_event(self, machine):
+    def test_key_write_emits_no_cache_event(self, machine):
         cpu = machine.cpu
         ops = []
         cpu.pac.trace_hook = lambda op, ok: ops.append(op)
         cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xAAAA)
         cpu.pac.compute_pac(_POINTER, _MODIFIER, cpu.regs.keys.ia)
         cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xBBBB)
-        assert ops == ["cache_miss", "cache_flush"]
-
-    def test_empty_bucket_flush_is_silent(self):
-        engine = PACEngine()
-        engine.note_key_write(PAuthKey(lo=0x1, hi=0x2))
-        assert engine.cache_stats.flushes == 0
-
-    def test_in_place_key_corruption_never_served_stale(self):
-        # A fault-injection site mutates key.lo directly, bypassing the
-        # MSR flush path entirely.  Value-keyed buckets make even that
-        # safe: the corrupted value simply selects a different bucket.
-        engine = PACEngine()
-        key = PAuthKey(lo=0x1111, hi=0x2222)
-        mac_good = engine.compute_pac(_POINTER, _MODIFIER, key)
-        key.lo ^= 1 << 13
-        mac_bad = engine.compute_pac(_POINTER, _MODIFIER, key)
-        assert mac_bad != mac_good
-        assert mac_bad == _cold_pac(_POINTER, _MODIFIER, key)
-        key.lo ^= 1 << 13
-        assert engine.compute_pac(_POINTER, _MODIFIER, key) == mac_good
-
-    def test_per_key_register_flush_is_selective(self, machine):
-        cpu = machine.cpu
-        engine = cpu.pac
-        cpu.write_sysreg_checked("APIAKeyLo_EL1", 0x1111)
-        cpu.write_sysreg_checked("APIBKeyLo_EL1", 0x2222)
-        engine.compute_pac(_POINTER, _MODIFIER, cpu.regs.keys.ia)
-        engine.compute_pac(_POINTER, _MODIFIER, cpu.regs.keys.ib)
-        # Writing IB must not disturb the IA bucket.
-        cpu.write_sysreg_checked("APIBKeyLo_EL1", 0x3333)
-        engine.compute_pac(_POINTER, _MODIFIER, cpu.regs.keys.ia)
-        assert engine.cache_stats.hits == 1
-        assert engine.cache_stats.flushes == 1
+        assert ops == []
+        assert cpu.pac.cache_stats.to_dict()["flushes"] == 0
 
 
 class TestDecodeCacheInvalidation:
@@ -211,7 +248,7 @@ class TestEnvironmentSwitch:
             "assert not any(hotpath.snapshot().values()), hotpath.snapshot()\n"
             "cpu = CPU()\n"
             "assert not cpu._decode_enabled\n"
-            "assert not cpu.pac._cache_macs\n"
+            "assert cpu.pac._cipher(cpu.regs.keys.ia)._memo is None\n"
             "print('ok')\n"
         )
         env = dict(os.environ, REPRO_DISABLE_CACHES="1")

@@ -1,5 +1,7 @@
 """Tests for the memory subsystem (repro.mem)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,3 +202,128 @@ class TestMMU:
         assert mmu.frame_of(KERNEL_VA) == 0x100
         assert mmu.frame_of(KERNEL_VA + 0x1000) == 0x101
         assert mmu.frame_of(0xFFFF_0000_0000_0000) is None
+
+
+PAGE = 1 << 12
+
+
+def _two_page_mmu(second=Permissions.kernel_data()):
+    """Kernel data page at KERNEL_VA; ``second`` (None: unmapped) next."""
+    mmu = MMU(config=VMSAConfig())
+    mmu.map_range(KERNEL_VA, PAGE, 0x100, Permissions.kernel_data())
+    if second is not None:
+        mmu.map_range(KERNEL_VA + PAGE, PAGE, 0x101, second)
+    return mmu
+
+
+def _fault(action):
+    """``(type, address, el, stage)`` of the fault ``action`` raises."""
+    with pytest.raises((TranslationFault, PermissionFault)) as info:
+        action()
+    fault = info.value
+    return type(fault), fault.address, fault.el, getattr(fault, "stage", None)
+
+
+class TestU64Oracle:
+    """The one-translate 8-byte path equals the byte path (the oracle)."""
+
+    def test_every_offset_matches_byte_path(self):
+        rng = random.Random(8)
+        mmu = _two_page_mmu()
+        phys = mmu.phys
+        for offset in range(PAGE):
+            va = KERNEL_VA + offset
+            value = rng.getrandbits(64)
+            mmu.write_u64(va, value, 1)
+            assert mmu.read(va, 8, 1) == value.to_bytes(8, "little")
+            data = rng.getrandbits(64).to_bytes(8, "little")
+            mmu.write(va, data, 1)
+            assert mmu.read_u64(va, 1) == int.from_bytes(data, "little")
+            pa = 0x100 * PAGE + offset
+            phys.write_u64(pa, value)
+            assert phys.read(pa, 8) == value.to_bytes(8, "little")
+            phys.write(pa, data)
+            assert phys.read_u64(pa) == int.from_bytes(data, "little")
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        offset=st.integers(min_value=0, max_value=PAGE - 1),
+        value=st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    )
+    def test_write_u64_matches_byte_write(self, offset, value):
+        fast, slow = _two_page_mmu(), _two_page_mmu()
+        va = KERNEL_VA + offset
+        fast.write_u64(va, value, 1)
+        slow.write(va, (value & ((1 << 64) - 1)).to_bytes(8, "little"), 1)
+        assert fast.read(KERNEL_VA, 2 * PAGE, 1) == slow.read(
+            KERNEL_VA, 2 * PAGE, 1
+        )
+
+    @pytest.mark.parametrize(
+        "second",
+        [None, Permissions.kernel_rodata(), Permissions.kernel_text()],
+        ids=["unmapped", "read-only", "no-read"],
+    )
+    def test_faults_like_byte_path(self, second):
+        # Straddling into the second page, then inside it.
+        for offset in [*range(PAGE - 7, PAGE), PAGE, PAGE + 8, 2 * PAGE - 8]:
+            va = KERNEL_VA + offset
+            mmu = _two_page_mmu(second)
+            expected = _fault(lambda: mmu.write(va, b"\xAA" * 8, 1))
+            assert expected[1] == max(va, KERNEL_VA + PAGE)
+            assert _fault(lambda: mmu.write_u64(va, -1, 1)) == expected
+            if second is None or not second.r_el1:
+                expected = _fault(lambda: mmu.read(va, 8, 1))
+                assert _fault(lambda: mmu.read_u64(va, 1)) == expected
+
+    def test_straddle_stage2_denial_faults_like_byte_path(self):
+        va = KERNEL_VA + PAGE - 4
+        mmu = _two_page_mmu()
+        mmu.stage2.set_frame(0x101, r=False, w=False, x_el1=False)
+        for fast, slow in (
+            (lambda: mmu.read_u64(va, 1), lambda: mmu.read(va, 8, 1)),
+            (lambda: mmu.write_u64(va, 1, 1), lambda: mmu.write(va, bytes(8), 1)),
+        ):
+            assert _fault(fast) == _fault(slow)
+            assert _fault(fast)[3] == 2
+
+    def test_el0_kernel_access_is_permission_fault(self):
+        mmu = _two_page_mmu()
+        for offset in (0, 8, PAGE - 8, PAGE - 3):
+            va = KERNEL_VA + offset
+            for action in (
+                lambda: mmu.read_u64(va, 0),
+                lambda: mmu.write_u64(va, 1, 0),
+            ):
+                assert _fault(action) == (PermissionFault, va, 0, 1)
+
+    @pytest.mark.parametrize(
+        "va", [KERNEL_VA + PAGE + 0x10, KERNEL_VA + PAGE - 4],
+        ids=["aligned", "straddling"],
+    )
+    def test_code_frame_write_bumps_generation(self, va):
+        from repro.arch import isa
+
+        mmu = _two_page_mmu(Permissions.all_access())
+        mmu.phys.store_instruction(0x101 * PAGE, isa.Nop())
+        generation = mmu.generation.value
+        mmu.write_u64(va, 0xDEAD, 1)
+        assert mmu.generation.value > generation
+
+    @pytest.mark.parametrize("offset", [0x10, PAGE - 4])
+    def test_code_frame_write_makes_next_step_refetch(self, machine, offset):
+        from conftest import STACK_TOP, TEXT_BASE
+
+        from repro.arch import isa
+
+        cpu = machine.cpu
+        asm = machine.assembler()
+        asm.fn("main")
+        asm.emit(isa.Movz(0, 5, 0), isa.Ret())
+        program = asm.assemble()
+        assert machine.run(program)[0] == 5
+        flushes = cpu.decode_stats.flushes
+        pa = cpu.mmu.translate(TEXT_BASE, "x", 1) + offset
+        cpu.mmu.phys.write_u64(pa, 0x1122334455667788)
+        cpu.call(program.address_of("main"), stack_top=STACK_TOP)
+        assert cpu.decode_stats.flushes > flushes

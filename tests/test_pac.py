@@ -1,5 +1,9 @@
 """Tests for the PAC engine (repro.arch.pac)."""
 
+import functools
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,3 +144,110 @@ class TestPACDistribution:
         first = engine._cipher(KEY)
         engine.add_pac(0xFFFF_0000_0000_2000, 2, KEY)
         assert engine._cipher(KEY) is first
+
+
+MASK64 = (1 << 64) - 1
+KEY_NAMES = ("ia", "ib", "da", "db", "ga")
+#: Per-key-class poison codes (ia/ib instruction, da/db/ga data).
+_ERROR_CODES = {"ia": 0b01, "ib": 0b01, "da": 0b10, "db": 0b10, "ga": 0b11}
+ALL_CONFIGS = [
+    VMSAConfig(va_bits=va_bits, tbi_user=tbi_user, tbi_kernel=tbi_kernel)
+    for va_bits, tbi_user, tbi_kernel in itertools.product(
+        range(36, 53), (False, True), (False, True)
+    )
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _engine_for(config):
+    return PACEngine(config)
+
+
+def oracle_add_pac(engine, pointer, modifier, key):
+    """Test-only AddPAC oracle: the PAC field set one bit at a time."""
+    config = engine.config
+    pointer &= MASK64
+    bits = config.pac_field_bits(bool((pointer >> 55) & 1))
+    mac = engine.compute_pac(pointer, modifier, key)
+    result = config.canonicalize(pointer)
+    for index, bit in enumerate(bits):
+        result = (result & ~(1 << bit)) | (((mac >> index) & 1) << bit)
+    if not config.is_canonical(pointer):
+        result ^= 1 << bits[-1]
+    return result & MASK64
+
+
+def oracle_auth_pac(engine, pointer, modifier, key, key_name):
+    """Test-only AuthPAC oracle: ``(pointer, ok)``."""
+    config = engine.config
+    pointer &= MASK64
+    canonical = config.canonicalize(pointer)
+    if oracle_add_pac(engine, canonical, modifier, key) == pointer:
+        return canonical, True
+    bits = config.pac_field_bits(bool((pointer >> 55) & 1))
+    poisoned = canonical ^ (1 << bits[-1])
+    if _ERROR_CODES[key_name] & 0b10:
+        poisoned ^= 1 << bits[-2]
+    return poisoned, False
+
+
+def make_pointer(config, raw, kernel, canonical):
+    """``raw`` forced into the user or kernel range, canonical or not."""
+    pointer = (raw & ~(1 << 55)) | (kernel << 55)
+    fixed = config.canonicalize(pointer)
+    if canonical:
+        return fixed
+    # Bit va_bits is always an extension bit below bit 55.
+    return fixed ^ (1 << config.va_bits)
+
+
+def assert_matches_oracle(engine, pointer, modifier, key, key_name):
+    signed = engine.add_pac(pointer, modifier, key)
+    assert signed == oracle_add_pac(engine, pointer, modifier, key)
+    tampered = signed ^ (1 << engine.config.va_bits)
+    for candidate in (signed, pointer, tampered):
+        result = engine.auth_pac(candidate, modifier, key, key_name=key_name)
+        assert (result.pointer, result.ok) == oracle_auth_pac(
+            engine, candidate, modifier, key, key_name
+        )
+
+
+class TestInsertOracle:
+    """The mask-and-shift PAC insert equals the per-bit oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        va_bits=st.integers(min_value=36, max_value=52),
+        tbi_user=st.booleans(),
+        tbi_kernel=st.booleans(),
+        raw=u64,
+        kernel=st.booleans(),
+        canonical=st.booleans(),
+        modifier=u64,
+        key_name=st.sampled_from(KEY_NAMES),
+    )
+    def test_add_and_auth_match_oracle(
+        self, va_bits, tbi_user, tbi_kernel, raw, kernel, canonical,
+        modifier, key_name,
+    ):
+        config = VMSAConfig(
+            va_bits=va_bits, tbi_user=tbi_user, tbi_kernel=tbi_kernel
+        )
+        engine = _engine_for(config)
+        pointer = make_pointer(config, raw, kernel, canonical)
+        assert config.is_canonical(pointer) == canonical
+        assert_matches_oracle(engine, pointer, modifier, KEY, key_name)
+
+    def test_every_config_matches_oracle(self):
+        rng = random.Random(20400)
+        for config in ALL_CONFIGS:
+            engine = _engine_for(config)
+            for kernel, canonical in itertools.product((0, 1), repeat=2):
+                for _ in range(4):
+                    pointer = make_pointer(
+                        config, rng.getrandbits(64), kernel, canonical
+                    )
+                    assert_matches_oracle(
+                        engine, pointer, rng.getrandbits(64), OTHER_KEY,
+                        rng.choice(KEY_NAMES),
+                    )
