@@ -140,6 +140,49 @@ class TestPacStaleness:
         setattr(key, half, getattr(key, half) ^ (1 << (bit % 64)))
         assert engine.compute_pac(pointer, modifier, key) == stale
 
+    def test_msr_key_write_flushes_cached_macs(self, machine):
+        # The MAC memoised under the old key value dies with it: after
+        # the write the engine misses and computes under the new value.
+        cpu = machine.cpu
+        engine = cpu.pac
+        key = cpu.regs.keys.ia
+
+        cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xAAAA)
+        base = engine.cache_stats.to_dict()
+        mac_a = engine.compute_pac(_POINTER, _MODIFIER, key)
+        assert engine.compute_pac(_POINTER, _MODIFIER, key) == mac_a
+        stats = engine.cache_stats.to_dict()
+        assert stats["hits"] - base["hits"] == 1
+        assert stats["misses"] - base["misses"] == 1
+        assert mac_a == _cold_pac(_POINTER, _MODIFIER, key)
+
+        cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xBBBB)
+        mac_b = engine.compute_pac(_POINTER, _MODIFIER, key)
+        assert engine.cache_stats.to_dict()["misses"] - base["misses"] == 2
+        assert mac_b != mac_a
+        assert mac_b == _cold_pac(_POINTER, _MODIFIER, key)
+
+        # Restoring the old value serves the old value's MAC, which is
+        # still the cold computation's answer.
+        cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xAAAA)
+        assert engine.compute_pac(_POINTER, _MODIFIER, key) == mac_a
+        assert mac_a == _cold_pac(_POINTER, _MODIFIER, key)
+        assert engine.cache_stats.to_dict()["flushes"] == 0
+
+    def test_per_key_register_flush_is_selective(self, machine):
+        cpu = machine.cpu
+        engine = cpu.pac
+        cpu.write_sysreg_checked("APIAKeyLo_EL1", 0x1111)
+        cpu.write_sysreg_checked("APIBKeyLo_EL1", 0x2222)
+        mac_ia = engine.compute_pac(_POINTER, _MODIFIER, cpu.regs.keys.ia)
+        engine.compute_pac(_POINTER, _MODIFIER, cpu.regs.keys.ib)
+        # Writing IB must not disturb the MACs memoised under IA.
+        cpu.write_sysreg_checked("APIBKeyLo_EL1", 0x3333)
+        base = engine.cache_stats.to_dict()
+        assert engine.compute_pac(_POINTER, _MODIFIER, cpu.regs.keys.ia) == mac_ia
+        assert engine.cache_stats.to_dict()["hits"] - base["hits"] == 1
+        assert engine.cache_stats.to_dict()["flushes"] == 0
+
     def test_key_write_emits_no_cache_event(self, machine):
         cpu = machine.cpu
         ops = []
