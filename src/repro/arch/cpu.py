@@ -352,62 +352,76 @@ class CPU:
         """Fetch, execute and account one instruction."""
         if self.halted:
             raise ReproError("CPU is halted")
-        if self._maybe_deliver_irq():
-            return
-        pc = self.regs.pc
-        try:
-            if self._decode_enabled:
-                generation = self.mmu.generation.value
-                if generation != self._decode_stamp:
-                    if self._decode_cache:
-                        self._decode_cache.clear()
-                        self.decode_stats.flushes += 1
-                    self._decode_stamp = generation
-                key = (pc, self.regs.current_el)
-                entry = self._decode_cache.get(key)
-                if entry is None:
-                    instruction = self.mmu.fetch(pc, self.regs.current_el)
-                    # The bound execute method and the cost are both
-                    # cacheable: cost_on depends only on the immutable
-                    # feature set, and instruction objects are never
-                    # mutated in place (code changes go through
-                    # store/erase_instruction, which bump the machine
-                    # generation).
-                    entry = (
-                        instruction,
-                        instruction.execute,
-                        instruction.cost_on(self),
-                    )
-                    self._decode_cache[key] = entry
-                    self.decode_stats.misses += 1
-                else:
-                    self.decode_stats.hits += 1
-                instruction, execute, cost = entry
-                self.cycles += cost
-                next_pc = execute(self)
-            else:
-                instruction = self.mmu.fetch(pc, self.regs.current_el)
-                cost = instruction.cost_on(self)
-                self.cycles += cost
-                next_pc = instruction.execute(self)
-        except SimFault as fault:
-            if self.fault_hook is not None and self.fault_hook(self, fault):
-                return
-            raise
-        self.instructions_retired += 1
-        if self.tracer is not None:
-            self.tracer.insn(self, pc, instruction, cost)
-        self.regs.pc = (pc + 4 if next_pc is None else next_pc) & _MASK64
+        self._execute(1)
 
     def run(self, max_steps=1_000_000):
         """Step until HLT (returns cycle count) or raise on overrun."""
-        steps = 0
-        while not self.halted:
-            if steps >= max_steps:
-                raise ReproError(f"exceeded {max_steps} steps at pc={self.regs.pc:#x}")
-            self.step()
-            steps += 1
+        self._execute(max_steps)
+        if not self.halted:
+            raise ReproError(f"exceeded {max_steps} steps at pc={self.regs.pc:#x}")
         return self.cycles
+
+    def _execute(self, budget):
+        """The one interpreter loop: up to ``budget`` steps, stopping at
+        HLT.  An IRQ delivery and a fault ``fault_hook`` handles each use
+        up one step.  Hooks may halt the core, attach a tracer or write
+        code mid-run, so those attributes are read on every step."""
+        regs = self.regs
+        mmu = self.mmu
+        cache = self._decode_cache
+        generation_cell = mmu.generation
+        stats = self.decode_stats
+        steps = 0
+        while steps < budget and not self.halted:
+            steps += 1
+            if (
+                self.pending_irq or self.timer_period is not None
+            ) and self._maybe_deliver_irq():
+                continue
+            pc = regs.pc
+            try:
+                if self._decode_enabled:
+                    generation = generation_cell.value
+                    if generation != self._decode_stamp:
+                        if cache:
+                            cache.clear()
+                            stats.flushes += 1
+                        self._decode_stamp = generation
+                    key = (pc, regs.current_el)
+                    entry = cache.get(key)
+                    if entry is None:
+                        instruction = mmu.fetch(pc, regs.current_el)
+                        # The bound execute method and the cost are both
+                        # cacheable: cost_on depends only on the immutable
+                        # feature set, and instruction objects are never
+                        # mutated in place (code changes go through
+                        # store/erase_instruction, which bump the machine
+                        # generation).
+                        entry = (
+                            instruction,
+                            instruction.execute,
+                            instruction.cost_on(self),
+                        )
+                        cache[key] = entry
+                        stats.misses += 1
+                    else:
+                        stats.hits += 1
+                    instruction, execute, cost = entry
+                    self.cycles += cost
+                    next_pc = execute(self)
+                else:
+                    instruction = mmu.fetch(pc, regs.current_el)
+                    cost = instruction.cost_on(self)
+                    self.cycles += cost
+                    next_pc = instruction.execute(self)
+            except SimFault as fault:
+                if self.fault_hook is not None and self.fault_hook(self, fault):
+                    continue
+                raise
+            self.instructions_retired += 1
+            if self.tracer is not None:
+                self.tracer.insn(self, pc, instruction, cost)
+            regs.pc = (pc + 4 if next_pc is None else next_pc) & _MASK64
 
     def call(self, address, args=(), stack_top=None, max_steps=1_000_000):
         """Host-level helper: call a simulated function and run to return.

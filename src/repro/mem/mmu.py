@@ -15,11 +15,25 @@ from repro import hotpath
 from repro.arch.vmsa import AddressKind, VMSAConfig
 from repro.errors import PermissionFault, TranslationFault
 from repro.mem.pagetable import Stage1Table, Stage2Table
-from repro.mem.phys import PhysicalMemory
+from repro.mem.phys import Generation, PhysicalMemory
 
 __all__ = ["MMU", "AddressSpace"]
 
 _MASK64 = (1 << 64) - 1
+
+
+def _installed(name):
+    """A page-table slot whose setter hands the incoming table the
+    machine generation and bumps it: installing a table is itself a
+    mutation, so no cached walk or decode survives the swap."""
+    slot = "_" + name
+
+    def install(self, table):
+        table.generation = self.generation
+        self.generation.value += 1
+        setattr(self, slot, table)
+
+    return property(lambda self: getattr(self, slot), install)
 
 
 class AddressSpace:
@@ -29,16 +43,23 @@ class AddressSpace:
     own user table.
     """
 
+    user = _installed("user")
+    kernel = _installed("kernel")
+
     def __init__(self, page_shift=12, generation=None):
-        self.user = Stage1Table(page_shift, generation)
-        self.kernel = Stage1Table(page_shift, generation)
+        self.generation = Generation() if generation is None else generation
+        self.user = Stage1Table(page_shift)
+        self.kernel = Stage1Table(page_shift)
 
     def table_for(self, kind):
-        return self.kernel if kind == AddressKind.KERNEL else self.user
+        return self._kernel if kind == AddressKind.KERNEL else self._user
 
 
 class MMU:
     """Translates and checks one core's memory accesses."""
+
+    #: The hypervisor replaces the whole stage-2 table at enable time.
+    stage2 = _installed("stage2")
 
     def __init__(self, phys=None, config=None, stage2=None):
         self.config = config or VMSAConfig()
@@ -61,19 +82,6 @@ class MMU:
         self._walk_stamp = -1
 
     # -- generation -------------------------------------------------------------
-
-    @property
-    def stage2(self):
-        return self._stage2
-
-    @stage2.setter
-    def stage2(self, table):
-        # The hypervisor replaces the whole table at enable time.  The
-        # incoming table joins the machine generation, and installing it
-        # is itself a mutation.
-        table.generation = self.generation
-        self._stage2 = table
-        self.generation.value += 1
 
     @property
     def translation_epoch(self):

@@ -9,11 +9,14 @@ cannot be disassembled by reading it).
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import ReproError
 
 __all__ = ["Generation", "PhysicalMemory"]
 
 _MASK64 = (1 << 64) - 1
+_U64 = struct.Struct("<Q")
 
 
 class Generation:
@@ -88,21 +91,21 @@ class PhysicalMemory:
             offset_in_data += chunk
 
     def read_u64(self, pa):
-        """One slice when the 8 bytes sit in one frame."""
+        """Unpacked in place when the 8 bytes sit in one frame.  A frame
+        is never empty, so ``or`` only calls ``_frame`` to allocate."""
         frame_number, offset = divmod(pa, self.page_size)
         if offset <= self.page_size - 8:
-            return int.from_bytes(
-                self._frame(frame_number)[offset:offset + 8], "little"
-            )
+            frame = self._frames.get(frame_number) or self._frame(frame_number)
+            return _U64.unpack_from(frame, offset)[0]
         return int.from_bytes(self.read(pa, 8), "little")
 
     def write_u64(self, pa, value):
-        data = (value & _MASK64).to_bytes(8, "little")
         frame_number, offset = divmod(pa, self.page_size)
         if offset > self.page_size - 8:
-            self.write(pa, data)
+            self.write(pa, (value & _MASK64).to_bytes(8, "little"))
             return
-        self._frame(frame_number)[offset:offset + 8] = data
+        frame = self._frames.get(frame_number) or self._frame(frame_number)
+        _U64.pack_into(frame, offset, value & _MASK64)
         if frame_number in self._code_frames:
             self.generation.value += 1
 

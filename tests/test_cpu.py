@@ -3,7 +3,7 @@ feature gating, cycle accounting."""
 
 import pytest
 
-from conftest import STACK_TOP, TEXT_BASE
+from conftest import STACK_TOP, TEXT_BASE, BareMachine
 
 from repro.arch import isa
 from repro.arch.cpu import VBAR_OFFSETS
@@ -14,6 +14,7 @@ from repro.errors import (
     TranslationFault,
     UndefinedInstructionFault,
 )
+from repro.trace import Tracer, attach_cpu
 
 
 def _with_keys(machine):
@@ -291,3 +292,114 @@ class TestExceptions:
         machine.cpu.regs.pc = program.address_of("main")
         with pytest.raises(ReproError):
             machine.cpu.run(max_steps=10)
+
+
+def _skip_faulting_instruction(cpu, fault):
+    cpu.regs.pc += 4
+    return True
+
+
+def _attach_tracer(cpu, imm):
+    if cpu.tracer is None:
+        attach_cpu(cpu, Tracer(instructions=False))
+
+
+#: The instruction inside the loop, and the core set-up, per scenario.
+LOOP_SCENARIOS = {
+    "timer_irq": (isa.Nop(), lambda cpu: setattr(cpu, "timer_period", 7)),
+    "handled_fault": (
+        isa.Ldr(0, 2, 0),
+        lambda cpu: setattr(cpu, "fault_hook", _skip_faulting_instruction),
+    ),
+    "tracer_attached_by_hook": (
+        isa.Hvc(0),
+        lambda cpu: setattr(cpu, "hvc_hook", _attach_tracer),
+    ),
+}
+
+
+def _loop_machine(scenario):
+    """An EL1 loop of 12 iterations with an IRQ vector that counts in x5."""
+    body, setup = LOOP_SCENARIOS[scenario]
+    machine = BareMachine()
+    asm = machine.assembler()
+    asm.fn("main")
+    asm.emit(isa.Movz(1, 12, 0))
+    asm.label("loop")
+    asm.emit(isa.SubImm(1, 1, 1), body, isa.Cbnz(1, "loop"), isa.Hlt())
+    asm.fn("vectors")
+    asm.emit(*[isa.Nop()] * (VBAR_OFFSETS[("irq", 1)] // 4))
+    asm.emit(isa.AddImm(5, 5, 1), isa.Eret())
+    program = machine.place(asm.assemble())
+    cpu = machine.cpu
+    cpu.regs.write_sysreg("VBAR_EL1", program.address_of("vectors"))
+    cpu.regs.current_el = 1
+    cpu.regs.pc = program.address_of("main")
+    cpu.regs.write(2, 0xDEAD_0000_0000)  # faults when loaded from
+    setup(cpu)
+    return cpu
+
+
+def _loop_state(cpu, halted):
+    retired_seen = (
+        None
+        if cpu.tracer is None
+        else sum(count for count, _ in cpu.tracer.insn_mix.values())
+    )
+    return (
+        halted,
+        cpu.regs.pc,
+        cpu.cycles,
+        cpu.instructions_retired,
+        cpu.irqs_delivered,
+        cpu.regs.read(5),
+        retired_seen,
+    )
+
+
+class TestInterpreterLoop:
+    """``run(n)`` and ``n`` calls to ``step()`` are the same loop."""
+
+    def _stepped(self, scenario, steps):
+        cpu = _loop_machine(scenario)
+        for _ in range(steps):
+            if cpu.halted:
+                break
+            cpu.step()
+        return _loop_state(cpu, cpu.halted)
+
+    def _ran(self, scenario, steps):
+        cpu = _loop_machine(scenario)
+        try:
+            cpu.run(max_steps=steps)
+        except ReproError:
+            return _loop_state(cpu, False)
+        return _loop_state(cpu, True)
+
+    @pytest.mark.parametrize("scenario", sorted(LOOP_SCENARIOS))
+    def test_run_matches_repeated_step(self, scenario):
+        outcomes = []
+        for steps in range(1, 100):
+            stepped = self._stepped(scenario, steps)
+            assert self._ran(scenario, steps) == stepped, steps
+            outcomes.append(stepped[0])
+        # Overrun up to some step, halted from the next one on.
+        first_halt = outcomes.index(True)
+        assert first_halt > 0
+        assert all(outcomes[first_halt:])
+
+    def test_scenarios_exercise_their_path(self):
+        timer = _loop_machine("timer_irq")
+        timer.run(max_steps=200)
+        assert timer.irqs_delivered > 0
+        assert timer.regs.read(5) == timer.irqs_delivered
+
+        faulting = _loop_machine("handled_fault")
+        faulting.run(max_steps=200)
+        assert faulting.instructions_retired == 1 + 12 * 2 + 1
+
+        traced = _loop_machine("tracer_attached_by_hook")
+        traced.run(max_steps=200)
+        seen = sum(count for count, _ in traced.tracer.insn_mix.values())
+        # Attached by the first HVC: everything from it on is traced.
+        assert seen == traced.instructions_retired - 2

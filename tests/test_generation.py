@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from repro import hotpath
 from repro.arch import isa
 from repro.arch.cpu import CPU
-from repro.errors import SimFault
+from repro.errors import ReproError, SimFault
 from repro.mem.mmu import MMU
-from repro.mem.pagetable import Permissions, Stage2Table
+from repro.mem.pagetable import Permissions, Stage1Table, Stage2Table
 
 KERNEL_VA = 0xFFFF_0000_0800_0000
 USER_VA = 0x0000_0000_0040_0000
@@ -57,6 +57,12 @@ MUTATIONS = {
     ),
     "clear_frame": lambda mmu: mmu.stage2.clear_frame(RESTRICTED_FRAME),
     "install_stage2": lambda mmu: setattr(mmu, "stage2", Stage2Table()),
+    "install_user_table": lambda mmu: setattr(
+        mmu.address_space, "user", Stage1Table()
+    ),
+    "install_kernel_table": lambda mmu: setattr(
+        mmu.address_space, "kernel", Stage1Table()
+    ),
     "store_instruction": lambda mmu: mmu.phys.store_instruction(
         (CODE_FRAME << 12) + 4, isa.Ret()
     ),
@@ -66,11 +72,22 @@ MUTATIONS = {
     "write_code_frame": lambda mmu: mmu.phys.write(
         (CODE_FRAME << 12) + 0x800, b"\x01\x02"
     ),
+    "write_u64_code_frame": lambda mmu: mmu.phys.write_u64(
+        (CODE_FRAME << 12) + 0x808, 0x0102
+    ),
 }
+
+
+def _write_u64_twice(mmu):
+    # The second store hits the translation cache.
+    for value in (1, 2):
+        mmu.write_u64(KERNEL_VA + 0x1008, value, 1)
+
 
 #: Calls that change nothing a cache could depend on.
 NON_MUTATIONS = {
     "write_data_frame": lambda mmu: mmu.phys.write(DATA_FRAME << 12, b"\xff"),
+    "write_u64_data_frame": _write_u64_twice,
     "unmap_unmapped_page": lambda mmu: mmu.address_space.kernel.unmap_page(
         _vpn(mmu, KERNEL_VA + 0x8000)
     ),
@@ -114,14 +131,50 @@ class TestOneGeneration:
         table.set_frame(CODE_FRAME, r=False, w=False, x_el1=False)
         assert mmu.translation_epoch > before
 
+    def test_installed_stage1_table_joins_the_generation(self, mmu):
+        table = Stage1Table()
+        mmu.address_space.user = table
+        assert table.generation is mmu.generation
+        before = mmu.translation_epoch
+        table.map_page(_vpn(mmu, USER_VA), DATA_FRAME, Permissions.user_data())
+        assert mmu.translation_epoch > before
+
+    def test_swapped_user_table_is_walked_again(self):
+        cpu = CPU()
+        mmu = cpu.mmu
+        old, new = 0x500, 0x501
+        for frame, imm in ((old, 1), (new, 2)):
+            mmu.phys.store_instruction(frame << 12, isa.Movz(0, imm, 0))
+            mmu.phys.write_u64((frame << 12) + 8, imm)
+        mmu.map_range(USER_VA, 0x1000, old, Permissions.all_access())
+
+        def observe():
+            value = mmu.read_u64(USER_VA + 8, 0)
+            text = mmu.fetch(USER_VA, 0).text()
+            cpu.regs.pc, cpu.regs.current_el = USER_VA, 0
+            cpu.step()
+            return value, text, cpu.regs.read(0)
+
+        # Twice, so the second round is served from the caches.
+        assert observe() == observe() == (1, "movz x0, #0x1, lsl #0", 1)
+        table = Stage1Table()
+        table.map_page(_vpn(mmu, USER_VA), new, Permissions.all_access())
+        mmu.address_space.user = table
+        assert observe() == (2, "movz x0, #0x2, lsl #0", 2)
+
 
 # -- cached machine vs cache-free twin -----------------------------------------
 
-# A small universe, fully mapped and filled with code at the start, so
-# that random operations keep landing on the same few entries.
-PAGES = 2
-FRAMES = (0x100, 0x101)
+# A small universe, fully mapped at the start, so that random operations
+# keep landing on the same few entries.  Pages 0 and 1 map code frames;
+# page 2 maps a data frame (until a store turns it into code).
+PAGES = 3
+FRAMES = (0x100, 0x101, 0x102)
+CODE_FRAMES = FRAMES[:2]
 SLOTS = 2
+#: 8-byte access offsets: one inside the page, one straddling into the
+#: next page.
+U64_OFFSETS = (0x0, 0xFFC)
 PERMISSIONS = (
     Permissions.all_access(),
     Permissions.kernel_text(),
@@ -133,29 +186,51 @@ _page = st.integers(0, PAGES - 1)
 _frame = st.sampled_from(FRAMES)
 _slot = st.integers(0, SLOTS - 1)
 _bool = st.booleans()
+_el = st.integers(0, 1)
 
 MUTATION_OPS = st.one_of(
     st.tuples(st.just("map"), _bool, _page, _frame,
               st.integers(0, len(PERMISSIONS) - 1)),
     st.tuples(st.just("unmap"), _bool, _page),
+    st.tuples(st.just("install_stage1"), _bool, st.integers(0, PAGES - 1)),
     st.tuples(st.just("set_frame"), _frame, _bool, _bool, _bool, _bool),
     st.tuples(st.just("clear_frame"), _frame),
     st.tuples(st.just("install_stage2"), _bool),
     st.tuples(st.just("store"), _frame, _slot, st.integers(0, 3)),
     st.tuples(st.just("erase"), _frame, _slot),
     st.tuples(st.just("write"), _frame, _slot, st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("write_u64"), _bool, _page,
+              st.sampled_from(U64_OFFSETS), _el,
+              st.integers(0, (1 << 64) - 1)),
 )
 
 #: Every lookup in the universe, run after each mutation: whatever the
-#: cached machine memoised before the mutation is looked up again.
-LOOKUPS = [
+#: cached machine memoised before the mutation is looked up again.  The
+#: 8-byte accesses come first: every read before any write (a store into
+#: a code frame moves the generation and would flush a stale entry before
+#: it is read), then each write with a value unique to it, read back.
+_U64_ACCESSES = [
+    (kernel, page, offset, el)
+    for el in (1, 0)
+    for offset in U64_OFFSETS
+    for kernel in (True, False)
+    for page in range(PAGES)
+]
+LOOKUPS = [("read_u64", *access) for access in _U64_ACCESSES] + [
+    (name, kernel, page, offset, el, *value)
+    for kernel, page, offset, el in _U64_ACCESSES
+    for name, *value in (
+        ("write_u64", (page << 16 | offset << 2 | el << 1 | kernel) * 0x0101),
+        ("read_u64",),
+    )
+] + [
     (name, kernel, page, slot, *rest)
     for kernel in (True, False)
     for page in range(PAGES)
     for slot in range(SLOTS)
     for name, *rest in (
         [("translate", access, el) for access in "rwx" for el in (0, 1)]
-        + [(name, el) for name in ("fetch", "step") for el in (0, 1)]
+        + [(name, el) for name in ("fetch", "step", "run") for el in (0, 1)]
     )
 ]
 
@@ -168,6 +243,7 @@ def _machine():
     _apply(cpu, ("install_stage2", False))
     for frame in FRAMES:
         _apply(cpu, ("set_frame", frame, True, True, True, True))
+    for frame in CODE_FRAMES:
         for slot in range(SLOTS):
             _apply(cpu, ("store", frame, slot, slot))
     return cpu
@@ -175,6 +251,12 @@ def _machine():
 
 def _va(kernel, page, slot=0):
     return (KERNEL_VA if kernel else USER_VA) + page * 0x1000 + slot * 4
+
+
+def _enter(cpu, kernel, page, slot, el):
+    cpu.regs.write(0, 0)
+    cpu.regs.pc = _va(kernel, page, slot)
+    cpu.regs.current_el = el
 
 
 def _apply(cpu, operation):
@@ -189,6 +271,17 @@ def _apply(cpu, operation):
             kernel, page = args
             table = mmu.address_space.kernel if kernel else mmu.address_space.user
             table.unmap_page(_vpn(mmu, _va(kernel, page)))
+        elif name == "install_stage1":
+            # A fresh table with every page mapped ``rotate`` frames on.
+            kernel, rotate = args
+            table = Stage1Table(mmu.page_shift)
+            for page in range(PAGES):
+                table.map_page(
+                    _vpn(mmu, _va(kernel, page)),
+                    FRAMES[(page + rotate) % PAGES],
+                    Permissions.all_access(),
+                )
+            setattr(mmu.address_space, "kernel" if kernel else "user", table)
         elif name == "set_frame":
             frame, r, w, x_el1, x_el0 = args
             mmu.stage2.set_frame(frame, r=r, w=w, x_el1=x_el1, x_el0=x_el0)
@@ -206,18 +299,30 @@ def _apply(cpu, operation):
         elif name == "write":
             frame, slot, data = args
             mmu.phys.write((frame << 12) + slot * 4, data)
+        elif name == "write_u64":
+            kernel, page, offset, el, value = args
+            mmu.write_u64(_va(kernel, page) + offset, value, el)
+        elif name == "read_u64":
+            kernel, page, offset, el = args
+            return mmu.read_u64(_va(kernel, page) + offset, el)
         elif name == "translate":
             kernel, page, slot, access, el = args
             return mmu.translate(_va(kernel, page, slot), access, el)
         elif name == "fetch":
             kernel, page, slot, el = args
             return mmu.fetch(_va(kernel, page, slot), el).text()
-        else:
-            kernel, page, slot, el = args
-            cpu.regs.write(0, 0)
-            cpu.regs.pc = _va(kernel, page, slot)
-            cpu.regs.current_el = el
+        elif name == "step":
+            _enter(cpu, *args)
             cpu.step()
+            return cpu.regs.read(0), cpu.regs.pc, cpu.cycles
+        else:
+            _enter(cpu, *args)
+            # No HLT in the universe: the run ends in an overrun or at
+            # the fault past the last slot.
+            try:
+                cpu.run(max_steps=SLOTS)
+            except ReproError:
+                pass
             return cpu.regs.read(0), cpu.regs.pc, cpu.cycles
     except SimFault as fault:
         return type(fault)
@@ -238,7 +343,12 @@ class TestCachedMatchesReference:
                 _apply(cached, mutation)
                 _apply(reference, mutation)
             for lookup in LOOKUPS:
-                assert _apply(cached, lookup) == _apply(reference, lookup), (
-                    mutation,
-                    lookup,
-                )
+                # The generation is compared too: whatever the caches
+                # do, it must move on exactly the same operations.
+                assert (
+                    _apply(cached, lookup),
+                    cached.mmu.generation.value,
+                ) == (
+                    _apply(reference, lookup),
+                    reference.mmu.generation.value,
+                ), (mutation, lookup)
