@@ -20,13 +20,9 @@ exception mechanism — that is the mini-kernel's job.
 from __future__ import annotations
 
 from repro import hotpath
-from repro.arch.isa import SP
+from repro.arch.isa import get_operand, set_operand
 from repro.arch.pac import PACEngine
-from repro.arch.registers import (
-    KEY_REGISTER_NAMES,
-    RegisterFile,
-    _key_register_target,
-)
+from repro.arch.registers import KEY_REGISTERS, RegisterFile
 from repro.arch.vmsa import VMSAConfig
 from repro.errors import ReproError, SimFault
 from repro.mem.mmu import MMU
@@ -92,6 +88,12 @@ class CPU:
         self.regs = RegisterFile()
         self.pac = PACEngine(self.config)
         self.features = frozenset(features)
+        #: Feature queries, fixed with the feature set.
+        self.has_pauth = "pauth" in self.features
+        #: The Section 8 proposed ISA extension: two key banks selected
+        #: by the ``APKSSEL_EL1`` flag, so the kernel and user key sets
+        #: can coexist without per-entry reloading (and without XOM).
+        self.has_banked_keys = "pauth-ks" in self.features
         self.cycles = 0
         self.instructions_retired = 0
         self.halted = False
@@ -137,41 +139,22 @@ class CPU:
         self._decode_stamp = -1
         self.decode_stats = DecodeCacheStats()
 
-    # -- feature queries ----------------------------------------------------
-
-    @property
-    def has_pauth(self):
-        return "pauth" in self.features
-
-    @property
-    def has_banked_keys(self):
-        """The Section 8 proposed ISA extension: two key banks selected
-        by the ``APKSSEL_EL1`` flag, so the kernel and user key sets can
-        coexist without per-entry reloading (and without XOM)."""
-        return "pauth-ks" in self.features
-
-    @property
-    def _active_bank(self):
-        if (
-            self.has_banked_keys
-            and self.regs.read_sysreg("APKSSEL_EL1") == 1
-        ):
-            return self.regs.alt_keys
-        return self.regs.keys
+    def _key_bank(self):
+        """The key bank PAC instructions, MSR and MRS address: the
+        secondary one when a ``pauth-ks`` core has APKSSEL_EL1 = 1."""
+        regs = self.regs
+        if self.has_banked_keys and regs.sysregs.get("APKSSEL_EL1") == 1:
+            return regs.alt_keys
+        return regs.keys
 
     # -- operand plumbing ----------------------------------------------------
 
     def read_operand(self, index):
         """Read a GPR, XZR or SP operand."""
-        if index == SP:
-            return self.regs.sp
-        return self.regs.read(index)
+        return get_operand(self.regs, index)
 
     def write_operand(self, index, value):
-        if index == SP:
-            self.regs.sp = value
-            return
-        self.regs.write(index, value)
+        set_operand(self.regs, index, value)
 
     # -- memory --------------------------------------------------------------
 
@@ -184,7 +167,7 @@ class CPU:
     # -- PAuth data path ------------------------------------------------------
 
     def _key(self, name):
-        return self._active_bank.get(name)
+        return getattr(self._key_bank(), name)
 
     def pac_add(self, key_name, pointer, modifier):
         """PAC* semantics, honouring the SCTLR enable bit."""
@@ -238,7 +221,8 @@ class CPU:
                 bank=value & 1,
                 el=self.regs.current_el,
             )
-        if name in KEY_REGISTER_NAMES:
+        target = KEY_REGISTERS.get(name)
+        if target is not None:
             if self.tracer is not None:
                 self.tracer.emit(
                     "key_write",
@@ -254,20 +238,16 @@ class CPU:
                 self.cycles += KEY_WRITE_EXTRA_CYCLES
                 return
             self.cycles += KEY_WRITE_EXTRA_CYCLES
-            prefix, half = _key_register_target(name)
-            if (
-                self.has_banked_keys
-                and self.regs.read_sysreg("APKSSEL_EL1") == 1
-            ):
-                # Banked: MSR targets the currently selected bank.
-                target = self.regs.alt_keys.get(prefix)
-                self.pac.note_key_write(target)
-                setattr(target, half, value & _MASK64)
-                return
-            self.pac.note_key_write(self.regs.keys.get(prefix))
+            key = getattr(self._key_bank(), target[0])
+            self.pac.note_key_write(key)
+            setattr(key, target[1], value & _MASK64)
+            return
         self.regs.write_sysreg(name, value)
 
     def read_sysreg_checked(self, name):
+        target = KEY_REGISTERS.get(name)
+        if target is not None:
+            return getattr(getattr(self._key_bank(), target[0]), target[1])
         return self.regs.read_sysreg(name)
 
     # -- exceptions ----------------------------------------------------------------

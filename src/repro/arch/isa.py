@@ -13,11 +13,16 @@ Register operand conventions:
 * integers 0..30 name X registers,
 * :data:`~repro.arch.registers.XZR` (31) is the zero register,
 * :data:`SP` (32) names the banked stack pointer.
+
+``execute`` indexes the register storage (``regs.x``, ``regs.sp_el``)
+directly; operands that may name SP go through :func:`get_operand` and
+:func:`set_operand`, the one home of the XZR/SP routing rule.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 from repro.arch.registers import LR, XZR
@@ -39,6 +44,7 @@ __all__ = [
     "RetA", "BlrA", "BrA",
     "Work",
     "branch_kind", "branch_target", "is_sign", "is_auth", "is_strip",
+    "get_operand", "set_operand",
 ]
 
 #: Stack-pointer operand sentinel (encoding 31 is context-dependent on
@@ -60,10 +66,33 @@ def _opcode_id(name):
     return _OPCODE_IDS[name]
 
 
+def _sysreg_id(name):
+    """Stable 16-bit digest of a system-register name (``hash`` of a str
+    is salted per process)."""
+    return zlib.crc32(name.encode()) & 0xFFFF
+
+
 def _s64(value):
     """Interpret a 64-bit value as signed."""
     value &= _MASK64
     return value - (1 << 64) if value >> 63 else value
+
+
+def get_operand(regs, index):
+    """Read an operand that may name SP: X0-X30, XZR (31) reads 0, and
+    SP (32) is the current exception level's stack pointer."""
+    if index == SP:
+        return regs.sp_el[regs.current_el]
+    return regs.x[index]
+
+
+def set_operand(regs, index, value):
+    """Write an operand that may name SP, masked to 64 bits; writes to
+    XZR (31) are discarded."""
+    if index == SP:
+        regs.sp_el[regs.current_el] = value & _MASK64
+    elif index != XZR:
+        regs.x[index] = value & _MASK64
 
 
 class Instruction:
@@ -125,7 +154,8 @@ class Movz(Instruction):
     mnemonic = "movz"
 
     def execute(self, cpu):
-        cpu.regs.write(self.rd, (self.imm16 & 0xFFFF) << self.shift)
+        if self.rd != XZR:
+            cpu.regs.x[self.rd] = (self.imm16 & 0xFFFF) << self.shift
 
     def operand_words(self):
         return (self.imm16, self.rd, self.shift // 16)
@@ -144,11 +174,11 @@ class Movk(Instruction):
     mnemonic = "movk"
 
     def execute(self, cpu):
-        old = cpu.regs.read(self.rd)
-        mask = 0xFFFF << self.shift
-        cpu.regs.write(
-            self.rd, (old & ~mask) | ((self.imm16 & 0xFFFF) << self.shift)
-        )
+        if self.rd != XZR:
+            x = cpu.regs.x
+            x[self.rd] = (x[self.rd] & ~(0xFFFF << self.shift)) | (
+                (self.imm16 & 0xFFFF) << self.shift
+            )
 
     def operand_words(self):
         return (self.imm16, self.rd, self.shift // 16)
@@ -166,7 +196,8 @@ class MovReg(Instruction):
     mnemonic = "mov"
 
     def execute(self, cpu):
-        cpu.write_operand(self.rd, cpu.read_operand(self.rn))
+        regs = cpu.regs
+        set_operand(regs, self.rd, get_operand(regs, self.rn))
 
     def operand_words(self):
         return (self.rn, self.rd, 0)
@@ -189,7 +220,8 @@ class MovImm(Instruction):
         self.value = value & _MASK64
 
     def execute(self, cpu):
-        cpu.regs.write(self.rd, self.value)
+        if self.rd != XZR:
+            cpu.regs.x[self.rd] = self.value
 
     def expand(self):
         """The MOVZ/MOVK sequence equivalent to this pseudo-op."""
@@ -221,7 +253,8 @@ class AddImm(Instruction):
     mnemonic = "add"
 
     def execute(self, cpu):
-        cpu.write_operand(self.rd, cpu.read_operand(self.rn) + self.imm)
+        regs = cpu.regs
+        set_operand(regs, self.rd, get_operand(regs, self.rn) + self.imm)
 
     def operand_words(self):
         return (self.imm & 0xFFFF, self.rd, self.rn)
@@ -235,7 +268,8 @@ class SubImm(AddImm):
     mnemonic = "sub"
 
     def execute(self, cpu):
-        cpu.write_operand(self.rd, cpu.read_operand(self.rn) - self.imm)
+        regs = cpu.regs
+        set_operand(regs, self.rd, get_operand(regs, self.rn) - self.imm)
 
     def text(self):
         return f"sub {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
@@ -249,8 +283,9 @@ class AddReg(Instruction):
     mnemonic = "add"
 
     def execute(self, cpu):
-        cpu.write_operand(
-            self.rd, cpu.read_operand(self.rn) + cpu.read_operand(self.rm)
+        regs = cpu.regs
+        set_operand(
+            regs, self.rd, get_operand(regs, self.rn) + get_operand(regs, self.rm)
         )
 
     def operand_words(self):
@@ -265,8 +300,9 @@ class SubReg(AddReg):
     mnemonic = "sub"
 
     def execute(self, cpu):
-        cpu.write_operand(
-            self.rd, cpu.read_operand(self.rn) - cpu.read_operand(self.rm)
+        regs = cpu.regs
+        set_operand(
+            regs, self.rd, get_operand(regs, self.rn) - get_operand(regs, self.rm)
         )
 
     def text(self):
@@ -292,13 +328,14 @@ class SubsReg(Instruction):
     mnemonic = "subs"
 
     def execute(self, cpu):
-        a = cpu.read_operand(self.rn)
-        b = cpu.read_operand(self.rm)
+        regs = cpu.regs
+        a = get_operand(regs, self.rn)
+        b = get_operand(regs, self.rm)
         result = (a - b) & _MASK64
         carry = a >= b
         overflow = (_s64(a) - _s64(b)) != _s64(result)
         _set_flags(cpu, result, carry, overflow)
-        cpu.write_operand(self.rd, result)
+        set_operand(regs, self.rd, result)
 
     def operand_words(self):
         return (self.rm, self.rd, self.rn)
@@ -317,13 +354,14 @@ class SubsImm(Instruction):
     mnemonic = "subs"
 
     def execute(self, cpu):
-        a = cpu.read_operand(self.rn)
+        regs = cpu.regs
+        a = get_operand(regs, self.rn)
         b = self.imm & _MASK64
         result = (a - b) & _MASK64
         carry = a >= b
         overflow = (_s64(a) - _s64(b)) != _s64(result)
         _set_flags(cpu, result, carry, overflow)
-        cpu.write_operand(self.rd, result)
+        set_operand(regs, self.rd, result)
 
     def operand_words(self):
         return (self.imm & 0xFFFF, self.rd, self.rn)
@@ -342,7 +380,8 @@ class AndImm(Instruction):
     mnemonic = "and"
 
     def execute(self, cpu):
-        cpu.write_operand(self.rd, cpu.read_operand(self.rn) & self.imm)
+        regs = cpu.regs
+        set_operand(regs, self.rd, get_operand(regs, self.rn) & self.imm)
 
     def operand_words(self):
         return (self.imm & 0xFFFF, self.rd, self.rn)
@@ -356,7 +395,8 @@ class OrrImm(AndImm):
     mnemonic = "orr"
 
     def execute(self, cpu):
-        cpu.write_operand(self.rd, cpu.read_operand(self.rn) | self.imm)
+        regs = cpu.regs
+        set_operand(regs, self.rd, get_operand(regs, self.rn) | self.imm)
 
     def text(self):
         return f"orr {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
@@ -370,8 +410,9 @@ class EorReg(Instruction):
     mnemonic = "eor"
 
     def execute(self, cpu):
-        cpu.write_operand(
-            self.rd, cpu.read_operand(self.rn) ^ cpu.read_operand(self.rm)
+        regs = cpu.regs
+        set_operand(
+            regs, self.rd, get_operand(regs, self.rn) ^ get_operand(regs, self.rm)
         )
 
     def operand_words(self):
@@ -386,7 +427,8 @@ class EorImm(AndImm):
     mnemonic = "eor"
 
     def execute(self, cpu):
-        cpu.write_operand(self.rd, cpu.read_operand(self.rn) ^ self.imm)
+        regs = cpu.regs
+        set_operand(regs, self.rd, get_operand(regs, self.rn) ^ self.imm)
 
     def text(self):
         return f"eor {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
@@ -400,9 +442,8 @@ class LslImm(Instruction):
     mnemonic = "lsl"
 
     def execute(self, cpu):
-        cpu.write_operand(
-            self.rd, (cpu.read_operand(self.rn) << self.shift) & _MASK64
-        )
+        regs = cpu.regs
+        set_operand(regs, self.rd, get_operand(regs, self.rn) << self.shift)
 
     def operand_words(self):
         return (self.shift, self.rd, self.rn)
@@ -416,7 +457,8 @@ class LsrImm(LslImm):
     mnemonic = "lsr"
 
     def execute(self, cpu):
-        cpu.write_operand(self.rd, cpu.read_operand(self.rn) >> self.shift)
+        regs = cpu.regs
+        set_operand(regs, self.rd, get_operand(regs, self.rn) >> self.shift)
 
     def text(self):
         return f"lsr {_reg(self.rd)}, {_reg(self.rn)}, #{self.shift}"
@@ -435,7 +477,8 @@ class Adr(Instruction):
     def execute(self, cpu):
         if self.target is None:
             raise ReproError(f"adr target {self.label!r} unresolved")
-        cpu.regs.write(self.rd, self.target)
+        if self.rd != XZR:
+            cpu.regs.x[self.rd] = self.target
 
     def operand_words(self):
         return ((self.target or 0) & 0xFFFF, self.rd, 0)
@@ -465,11 +508,12 @@ class Bfi(Instruction):
             raise UndefinedInstructionFault(
                 "SP is not a valid BFI operand", el=cpu.regs.current_el
             )
-        mask = ((1 << self.width) - 1) << self.lsb
-        field = (cpu.regs.read(self.rn) & ((1 << self.width) - 1)) << self.lsb
-        cpu.regs.write(
-            self.rd, (cpu.regs.read(self.rd) & ~mask) | field
-        )
+        if self.rd != XZR:
+            x = cpu.regs.x
+            ones = (1 << self.width) - 1
+            x[self.rd] = (x[self.rd] & ~(ones << self.lsb)) | (
+                (x[self.rn] & ones) << self.lsb
+            )
 
     def operand_words(self):
         return ((self.lsb << 8) | self.width, self.rd, self.rn)
@@ -494,8 +538,12 @@ class Ldr(Instruction):
     cycles = 2
 
     def execute(self, cpu):
-        address = (cpu.read_operand(self.rn) + self.imm) & _MASK64
-        cpu.regs.write(self.rt, cpu.load_u64(address))
+        regs = cpu.regs
+        value = cpu.mmu.read_u64(
+            (get_operand(regs, self.rn) + self.imm) & _MASK64, regs.current_el
+        )
+        if self.rt != XZR:
+            regs.x[self.rt] = value
 
     def operand_words(self):
         return (self.imm & 0xFFFF, self.rt, self.rn)
@@ -509,8 +557,12 @@ class Str(Ldr):
     mnemonic = "str"
 
     def execute(self, cpu):
-        address = (cpu.read_operand(self.rn) + self.imm) & _MASK64
-        cpu.store_u64(address, cpu.read_operand(self.rt))
+        regs = cpu.regs
+        cpu.mmu.write_u64(
+            (get_operand(regs, self.rn) + self.imm) & _MASK64,
+            get_operand(regs, self.rt),
+            regs.current_el,
+        )
 
     def text(self):
         return f"str x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]"
@@ -527,9 +579,12 @@ class LdrPost(Instruction):
     cycles = 2
 
     def execute(self, cpu):
-        address = cpu.read_operand(self.rn)
-        cpu.regs.write(self.rt, cpu.load_u64(address))
-        cpu.write_operand(self.rn, address + self.imm)
+        regs = cpu.regs
+        address = get_operand(regs, self.rn)
+        value = cpu.mmu.read_u64(address, regs.current_el)
+        if self.rt != XZR:
+            regs.x[self.rt] = value
+        set_operand(regs, self.rn, address + self.imm)
 
     def operand_words(self):
         return (self.imm & 0xFFFF, self.rt, self.rn)
@@ -549,9 +604,10 @@ class StrPre(Instruction):
     cycles = 2
 
     def execute(self, cpu):
-        address = (cpu.read_operand(self.rn) + self.imm) & _MASK64
-        cpu.store_u64(address, cpu.read_operand(self.rt))
-        cpu.write_operand(self.rn, address)
+        regs = cpu.regs
+        address = (get_operand(regs, self.rn) + self.imm) & _MASK64
+        cpu.mmu.write_u64(address, get_operand(regs, self.rt), regs.current_el)
+        set_operand(regs, self.rn, address)
 
     def operand_words(self):
         return (self.imm & 0xFFFF, self.rt, self.rn)
@@ -572,9 +628,14 @@ class Ldp(Instruction):
     cycles = 2
 
     def execute(self, cpu):
-        base = (cpu.read_operand(self.rn) + self.imm) & _MASK64
-        cpu.regs.write(self.rt1, cpu.load_u64(base))
-        cpu.regs.write(self.rt2, cpu.load_u64(base + 8))
+        regs = cpu.regs
+        base = (get_operand(regs, self.rn) + self.imm) & _MASK64
+        value = cpu.mmu.read_u64(base, regs.current_el)
+        if self.rt1 != XZR:
+            regs.x[self.rt1] = value
+        value = cpu.mmu.read_u64(base + 8, regs.current_el)
+        if self.rt2 != XZR:
+            regs.x[self.rt2] = value
 
     def operand_words(self):
         return (self.imm & 0xFFFF, self.rt1, self.rt2)
@@ -590,9 +651,10 @@ class Stp(Ldp):
     mnemonic = "stp"
 
     def execute(self, cpu):
-        base = (cpu.read_operand(self.rn) + self.imm) & _MASK64
-        cpu.store_u64(base, cpu.read_operand(self.rt1))
-        cpu.store_u64(base + 8, cpu.read_operand(self.rt2))
+        regs = cpu.regs
+        base = (get_operand(regs, self.rn) + self.imm) & _MASK64
+        cpu.mmu.write_u64(base, get_operand(regs, self.rt1), regs.current_el)
+        cpu.mmu.write_u64(base + 8, get_operand(regs, self.rt2), regs.current_el)
 
     def text(self):
         return (
@@ -612,10 +674,15 @@ class LdpPost(Instruction):
     cycles = 2
 
     def execute(self, cpu):
-        base = cpu.read_operand(self.rn)
-        cpu.regs.write(self.rt1, cpu.load_u64(base))
-        cpu.regs.write(self.rt2, cpu.load_u64(base + 8))
-        cpu.write_operand(self.rn, base + self.imm)
+        regs = cpu.regs
+        base = get_operand(regs, self.rn)
+        value = cpu.mmu.read_u64(base, regs.current_el)
+        if self.rt1 != XZR:
+            regs.x[self.rt1] = value
+        value = cpu.mmu.read_u64(base + 8, regs.current_el)
+        if self.rt2 != XZR:
+            regs.x[self.rt2] = value
+        set_operand(regs, self.rn, base + self.imm)
 
     def operand_words(self):
         return (self.imm & 0xFFFF, self.rt1, self.rt2)
@@ -638,10 +705,11 @@ class StpPre(Instruction):
     cycles = 2
 
     def execute(self, cpu):
-        base = (cpu.read_operand(self.rn) + self.imm) & _MASK64
-        cpu.store_u64(base, cpu.read_operand(self.rt1))
-        cpu.store_u64(base + 8, cpu.read_operand(self.rt2))
-        cpu.write_operand(self.rn, base)
+        regs = cpu.regs
+        base = (get_operand(regs, self.rn) + self.imm) & _MASK64
+        cpu.mmu.write_u64(base, get_operand(regs, self.rt1), regs.current_el)
+        cpu.mmu.write_u64(base + 8, get_operand(regs, self.rt2), regs.current_el)
+        set_operand(regs, self.rn, base)
 
     def operand_words(self):
         return (self.imm & 0xFFFF, self.rt1, self.rt2)
@@ -683,7 +751,8 @@ class Bl(_LabelBranch):
     mnemonic = "bl"
 
     def execute(self, cpu):
-        cpu.regs.write(LR, cpu.regs.pc + 4)
+        regs = cpu.regs
+        regs.x[LR] = (regs.pc + 4) & _MASK64
         return self.target
 
 
@@ -695,7 +764,7 @@ class Br(Instruction):
     mnemonic = "br"
 
     def execute(self, cpu):
-        return cpu.regs.read(self.rn)
+        return cpu.regs.x[self.rn]
 
     def operand_words(self):
         return (0, self.rn, 0)
@@ -712,8 +781,9 @@ class Blr(Instruction):
     mnemonic = "blr"
 
     def execute(self, cpu):
-        cpu.regs.write(LR, cpu.regs.pc + 4)
-        return cpu.regs.read(self.rn)
+        x = cpu.regs.x
+        x[LR] = (cpu.regs.pc + 4) & _MASK64
+        return x[self.rn]
 
     def operand_words(self):
         return (0, self.rn, 0)
@@ -730,7 +800,7 @@ class Ret(Instruction):
     mnemonic = "ret"
 
     def execute(self, cpu):
-        return cpu.regs.read(self.rn)
+        return cpu.regs.x[self.rn]
 
     def text(self):
         return "ret" if self.rn == LR else f"ret x{self.rn}"
@@ -744,7 +814,7 @@ class Cbz(_LabelBranch):
         self.rn = rn
 
     def execute(self, cpu):
-        if cpu.regs.read(self.rn) == 0:
+        if cpu.regs.x[self.rn] == 0:
             return self.target
         return None
 
@@ -756,7 +826,7 @@ class Cbnz(Cbz):
     mnemonic = "cbnz"
 
     def execute(self, cpu):
-        if cpu.regs.read(self.rn) != 0:
+        if cpu.regs.x[self.rn] != 0:
             return self.target
         return None
 
@@ -902,10 +972,10 @@ class Msr(Instruction):
     key_write_cycles = PAUTH_CYCLES
 
     def execute(self, cpu):
-        cpu.write_sysreg_checked(self.sysreg, cpu.regs.read(self.rn))
+        cpu.write_sysreg_checked(self.sysreg, cpu.regs.x[self.rn])
 
     def operand_words(self):
-        return (hash(self.sysreg) & 0xFFFF, self.rn, 0)
+        return (_sysreg_id(self.sysreg), self.rn, 0)
 
     def text(self):
         return f"msr {self.sysreg}, x{self.rn}"
@@ -926,10 +996,12 @@ class Mrs(Instruction):
     cycles = 2
 
     def execute(self, cpu):
-        cpu.regs.write(self.rd, cpu.read_sysreg_checked(self.sysreg))
+        value = cpu.read_sysreg_checked(self.sysreg)
+        if self.rd != XZR:
+            cpu.regs.x[self.rd] = value
 
     def operand_words(self):
-        return (hash(self.sysreg) & 0xFFFF, self.rd, 0)
+        return (_sysreg_id(self.sysreg), self.rd, 0)
 
     def text(self):
         return f"mrs x{self.rd}, {self.sysreg}"
@@ -1027,8 +1099,10 @@ class Pac(_PAuthInstruction):
     def execute(self, cpu):
         if not self._require_pauth(cpu):
             return
-        modifier = cpu.read_operand(self.rn)
-        cpu.regs.write(self.rd, cpu.pac_add(self.key, cpu.regs.read(self.rd), modifier))
+        x = cpu.regs.x
+        value = cpu.pac_add(self.key, x[self.rd], get_operand(cpu.regs, self.rn))
+        if self.rd != XZR:
+            x[self.rd] = value
 
     def operand_words(self):
         return (ord(self.key[0]) << 8 | ord(self.key[1]), self.rd, self.rn)
@@ -1052,10 +1126,10 @@ class Aut(_PAuthInstruction):
     def execute(self, cpu):
         if not self._require_pauth(cpu):
             return
-        modifier = cpu.read_operand(self.rn)
-        cpu.regs.write(
-            self.rd, cpu.pac_auth(self.key, cpu.regs.read(self.rd), modifier)
-        )
+        x = cpu.regs.x
+        value = cpu.pac_auth(self.key, x[self.rd], get_operand(cpu.regs, self.rn))
+        if self.rd != XZR:
+            x[self.rd] = value
 
     def operand_words(self):
         return (ord(self.key[0]) << 8 | ord(self.key[1]), self.rd, self.rn)
@@ -1078,7 +1152,10 @@ class Xpac(_PAuthInstruction):
     def execute(self, cpu):
         if not self._require_pauth(cpu):
             return
-        cpu.regs.write(self.rd, cpu.pac_strip(cpu.regs.read(self.rd)))
+        x = cpu.regs.x
+        value = cpu.pac_strip(x[self.rd])
+        if self.rd != XZR:
+            x[self.rd] = value
 
     def operand_words(self):
         return (int(self.data), self.rd, 0)
@@ -1099,10 +1176,10 @@ class PacGa(_PAuthInstruction):
     def execute(self, cpu):
         if not self._require_pauth(cpu):
             return
-        cpu.regs.write(
-            self.rd,
-            cpu.pac_generic(cpu.regs.read(self.rn), cpu.read_operand(self.rm)),
-        )
+        x = cpu.regs.x
+        value = cpu.pac_generic(x[self.rn], get_operand(cpu.regs, self.rm))
+        if self.rd != XZR:
+            x[self.rd] = value
 
     def operand_words(self):
         return (self.rm, self.rd, self.rn)
@@ -1130,9 +1207,8 @@ class Pac1716(_PAuthInstruction):
     def execute(self, cpu):
         if not self._require_pauth(cpu):
             return
-        cpu.regs.write(
-            17, cpu.pac_add(self.key, cpu.regs.read(17), cpu.regs.read(16))
-        )
+        x = cpu.regs.x
+        x[17] = cpu.pac_add(self.key, x[17], x[16])
 
     def text(self):
         return self.mnemonic
@@ -1147,9 +1223,8 @@ class Aut1716(Pac1716):
     def execute(self, cpu):
         if not self._require_pauth(cpu):
             return
-        cpu.regs.write(
-            17, cpu.pac_auth(self.key, cpu.regs.read(17), cpu.regs.read(16))
-        )
+        x = cpu.regs.x
+        x[17] = cpu.pac_auth(self.key, x[17], x[16])
 
 
 @dataclass(repr=False)
@@ -1170,8 +1245,9 @@ class PacSp(_PAuthInstruction):
     def execute(self, cpu):
         if not self._require_pauth(cpu):
             return
-        cpu.regs.write(
-            LR, cpu.pac_add(self.key, cpu.regs.read(LR), cpu.regs.sp)
+        regs = cpu.regs
+        regs.x[LR] = cpu.pac_add(
+            self.key, regs.x[LR], regs.sp_el[regs.current_el]
         )
 
     def text(self):
@@ -1187,8 +1263,9 @@ class AutSp(PacSp):
     def execute(self, cpu):
         if not self._require_pauth(cpu):
             return
-        cpu.regs.write(
-            LR, cpu.pac_auth(self.key, cpu.regs.read(LR), cpu.regs.sp)
+        regs = cpu.regs
+        regs.x[LR] = cpu.pac_auth(
+            self.key, regs.x[LR], regs.sp_el[regs.current_el]
         )
 
 
@@ -1205,7 +1282,8 @@ class RetA(_PAuthInstruction):
 
     def execute(self, cpu):
         self._require_pauth(cpu)  # not HINT space: undefined on v8.0
-        return cpu.pac_auth(self.key, cpu.regs.read(LR), cpu.regs.sp)
+        regs = cpu.regs
+        return cpu.pac_auth(self.key, regs.x[LR], regs.sp_el[regs.current_el])
 
     def text(self):
         return self.mnemonic
@@ -1226,9 +1304,10 @@ class BlrA(_PAuthInstruction):
 
     def execute(self, cpu):
         self._require_pauth(cpu)
-        cpu.regs.write(LR, cpu.regs.pc + 4)
+        regs = cpu.regs
+        regs.x[LR] = (regs.pc + 4) & _MASK64
         return cpu.pac_auth(
-            self.key, cpu.regs.read(self.rn), cpu.read_operand(self.rm)
+            self.key, regs.x[self.rn], get_operand(regs, self.rm)
         )
 
     def operand_words(self):
@@ -1248,8 +1327,9 @@ class BrA(BlrA):
 
     def execute(self, cpu):
         self._require_pauth(cpu)
+        regs = cpu.regs
         return cpu.pac_auth(
-            self.key, cpu.regs.read(self.rn), cpu.read_operand(self.rm)
+            self.key, regs.x[self.rn], get_operand(regs, self.rm)
         )
 
 

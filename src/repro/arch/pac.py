@@ -21,7 +21,7 @@ memoised only by the per-key-value QARMA instance (see repro.hotpath).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.arch.vmsa import VMSAConfig
 from repro.qarma import Qarma64
@@ -35,8 +35,7 @@ _MASK64 = (1 << 64) - 1
 _ERROR_CODE = {"ia": 0b01, "ib": 0b01, "da": 0b10, "db": 0b10, "ga": 0b11}
 
 
-@dataclass(frozen=True)
-class PACResult:
+class PACResult(NamedTuple):
     """Outcome of an AuthPAC operation."""
 
     pointer: int

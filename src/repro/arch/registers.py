@@ -23,6 +23,7 @@ __all__ = [
     "IP0",
     "IP1",
     "KEY_REGISTER_NAMES",
+    "KEY_REGISTERS",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -98,11 +99,15 @@ KEY_REGISTER_NAMES = (
 )
 
 
-def _key_register_target(name):
-    """Map a key system-register name to (key name, half)."""
-    prefix = name[2:4].lower()  # "ia", "ib", "da", "db", "ga"
-    half = "lo" if "Lo" in name else "hi"
-    return prefix, half
+#: Key system-register name -> (key name, half), e.g. "APIBKeyHi_EL1"
+#: -> ("ib", "hi"): the one table MSR and MRS resolve key registers by.
+KEY_REGISTERS = {
+    name: (name[2:4].lower(), "lo" if "Lo" in name else "hi")
+    for name in KEY_REGISTER_NAMES
+}
+
+#: The SCTLR attribute holding each key's enable bit.
+_ENABLE_BITS = {name: "en_" + name for name in KeyBank.NAMES}
 
 
 @dataclass
@@ -120,15 +125,11 @@ class SCTLR:
     en_ib: bool = True
     en_da: bool = True
     en_db: bool = True
+    #: PACGA has no enable bit (a class attribute, not a field).
+    en_ga = True
 
     def enabled_for(self, key_name):
-        return {
-            "ia": self.en_ia,
-            "ib": self.en_ib,
-            "da": self.en_da,
-            "db": self.en_db,
-            "ga": True,  # PACGA has no enable bit
-        }[key_name]
+        return getattr(self, _ENABLE_BITS[key_name])
 
     def as_value(self):
         """Pack into an integer (bit layout follows ARMv8.3 SCTLR_EL1)."""
@@ -158,12 +159,14 @@ class RegisterFile:
 
     X0-X30 plus a banked SP per exception level.  Reads of register 31
     in an operand position return zero (XZR convention); writes to it
-    are discarded.
+    are discarded.  Instructions index the storage directly: ``x`` has
+    32 slots, the last being the zero register, which always holds 0;
+    ``sp_el`` holds SP_EL0..SP_EL2, indexed by exception level.
     """
 
     def __init__(self):
-        self._x = [0] * 31
-        self._sp = {0: 0, 1: 0, 2: 0}
+        self.x = [0] * 32
+        self.sp_el = [0, 0, 0]
         self.pc = 0
         self.current_el = 1
         #: ELR/SPSR for exception return, banked per target EL.
@@ -185,49 +188,46 @@ class RegisterFile:
 
     def read(self, index):
         """Read Xn; index 31 reads as the zero register."""
-        if index == XZR:
-            return 0
-        return self._x[index]
+        return self.x[index]
 
     def write(self, index, value):
         """Write Xn; writes to index 31 are discarded."""
-        if index == XZR:
-            return
-        self._x[index] = value & _MASK64
+        if index != XZR:
+            self.x[index] = value & _MASK64
 
     def clear_gprs(self, keep=()):
         """Zero every GPR except the listed indices (key-setter scrub)."""
         for index in range(31):
             if index not in keep:
-                self._x[index] = 0
+                self.x[index] = 0
 
     def nonzero_gprs(self):
         """Indices of GPRs currently holding non-zero values."""
-        return tuple(i for i, v in enumerate(self._x) if v != 0)
+        return tuple(i for i, v in enumerate(self.x) if v != 0)
 
     # -- SP ------------------------------------------------------------------
 
     @property
     def sp(self):
-        return self._sp[self.current_el]
+        return self.sp_el[self.current_el]
 
     @sp.setter
     def sp(self, value):
-        self._sp[self.current_el] = value & _MASK64
+        self.sp_el[self.current_el] = value & _MASK64
 
     def sp_of(self, el):
-        return self._sp[el]
+        return self.sp_el[el]
 
     def set_sp_of(self, el, value):
-        self._sp[el] = value & _MASK64
+        self.sp_el[el] = value & _MASK64
 
     # -- system registers ----------------------------------------------------
 
     def read_sysreg(self, name):
         """MRS: read a system register by name."""
-        if name in KEY_REGISTER_NAMES:
-            key_name, half = _key_register_target(name)
-            return getattr(self.keys.get(key_name), half)
+        target = KEY_REGISTERS.get(name)
+        if target is not None:
+            return getattr(getattr(self.keys, target[0]), target[1])
         if name == "SCTLR_EL1":
             return self.sctlr_el1.as_value()
         if name == "ELR_EL1":
@@ -239,9 +239,9 @@ class RegisterFile:
     def write_sysreg(self, name, value):
         """MSR: write a system register by name."""
         value &= _MASK64
-        if name in KEY_REGISTER_NAMES:
-            key_name, half = _key_register_target(name)
-            setattr(self.keys.get(key_name), half, value)
+        target = KEY_REGISTERS.get(name)
+        if target is not None:
+            setattr(getattr(self.keys, target[0]), target[1], value)
             return
         if name == "SCTLR_EL1":
             self.sctlr_el1 = SCTLR.from_value(value)

@@ -101,6 +101,20 @@ class TestBankedKeys:
         assert cpu.regs.alt_keys.da.lo == 0x77
         assert cpu.regs.keys.da.lo == 0
 
+    def test_mrs_reads_selected_bank(self):
+        from repro.arch.cpu import CPU
+
+        cpu = CPU(features=frozenset({"pauth", "pauth-ks"}))
+        cpu.regs.keys.ia = PAuthKey(0x5555, 0x6666)
+        mrs = isa.Mrs(0, "APIAKeyLo_EL1")
+        cpu.write_sysreg_checked("APKSSEL_EL1", 1)
+        cpu.write_sysreg_checked("APIAKeyLo_EL1", 0x1234)
+        mrs.execute(cpu)
+        assert cpu.regs.read(0) == 0x1234
+        cpu.write_sysreg_checked("APKSSEL_EL1", 0)
+        mrs.execute(cpu)
+        assert cpu.regs.read(0) == 0x5555
+
     def test_no_key_immediates_in_any_readable_memory(self):
         system = System(profile="full", key_management="banked-isa")
         lo16 = system.kernel_keys.ib.lo & 0xFFFF

@@ -26,8 +26,8 @@ from repro.arch.cpu import CPU
 from repro.arch.pac import PACEngine
 from repro.arch.registers import (
     KEY_REGISTER_NAMES,
+    KEY_REGISTERS,
     PAuthKey,
-    _key_register_target,
 )
 from repro.errors import PermissionFault, TranslationFault
 from repro.mem.pagetable import Stage2Table
@@ -85,7 +85,7 @@ class TestPacStaleness:
     ):
         assume(old != new)
         cpu = CPU()
-        name = _key_register_target(register)[0]
+        name = KEY_REGISTERS[register][0]
         key = cpu.regs.keys.get(name)
         other = cpu.regs.keys.get("ga" if name == "ia" else "ia")
         cpu.write_sysreg_checked(register, old)
@@ -107,7 +107,7 @@ class TestPacStaleness:
     def test_banked_key_write_never_serves_stale(self, register, old, new, pointer, modifier):
         assume(old != new)
         cpu = CPU(features=frozenset({"pauth", "pauth-ks"}))
-        name = _key_register_target(register)[0]
+        name = KEY_REGISTERS[register][0]
         cpu.write_sysreg_checked("APKSSEL_EL1", 1)
         cpu.write_sysreg_checked(register, old)
         key = cpu.regs.alt_keys.get(name)

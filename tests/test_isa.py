@@ -1,13 +1,25 @@
 """Tests for instruction semantics (repro.arch.isa)."""
 
+import operator
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_BASE, STACK_TOP, TEXT_BASE
 
 from repro.arch import isa
+from repro.arch.cpu import CPU
 from repro.arch.isa import SP
-from repro.arch.registers import FP, LR, XZR
-from repro.errors import ReproError, UndefinedInstructionFault
+from repro.arch.pac import PACEngine
+from repro.arch.registers import FP, KEY_REGISTER_NAMES, LR, XZR, PAuthKey
+from repro.errors import ReproError, SimFault, UndefinedInstructionFault
+from repro.mem.pagetable import Permissions
 
 
 def run_body(machine, body, args=(), **kwargs):
@@ -332,3 +344,500 @@ class TestMisc:
             isa.Mrs(0, "SCTLR_EL1"), isa.Work(3), isa.Bfi(0, 1, 4, 4),
         ):
             assert instruction.text()
+
+
+class TestSysregEncoding:
+    def test_msr_mrs_encodings_do_not_depend_on_the_hash_seed(self):
+        # ``hash`` of a str is salted per process; the encodings of the
+        # kernel's system-register accesses must not be.
+        script = (
+            "from repro.arch import isa\n"
+            "from repro.kernel import System\n"
+            "image = System(profile='full').kernel_image\n"
+            "for address, i in image.text_instructions():\n"
+            "    if isinstance(i, (isa.Msr, isa.Mrs)):\n"
+            "        print(hex(address), i.text(), i.encoding().hex())\n"
+        )
+        src = str(Path(isa.__file__).resolve().parents[2])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert "msr" in outputs[0] and "mrs" in outputs[0]
+        assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# Operand oracle: the accessor-based execute bodies that the direct
+# storage indexing replaced, kept here as the reference semantics.
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+USER_TEXT = 0x40_0000
+USER_DATA = 0x50_0000
+#: The last instruction slot of the address space, where PC + 4 wraps.
+TOP_SLOT = _MASK64 - 3
+
+
+def _read(cpu, index):
+    return cpu.regs.sp if index == SP else cpu.regs.read(index)
+
+
+def _write(cpu, index, value):
+    if index == SP:
+        cpu.regs.sp = value
+    else:
+        cpu.regs.write(index, value)
+
+
+def _load(cpu, address):
+    return cpu.mmu.read_u64(address, cpu.regs.current_el)
+
+
+def _store(cpu, address, value):
+    cpu.mmu.write_u64(address, value, cpu.regs.current_el)
+
+
+def _s64(value):
+    return value - (1 << 64) if value >> 63 else value
+
+
+_ORACLE = {}
+
+
+def _oracle(*classes):
+    def register(body):
+        for cls in classes:
+            _ORACLE[cls] = body
+        return body
+    return register
+
+
+@_oracle(isa.Movz)
+def _movz(i, cpu):
+    cpu.regs.write(i.rd, (i.imm16 & 0xFFFF) << i.shift)
+
+
+@_oracle(isa.Movk)
+def _movk(i, cpu):
+    mask = 0xFFFF << i.shift
+    cpu.regs.write(
+        i.rd, (cpu.regs.read(i.rd) & ~mask) | ((i.imm16 & 0xFFFF) << i.shift)
+    )
+
+
+@_oracle(isa.MovReg)
+def _mov_reg(i, cpu):
+    _write(cpu, i.rd, _read(cpu, i.rn))
+
+
+@_oracle(isa.MovImm)
+def _mov_imm(i, cpu):
+    cpu.regs.write(i.rd, i.value)
+
+
+_IMM_OPS = {
+    isa.AddImm: operator.add, isa.SubImm: operator.sub,
+    isa.AndImm: operator.and_, isa.OrrImm: operator.or_,
+    isa.EorImm: operator.xor, isa.LslImm: operator.lshift,
+    isa.LsrImm: operator.rshift,
+}
+_REG_OPS = {
+    isa.AddReg: operator.add, isa.SubReg: operator.sub,
+    isa.EorReg: operator.xor,
+}
+
+
+@_oracle(*_IMM_OPS)
+def _imm_op(i, cpu):
+    operand = i.shift if isinstance(i, isa.LslImm) else i.imm
+    result = _IMM_OPS[type(i)](_read(cpu, i.rn), operand)
+    _write(cpu, i.rd, result & _MASK64)
+
+
+@_oracle(*_REG_OPS)
+def _reg_op(i, cpu):
+    _write(cpu, i.rd, _REG_OPS[type(i)](_read(cpu, i.rn), _read(cpu, i.rm)))
+
+
+@_oracle(isa.SubsReg, isa.SubsImm)
+def _subs(i, cpu):
+    a = _read(cpu, i.rn)
+    b = i.imm & _MASK64 if isinstance(i, isa.SubsImm) else _read(cpu, i.rm)
+    result = (a - b) & _MASK64
+    overflow = (_s64(a) - _s64(b)) != _s64(result)
+    cpu.nzcv = (bool(result >> 63), result == 0, a >= b, overflow)
+    _write(cpu, i.rd, result)
+
+
+@_oracle(isa.Adr)
+def _adr(i, cpu):
+    cpu.regs.write(i.rd, i.target)
+
+
+@_oracle(isa.Bfi)
+def _bfi(i, cpu):
+    mask = ((1 << i.width) - 1) << i.lsb
+    field = (cpu.regs.read(i.rn) & ((1 << i.width) - 1)) << i.lsb
+    cpu.regs.write(i.rd, (cpu.regs.read(i.rd) & ~mask) | field)
+
+
+@_oracle(isa.Ldr)
+def _ldr(i, cpu):
+    cpu.regs.write(i.rt, _load(cpu, (_read(cpu, i.rn) + i.imm) & _MASK64))
+
+
+@_oracle(isa.Str)
+def _str(i, cpu):
+    _store(cpu, (_read(cpu, i.rn) + i.imm) & _MASK64, _read(cpu, i.rt))
+
+
+@_oracle(isa.LdrPost)
+def _ldr_post(i, cpu):
+    address = _read(cpu, i.rn)
+    cpu.regs.write(i.rt, _load(cpu, address))
+    _write(cpu, i.rn, address + i.imm)
+
+
+@_oracle(isa.StrPre)
+def _str_pre(i, cpu):
+    address = (_read(cpu, i.rn) + i.imm) & _MASK64
+    _store(cpu, address, _read(cpu, i.rt))
+    _write(cpu, i.rn, address)
+
+
+@_oracle(isa.Ldp, isa.LdpPost)
+def _ldp(i, cpu):
+    post = isinstance(i, isa.LdpPost)
+    base = _read(cpu, i.rn) if post else (_read(cpu, i.rn) + i.imm) & _MASK64
+    cpu.regs.write(i.rt1, _load(cpu, base))
+    cpu.regs.write(i.rt2, _load(cpu, base + 8))
+    if post:
+        _write(cpu, i.rn, base + i.imm)
+
+
+@_oracle(isa.Stp, isa.StpPre)
+def _stp(i, cpu):
+    base = (_read(cpu, i.rn) + i.imm) & _MASK64
+    _store(cpu, base, _read(cpu, i.rt1))
+    _store(cpu, base + 8, _read(cpu, i.rt2))
+    if isinstance(i, isa.StpPre):
+        _write(cpu, i.rn, base)
+
+
+@_oracle(isa.Bl)
+def _bl(i, cpu):
+    cpu.regs.write(LR, cpu.regs.pc + 4)
+    return i.target
+
+
+@_oracle(isa.Br, isa.Ret)
+def _br(i, cpu):
+    return cpu.regs.read(i.rn)
+
+
+@_oracle(isa.Blr)
+def _blr(i, cpu):
+    cpu.regs.write(LR, cpu.regs.pc + 4)
+    return cpu.regs.read(i.rn)
+
+
+@_oracle(isa.Cbz, isa.Cbnz)
+def _cbz(i, cpu):
+    if (cpu.regs.read(i.rn) == 0) == (type(i) is isa.Cbz):
+        return i.target
+    return None
+
+
+@_oracle(isa.Msr)
+def _msr(i, cpu):
+    cpu.write_sysreg_checked(i.sysreg, cpu.regs.read(i.rn))
+
+
+@_oracle(isa.Mrs)
+def _mrs(i, cpu):
+    cpu.regs.write(i.rd, cpu.read_sysreg_checked(i.sysreg))
+
+
+def _pauth_body(body):
+    """``body`` behind the parent's FEAT_PAuth check."""
+    def run(i, cpu):
+        if i._require_pauth(cpu):
+            return body(i, cpu)
+        return None
+    return run
+
+
+@_oracle(isa.Pac, isa.Aut)
+@_pauth_body
+def _pac(i, cpu):
+    op = cpu.pac_add if isinstance(i, isa.Pac) else cpu.pac_auth
+    modifier = _read(cpu, i.rn)
+    cpu.regs.write(i.rd, op(i.key, cpu.regs.read(i.rd), modifier))
+
+
+@_oracle(isa.Xpac)
+@_pauth_body
+def _xpac(i, cpu):
+    cpu.regs.write(i.rd, cpu.pac_strip(cpu.regs.read(i.rd)))
+
+
+@_oracle(isa.PacGa)
+@_pauth_body
+def _pacga(i, cpu):
+    cpu.regs.write(
+        i.rd, cpu.pac_generic(cpu.regs.read(i.rn), _read(cpu, i.rm))
+    )
+
+
+@_oracle(isa.Pac1716, isa.Aut1716)
+@_pauth_body
+def _pac1716(i, cpu):
+    op = cpu.pac_auth if isinstance(i, isa.Aut1716) else cpu.pac_add
+    cpu.regs.write(17, op(i.key, cpu.regs.read(17), cpu.regs.read(16)))
+
+
+@_oracle(isa.PacSp, isa.AutSp)
+@_pauth_body
+def _pacsp(i, cpu):
+    op = cpu.pac_auth if isinstance(i, isa.AutSp) else cpu.pac_add
+    cpu.regs.write(LR, op(i.key, cpu.regs.read(LR), cpu.regs.sp))
+
+
+@_oracle(isa.RetA)
+def _reta(i, cpu):
+    i._require_pauth(cpu)
+    return cpu.pac_auth(i.key, cpu.regs.read(LR), cpu.regs.sp)
+
+
+@_oracle(isa.BlrA, isa.BrA)
+def _blra(i, cpu):
+    i._require_pauth(cpu)
+    if not isinstance(i, isa.BrA):
+        cpu.regs.write(LR, cpu.regs.pc + 4)
+    return cpu.pac_auth(i.key, cpu.regs.read(i.rn), _read(cpu, i.rm))
+
+
+def _targeted(instruction, target):
+    instruction.target = target
+    return instruction
+
+
+# XZR and SP drawn as often as all of X0-X30 together.
+_REG = st.one_of(st.just(XZR), st.integers(0, 30))
+_REG_OR_SP = st.one_of(st.just(XZR), st.just(SP), st.integers(0, 30))
+#: Load/store base: SP half the time, so most accesses hit the data page.
+_BASE = st.one_of(st.just(SP), _REG_OR_SP)
+#: Slots far enough inside the data page for any drawn offset and + 8.
+_DATA_ADDRESS = st.integers(8, 0x1F0).map(lambda slot: USER_DATA + 8 * slot)
+_VALUE = st.one_of(
+    st.integers(0, _MASK64),
+    st.sampled_from([0, 1, 1 << 63, _MASK64]),
+    _DATA_ADDRESS,
+)
+_IMM = st.one_of(st.integers(-0x100, 0x100), st.integers(0, _MASK64))
+_OFFSET = st.integers(-8, 8).map(lambda k: 8 * k)
+#: (lsb, width): Listing 3's field, the extremes and a few in between.
+#: Fields are wide enough that a data-page address has bits set in them.
+_LSB_WIDTH = st.sampled_from(
+    [(32, 32), (0, 64), (63, 1), (4, 16), (8, 48), (16, 16), (48, 16)]
+)
+_SYSREG = st.sampled_from(
+    (*KEY_REGISTER_NAMES, "SCTLR_EL1", "CONTEXTIDR_EL1", "APKSSEL_EL1")
+)
+_KEY = st.sampled_from(("ia", "ib", "da", "db"))
+_IKEY = st.sampled_from(("ia", "ib"))
+
+
+def _label_branch(cls, *operands):
+    return st.builds(
+        _targeted, st.builds(cls, *operands, st.just("l")), _VALUE
+    )
+
+
+_SHIFT16 = st.sampled_from((0, 16, 32, 48))
+
+#: One operand strategy per class whose ``execute`` touches registers.
+_OPERANDS = {
+    isa.Movz: st.builds(isa.Movz, _REG, st.integers(0, 0xFFFF), _SHIFT16),
+    isa.Movk: st.builds(isa.Movk, _REG, st.integers(0, 0xFFFF), _SHIFT16),
+    isa.MovReg: st.builds(isa.MovReg, _REG_OR_SP, _REG_OR_SP),
+    isa.MovImm: st.builds(isa.MovImm, _REG, _VALUE),
+    **{
+        cls: st.builds(cls, _REG_OR_SP, _REG_OR_SP, _IMM)
+        for cls in (isa.AddImm, isa.SubImm, isa.AndImm, isa.OrrImm,
+                    isa.EorImm, isa.SubsImm)
+    },
+    **{
+        cls: st.builds(cls, _REG_OR_SP, _REG_OR_SP, st.integers(0, 63))
+        for cls in (isa.LslImm, isa.LsrImm)
+    },
+    **{
+        cls: st.builds(cls, _REG_OR_SP, _REG_OR_SP, _REG_OR_SP)
+        for cls in (*_REG_OPS, isa.SubsReg)
+    },
+    isa.Adr: _label_branch(isa.Adr, _REG),
+    isa.Bfi: _LSB_WIDTH.flatmap(
+        lambda field: st.builds(isa.Bfi, _REG, _REG, *map(st.just, field))
+    ),
+    **{
+        cls: st.builds(cls, _REG, _BASE, _OFFSET)
+        for cls in (isa.Ldr, isa.LdrPost)
+    },
+    **{
+        cls: st.builds(cls, _REG_OR_SP, _BASE, _OFFSET)
+        for cls in (isa.Str, isa.StrPre)
+    },
+    **{
+        cls: st.builds(cls, _REG, _REG, _BASE, _OFFSET)
+        for cls in (isa.Ldp, isa.LdpPost)
+    },
+    **{
+        cls: st.builds(cls, _REG_OR_SP, _REG_OR_SP, _BASE, _OFFSET)
+        for cls in (isa.Stp, isa.StpPre)
+    },
+    isa.Bl: _label_branch(isa.Bl),
+    isa.Cbz: _label_branch(isa.Cbz, _REG),
+    isa.Cbnz: _label_branch(isa.Cbnz, _REG),
+    **{cls: st.builds(cls, _REG) for cls in (isa.Br, isa.Blr, isa.Ret)},
+    isa.Msr: st.builds(isa.Msr, _SYSREG, _REG),
+    isa.Mrs: st.builds(isa.Mrs, _REG, _SYSREG),
+    **{cls: st.builds(cls, _KEY, _REG, _REG_OR_SP) for cls in (isa.Pac, isa.Aut)},
+    isa.Xpac: st.builds(isa.Xpac, _REG, st.booleans()),
+    isa.PacGa: st.builds(isa.PacGa, _REG, _REG, _REG_OR_SP),
+    **{
+        cls: st.builds(cls, _IKEY)
+        for cls in (isa.Pac1716, isa.Aut1716, isa.PacSp, isa.AutSp, isa.RetA)
+    },
+    **{
+        cls: st.builds(cls, _IKEY, _REG, _REG_OR_SP)
+        for cls in (isa.BlrA, isa.BrA)
+    },
+}
+#: Classes whose ``execute`` touches no general-purpose register.
+_NO_OPERANDS = {
+    isa.B, isa.BCond, isa.Nop, isa.Hlt, isa.Svc, isa.Eret, isa.Hvc,
+    isa.Isb, isa.HostCall, isa.Work,
+}
+
+
+def _core(state, instruction):
+    """A core in the drawn state, with ``instruction`` at its PC."""
+    features, el, pc, gprs, sps, nzcv, memory_seed = state
+    cpu = CPU(features=features)
+    text = Permissions(r_el1=True, x_el1=True, r_el0=True, x_el0=True)
+    data = Permissions(r_el1=True, w_el1=True, r_el0=True, w_el0=True)
+    cpu.mmu.map_range(USER_TEXT, 0x1000, 0x400, text)
+    cpu.mmu.map_range(TOP_SLOT & ~0xFFF, 0x1000, 0x401, text)
+    cpu.mmu.map_range(USER_DATA, 0x1000, 0x500, data)
+    cpu.mmu.write(USER_DATA, random.Random(memory_seed).randbytes(0x1000), 1)
+    cpu.mmu.phys.store_instruction(cpu.mmu.translate(pc, "x", el), instruction)
+    for name in ("ia", "ib", "da", "db"):
+        setattr(cpu.regs.keys, name, _KEY_VALUE.copy())
+        setattr(cpu.regs.alt_keys, name, PAuthKey(0x3333, 0x4444))
+    for index, value in enumerate(gprs):
+        cpu.regs.write(index, value)
+    for index, value in enumerate(sps):
+        cpu.regs.set_sp_of(index, value)
+    cpu.regs.current_el = el
+    cpu.regs.pc = pc
+    cpu.nzcv = nzcv
+    return cpu
+
+
+def _observe(cpu, run):
+    try:
+        run()
+        fault = None
+    except SimFault as error:
+        fault = (type(error).__name__, str(error))
+    regs = cpu.regs
+    return {
+        "x": [regs.read(index) for index in range(31)],
+        "xzr": regs.read(XZR),
+        "sp": (regs.sp_of(0), regs.sp_of(1)),
+        "nzcv": cpu.nzcv,
+        "data": cpu.mmu.read(USER_DATA, 0x1000, 1),
+        "pc": regs.pc,
+        "fault": fault,
+        "keys": (regs.keys.snapshot(), regs.alt_keys.snapshot()),
+        "sysregs": dict(regs.sysregs),
+    }
+
+
+def _run_oracle(cpu):
+    pc = cpu.regs.pc
+    instruction = cpu.mmu.fetch(pc, cpu.regs.current_el)
+    next_pc = _ORACLE[type(instruction)](instruction, cpu)
+    cpu.regs.pc = (pc + 4 if next_pc is None else next_pc) & _MASK64
+
+
+#: Every primary key holds this value, so a pointer signed under it
+#: authenticates under any key with the same modifier.
+_KEY_VALUE = PAuthKey(0x1111, 0x2222)
+
+
+def _signed(pointer, modifier):
+    return PACEngine().add_pac(pointer, modifier, _KEY_VALUE)
+
+
+_POOL = st.lists(st.one_of(_VALUE, _DATA_ADDRESS), min_size=3, max_size=3)
+_FEATURES = st.sampled_from(
+    (frozenset({"pauth"}), frozenset({"pauth", "pauth-ks"}), frozenset())
+)
+
+
+@st.composite
+def _states(draw):
+    """Features, EL, PC, X0-X30, SP_EL0/SP_EL1, NZCV, data-page seed.
+
+    The two SPs are distinct data-page addresses.  X0-X30 are filled
+    from their values, a data-page pointer signed with each as the
+    modifier (so authentications against SP succeed too), and three
+    drawn values."""
+    el = draw(st.sampled_from((1, 0)))
+    sps = [draw(_DATA_ADDRESS), draw(_DATA_ADDRESS)]
+    if sps[0] == sps[1]:
+        sps[1] += 16
+    pool = [
+        *sps, *(_signed(draw(_DATA_ADDRESS), sp) for sp in sps), *draw(_POOL)
+    ]
+    seed = draw(st.integers(0, 1 << 32))
+    rng = random.Random(seed)
+    return (
+        draw(_FEATURES),
+        el,
+        # At EL1 the slot where PC + 4 wraps, or a user text slot.
+        USER_TEXT + 0x100 if not el or draw(st.booleans()) else TOP_SLOT,
+        [rng.choice(pool) for _ in range(31)],
+        sps,
+        draw(st.tuples(*[st.booleans()] * 4)),
+        seed,
+    )
+
+
+class TestOperandOracle:
+    """Every class whose ``execute`` indexes the register storage
+    directly retires like its accessor-based reference body."""
+
+    def test_oracle_covers_every_class(self):
+        classes = {
+            cls for cls in map(isa.__dict__.get, isa.__all__)
+            if isinstance(cls, type) and issubclass(cls, isa.Instruction)
+        } - _NO_OPERANDS - {isa.Instruction}
+        assert set(_OPERANDS) == set(_ORACLE) == classes
+
+    @pytest.mark.parametrize("cls", list(_OPERANDS), ids=lambda cls: cls.__name__)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_step_matches_oracle(self, cls, data):
+        instruction = data.draw(_OPERANDS[cls])
+        state = data.draw(_states())
+        core, twin = _core(state, instruction), _core(state, instruction)
+        assert _observe(core, core.step) == _observe(
+            twin, lambda: _run_oracle(twin)
+        )
