@@ -373,10 +373,8 @@ class CPU:
                         instruction = mmu.fetch(pc, regs.current_el)
                         # The bound execute method and the cost are both
                         # cacheable: cost_on depends only on the immutable
-                        # feature set, and instruction objects are never
-                        # mutated in place (code changes go through
-                        # store/erase_instruction, which bump the machine
-                        # generation).
+                        # feature set, and any write to a code frame bumps
+                        # the machine generation.
                         entry = (
                             instruction,
                             instruction.execute,
@@ -440,6 +438,6 @@ class CPU:
             address, 4096, frame, Permissions(r_el1=True, x_el1=True, x_el0=True, r_el0=True)
         )
         pa = (frame << self.mmu.page_shift)
-        self.mmu.phys.store_instruction(pa, Hlt())
+        self.mmu.phys.store_instruction(pa, Hlt(), address)
         self.regs.sysregs["sim:landing"] = address
         return address

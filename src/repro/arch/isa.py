@@ -1,12 +1,14 @@
 """AArch64-subset instruction set with the ARMv8.3 PAuth extension.
 
-Instructions are small Python objects with an :meth:`execute` method;
-the CPU fetches them from memory (where they also have a 4-byte
-pseudo-encoding so code can be read back as data) and accounts their
-cycle cost.  The cost model is a coarse in-order Cortex-A53-like model,
-with every PAuth computation costing ``PAUTH_CYCLES`` extra cycles —
-exactly the "PA-analogue" the paper substitutes for PAuth instructions
-when measuring on ARMv8.0 hardware (Section 6.1).
+Instructions are small Python objects with an :meth:`execute` method.
+Memory holds each as one 32-bit word: a fixed 6-bit opcode
+(``_OPCODES``) over the operand fields its class lists in ``fields``.
+The CPU fetches that word, :func:`decode` rebuilds the instruction,
+and the CPU accounts its cycle cost.  The cost model is a coarse
+in-order Cortex-A53-like model, with every PAuth computation costing
+``PAUTH_CYCLES`` extra cycles — exactly the "PA-analogue" the paper
+substitutes for PAuth instructions when measuring on ARMv8.0 hardware
+(Section 6.1).
 
 Register operand conventions:
 
@@ -21,11 +23,10 @@ directly; operands that may name SP go through :func:`get_operand` and
 
 from __future__ import annotations
 
-import struct
-import zlib
+from collections import namedtuple
 from dataclasses import dataclass
 
-from repro.arch.registers import LR, XZR
+from repro.arch.registers import LR, SYSTEM_REGISTERS, XZR
 from repro.errors import ReproError, UndefinedInstructionFault
 
 __all__ = [
@@ -44,7 +45,7 @@ __all__ = [
     "RetA", "BlrA", "BrA",
     "Work",
     "branch_kind", "branch_target", "is_sign", "is_auth", "is_strip",
-    "get_operand", "set_operand",
+    "get_operand", "set_operand", "decode",
 ]
 
 #: Stack-pointer operand sentinel (encoding 31 is context-dependent on
@@ -57,19 +58,39 @@ PAUTH_CYCLES = 4
 
 _MASK64 = (1 << 64) - 1
 
-_OPCODE_IDS = {}
+
+#: One operand field: ``bits`` wide, raw ``n`` holding ``values[n ^
+#: bias]`` (``values`` is a range of numbers or a tuple of names).  A
+#: signed field's range is centred on 0 and its ``bias`` is the top bit,
+#: so it is stored two's complement; a relative one holds the distance
+#: ``target - pc`` modulo 2**64.
+_Field = namedtuple("_Field", "bits values bias relative")
 
 
-def _opcode_id(name):
-    if name not in _OPCODE_IDS:
-        _OPCODE_IDS[name] = len(_OPCODE_IDS) & 0xFF
-    return _OPCODE_IDS[name]
+def _field(bits, values, signed=False, relative=False):
+    return _Field(bits, values, 1 << (bits - 1) if signed else 0, relative)
 
 
-def _sysreg_id(name):
-    """Stable 16-bit digest of a system-register name (``hash`` of a str
-    is salted per process)."""
-    return zlib.crc32(name.encode()) & 0xFFFF
+#: Register fields: X0-X30 and XZR (31); SP (32) only where the
+#: instruction takes it (``get_operand``/``set_operand`` slots).
+_X = _field(6, range(32))
+_XSP = _field(6, range(33))
+_IMM16 = _field(16, range(1 << 16))
+_HALFWORD = _field(2, range(0, 64, 16))
+_UIMM = _field(14, range(1 << 14))
+_BIT = _field(6, range(64))
+_WIDTH = _field(7, range(1, 65))
+_OFFSET = _field(14, range(-(1 << 13), 1 << 13), signed=True)
+_PAIR = _field(8, range(-(1 << 10), 1 << 10, 8), signed=True)
+_COUNT = _field(26, range(1 << 26))
+_REL20, _REL22, _REL26 = (
+    _field(bits, range(-2 << bits, 2 << bits, 4), signed=True, relative=True)
+    for bits in (20, 22, 26)
+)
+_KEY = _field(2, ("ia", "ib", "da", "db"))
+_IKEY = _field(1, ("ia", "ib"))
+_FLAG = _field(1, (False, True))
+_SYSREG = _field(5, SYSTEM_REGISTERS)
 
 
 def _s64(value):
@@ -100,6 +121,8 @@ class Instruction:
 
     mnemonic = "???"
     cycles = 1
+    #: (attribute, field) pairs, packed from bit 0 upward.
+    fields = ()
 
     def cost_on(self, cpu):
         """Cycle cost on a specific core (feature-dependent)."""
@@ -109,28 +132,31 @@ class Instruction:
         """Run the instruction; return the next PC or None (PC += 4)."""
         raise NotImplementedError
 
-    def operand_words(self):
-        """Up to three 16-bit words summarising operands (for encoding)."""
-        return (0, 0, 0)
-
-    def encoding(self):
-        """Deterministic 4-byte pseudo-encoding.
-
-        The first byte identifies the opcode; the remainder packs the
-        operand summary.  MOVZ/MOVK immediates are fully visible in the
-        encoding — which is precisely why the key-setter page must be
-        execute-only.
-        """
-        words = self.operand_words()
-        packed = (words[0] & 0xFFFF) ^ ((words[1] & 0xFF) << 16) ^ (
-            (words[2] & 0xFF) << 8
-        )
-        return struct.pack(
-            "<BBH",
-            _opcode_id(self.mnemonic),
-            (packed >> 16) & 0xFF,
-            packed & 0xFFFF,
-        )
+    def encoding(self, pc=None):
+        """The 4 bytes (a little-endian word) of this instruction at
+        virtual address ``pc``, which only PC-relative fields need.  An
+        operand the format cannot hold raises ReproError, never truncated.
+        MOVZ/MOVK immediates are plainly visible — precisely why the
+        key-setter page must be execute-only."""
+        opcode = _OPCODE_OF.get(type(self))
+        if opcode is None:
+            raise ReproError(f"{self.mnemonic} has no encoding")
+        word, shift = opcode << 26, 0
+        for name, (bits, values, bias, relative) in self.fields:
+            value = getattr(self, name)
+            try:
+                if relative:
+                    if pc is None:
+                        raise ReproError(f"{self.mnemonic}: {name} needs a PC")
+                    value = ((value - pc + (1 << 63)) & _MASK64) - (1 << 63)
+                word |= (values.index(value) ^ bias) << shift
+            except (ValueError, TypeError):
+                raise ReproError(
+                    f"{self.mnemonic}: {name}={getattr(self, name)!r} does "
+                    "not fit the instruction format"
+                ) from None
+            shift += bits
+        return word.to_bytes(4, "little")
 
     def text(self):
         return self.mnemonic
@@ -152,16 +178,14 @@ class Movz(Instruction):
     imm16: int
     shift: int = 0
     mnemonic = "movz"
+    fields = (("imm16", _IMM16), ("rd", _X), ("shift", _HALFWORD))
 
     def execute(self, cpu):
         if self.rd != XZR:
             cpu.regs.x[self.rd] = (self.imm16 & 0xFFFF) << self.shift
 
-    def operand_words(self):
-        return (self.imm16, self.rd, self.shift // 16)
-
     def text(self):
-        return f"movz x{self.rd}, #{self.imm16:#x}, lsl #{self.shift}"
+        return f"{self.mnemonic} x{self.rd}, #{self.imm16:#x}, lsl #{self.shift}"
 
 
 @dataclass(repr=False)
@@ -172,6 +196,7 @@ class Movk(Instruction):
     imm16: int
     shift: int = 0
     mnemonic = "movk"
+    fields = Movz.fields
 
     def execute(self, cpu):
         if self.rd != XZR:
@@ -180,11 +205,7 @@ class Movk(Instruction):
                 (self.imm16 & 0xFFFF) << self.shift
             )
 
-    def operand_words(self):
-        return (self.imm16, self.rd, self.shift // 16)
-
-    def text(self):
-        return f"movk x{self.rd}, #{self.imm16:#x}, lsl #{self.shift}"
+    text = Movz.text
 
 
 @dataclass(repr=False)
@@ -194,13 +215,11 @@ class MovReg(Instruction):
     rd: int
     rn: int
     mnemonic = "mov"
+    fields = (("rd", _XSP), ("rn", _XSP))
 
     def execute(self, cpu):
         regs = cpu.regs
         set_operand(regs, self.rd, get_operand(regs, self.rn))
-
-    def operand_words(self):
-        return (self.rn, self.rd, 0)
 
     def text(self):
         return f"mov {_reg(self.rd)}, {_reg(self.rn)}"
@@ -218,10 +237,6 @@ class MovImm(Instruction):
     def __init__(self, rd, value):
         self.rd = rd
         self.value = value & _MASK64
-
-    def execute(self, cpu):
-        if self.rd != XZR:
-            cpu.regs.x[self.rd] = self.value
 
     def expand(self):
         """The MOVZ/MOVK sequence equivalent to this pseudo-op."""
@@ -251,16 +266,14 @@ class AddImm(Instruction):
     rn: int
     imm: int
     mnemonic = "add"
+    fields = (("rd", _XSP), ("rn", _XSP), ("imm", _UIMM))
 
     def execute(self, cpu):
         regs = cpu.regs
         set_operand(regs, self.rd, get_operand(regs, self.rn) + self.imm)
 
-    def operand_words(self):
-        return (self.imm & 0xFFFF, self.rd, self.rn)
-
     def text(self):
-        return f"add {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
+        return f"{self.mnemonic} {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
 
 
 @dataclass(repr=False)
@@ -271,9 +284,6 @@ class SubImm(AddImm):
         regs = cpu.regs
         set_operand(regs, self.rd, get_operand(regs, self.rn) - self.imm)
 
-    def text(self):
-        return f"sub {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
-
 
 @dataclass(repr=False)
 class AddReg(Instruction):
@@ -281,6 +291,7 @@ class AddReg(Instruction):
     rn: int
     rm: int
     mnemonic = "add"
+    fields = (("rd", _XSP), ("rn", _XSP), ("rm", _XSP))
 
     def execute(self, cpu):
         regs = cpu.regs
@@ -288,11 +299,8 @@ class AddReg(Instruction):
             regs, self.rd, get_operand(regs, self.rn) + get_operand(regs, self.rm)
         )
 
-    def operand_words(self):
-        return (self.rm, self.rd, self.rn)
-
     def text(self):
-        return f"add {_reg(self.rd)}, {_reg(self.rn)}, {_reg(self.rm)}"
+        return f"{self.mnemonic} {_reg(self.rd)}, {_reg(self.rn)}, {_reg(self.rm)}"
 
 
 @dataclass(repr=False)
@@ -304,9 +312,6 @@ class SubReg(AddReg):
         set_operand(
             regs, self.rd, get_operand(regs, self.rn) - get_operand(regs, self.rm)
         )
-
-    def text(self):
-        return f"sub {_reg(self.rd)}, {_reg(self.rn)}, {_reg(self.rm)}"
 
 
 def _set_flags(cpu, result, carry, overflow):
@@ -326,6 +331,7 @@ class SubsReg(Instruction):
     rn: int
     rm: int
     mnemonic = "subs"
+    fields = (("rd", _XSP), ("rn", _XSP), ("rm", _XSP))
 
     def execute(self, cpu):
         regs = cpu.regs
@@ -336,9 +342,6 @@ class SubsReg(Instruction):
         overflow = (_s64(a) - _s64(b)) != _s64(result)
         _set_flags(cpu, result, carry, overflow)
         set_operand(regs, self.rd, result)
-
-    def operand_words(self):
-        return (self.rm, self.rd, self.rn)
 
     def text(self):
         if self.rd == XZR:
@@ -352,6 +355,7 @@ class SubsImm(Instruction):
     rn: int
     imm: int
     mnemonic = "subs"
+    fields = (("rd", _XSP), ("rn", _XSP), ("imm", _UIMM))
 
     def execute(self, cpu):
         regs = cpu.regs
@@ -362,9 +366,6 @@ class SubsImm(Instruction):
         overflow = (_s64(a) - _s64(b)) != _s64(result)
         _set_flags(cpu, result, carry, overflow)
         set_operand(regs, self.rd, result)
-
-    def operand_words(self):
-        return (self.imm & 0xFFFF, self.rd, self.rn)
 
     def text(self):
         if self.rd == XZR:
@@ -378,16 +379,13 @@ class AndImm(Instruction):
     rn: int
     imm: int
     mnemonic = "and"
+    fields = (("rd", _XSP), ("rn", _XSP), ("imm", _UIMM))
 
     def execute(self, cpu):
         regs = cpu.regs
         set_operand(regs, self.rd, get_operand(regs, self.rn) & self.imm)
 
-    def operand_words(self):
-        return (self.imm & 0xFFFF, self.rd, self.rn)
-
-    def text(self):
-        return f"and {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
+    text = AddImm.text
 
 
 @dataclass(repr=False)
@@ -398,9 +396,6 @@ class OrrImm(AndImm):
         regs = cpu.regs
         set_operand(regs, self.rd, get_operand(regs, self.rn) | self.imm)
 
-    def text(self):
-        return f"orr {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
-
 
 @dataclass(repr=False)
 class EorReg(Instruction):
@@ -408,6 +403,7 @@ class EorReg(Instruction):
     rn: int
     rm: int
     mnemonic = "eor"
+    fields = (("rd", _XSP), ("rn", _XSP), ("rm", _XSP))
 
     def execute(self, cpu):
         regs = cpu.regs
@@ -415,11 +411,7 @@ class EorReg(Instruction):
             regs, self.rd, get_operand(regs, self.rn) ^ get_operand(regs, self.rm)
         )
 
-    def operand_words(self):
-        return (self.rm, self.rd, self.rn)
-
-    def text(self):
-        return f"eor {_reg(self.rd)}, {_reg(self.rn)}, {_reg(self.rm)}"
+    text = AddReg.text
 
 
 @dataclass(repr=False)
@@ -430,9 +422,6 @@ class EorImm(AndImm):
         regs = cpu.regs
         set_operand(regs, self.rd, get_operand(regs, self.rn) ^ self.imm)
 
-    def text(self):
-        return f"eor {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
-
 
 @dataclass(repr=False)
 class LslImm(Instruction):
@@ -440,16 +429,14 @@ class LslImm(Instruction):
     rn: int
     shift: int
     mnemonic = "lsl"
+    fields = (("rd", _XSP), ("rn", _XSP), ("shift", _BIT))
 
     def execute(self, cpu):
         regs = cpu.regs
         set_operand(regs, self.rd, get_operand(regs, self.rn) << self.shift)
 
-    def operand_words(self):
-        return (self.shift, self.rd, self.rn)
-
     def text(self):
-        return f"lsl {_reg(self.rd)}, {_reg(self.rn)}, #{self.shift}"
+        return f"{self.mnemonic} {_reg(self.rd)}, {_reg(self.rn)}, #{self.shift}"
 
 
 @dataclass(repr=False)
@@ -460,31 +447,24 @@ class LsrImm(LslImm):
         regs = cpu.regs
         set_operand(regs, self.rd, get_operand(regs, self.rn) >> self.shift)
 
-    def text(self):
-        return f"lsr {_reg(self.rd)}, {_reg(self.rn)}, #{self.shift}"
-
 
 class Adr(Instruction):
     """ADR Xd, label — PC-relative address (resolved at assembly)."""
 
     mnemonic = "adr"
+    fields = (("rd", _X), ("target", _REL20))
 
-    def __init__(self, rd, label):
+    def __init__(self, rd, label=None, target=None):
         self.rd = rd
         self.label = label
-        self.target = None
+        self.target = target
 
     def execute(self, cpu):
-        if self.target is None:
-            raise ReproError(f"adr target {self.label!r} unresolved")
         if self.rd != XZR:
             cpu.regs.x[self.rd] = self.target
 
-    def operand_words(self):
-        return ((self.target or 0) & 0xFFFF, self.rd, 0)
-
     def text(self):
-        return f"adr x{self.rd}, {self.label}"
+        return f"adr x{self.rd}, {self.label or hex(self.target)}"
 
 
 @dataclass(repr=False)
@@ -502,6 +482,7 @@ class Bfi(Instruction):
     lsb: int
     width: int
     mnemonic = "bfi"
+    fields = (("rd", _XSP), ("rn", _XSP), ("lsb", _BIT), ("width", _WIDTH))
 
     def execute(self, cpu):
         if self.rn == SP or self.rd == SP:
@@ -515,8 +496,9 @@ class Bfi(Instruction):
                 (x[self.rn] & ones) << self.lsb
             )
 
-    def operand_words(self):
-        return ((self.lsb << 8) | self.width, self.rd, self.rn)
+    def __post_init__(self):
+        if self.lsb + self.width > 64:
+            raise ReproError(f"bfi #{self.lsb}, #{self.width} exceeds 64 bits")
 
     def text(self):
         return f"bfi x{self.rd}, x{self.rn}, #{self.lsb}, #{self.width}"
@@ -536,6 +518,7 @@ class Ldr(Instruction):
     imm: int = 0
     mnemonic = "ldr"
     cycles = 2
+    fields = (("rt", _X), ("rn", _XSP), ("imm", _OFFSET))
 
     def execute(self, cpu):
         regs = cpu.regs
@@ -545,16 +528,14 @@ class Ldr(Instruction):
         if self.rt != XZR:
             regs.x[self.rt] = value
 
-    def operand_words(self):
-        return (self.imm & 0xFFFF, self.rt, self.rn)
-
     def text(self):
-        return f"ldr x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]"
+        return f"{self.mnemonic} x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]"
 
 
 @dataclass(repr=False)
 class Str(Ldr):
     mnemonic = "str"
+    fields = (("rt", _XSP), ("rn", _XSP), ("imm", _OFFSET))
 
     def execute(self, cpu):
         regs = cpu.regs
@@ -563,9 +544,6 @@ class Str(Ldr):
             get_operand(regs, self.rt),
             regs.current_el,
         )
-
-    def text(self):
-        return f"str x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]"
 
 
 @dataclass(repr=False)
@@ -577,6 +555,7 @@ class LdrPost(Instruction):
     imm: int
     mnemonic = "ldr"
     cycles = 2
+    fields = (("rt", _X), ("rn", _XSP), ("imm", _OFFSET))
 
     def execute(self, cpu):
         regs = cpu.regs
@@ -585,9 +564,6 @@ class LdrPost(Instruction):
         if self.rt != XZR:
             regs.x[self.rt] = value
         set_operand(regs, self.rn, address + self.imm)
-
-    def operand_words(self):
-        return (self.imm & 0xFFFF, self.rt, self.rn)
 
     def text(self):
         return f"ldr x{self.rt}, [{_reg(self.rn)}], #{self.imm:#x}"
@@ -602,15 +578,13 @@ class StrPre(Instruction):
     imm: int
     mnemonic = "str"
     cycles = 2
+    fields = (("rt", _XSP), ("rn", _XSP), ("imm", _OFFSET))
 
     def execute(self, cpu):
         regs = cpu.regs
         address = (get_operand(regs, self.rn) + self.imm) & _MASK64
         cpu.mmu.write_u64(address, get_operand(regs, self.rt), regs.current_el)
         set_operand(regs, self.rn, address)
-
-    def operand_words(self):
-        return (self.imm & 0xFFFF, self.rt, self.rn)
 
     def text(self):
         return f"str x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]!"
@@ -626,6 +600,7 @@ class Ldp(Instruction):
     imm: int = 0
     mnemonic = "ldp"
     cycles = 2
+    fields = (("rt1", _X), ("rt2", _X), ("rn", _XSP), ("imm", _PAIR))
 
     def execute(self, cpu):
         regs = cpu.regs
@@ -637,29 +612,23 @@ class Ldp(Instruction):
         if self.rt2 != XZR:
             regs.x[self.rt2] = value
 
-    def operand_words(self):
-        return (self.imm & 0xFFFF, self.rt1, self.rt2)
-
     def text(self):
         return (
-            f"ldp x{self.rt1}, x{self.rt2}, [{_reg(self.rn)}, #{self.imm:#x}]"
+            f"{self.mnemonic} x{self.rt1}, x{self.rt2}, "
+            f"[{_reg(self.rn)}, #{self.imm:#x}]"
         )
 
 
 @dataclass(repr=False)
 class Stp(Ldp):
     mnemonic = "stp"
+    fields = (("rt1", _XSP), ("rt2", _XSP), ("rn", _XSP), ("imm", _PAIR))
 
     def execute(self, cpu):
         regs = cpu.regs
         base = (get_operand(regs, self.rn) + self.imm) & _MASK64
         cpu.mmu.write_u64(base, get_operand(regs, self.rt1), regs.current_el)
         cpu.mmu.write_u64(base + 8, get_operand(regs, self.rt2), regs.current_el)
-
-    def text(self):
-        return (
-            f"stp x{self.rt1}, x{self.rt2}, [{_reg(self.rn)}, #{self.imm:#x}]"
-        )
 
 
 @dataclass(repr=False)
@@ -672,6 +641,7 @@ class LdpPost(Instruction):
     imm: int
     mnemonic = "ldp"
     cycles = 2
+    fields = (("rt1", _X), ("rt2", _X), ("rn", _XSP), ("imm", _PAIR))
 
     def execute(self, cpu):
         regs = cpu.regs
@@ -683,9 +653,6 @@ class LdpPost(Instruction):
         if self.rt2 != XZR:
             regs.x[self.rt2] = value
         set_operand(regs, self.rn, base + self.imm)
-
-    def operand_words(self):
-        return (self.imm & 0xFFFF, self.rt1, self.rt2)
 
     def text(self):
         return (
@@ -703,6 +670,7 @@ class StpPre(Instruction):
     imm: int
     mnemonic = "stp"
     cycles = 2
+    fields = (("rt1", _XSP), ("rt2", _XSP), ("rn", _XSP), ("imm", _PAIR))
 
     def execute(self, cpu):
         regs = cpu.regs
@@ -710,9 +678,6 @@ class StpPre(Instruction):
         cpu.mmu.write_u64(base, get_operand(regs, self.rt1), regs.current_el)
         cpu.mmu.write_u64(base + 8, get_operand(regs, self.rt2), regs.current_el)
         set_operand(regs, self.rn, base)
-
-    def operand_words(self):
-        return (self.imm & 0xFFFF, self.rt1, self.rt2)
 
     def text(self):
         return (
@@ -727,15 +692,14 @@ class StpPre(Instruction):
 
 
 class _LabelBranch(Instruction):
-    def __init__(self, label):
-        self.label = label
-        self.target = None
+    fields = (("target", _REL26),)
 
-    def operand_words(self):
-        return ((self.target or 0) & 0xFFFF, 0, 0)
+    def __init__(self, label=None, target=None):
+        self.label = label
+        self.target = target
 
     def text(self):
-        return f"{self.mnemonic} {self.label}"
+        return f"{self.mnemonic} {self.label or hex(self.target)}"
 
 
 class B(_LabelBranch):
@@ -762,15 +726,13 @@ class Br(Instruction):
 
     rn: int
     mnemonic = "br"
+    fields = (("rn", _X),)
 
     def execute(self, cpu):
         return cpu.regs.x[self.rn]
 
-    def operand_words(self):
-        return (0, self.rn, 0)
-
     def text(self):
-        return f"br x{self.rn}"
+        return f"{self.mnemonic} x{self.rn}"
 
 
 @dataclass(repr=False)
@@ -779,17 +741,14 @@ class Blr(Instruction):
 
     rn: int
     mnemonic = "blr"
+    fields = (("rn", _X),)
 
     def execute(self, cpu):
         x = cpu.regs.x
         x[LR] = (cpu.regs.pc + 4) & _MASK64
         return x[self.rn]
 
-    def operand_words(self):
-        return (0, self.rn, 0)
-
-    def text(self):
-        return f"blr x{self.rn}"
+    text = Br.text
 
 
 @dataclass(repr=False)
@@ -798,6 +757,7 @@ class Ret(Instruction):
 
     rn: int = LR
     mnemonic = "ret"
+    fields = (("rn", _X),)
 
     def execute(self, cpu):
         return cpu.regs.x[self.rn]
@@ -808,9 +768,10 @@ class Ret(Instruction):
 
 class Cbz(_LabelBranch):
     mnemonic = "cbz"
+    fields = (("rn", _X), ("target", _REL20))
 
-    def __init__(self, rn, label):
-        super().__init__(label)
+    def __init__(self, rn, label=None, target=None):
+        super().__init__(label, target)
         self.rn = rn
 
     def execute(self, cpu):
@@ -819,7 +780,7 @@ class Cbz(_LabelBranch):
         return None
 
     def text(self):
-        return f"cbz x{self.rn}, {self.label}"
+        return f"{self.mnemonic} x{self.rn}, {self.label or hex(self.target)}"
 
 
 class Cbnz(Cbz):
@@ -829,9 +790,6 @@ class Cbnz(Cbz):
         if cpu.regs.x[self.rn] != 0:
             return self.target
         return None
-
-    def text(self):
-        return f"cbnz x{self.rn}, {self.label}"
 
 
 _CONDITIONS = {
@@ -846,15 +804,17 @@ _CONDITIONS = {
     "mi": lambda n, z, c, v: n,
     "pl": lambda n, z, c, v: not n,
 }
+_CONDITION = _field(4, tuple(_CONDITIONS))
 
 
 class BCond(_LabelBranch):
     """B.cond label"""
 
     mnemonic = "b.cond"
+    fields = (("condition", _CONDITION), ("target", _REL22))
 
-    def __init__(self, condition, label):
-        super().__init__(label)
+    def __init__(self, condition, label=None, target=None):
+        super().__init__(label, target)
         if condition not in _CONDITIONS:
             raise ReproError(f"unknown condition {condition!r}")
         self.condition = condition
@@ -865,7 +825,7 @@ class BCond(_LabelBranch):
         return None
 
     def text(self):
-        return f"b.{self.condition} {self.label}"
+        return f"b.{self.condition} {self.label or hex(self.target)}"
 
 
 # ---------------------------------------------------------------------------
@@ -897,13 +857,11 @@ class Svc(Instruction):
     imm: int = 0
     mnemonic = "svc"
     cycles = 4
+    fields = (("imm", _IMM16),)
 
     def execute(self, cpu):
         cpu.take_exception(kind="svc", syndrome=self.imm)
         return cpu.regs.pc  # PC already redirected by the exception
-
-    def operand_words(self):
-        return (self.imm & 0xFFFF, 0, 0)
 
     def text(self):
         return f"svc #{self.imm:#x}"
@@ -933,6 +891,7 @@ class Hvc(Instruction):
     imm: int = 0
     mnemonic = "hvc"
     cycles = 4
+    fields = (("imm", _IMM16),)
 
     def execute(self, cpu):
         if cpu.hvc_hook is None:
@@ -940,9 +899,6 @@ class Hvc(Instruction):
                 "HVC with no hypervisor service", el=cpu.regs.current_el
             )
         cpu.hvc_hook(cpu, self.imm)
-
-    def operand_words(self):
-        return (self.imm & 0xFFFF, 0, 0)
 
     def text(self):
         return f"hvc #{self.imm:#x}"
@@ -970,12 +926,10 @@ class Msr(Instruction):
     mnemonic = "msr"
     cycles = 2
     key_write_cycles = PAUTH_CYCLES
+    fields = (("sysreg", _SYSREG), ("rn", _X))
 
     def execute(self, cpu):
         cpu.write_sysreg_checked(self.sysreg, cpu.regs.x[self.rn])
-
-    def operand_words(self):
-        return (_sysreg_id(self.sysreg), self.rn, 0)
 
     def text(self):
         return f"msr {self.sysreg}, x{self.rn}"
@@ -994,14 +948,12 @@ class Mrs(Instruction):
     sysreg: str
     mnemonic = "mrs"
     cycles = 2
+    fields = (("rd", _X), ("sysreg", _SYSREG))
 
     def execute(self, cpu):
         value = cpu.read_sysreg_checked(self.sysreg)
         if self.rd != XZR:
             cpu.regs.x[self.rd] = value
-
-    def operand_words(self):
-        return (_sysreg_id(self.sysreg), self.rd, 0)
 
     def text(self):
         return f"mrs x{self.rd}, {self.sysreg}"
@@ -1013,14 +965,18 @@ class HostCall(Instruction):
     Costs zero cycles and never appears on measured fast paths; used by
     the mini-kernel for bookkeeping that the paper's artifact does in C
     we do not need to model cycle-accurately (e.g. scheduler policy).
+    A Python callable does not fit in 32 bits: storing one binds it to
+    a ``slot`` of the machine's host-call table, which the word holds.
     """
 
     mnemonic = "hostcall"
     cycles = 0
+    fields = (("slot", _COUNT),)
 
-    def __init__(self, fn, label="host"):
+    def __init__(self, fn, label="host", slot=None):
         self.fn = fn
         self.label = label
+        self.slot = slot
 
     def execute(self, cpu):
         return self.fn(cpu)
@@ -1040,6 +996,7 @@ class Work(Instruction):
 
     units: int = 1
     mnemonic = "work"
+    fields = (("units", _COUNT),)
 
     @property
     def cycles(self):
@@ -1047,9 +1004,6 @@ class Work(Instruction):
 
     def execute(self, cpu):
         pass
-
-    def operand_words(self):
-        return (self.units & 0xFFFF, 0, 0)
 
     def text(self):
         return f"work #{self.units}"
@@ -1091,6 +1045,7 @@ class Pac(_PAuthInstruction):
     key: str
     rd: int
     rn: int
+    fields = (("key", _KEY), ("rd", _X), ("rn", _XSP))
 
     @property
     def mnemonic(self):
@@ -1104,11 +1059,8 @@ class Pac(_PAuthInstruction):
         if self.rd != XZR:
             x[self.rd] = value
 
-    def operand_words(self):
-        return (ord(self.key[0]) << 8 | ord(self.key[1]), self.rd, self.rn)
-
     def text(self):
-        return f"pac{self.key} x{self.rd}, {_reg(self.rn)}"
+        return f"{self.mnemonic} x{self.rd}, {_reg(self.rn)}"
 
 
 @dataclass(repr=False)
@@ -1118,6 +1070,7 @@ class Aut(_PAuthInstruction):
     key: str
     rd: int
     rn: int
+    fields = (("key", _KEY), ("rd", _X), ("rn", _XSP))
 
     @property
     def mnemonic(self):
@@ -1131,11 +1084,7 @@ class Aut(_PAuthInstruction):
         if self.rd != XZR:
             x[self.rd] = value
 
-    def operand_words(self):
-        return (ord(self.key[0]) << 8 | ord(self.key[1]), self.rd, self.rn)
-
-    def text(self):
-        return f"aut{self.key} x{self.rd}, {_reg(self.rn)}"
+    text = Pac.text
 
 
 @dataclass(repr=False)
@@ -1144,6 +1093,7 @@ class Xpac(_PAuthInstruction):
 
     rd: int
     data: bool = False
+    fields = (("rd", _X), ("data", _FLAG))
 
     @property
     def mnemonic(self):
@@ -1157,9 +1107,6 @@ class Xpac(_PAuthInstruction):
         if self.rd != XZR:
             x[self.rd] = value
 
-    def operand_words(self):
-        return (int(self.data), self.rd, 0)
-
     def text(self):
         return f"{self.mnemonic} x{self.rd}"
 
@@ -1172,6 +1119,7 @@ class PacGa(_PAuthInstruction):
     rn: int
     rm: int
     mnemonic = "pacga"
+    fields = (("rd", _X), ("rn", _X), ("rm", _XSP))
 
     def execute(self, cpu):
         if not self._require_pauth(cpu):
@@ -1180,9 +1128,6 @@ class PacGa(_PAuthInstruction):
         value = cpu.pac_generic(x[self.rn], get_operand(cpu.regs, self.rm))
         if self.rd != XZR:
             x[self.rd] = value
-
-    def operand_words(self):
-        return (self.rm, self.rd, self.rn)
 
     def text(self):
         return f"pacga x{self.rd}, x{self.rn}, {_reg(self.rm)}"
@@ -1197,6 +1142,7 @@ class Pac1716(_PAuthInstruction):
     compatibility (Section 5.5).  No data-key variants exist.
     """
 
+    fields = (("key", _IKEY),)
     key: str  # "ia" or "ib"
     hint_space = True
 
@@ -1209,9 +1155,6 @@ class Pac1716(_PAuthInstruction):
             return
         x = cpu.regs.x
         x[17] = cpu.pac_add(self.key, x[17], x[16])
-
-    def text(self):
-        return self.mnemonic
 
 
 @dataclass(repr=False)
@@ -1237,6 +1180,7 @@ class PacSp(_PAuthInstruction):
 
     key: str = "ia"
     hint_space = True
+    fields = (("key", _IKEY),)
 
     @property
     def mnemonic(self):
@@ -1249,9 +1193,6 @@ class PacSp(_PAuthInstruction):
         regs.x[LR] = cpu.pac_add(
             self.key, regs.x[LR], regs.sp_el[regs.current_el]
         )
-
-    def text(self):
-        return self.mnemonic
 
 
 @dataclass(repr=False)
@@ -1275,6 +1216,7 @@ class RetA(_PAuthInstruction):
 
     key: str = "ia"
     cycles = 1 + PAUTH_CYCLES
+    fields = (("key", _IKEY),)
 
     @property
     def mnemonic(self):
@@ -1285,9 +1227,6 @@ class RetA(_PAuthInstruction):
         regs = cpu.regs
         return cpu.pac_auth(self.key, regs.x[LR], regs.sp_el[regs.current_el])
 
-    def text(self):
-        return self.mnemonic
-
 
 @dataclass(repr=False)
 class BlrA(_PAuthInstruction):
@@ -1297,6 +1236,7 @@ class BlrA(_PAuthInstruction):
     rn: int
     rm: int
     cycles = 1 + PAUTH_CYCLES
+    fields = (("key", _IKEY), ("rn", _X), ("rm", _XSP))
 
     @property
     def mnemonic(self):
@@ -1309,9 +1249,6 @@ class BlrA(_PAuthInstruction):
         return cpu.pac_auth(
             self.key, regs.x[self.rn], get_operand(regs, self.rm)
         )
-
-    def operand_words(self):
-        return (self.rm, self.rn, 0)
 
     def text(self):
         return f"{self.mnemonic} x{self.rn}, {_reg(self.rm)}"
@@ -1331,6 +1268,59 @@ class BrA(BlrA):
         return cpu.pac_auth(
             self.key, regs.x[self.rn], get_operand(regs, self.rm)
         )
+
+
+# ---------------------------------------------------------------------------
+# the opcode table and the decoder
+# ---------------------------------------------------------------------------
+
+#: Opcode (bits 26-31 of a word) -> class, fixed.  Opcode 0 and the
+#: unlisted ones are "no instruction".  B and BL carry their A64
+#: opcodes, so with their 26-bit word offsets those words are real A64.
+_OPCODES = {
+    0x01: Movz, 0x02: Movk, 0x03: MovReg, 0x04: AddImm,
+    0b000101: B,
+    0x06: SubImm, 0x07: AddReg, 0x08: SubReg, 0x09: SubsReg,
+    0x0A: SubsImm, 0x0B: AndImm, 0x0C: OrrImm, 0x0D: EorReg,
+    0x0E: EorImm, 0x0F: LslImm, 0x10: LsrImm, 0x11: Adr,
+    0x12: Bfi, 0x13: Ldr, 0x14: Str, 0x15: LdrPost,
+    0x16: StrPre, 0x17: Ldp, 0x18: Stp, 0x19: LdpPost,
+    0x1A: StpPre, 0x1B: Br, 0x1C: Blr, 0x1D: Ret,
+    0x1E: Cbz, 0x1F: Cbnz, 0x20: BCond, 0x21: Nop,
+    0x22: Hlt, 0x23: Svc, 0x24: Eret,
+    0b100101: Bl,
+    0x26: Hvc, 0x27: Isb, 0x28: Msr, 0x29: Mrs,
+    0x2A: HostCall, 0x2B: Work, 0x2C: Pac, 0x2D: Aut,
+    0x2E: Xpac, 0x2F: PacGa, 0x30: Pac1716, 0x31: Aut1716,
+    0x32: PacSp, 0x33: AutSp, 0x34: RetA, 0x35: BlrA,
+    0x36: BrA,
+}
+_OPCODE_OF = {cls: opcode for opcode, cls in _OPCODES.items()}
+
+
+def decode(word, pc, host_calls=()):
+    """The instruction whose word at virtual address ``pc`` is ``word``,
+    or None.  A HostCall word names a slot of ``host_calls``.
+
+    Only canonical words decode: unused bits are zero and every field
+    holds a value, so re-encoding the result at ``pc`` gives ``word``.
+    """
+    cls = _OPCODES.get(word >> 26)
+    if cls is None:
+        return None
+    operands, used = {}, 0
+    try:
+        for name, (bits, values, bias, relative) in cls.fields:
+            value = values[(word >> used & (1 << bits) - 1) ^ bias]
+            operands[name] = (pc + value) & _MASK64 if relative else value
+            used += bits
+        if (word & 0x3FFFFFF) >> used:
+            return None
+        if cls is HostCall:
+            return host_calls[operands["slot"]]
+        return cls(**operands)
+    except (IndexError, ReproError):
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "IP1",
     "KEY_REGISTER_NAMES",
     "KEY_REGISTERS",
+    "SYSTEM_REGISTERS",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -96,6 +97,15 @@ KEY_REGISTER_NAMES = (
     "APDAKeyLo_EL1", "APDAKeyHi_EL1",
     "APDBKeyLo_EL1", "APDBKeyHi_EL1",
     "APGAKeyLo_EL1", "APGAKeyHi_EL1",
+)
+
+
+#: Every system register MSR and MRS can name, in encoding order: an
+#: MSR/MRS word holds an index into this fixed table.
+SYSTEM_REGISTERS = (
+    *KEY_REGISTER_NAMES,
+    "APKSSEL_EL1", "CONTEXTIDR_EL1", "ELR_EL1", "ESR_EL1", "SCTLR_EL1",
+    "SPSR_EL1", "TCR_EL1", "TTBR0_EL1", "TTBR1_EL1", "VBAR_EL1",
 )
 
 

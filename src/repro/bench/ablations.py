@@ -438,10 +438,7 @@ def run_canary_ablation(iterations=60):
             isa.LdpPost(FP, LR, _SP, 16),
             isa.Ret(),
         )
-        program = asm.assemble()
-        for address, instruction in program.instructions:
-            pa = cpu.mmu.translate(address, "x", 1)
-            cpu.mmu.phys.store_instruction(pa, instruction)
+        program = cpu.mmu.place_program(asm.assemble())
         _, cycles = cpu.call(
             program.address_of("bench"), stack_top=stack_top,
             max_steps=200 * iterations + 1000,

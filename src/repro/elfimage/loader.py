@@ -70,9 +70,7 @@ class ImageLoader:
             if section.data:
                 self.mmu.phys.write(base_pa, section.data)
             if section.program is not None:
-                for address, instruction in section.program.instructions:
-                    pa = base_pa + (address - section.base)
-                    self.mmu.phys.store_instruction(pa, instruction)
+                self.mmu.place_program(section.program)
         return loaded
 
     def map_stack(self, top_va, size, el0=False):

@@ -8,6 +8,9 @@ interpreter fast without changing a single architectural outcome:
   MMU on every fetch;
 * the **translation cache** (:mod:`repro.mem.mmu`): successful stage-1 +
   stage-2 translations are memoised per (page, access, EL);
+* the **decode memo** (:mod:`repro.mem.phys`): decoded instructions per
+  physical address (dropped when their word is written) and per (word,
+  PC);
 * the **cipher memo** (:mod:`repro.qarma.qarma64`): pure memoisation of
   QARMA-64 encryptions per cipher instance.  The PAC engine keeps one
   immutable cipher per key value, so this is also the only PAC memo and
@@ -16,11 +19,11 @@ interpreter fast without changing a single architectural outcome:
 Every cache is architecturally invisible — simulated cycle counts,
 retired-instruction streams, fault logs and PAC values are bit-identical
 with the caches on or off; ``tests/test_diff_cached.py`` enforces that
-differentially.  All three follow one switch, read by ``CPU``, ``MMU``
-and ``Qarma64`` at construction: building a system inside
-:func:`disabled_caches` yields a fully cold, cache-free simulator (the
-reference behaviour the differential tests and ``perfbench/`` check
-every run against).
+differentially.  All four follow one switch, read by ``CPU``, ``MMU``,
+``PhysicalMemory`` and ``Qarma64`` at construction: building a system
+inside :func:`disabled_caches` yields a fully cold, cache-free simulator
+(the reference behaviour the differential tests and ``perfbench/``
+check every run against).
 
 Set ``REPRO_DISABLE_CACHES=1`` in the environment to start the process
 with the caches off.

@@ -779,10 +779,7 @@ def canary_leak_replay(kind):
             guard_address=_LEAK_GUARD,
             stack_chk_fail=lambda machine: caught.append(True),
         )
-    program = asm.assemble()
-    for address, instruction in program.instructions:
-        pa = cpu.mmu.translate(address, "x", 1)
-        cpu.mmu.phys.store_instruction(pa, instruction)
+    program = cpu.mmu.place_program(asm.assemble())
     # Leak from the helper at a deeper SP, overflow the victim.
     cpu.call(program.address_of("helper"), stack_top=_LEAK_STACK - 0x200)
     cpu.regs.write(_MARKER, 0)

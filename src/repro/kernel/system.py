@@ -513,10 +513,7 @@ class System:
             first,
             Permissions(r_el0=True, x_el0=True, r_el1=True),
         )
-        for address, instruction in program.instructions:
-            pa = (first << 12) + (address - program.base)
-            self.mmu.phys.store_instruction(pa, instruction)
-        return program
+        return self.mmu.place_program(program)
 
     def map_user_stack(self):
         self.loader.map_stack(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro import hotpath
 from repro.arch.vmsa import AddressKind, VMSAConfig
-from repro.errors import PermissionFault, TranslationFault
+from repro.errors import PermissionFault, ReproError, TranslationFault
 from repro.mem.pagetable import Stage1Table, Stage2Table
 from repro.mem.phys import Generation, PhysicalMemory
 
@@ -190,7 +190,7 @@ class MMU:
     def fetch(self, va, el):
         """Instruction fetch: execute-permission check, then decode."""
         pa = self.translate(va, "x", el)
-        instruction = self.phys.fetch_instruction(pa)
+        instruction = self.phys.fetch_instruction(pa, va)
         if instruction is None:
             raise TranslationFault(
                 f"no instruction at {va:#x}", address=va, el=el
@@ -221,3 +221,16 @@ class MMU:
             low >> self.page_shift
         )
         return None if mapping is None else mapping.frame
+
+    def place_program(self, program):
+        """Store an assembled program's instructions in the frames mapped
+        at their addresses (no permission check, so XOM pages too)."""
+        page = frame = None
+        for address, instruction in program.instructions:
+            if address >> self.page_shift != page:
+                page, frame = address >> self.page_shift, self.frame_of(address)
+            if frame is None:
+                raise ReproError(f"cannot place code at unmapped {address:#x}")
+            pa = (frame << self.page_shift) | (address & (self.page_size - 1))
+            self.phys.store_instruction(pa, instruction, address)
+        return program

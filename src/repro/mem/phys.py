@@ -1,16 +1,18 @@
 """Sparse physical memory backing the simulated machine.
 
-Frames are allocated lazily; code pages additionally carry decoded
-instruction objects beside their byte image, so that execution fetches
-instruction objects while data reads of the same locations return the
-byte encoding (needed, e.g., to demonstrate that the XOM key-setter
-cannot be disassembled by reading it).
+Frames are allocated lazily.  Code is bytes like any other data: an
+instruction is stored as its 32-bit word (:mod:`repro.arch.isa`'s
+instruction format) and decoded again when fetched, so a data write
+over code changes what executes, and reading the XOM key setter's
+bytes would disclose its key immediates.
 """
 
 from __future__ import annotations
 
 import struct
 
+from repro import hotpath
+from repro.arch.isa import HostCall, decode
 from repro.errors import ReproError
 
 __all__ = ["Generation", "PhysicalMemory"]
@@ -47,13 +49,20 @@ class PhysicalMemory:
         self.page_shift = page_shift
         self.page_size = 1 << page_shift
         self._frames = {}
-        #: Decoded instructions, keyed by physical address.
-        self._instructions = {}
-        #: Bumped on every instruction store/erase and on every data
-        #: write that touches a frame holding decoded instructions; an
-        #: MMU shares this cell with its page tables.
+        #: Bumped on every write to a code frame, one an instruction was
+        #: stored into or fetched from; an MMU shares this cell with its
+        #: page tables.
         self.generation = Generation()
         self._code_frames = set()
+        #: This machine's host calls, bound to slots in store order.
+        self.host_calls = []
+        #: Decode memo (see repro.hotpath): where a word was decoded,
+        #: pa -> (pc, instruction), from which a write drops the words it
+        #: overwrites; behind it (word, pc) -> instruction, which serves
+        #: code stored again at another pa without decoding it.
+        self._memoize = hotpath.caches_enabled()
+        self._decoded = {}
+        self._words = {}
 
     def _frame(self, frame_number):
         frame = self._frames.get(frame_number)
@@ -86,7 +95,7 @@ class PhysicalMemory:
                 offset_in_data:offset_in_data + chunk
             ]
             if frame_number in self._code_frames:
-                self.generation.value += 1
+                self._code_written(pa, chunk)
             pa += chunk
             offset_in_data += chunk
 
@@ -107,28 +116,52 @@ class PhysicalMemory:
         frame = self._frames.get(frame_number) or self._frame(frame_number)
         _U64.pack_into(frame, offset, value & _MASK64)
         if frame_number in self._code_frames:
-            self.generation.value += 1
+            self._code_written(pa, 8)
+
+    def _code_written(self, pa, size):
+        self.generation.value += 1
+        for word in range(pa & ~3, pa + size, 4):
+            self._decoded.pop(word, None)
 
     # -- instruction storage ----------------------------------------------------
 
-    def store_instruction(self, pa, instruction):
-        """Place a decoded instruction at ``pa`` (4-byte granularity).
-
-        The instruction's pseudo-encoding is also written as data so the
-        location reads back as bytes.
-        """
+    def store_instruction(self, pa, instruction, pc=None):
+        """Write ``instruction``'s word at ``pa``.  ``pc`` is its virtual
+        address, which PC-relative fields need.  An operand the format
+        cannot hold raises ReproError before anything is written."""
         if pa % 4:
             raise ReproError(f"instruction address {pa:#x} not 4-aligned")
-        self._instructions[pa] = instruction
-        # The frame is code from here on, so the write below bumps the
+        if isinstance(instruction, HostCall):
+            slot = len(self.host_calls)
+            instruction = HostCall(instruction.fn, instruction.label, slot)
+            self.host_calls.append(instruction)
+        data = instruction.encoding(pc)
+        # The frame is code from here on, so the write bumps the
         # generation.
         self._code_frames.add(pa >> self.page_shift)
-        self.write(pa, instruction.encoding())
+        self.write(pa, data)
 
-    def fetch_instruction(self, pa):
-        """Fetch the decoded instruction at ``pa`` (None if not code)."""
-        return self._instructions.get(pa)
+    def fetch_instruction(self, pa, pc):
+        """Decode the word at ``pa`` as the instruction at virtual
+        address ``pc`` (None if it is not one)."""
+        entry = self._decoded.get(pa)
+        if entry is not None and entry[0] == pc:
+            return entry[1]
+        if pa % 4:
+            return None
+        frame_number, offset = divmod(pa, self.page_size)
+        self._code_frames.add(frame_number)
+        frame = self._frames.get(frame_number) or self._frame(frame_number)
+        key = (int.from_bytes(frame[offset:offset + 4], "little"), pc)
+        instruction = self._words.get(key)
+        if instruction is None:
+            instruction = decode(*key, self.host_calls)
+            if self._memoize and instruction is not None:
+                self._decoded[pa] = (pc, instruction)
+                self._words[key] = instruction
+        return instruction
 
     def erase_instruction(self, pa):
-        if self._instructions.pop(pa, None) is not None:
-            self.generation.value += 1
+        """Zero the word at ``pa`` (a plain write, skipped if it is 0)."""
+        if self.read(pa, 4) != bytes(4):
+            self.write(pa, bytes(4))

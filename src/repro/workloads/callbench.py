@@ -85,9 +85,7 @@ def _prepare(scheme_name, iterations, compat=False, features=("pauth",)):
     cpu.mmu.map_range(
         _TEXT_BASE, 0x4000, 0x400, Permissions(r_el1=True, x_el1=True)
     )
-    for address, instruction in program.instructions:
-        pa = cpu.mmu.translate(address, "x", 1)
-        cpu.mmu.phys.store_instruction(pa, instruction)
+    cpu.mmu.place_program(program)
     cpu.mmu.map_range(
         _STACK_TOP - 0x4000, 0x4000, 0x500, Permissions.kernel_data()
     )

@@ -32,10 +32,7 @@ class BareMachine:
         return Assembler(TEXT_BASE)
 
     def place(self, program):
-        for address, instruction in program.instructions:
-            pa = self.cpu.mmu.translate(address, "x", 1)
-            self.cpu.mmu.phys.store_instruction(pa, instruction)
-        return program
+        return self.cpu.mmu.place_program(program)
 
     def run(self, program, entry="main", args=(), max_steps=100_000):
         self.place(program)

@@ -130,6 +130,30 @@ class TestKeySetter:
         lo16 = (bank.ib.lo & 0xFFFF).to_bytes(2, "little")
         assert lo16 in blob
 
+    def test_setter_words_rebuild_every_key_half(self):
+        # What a reader of the setter's page would learn without XOM:
+        # its words, decoded, rebuild the keys exactly.
+        cpu, boot, setter = self._booted()
+        mmu, halves, regs, address = cpu.mmu, {}, {}, setter
+        while True:
+            pa = mmu.frame_of(address) << mmu.page_shift | address & 0xFFF
+            word = int.from_bytes(mmu.phys.read(pa, 4), "little")
+            instruction = isa.decode(word, address)
+            if isinstance(instruction, isa.Ret):
+                break
+            if isinstance(instruction, isa.Movz):
+                regs[instruction.rd] = instruction.imm16 << instruction.shift
+            elif isinstance(instruction, isa.Movk):
+                regs[instruction.rd] |= instruction.imm16 << instruction.shift
+            elif isinstance(instruction, isa.Msr):
+                halves[instruction.sysreg] = regs[instruction.rn]
+            address += 4
+        for name in ("ia", "ib", "db"):
+            key = boot.kernel_keys.get(name)
+            prefix = f"AP{name.upper()}Key"
+            assert halves[prefix + "Lo_EL1"] == key.lo
+            assert halves[prefix + "Hi_EL1"] == key.hi
+
     def test_rejects_unknown_key(self):
         boot = Bootloader()
         boot.generate_kernel_keys()

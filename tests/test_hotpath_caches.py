@@ -22,6 +22,7 @@ from conftest import DATA_BASE, STACK_TOP
 
 from repro import hotpath
 from repro.arch import isa
+from repro.arch.assembler import Assembler
 from repro.arch.cpu import CPU
 from repro.arch.pac import PACEngine
 from repro.arch.registers import (
@@ -30,7 +31,7 @@ from repro.arch.registers import (
     PAuthKey,
 )
 from repro.errors import PermissionFault, TranslationFault
-from repro.mem.pagetable import Stage2Table
+from repro.mem.pagetable import Permissions, Stage2Table
 
 _POINTER = 0xFFFF_0000_0801_2340
 _MODIFIER = 0xAA55
@@ -236,6 +237,75 @@ class TestDecodeCacheInvalidation:
         cpu.mmu.phys.erase_instruction(pa)
         with pytest.raises(TranslationFault):
             cpu.call(program.address_of("main"), stack_top=STACK_TOP)
+
+
+_SMC_TEXT = 0xFFFF_0000_0A00_0000
+
+
+def _smc_core(cached):
+    """A core with one writable, executable kernel page holding
+    ``movz x0, #7`` then ``hlt``."""
+    if cached:
+        cpu = CPU()
+    else:
+        with hotpath.disabled_caches():
+            cpu = CPU()
+    cpu.mmu.map_range(
+        _SMC_TEXT, 0x1000, 0x420,
+        Permissions(r_el1=True, w_el1=True, x_el1=True),
+    )
+    cpu.mmu.place_program(
+        Assembler(_SMC_TEXT).emit(isa.Movz(0, 7, 0), isa.Hlt()).assemble()
+    )
+    return cpu
+
+
+def _run_from(cpu, pc):
+    cpu.regs.write(0, 0)
+    cpu.regs.pc, cpu.halted = pc, False
+    cpu.run(10)
+    return cpu.regs.read(0)
+
+
+class TestCodeIsBytes:
+    """Memory is the only copy of code: a data write over an instruction
+    changes what executes, with the caches on or off."""
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "reference"])
+    def test_data_write_over_code_changes_what_runs(self, cached):
+        cpu = _smc_core(cached)
+        assert _run_from(cpu, _SMC_TEXT) == 7
+        cpu.mmu.write(_SMC_TEXT, isa.Nop().encoding(), 1)
+        assert _run_from(cpu, _SMC_TEXT) == 0
+        assert cpu.instructions_retired == 4
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "reference"])
+    def test_code_written_as_data_runs(self, cached):
+        cpu = _smc_core(cached)
+        cpu.mmu.write_u64(
+            _SMC_TEXT + 0x100,
+            int.from_bytes(
+                isa.Movz(0, 9, 16).encoding() + isa.Hlt().encoding(), "little"
+            ),
+            1,
+        )
+        assert _run_from(cpu, _SMC_TEXT + 0x100) == 9 << 16
+
+    def test_cached_and_reference_generations_agree(self):
+        cores = [_smc_core(True), _smc_core(False)]
+        for cpu in cores:
+            _run_from(cpu, _SMC_TEXT)
+            cpu.mmu.write(_SMC_TEXT, isa.Nop().encoding(), 1)
+            _run_from(cpu, _SMC_TEXT)
+        assert cores[0].mmu.generation.value == cores[1].mmu.generation.value
+
+    def test_erase_leaves_zero_bytes(self):
+        cpu = _smc_core(True)
+        pa = cpu.mmu.translate(_SMC_TEXT, "x", 1)
+        cpu.mmu.phys.erase_instruction(pa)
+        assert cpu.mmu.phys.read(pa, 4) == bytes(4)
+        with pytest.raises(TranslationFault, match="no instruction"):
+            cpu.mmu.fetch(_SMC_TEXT, 1)
 
 
 class TestTranslationCacheInvalidation:

@@ -1,5 +1,6 @@
 """Tests for instruction semantics (repro.arch.isa)."""
 
+import hashlib
 import operator
 import os
 import random
@@ -8,18 +9,26 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_BASE, STACK_TOP, TEXT_BASE
 
+from repro import hotpath
 from repro.arch import isa
+from repro.arch.assembler import Assembler
 from repro.arch.cpu import CPU
 from repro.arch.isa import SP
 from repro.arch.pac import PACEngine
 from repro.arch.registers import FP, KEY_REGISTER_NAMES, LR, XZR, PAuthKey
-from repro.errors import ReproError, SimFault, UndefinedInstructionFault
+from repro.errors import (
+    ReproError,
+    SimFault,
+    TranslationFault,
+    UndefinedInstructionFault,
+)
 from repro.mem.pagetable import Permissions
+from repro.mem.phys import PhysicalMemory
 
 
 def run_body(machine, body, args=(), **kwargs):
@@ -435,11 +444,6 @@ def _mov_reg(i, cpu):
     _write(cpu, i.rd, _read(cpu, i.rn))
 
 
-@_oracle(isa.MovImm)
-def _mov_imm(i, cpu):
-    cpu.regs.write(i.rd, i.value)
-
-
 _IMM_OPS = {
     isa.AddImm: operator.add, isa.SubImm: operator.sub,
     isa.AndImm: operator.and_, isa.OrrImm: operator.or_,
@@ -639,7 +643,8 @@ _VALUE = st.one_of(
     st.sampled_from([0, 1, 1 << 63, _MASK64]),
     _DATA_ADDRESS,
 )
-_IMM = st.one_of(st.integers(-0x100, 0x100), st.integers(0, _MASK64))
+#: ALU immediates: the format's 14-bit unsigned field, both ends included.
+_IMM = st.one_of(st.sampled_from((0, 0x3FFF)), st.integers(0, 0x3FFF))
 _OFFSET = st.integers(-8, 8).map(lambda k: 8 * k)
 #: (lsb, width): Listing 3's field, the extremes and a few in between.
 #: Fields are wide enough that a data-page address has bits set in them.
@@ -653,9 +658,19 @@ _KEY = st.sampled_from(("ia", "ib", "da", "db"))
 _IKEY = st.sampled_from(("ia", "ib"))
 
 
-def _label_branch(cls, *operands):
+def _distance(bits):
+    """A PC-relative field's byte distance, across its whole range."""
+    half = 1 << (bits - 1)
+    return st.one_of(
+        st.sampled_from((-half, half - 1, 1)), st.integers(-half, half - 1)
+    ).map(lambda words: 4 * words)
+
+
+def _label_branch(cls, bits, *operands):
+    """``target`` holds a distance; the test adds the drawn PC to it, so
+    at TOP_SLOT forward targets wrap."""
     return st.builds(
-        _targeted, st.builds(cls, *operands, st.just("l")), _VALUE
+        _targeted, st.builds(cls, *operands, st.just("l")), _distance(bits)
     )
 
 
@@ -666,7 +681,6 @@ _OPERANDS = {
     isa.Movz: st.builds(isa.Movz, _REG, st.integers(0, 0xFFFF), _SHIFT16),
     isa.Movk: st.builds(isa.Movk, _REG, st.integers(0, 0xFFFF), _SHIFT16),
     isa.MovReg: st.builds(isa.MovReg, _REG_OR_SP, _REG_OR_SP),
-    isa.MovImm: st.builds(isa.MovImm, _REG, _VALUE),
     **{
         cls: st.builds(cls, _REG_OR_SP, _REG_OR_SP, _IMM)
         for cls in (isa.AddImm, isa.SubImm, isa.AndImm, isa.OrrImm,
@@ -680,7 +694,7 @@ _OPERANDS = {
         cls: st.builds(cls, _REG_OR_SP, _REG_OR_SP, _REG_OR_SP)
         for cls in (*_REG_OPS, isa.SubsReg)
     },
-    isa.Adr: _label_branch(isa.Adr, _REG),
+    isa.Adr: _label_branch(isa.Adr, 20, _REG),
     isa.Bfi: _LSB_WIDTH.flatmap(
         lambda field: st.builds(isa.Bfi, _REG, _REG, *map(st.just, field))
     ),
@@ -700,9 +714,9 @@ _OPERANDS = {
         cls: st.builds(cls, _REG_OR_SP, _REG_OR_SP, _BASE, _OFFSET)
         for cls in (isa.Stp, isa.StpPre)
     },
-    isa.Bl: _label_branch(isa.Bl),
-    isa.Cbz: _label_branch(isa.Cbz, _REG),
-    isa.Cbnz: _label_branch(isa.Cbnz, _REG),
+    isa.Bl: _label_branch(isa.Bl, 26),
+    isa.Cbz: _label_branch(isa.Cbz, 20, _REG),
+    isa.Cbnz: _label_branch(isa.Cbnz, 20, _REG),
     **{cls: st.builds(cls, _REG) for cls in (isa.Br, isa.Blr, isa.Ret)},
     isa.Msr: st.builds(isa.Msr, _SYSREG, _REG),
     isa.Mrs: st.builds(isa.Mrs, _REG, _SYSREG),
@@ -718,6 +732,60 @@ _OPERANDS = {
         for cls in (isa.BlrA, isa.BrA)
     },
 }
+
+
+def _far(bits):
+    """Distances a ``bits``-wide relative field cannot hold: beyond its
+    reach either way, or not a multiple of 4."""
+    reach = 1 << (bits + 1)
+    return st.one_of(
+        st.integers(reach, 1 << 62),
+        st.integers(-(1 << 62), -reach - 4),
+        st.integers(-1000, 1000).filter(lambda distance: distance % 4),
+    )
+
+
+_NOT_UIMM = st.one_of(st.integers(-_MASK64, -1), st.integers(1 << 14, _MASK64))
+_NOT_OFFSET = st.one_of(
+    st.integers(-_MASK64, -(1 << 13) - 1), st.integers(1 << 13, _MASK64)
+)
+
+#: Instructions no 32-bit word holds (branch targets drawn as distances).
+_UNENCODABLE = (
+    st.builds(isa.MovImm, _REG, _VALUE),
+    st.builds(isa.Movz, _REG, st.integers(1 << 16, _MASK64), _SHIFT16),
+    st.builds(
+        isa.Movk, _REG, st.integers(0, 0xFFFF),
+        st.integers(1, 63).filter(lambda shift: shift % 16),
+    ),
+    st.builds(isa.Movz, st.integers(SP, 1 << 8), st.integers(0, 0xFFFF)),
+    st.builds(isa.AddReg, st.integers(SP + 1, 1 << 8), _REG, _REG),
+    *(
+        st.builds(cls, _REG_OR_SP, _REG_OR_SP, _NOT_UIMM)
+        for cls in (isa.AddImm, isa.SubImm, isa.AndImm, isa.OrrImm,
+                    isa.EorImm, isa.SubsImm)
+    ),
+    st.builds(isa.LslImm, _REG, _REG, st.integers(64, 1 << 10)),
+    st.builds(isa.Ldr, _REG, _BASE, _NOT_OFFSET),
+    st.builds(
+        isa.Ldp, _REG, _REG, _BASE,
+        st.integers(-1024, 1016).filter(lambda offset: offset % 8),
+    ),
+    st.builds(isa.Stp, _REG, _REG, _BASE, st.sampled_from((1024, -1032))),
+    st.builds(isa.Bfi, _REG, _REG, st.integers(0, 63), st.just(0)),
+    st.builds(isa.Msr, st.sampled_from(("HCR_EL2", "apiakeylo_el1")), _REG),
+    st.builds(isa.Svc, st.integers(1 << 16, _MASK64)),
+    st.builds(isa.Pac, st.sampled_from(("ga", "xx")), _REG, _REG),
+    st.builds(isa.RetA, st.sampled_from(("da", "db"))),
+    st.builds(isa.B, st.just("unresolved")),
+    st.builds(_targeted, st.builds(isa.Bl, st.just("l")), _far(26)),
+    st.builds(_targeted, st.builds(isa.Cbz, _REG, st.just("l")), _far(20)),
+    st.builds(_targeted, st.builds(isa.Adr, _REG, st.just("l")), _far(20)),
+    st.builds(
+        _targeted, st.builds(isa.BCond, st.just("eq"), st.just("l")), _far(22)
+    ),
+)
+
 #: Classes whose ``execute`` touches no general-purpose register.
 _NO_OPERANDS = {
     isa.B, isa.BCond, isa.Nop, isa.Hlt, isa.Svc, isa.Eret, isa.Hvc,
@@ -735,7 +803,9 @@ def _core(state, instruction):
     cpu.mmu.map_range(TOP_SLOT & ~0xFFF, 0x1000, 0x401, text)
     cpu.mmu.map_range(USER_DATA, 0x1000, 0x500, data)
     cpu.mmu.write(USER_DATA, random.Random(memory_seed).randbytes(0x1000), 1)
-    cpu.mmu.phys.store_instruction(cpu.mmu.translate(pc, "x", el), instruction)
+    cpu.mmu.phys.store_instruction(
+        cpu.mmu.translate(pc, "x", el), instruction, pc
+    )
     for name in ("ia", "ib", "da", "db"):
         setattr(cpu.regs.keys, name, _KEY_VALUE.copy())
         setattr(cpu.regs.alt_keys, name, PAuthKey(0x3333, 0x4444))
@@ -828,7 +898,7 @@ class TestOperandOracle:
         classes = {
             cls for cls in map(isa.__dict__.get, isa.__all__)
             if isinstance(cls, type) and issubclass(cls, isa.Instruction)
-        } - _NO_OPERANDS - {isa.Instruction}
+        } - _NO_OPERANDS - {isa.Instruction, isa.MovImm}
         assert set(_OPERANDS) == set(_ORACLE) == classes
 
     @pytest.mark.parametrize("cls", list(_OPERANDS), ids=lambda cls: cls.__name__)
@@ -837,7 +907,312 @@ class TestOperandOracle:
     def test_step_matches_oracle(self, cls, data):
         instruction = data.draw(_OPERANDS[cls])
         state = data.draw(_states())
+        if hasattr(instruction, "target"):
+            instruction.target = (state[2] + instruction.target) & _MASK64
         core, twin = _core(state, instruction), _core(state, instruction)
         assert _observe(core, core.step) == _observe(
             twin, lambda: _run_oracle(twin)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rd=_REG,
+        value=st.one_of(st.sampled_from((0, 1 << 63, _MASK64)), _VALUE),
+        pc=st.sampled_from((USER_TEXT + 0x100, TOP_SLOT)),
+    )
+    def test_movimm_expansion_run_from_memory(self, rd, value, pc):
+        """MovImm cannot be stored; its MOVZ/MOVK expansion, stored and
+        stepped from memory, leaves the value in the register."""
+        cpu = CPU()
+        text = Permissions(r_el1=True, x_el1=True)
+        cpu.mmu.map_range(pc & ~0xFFF, 0x1000, 0x400, text)
+        parts = isa.MovImm(rd, value).expand()
+        for index, part in enumerate(parts):
+            address = (pc & ~0xFFF) + 0x100 + 4 * index
+            cpu.mmu.phys.store_instruction(
+                cpu.mmu.translate(address, "x", 1), part, address
+            )
+        cpu.regs.pc = (pc & ~0xFFF) + 0x100
+        for _ in parts:
+            cpu.step()
+        assert cpu.regs.read(rd) == (0 if rd == XZR else value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instruction=st.one_of(*_UNENCODABLE),
+        pc=st.sampled_from((USER_TEXT + 0x100, TOP_SLOT)),
+    )
+    def test_unencodable_operand_is_refused(self, instruction, pc):
+        """An operand the format cannot hold raises ReproError, and the
+        store leaves memory and the generation untouched."""
+        cpu = CPU()
+        cpu.mmu.map_range(pc & ~0xFFF, 0x1000, 0x400, Permissions.kernel_text())
+        pa = cpu.mmu.translate(pc, "x", 1)
+        cpu.mmu.phys.store_instruction(pa, isa.Nop(), pc)
+        if getattr(instruction, "target", None) is not None:
+            instruction.target = (pc + instruction.target) & _MASK64
+        before = (cpu.mmu.phys.read(pa & ~0xFFF, 0x1000), cpu.mmu.generation.value)
+        with pytest.raises(ReproError):
+            cpu.mmu.phys.store_instruction(pa, instruction, pc)
+        assert (
+            cpu.mmu.phys.read(pa & ~0xFFF, 0x1000), cpu.mmu.generation.value
+        ) == before
+
+
+# ---------------------------------------------------------------------------
+# The instruction format: memory holds one 32-bit word per instruction.
+# ---------------------------------------------------------------------------
+
+_STORABLE = sorted(isa._OPCODES.items())
+_PCS = st.sampled_from((USER_TEXT + 0x100, TOP_SLOT))
+
+
+def _field_value(field):
+    """Any value a field holds, its two ends drawn often."""
+    values = field.values
+    return st.one_of(
+        st.sampled_from((values[0], values[-1])),
+        st.integers(0, len(values) - 1).map(values.__getitem__),
+    )
+
+
+def _build(cls, operands, pc):
+    """``cls`` from field values; relative fields hold distances."""
+    for name, field in cls.fields:
+        if field.relative:
+            operands[name] = (pc + operands[name]) & _MASK64
+    return cls(**operands)
+
+
+def _word(instruction, pc=None):
+    return int.from_bytes(instruction.encoding(pc), "little")
+
+
+def _fields(instruction):
+    return {name: getattr(instruction, name) for name, _ in instruction.fields}
+
+
+class TestInstructionFormat:
+    def test_storable_classes_and_real_branch_opcodes(self):
+        assert len(_STORABLE) == 54
+        assert all(0 < opcode < 64 for opcode, _ in _STORABLE)
+        # B and BL are real A64 words: imm26 word offsets.
+        assert _word(isa.B(target=USER_TEXT + 8), USER_TEXT) == 0x1400_0002
+        assert _word(isa.Bl(target=USER_TEXT - 4), USER_TEXT) == 0x97FF_FFFF
+        # The MOVZ/MOVK immediate is the low half-word.
+        assert isa.Movk(3, 0xBEEF, 32).encoding()[:2] == b"\xef\xbe"
+
+    def test_format_is_pinned(self):
+        """One instance per class, each field set to a value picked by its
+        name: any change to an opcode, a field list or its order moves
+        this digest."""
+        digest = hashlib.sha256()
+        for opcode, cls in _STORABLE:
+            if cls is isa.HostCall:
+                continue
+            operands = {
+                name: field.values[
+                    (7 * sum(map(ord, name)) + opcode) % len(field.values)
+                ]
+                for name, field in cls.fields
+            }
+            if cls is isa.Bfi:
+                operands["width"] = 64 - operands["lsb"]
+            digest.update(_build(cls, operands, TOP_SLOT).encoding(TOP_SLOT))
+        assert digest.hexdigest()[:16] == "2456879b4e2c9dfd"
+
+    @pytest.mark.parametrize(
+        "cls", [cls for _, cls in _STORABLE if cls is not isa.HostCall],
+        ids=lambda cls: cls.__name__,
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), pc=_PCS)
+    def test_round_trip(self, cls, data, pc):
+        operands = {
+            name: data.draw(_field_value(field), label=name)
+            for name, field in cls.fields
+        }
+        if cls is isa.Bfi:
+            assume(operands["lsb"] + operands["width"] <= 64)
+        instruction = _build(cls, operands, pc)
+        decoded = isa.decode(_word(instruction, pc), pc)
+        assert type(decoded) is cls
+        assert _fields(decoded) == _fields(instruction)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        word=st.one_of(
+            st.integers(0, (1 << 32) - 1),
+            st.builds(
+                lambda opcode, operands: opcode << 26 | operands,
+                st.sampled_from([opcode for opcode, _ in _STORABLE]),
+                st.integers(0, (1 << 26) - 1),
+            ),
+        ),
+        pc=_PCS,
+    )
+    def test_decoded_words_are_canonical(self, word, pc):
+        instruction = isa.decode(word, pc)
+        assert instruction is None or _word(instruction, pc) == word
+
+    def test_host_call_slots_follow_store_order(self):
+        def first(cpu):
+            return None
+
+        def second(cpu):
+            return None
+
+        calls = [isa.HostCall(first, "a"), isa.HostCall(second, "b")]
+        phys = PhysicalMemory()
+        for index, call in enumerate([*calls, calls[0]]):
+            phys.store_instruction(4 * index, call)
+        fetched = [phys.fetch_instruction(4 * index, 0) for index in range(3)]
+        assert [call.slot for call in fetched] == [0, 1, 2]
+        assert [call.fn for call in fetched] == [first, second, first]
+        assert [call.label for call in fetched] == ["a", "b", "a"]
+        # Another machine has its own table: no slot there yet.
+        assert PhysicalMemory().fetch_instruction(0, 0) is None
+        assert isa.decode(int.from_bytes(phys.read(0, 4), "little"), 0) is None
+
+    @pytest.mark.parametrize(
+        "word",
+        [0, 0x3F << 26, _word(isa.Movz(0, 1)) | 0x1 << 25,
+         _word(isa.AddReg(1, 2, 3)) & ~0x3F | 33],
+        ids=["zero", "unassigned-opcode", "unused-bit", "register-33"],
+    )
+    def test_non_instruction_words_fault_on_fetch(self, word):
+        cpu = CPU()
+        cpu.mmu.map_range(USER_TEXT, 0x1000, 0x400, Permissions.kernel_text())
+        cpu.mmu.phys.write(0x400 << 12, word.to_bytes(4, "little"))
+        with pytest.raises(TranslationFault, match="no instruction at"):
+            cpu.mmu.fetch(USER_TEXT, 1)
+
+    def test_misaligned_pc_faults_on_fetch(self):
+        cpu = CPU()
+        cpu.mmu.map_range(USER_TEXT, 0x1000, 0x400, Permissions.kernel_text())
+        cpu.mmu.place_program(
+            Assembler(USER_TEXT).emit(isa.Nop(), isa.Nop()).assemble()
+        )
+        with pytest.raises(TranslationFault, match="no instruction at"):
+            cpu.mmu.fetch(USER_TEXT + 2, 1)
+
+    def test_bfi_field_past_bit_63_is_refused(self, machine):
+        # A64 requires 1 <= width <= 64 - lsb; run, this one would leave
+        # a 68-bit value in X0.
+        with pytest.raises(ReproError):
+            run_body(machine, [isa.Bfi(0, 1, 60, 8)], args=(0, 0xFF))
+        assert isa.Bfi(0, 1, 56, 8).encoding()
+
+    @given(lsb=st.integers(0, 63), width=st.integers(1, 64))
+    def test_no_bfi_field_passes_bit_63(self, lsb, width):
+        if lsb + width > 64:
+            with pytest.raises(ReproError):
+                isa.Bfi(0, 1, lsb, width)
+        else:
+            word = _word(isa.Bfi(0, 1, lsb, width))
+            assert isa.decode(word, 0) == isa.Bfi(0, 1, lsb, width)
+        # The same fields as a word: never decoded.
+        fields = 0 | 1 << 6 | lsb << 12 | (width - 1) << 18
+        assert (isa.decode(0x12 << 26 | fields, 0) is None) == (lsb + width > 64)
+
+
+def _random_page(seed, base):
+    """0x100 random words that decode at their addresses."""
+    rng = random.Random(seed)
+    opcodes = [opcode for opcode, _ in _STORABLE]
+    words = []
+    while len(words) < 0x100:
+        word = rng.choice(opcodes) << 26 | rng.getrandbits(26)
+        if isa.decode(word, base + 4 * len(words)) is not None:
+            words.append(word)
+    return b"".join(word.to_bytes(4, "little") for word in words)
+
+
+def _random_core(cached, page, seed, el):
+    if cached:
+        cpu = CPU()
+    else:
+        with hotpath.disabled_caches():
+            cpu = CPU()
+    everything = Permissions.all_access()
+    cpu.mmu.map_range(USER_TEXT, 0x1000, 0x400, everything)
+    cpu.mmu.map_range(USER_DATA, 0x1000, 0x500, everything)
+    rng = random.Random(seed)
+    cpu.mmu.write(USER_TEXT, page, 1)
+    cpu.mmu.write(USER_DATA, rng.randbytes(0x1000), 1)
+    pool = [0, 1, USER_DATA + 0x800, USER_TEXT + 0x40, _MASK64]
+    for index in range(31):
+        cpu.regs.write(index, rng.choice(pool))
+    cpu.regs.set_sp_of(0, USER_DATA + 0x400)
+    cpu.regs.set_sp_of(1, USER_DATA + 0xC00)
+    cpu.regs.current_el = el
+    cpu.regs.pc = USER_TEXT + 4 * rng.randrange(0x100)
+    return cpu
+
+
+def _retire(cpu, steps):
+    """Step ``steps`` times.  A fault, a halt or a PC off the page is
+    recorded, then execution resumes at the next word of the page."""
+    stream = []
+    for _ in range(steps):
+        pc = cpu.regs.pc
+        try:
+            cpu.step()
+            outcome = cpu.mmu.fetch(pc, cpu.regs.current_el).text()
+        except (SimFault, ReproError) as error:
+            outcome = (type(error).__name__, str(error))
+        regs = cpu.regs
+        stream.append(
+            (pc, outcome, cpu.cycles, regs.pc, regs.current_el,
+             tuple(regs.x), tuple(regs.sp_el), cpu.nzcv)
+        )
+        if cpu.halted or type(outcome) is tuple or not (
+            USER_TEXT <= regs.pc < USER_TEXT + 0x1000
+        ):
+            cpu.halted = False
+            regs.pc = USER_TEXT + ((pc + 4 - USER_TEXT) & 0xFFC)
+    return stream, cpu.mmu.read(USER_DATA, 0x1000, 1)
+
+
+class TestRandomWordDifferential:
+    """Random decodable words run alike on a cached core and its
+    cache-free twin: the emulator-deviation method of "Automatically
+    Locating ARM Instructions Deviation..." with the reference path as
+    the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 1 << 32), el=st.sampled_from((0, 1)))
+    def test_cached_and_reference_retire_alike(self, seed, el):
+        page = _random_page(seed, USER_TEXT)
+        cached = _retire(_random_core(True, page, seed, el), 64)
+        assert cached == _retire(_random_core(False, page, seed, el), 64)
+
+
+class TestProcessIndependence:
+    def test_kernel_text_bytes_do_not_depend_on_the_process(self):
+        """Encoded words depend on nothing but the instruction: not the
+        hash seed, not which class a process encoded first."""
+        script = (
+            "import hashlib, sys\n"
+            "from repro.arch import isa\n"
+            "if sys.argv[1] == 'movk-first':\n"
+            "    isa.Movk(0, 1).encoding()\n"
+            "from repro.kernel import System\n"
+            "system = System(profile='full')\n"
+            "mmu, digest = system.mmu, hashlib.sha256()\n"
+            "for address, _ in system.kernel_image.text_instructions():\n"
+            "    offset = address & (mmu.page_size - 1)\n"
+            "    pa = mmu.frame_of(address) << mmu.page_shift | offset\n"
+            "    digest.update(mmu.phys.read(pa, 4))\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = str(Path(isa.__file__).resolve().parents[2])
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", script, order],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed, order in (("1", "plain"), ("2", "movk-first"))
+        }
+        assert len(digests) == 1

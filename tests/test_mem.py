@@ -43,7 +43,9 @@ class TestPhysicalMemory:
         phys = PhysicalMemory()
         nop = isa.Nop()
         phys.store_instruction(0x1000, nop)
-        assert phys.fetch_instruction(0x1000) is nop
+        # Memory holds the word, not the object: it decodes to an equal
+        # instruction.
+        assert type(phys.fetch_instruction(0x1000, 0x1000)) is isa.Nop
         # Its encoding is readable as data.
         assert phys.read(0x1000, 4) == nop.encoding()
 
@@ -59,7 +61,7 @@ class TestPhysicalMemory:
         phys = PhysicalMemory()
         phys.store_instruction(0x1000, isa.Nop())
         phys.erase_instruction(0x1000)
-        assert phys.fetch_instruction(0x1000) is None
+        assert phys.fetch_instruction(0x1000, 0x1000) is None
 
 
 class TestStage1:
