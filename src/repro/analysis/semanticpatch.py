@@ -46,9 +46,6 @@ class PatchResult:
     def rewrite_count(self):
         return len(self.rewritten)
 
-    def accessor_names(self):
-        return sorted(self.accessors)
-
     def summary(self):
         return (
             f"rewrote {self.rewrite_count} access sites, generated "

@@ -27,16 +27,6 @@ class SurveyReport:
     per_type: dict = field(default_factory=dict)
     by_subsystem: dict = field(default_factory=dict)
 
-    @property
-    def convertible_types(self):
-        """Types that should become const ops structures (>1 pointer)."""
-        return self.multi_member_types
-
-    @property
-    def lone_pointer_types(self):
-        """Types whose single pointer gets direct PAuth protection."""
-        return self.single_member_types
-
     def summary(self):
         return (
             f"{self.member_count} function pointer members assigned at "

@@ -50,9 +50,17 @@ VBAR_OFFSETS = {
 #: per switch — the paper's Section 6.1.1 measurement (avg 8.88).
 KEY_WRITE_EXTRA_CYCLES = 0
 
+#: Longest translation block, in instructions.
+BLOCK_LIMIT = 64
+
 
 class DecodeCacheStats:
-    """Host-side decode-cache counters (never affect simulated state)."""
+    """Host-side decode-cache counters (never affect simulated state).
+
+    ``hits`` and ``misses`` count dispatched instructions: those run
+    from a cached block, and those run from a block built for them (on
+    a cache-free core, every one).  ``flushes`` counts cache flushes.
+    """
 
     __slots__ = ("hits", "misses", "flushes")
 
@@ -71,6 +79,14 @@ class DecodeCacheStats:
 
 class CPU:
     """One simulated core.
+
+    ``step()`` and ``run()`` share one interpreter loop.  With the
+    host-side caches on, it dispatches per translation block: one
+    decode-cache probe per ``(pc, EL)`` yields the straight-line run of
+    instructions up to the next branch, exception, MSR or HostCall,
+    executed back to back.  Every architectural effect — PC, cycles,
+    retired count, faults, IRQ delivery, tracing — is the same as one
+    instruction at a time (``tests/test_diff_cached.py``).
 
     Parameters
     ----------
@@ -127,11 +143,11 @@ class CPU:
         self.timer_period = None
         self._timer_next = None
         self.irqs_delivered = 0
-        #: Host-side decode cache (see repro.hotpath): retired
-        #: instructions dispatch through bound handlers keyed by
-        #: (PC, EL), stamped with the MMU's machine generation so any
-        #: write to a code page, mapping change or stage-2 update (or
-        #: installing a stage-2 table) flushes it.
+        #: Host-side decode cache (see repro.hotpath): translation
+        #: blocks of ``(instruction, execute, cost)`` keyed by (PC, EL)
+        #: (see ``_build_block``), stamped with the MMU's machine
+        #: generation so any write to a code page, mapping change or
+        #: stage-2 update (or installing a stage-2 table) flushes it.
         #: Purely host-visible — cycle counts and retired streams are
         #: identical with the cache off (tests/test_diff_cached.py).
         self._decode_enabled = hotpath.caches_enabled()
@@ -341,62 +357,106 @@ class CPU:
             raise ReproError(f"exceeded {max_steps} steps at pc={self.regs.pc:#x}")
         return self.cycles
 
+    def _build_block(self, pc, el, limit=BLOCK_LIMIT):
+        """The translation block at ``pc``: ``(instruction, execute,
+        cost)`` entries up to and including the first block-ending
+        instruction, within one page and at most ``limit`` long.
+        Only the first fetch may raise; a later one that faults ends
+        the block before it, so the fault is raised when (and only if)
+        execution reaches that word.  The bound ``execute`` and the cost
+        are cacheable: ``cost_on`` depends only on the immutable feature
+        set, and any write to a code frame moves the machine generation.
+        """
+        fetch = self.mmu.fetch
+        page_mask = self.mmu.page_size - 1
+        instructions = [fetch(pc, el)]
+        while not instructions[-1].ends_block and len(instructions) < limit:
+            pc += 4
+            if not pc & page_mask:
+                break
+            try:
+                instructions.append(fetch(pc, el))
+            except SimFault:
+                break
+        return tuple([(i, i.execute, i.cost_on(self)) for i in instructions])
+
     def _execute(self, budget):
         """The one interpreter loop: up to ``budget`` steps, stopping at
         HLT.  An IRQ delivery and a fault ``fault_hook`` handles each use
-        up one step.  Hooks may halt the core, attach a tracer or write
-        code mid-run, so those attributes are read on every step."""
+        up one step.
+
+        A decode-cache probe yields a whole translation block, run in
+        the inner loop.  Only its first entry runs when a tracer is
+        attached, an IRQ is pending or a timer is armed, an auth-failure
+        hook is set, or fewer than ``len(block)`` steps remain, so
+        ``step()``, tracing and IRQ delivery stay per instruction.
+        Within a block, ``regs.pc``, ``cycles`` and
+        ``instructions_retired`` move per instruction as they would one
+        step at a time, and a moved generation (a store over code, say)
+        ends the block after the instruction that moved it.  Hooks may
+        halt the core, attach a tracer or write code, but only from a
+        block-ending instruction, after which those attributes are read
+        again."""
         regs = self.regs
-        mmu = self.mmu
         cache = self._decode_cache
-        generation_cell = mmu.generation
+        generation_cell = self.mmu.generation
+        decode_enabled = self._decode_enabled
         stats = self.decode_stats
         steps = 0
         while steps < budget and not self.halted:
-            steps += 1
-            if (
-                self.pending_irq or self.timer_period is not None
-            ) and self._maybe_deliver_irq():
+            interrupts = self.pending_irq or self.timer_period is not None
+            if interrupts and self._maybe_deliver_irq():
+                steps += 1
                 continue
-            pc = regs.pc
+            pc = start = regs.pc
+            fault = None
+            built = True
             try:
-                if self._decode_enabled:
-                    generation = generation_cell.value
+                generation = generation_cell.value
+                if decode_enabled:
                     if generation != self._decode_stamp:
                         if cache:
                             cache.clear()
                             stats.flushes += 1
                         self._decode_stamp = generation
                     key = (pc, regs.current_el)
-                    entry = cache.get(key)
-                    if entry is None:
-                        instruction = mmu.fetch(pc, regs.current_el)
-                        # The bound execute method and the cost are both
-                        # cacheable: cost_on depends only on the immutable
-                        # feature set, and any write to a code frame bumps
-                        # the machine generation.
-                        entry = (
-                            instruction,
-                            instruction.execute,
-                            instruction.cost_on(self),
-                        )
-                        cache[key] = entry
-                        stats.misses += 1
+                    block = cache.get(key)
+                    if block is None:
+                        block = cache[key] = self._build_block(pc, regs.current_el)
                     else:
-                        stats.hits += 1
-                    instruction, execute, cost = entry
+                        built = False
+                    # Per-instruction mode, through the same cache.
+                    if (
+                        interrupts
+                        or self.tracer is not None
+                        or self.auth_failure_hook is not None
+                        or budget - steps < len(block)
+                    ):
+                        block = block[:1]
+                else:
+                    block = self._build_block(pc, regs.current_el, 1)
+                for instruction, execute, cost in block:
+                    regs.pc = pc
                     self.cycles += cost
                     next_pc = execute(self)
+                    self.instructions_retired += 1
+                    if generation_cell.value != generation:
+                        break
+                    pc += 4
                 else:
-                    instruction = mmu.fetch(pc, regs.current_el)
-                    cost = instruction.cost_on(self)
-                    self.cycles += cost
-                    next_pc = instruction.execute(self)
-            except SimFault as fault:
+                    pc -= 4  # the pc of the last entry run
+            except SimFault as error:
+                fault = error
+            dispatched = (pc - start >> 2) + 1
+            steps += dispatched
+            if built:
+                stats.misses += dispatched
+            else:
+                stats.hits += dispatched
+            if fault is not None:
                 if self.fault_hook is not None and self.fault_hook(self, fault):
                     continue
-                raise
-            self.instructions_retired += 1
+                raise fault
             if self.tracer is not None:
                 self.tracer.insn(self, pc, instruction, cost)
             regs.pc = (pc + 4 if next_pc is None else next_pc) & _MASK64

@@ -121,6 +121,9 @@ class Instruction:
 
     mnemonic = "???"
     cycles = 1
+    #: True when the CPU ends a translation block after this instruction:
+    #: every :func:`branch_kind` class, MSR and HostCall.
+    ends_block = False
     #: (attribute, field) pairs, packed from bit 0 upward.
     fields = ()
 
@@ -693,6 +696,7 @@ class StpPre(Instruction):
 
 class _LabelBranch(Instruction):
     fields = (("target", _REL26),)
+    ends_block = True
 
     def __init__(self, label=None, target=None):
         self.label = label
@@ -727,6 +731,7 @@ class Br(Instruction):
     rn: int
     mnemonic = "br"
     fields = (("rn", _X),)
+    ends_block = True
 
     def execute(self, cpu):
         return cpu.regs.x[self.rn]
@@ -742,6 +747,7 @@ class Blr(Instruction):
     rn: int
     mnemonic = "blr"
     fields = (("rn", _X),)
+    ends_block = True
 
     def execute(self, cpu):
         x = cpu.regs.x
@@ -758,6 +764,7 @@ class Ret(Instruction):
     rn: int = LR
     mnemonic = "ret"
     fields = (("rn", _X),)
+    ends_block = True
 
     def execute(self, cpu):
         return cpu.regs.x[self.rn]
@@ -844,6 +851,7 @@ class Hlt(Instruction):
     """HLT — stop the simulation (used as program exit)."""
 
     mnemonic = "hlt"
+    ends_block = True
 
     def execute(self, cpu):
         cpu.halted = True
@@ -857,6 +865,7 @@ class Svc(Instruction):
     imm: int = 0
     mnemonic = "svc"
     cycles = 4
+    ends_block = True
     fields = (("imm", _IMM16),)
 
     def execute(self, cpu):
@@ -872,6 +881,7 @@ class Eret(Instruction):
 
     mnemonic = "eret"
     cycles = 4
+    ends_block = True
 
     def execute(self, cpu):
         return cpu.exception_return()
@@ -891,6 +901,7 @@ class Hvc(Instruction):
     imm: int = 0
     mnemonic = "hvc"
     cycles = 4
+    ends_block = True
     fields = (("imm", _IMM16),)
 
     def execute(self, cpu):
@@ -925,7 +936,7 @@ class Msr(Instruction):
     rn: int
     mnemonic = "msr"
     cycles = 2
-    key_write_cycles = PAUTH_CYCLES
+    ends_block = True
     fields = (("sysreg", _SYSREG), ("rn", _X))
 
     def execute(self, cpu):
@@ -971,6 +982,7 @@ class HostCall(Instruction):
 
     mnemonic = "hostcall"
     cycles = 0
+    ends_block = True
     fields = (("slot", _COUNT),)
 
     def __init__(self, fn, label="host", slot=None):
@@ -1217,6 +1229,7 @@ class RetA(_PAuthInstruction):
     key: str = "ia"
     cycles = 1 + PAUTH_CYCLES
     fields = (("key", _IKEY),)
+    ends_block = True
 
     @property
     def mnemonic(self):
@@ -1237,6 +1250,7 @@ class BlrA(_PAuthInstruction):
     rm: int
     cycles = 1 + PAUTH_CYCLES
     fields = (("key", _IKEY), ("rn", _X), ("rm", _XSP))
+    ends_block = True
 
     @property
     def mnemonic(self):

@@ -156,11 +156,6 @@ class AccessorGenerator:
         asm.emit(isa.Ldr(_PTR, _PTR, callee_offset), isa.Blr(_PTR))
         return asm
 
-    def emit_indirect_call(self, asm, name, field, callee_offset=0):
-        """Named wrapper around :meth:`emit_indirect_call_inline`."""
-        asm.fn(name)
-        return self.emit_indirect_call_inline(asm, field, callee_offset)
-
     def emit_call_pointer_inline(self, asm, field, combined=False):
         """Authenticate a *direct* function-pointer member and call it.
 

@@ -59,11 +59,6 @@ def canary_slot_offset():
     return _CANARY_OFFSET
 
 
-def buffer_offset():
-    """Offset of the overflowable buffer from the function's SP."""
-    return 0
-
-
 def _emit_canary_store(asm, kind, guard_address):
     if kind == CanaryKind.GLOBAL:
         asm.mov_imm(9, guard_address)

@@ -3,9 +3,11 @@
 The simulator carries several *host-side* caches that make the
 interpreter fast without changing a single architectural outcome:
 
-* the **decode cache** (:mod:`repro.arch.cpu`): retired instructions are
-  dispatched through a table of bound handlers instead of re-walking the
-  MMU on every fetch;
+* the **decode cache** (:mod:`repro.arch.cpu`): translation blocks — the
+  bound handlers and costs of the straight-line instructions from a
+  ``(pc, EL)`` up to the next branch, exception, MSR or HostCall — run
+  back to back on one probe instead of re-walking the MMU on every
+  fetch;
 * the **translation cache** (:mod:`repro.mem.mmu`): successful stage-1 +
   stage-2 translations are memoised per (page, access, EL);
 * the **decode memo** (:mod:`repro.mem.phys`): decoded instructions per

@@ -40,10 +40,6 @@ class CallCost:
     def overhead_ns(self):
         return self.overhead_cycles / (CYCLES_PER_SECOND / 1e9)
 
-    @property
-    def ns_per_call(self):
-        return self.cycles_per_call / (CYCLES_PER_SECOND / 1e9)
-
 
 def _prepare(scheme_name, iterations, compat=False, features=("pauth",)):
     """Build the benchmark machine; returns (cpu, program).

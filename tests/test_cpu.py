@@ -1,12 +1,17 @@
 """Tests for the CPU core (repro.arch.cpu): PAuth path, exceptions,
-feature gating, cycle accounting."""
+feature gating, cycle accounting, the interpreter loop and its
+translation blocks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import STACK_TOP, TEXT_BASE, BareMachine
 
+from repro import hotpath
 from repro.arch import isa
-from repro.arch.cpu import VBAR_OFFSETS
+from repro.arch.assembler import Assembler
+from repro.arch.cpu import CPU, VBAR_OFFSETS
 from repro.arch.isa import PAUTH_CYCLES, SP
 from repro.arch.registers import LR, PAuthKey
 from repro.errors import (
@@ -14,6 +19,7 @@ from repro.errors import (
     TranslationFault,
     UndefinedInstructionFault,
 )
+from repro.mem.pagetable import Permissions
 from repro.trace import Tracer, attach_cpu
 
 
@@ -403,3 +409,290 @@ class TestInterpreterLoop:
         seen = sum(count for count, _ in traced.tracer.insn_mix.values())
         # Attached by the first HVC: everything from it on is traced.
         assert seen == traced.instructions_retired - 2
+
+
+# ---------------------------------------------------------------------------
+# Translation blocks: block-wise dispatch retires like the reference path.
+# ---------------------------------------------------------------------------
+
+#: A code page pair the programs may straddle and rewrite, a page of
+#: IRQ vectors, a data page and an unmapped page, all EL1.
+BLOCK_TEXT = 0xFFFF_0000_0C00_0000
+BLOCK_VECTORS = BLOCK_TEXT + 0x2000
+BLOCK_DATA = BLOCK_TEXT + 0x3000
+BLOCK_UNMAPPED = BLOCK_TEXT + 0x5000
+_TEXT_BASE_REG, _DATA_BASE_REG, _PATCH_REG, _UNMAPPED_REG = 21, 20, 22, 24
+_MODIFIER_REG, _LOOP_REG, _IRQ_COUNT_REG = 25, 27, 28
+#: Two words a store may write over later code: ADD x3, x3, #5 and
+#: MOVZ x4, #0x77.  Storing XZR instead writes two undecodable words.
+_PATCH = int.from_bytes(
+    isa.AddImm(3, 3, 5).encoding() + isa.Movz(4, 0x77, 0).encoding(), "little"
+)
+
+_REGS = st.integers(0, 7)
+_ALU = st.one_of(
+    st.builds(isa.AddImm, _REGS, _REGS, st.integers(0, 99)),
+    st.builds(isa.SubImm, _REGS, _REGS, st.integers(0, 99)),
+    st.builds(isa.AddReg, _REGS, _REGS, _REGS),
+    st.builds(isa.SubsReg, _REGS, _REGS, _REGS),
+    st.builds(isa.EorReg, _REGS, _REGS, _REGS),
+    st.builds(isa.Movz, _REGS, st.integers(0, 0xFFFF), st.sampled_from((0, 48))),
+)
+_KEYS = st.sampled_from(("ia", "ib", "da", "db"))
+#: One program element each: (kind, payload).
+_OPS = st.one_of(
+    st.tuples(st.just("alu"), _ALU),
+    st.tuples(st.just("load"), _REGS, st.integers(0, 31)),
+    st.tuples(st.just("store"), _REGS, st.integers(0, 31)),
+    st.tuples(st.just("patch"), st.booleans(), st.integers(1, 6)),
+    st.tuples(st.just("pacaut"), _KEYS, _REGS, st.booleans(), st.booleans()),
+    st.tuples(st.just("unmapped"), _REGS),
+    st.tuples(
+        st.just("branch"),
+        st.sampled_from(("b", "cbz", "cbnz", "b.eq", "b.lt")),
+        _REGS,
+        st.integers(1, 3),
+    ),
+    st.tuples(st.just("irq")),
+)
+
+
+def _raise_irq(cpu):
+    cpu.pending_irq = True
+
+
+def _block_program(ops, start, patch_offsets=None):
+    """Assemble ``ops`` at ``start`` as a loop body run twice, ending in
+    HLT.  A patch stores over the word of a later op (two words), so the
+    program is assembled once more with the offsets that first pass
+    gives."""
+    asm = Assembler(start)
+    asm.label("top")
+    patches = []
+    for index, op in enumerate(ops):
+        kind = op[0]
+        asm.label(f"op{index}")
+        if kind == "alu":
+            asm.emit(op[1])
+        elif kind == "load":
+            asm.emit(isa.Ldr(op[1], _DATA_BASE_REG, 8 * op[2]))
+        elif kind == "store":
+            asm.emit(isa.Str(op[1], _DATA_BASE_REG, 8 * op[2]))
+        elif kind == "patch":
+            source = _PATCH_REG if op[1] else isa.XZR
+            offset = patch_offsets[len(patches)] if patch_offsets else 0
+            patches.append(f"op{min(index + op[2], len(ops))}")
+            asm.emit(isa.Str(source, _TEXT_BASE_REG, offset))
+        elif kind == "pacaut":
+            _, key, reg, tamper, dereference = op
+            asm.emit(isa.Pac(key, reg, _MODIFIER_REG))
+            if tamper:
+                asm.emit(isa.AddImm(reg, reg, 8))
+            asm.emit(isa.Aut(key, reg, _MODIFIER_REG))
+            if dereference:
+                asm.emit(isa.Ldr(0, reg, 0))
+        elif kind == "unmapped":
+            asm.emit(isa.Ldr(op[1], _UNMAPPED_REG, 0))
+        elif kind == "branch":
+            _, mnemonic, reg, distance = op
+            target = f"op{min(index + distance, len(ops))}"
+            asm.emit(
+                isa.B(target) if mnemonic == "b"
+                else isa.Cbz(reg, target) if mnemonic == "cbz"
+                else isa.Cbnz(reg, target) if mnemonic == "cbnz"
+                else isa.BCond(mnemonic[2:], target)
+            )
+        else:
+            asm.emit(isa.HostCall(_raise_irq, "raise_irq"))
+    asm.label(f"op{len(ops)}")
+    asm.emit(isa.SubImm(_LOOP_REG, _LOOP_REG, 1), isa.Cbnz(_LOOP_REG, "top"))
+    asm.emit(isa.Hlt())
+    program = asm.assemble()
+    if patches and patch_offsets is None:
+        offsets = [program.address_of(label) - BLOCK_TEXT for label in patches]
+        return _block_program(ops, start, offsets)
+    return program
+
+
+def _block_core(cached, ops, start, timer):
+    if cached:
+        cpu = CPU()
+    else:
+        with hotpath.disabled_caches():
+            cpu = CPU()
+    mmu = cpu.mmu
+    mmu.map_range(BLOCK_TEXT, 0x2000, 0x700, Permissions.all_access())
+    mmu.map_range(BLOCK_VECTORS, 0x1000, 0x702, Permissions.kernel_text())
+    mmu.map_range(BLOCK_DATA, 0x1000, 0x703, Permissions.kernel_data())
+    vectors = Assembler(BLOCK_VECTORS)
+    vectors.emit(*[isa.Nop()] * (VBAR_OFFSETS[("irq", 1)] // 4))
+    vectors.emit(isa.AddImm(_IRQ_COUNT_REG, _IRQ_COUNT_REG, 1), isa.Eret())
+    mmu.place_program(vectors.assemble())
+    mmu.place_program(_block_program(ops, start))
+    regs = cpu.regs
+    regs.write_sysreg("VBAR_EL1", BLOCK_VECTORS)
+    for name in ("ia", "ib", "da", "db"):
+        setattr(regs.keys, name, PAuthKey(0x1234 + len(name), 0x5678))
+    for index in range(8):
+        regs.write(index, (index * 0x9E37_79B9) & 0xFF if index % 3 else 0)
+    regs.write(_DATA_BASE_REG, BLOCK_DATA)
+    regs.write(_TEXT_BASE_REG, BLOCK_TEXT)
+    regs.write(_PATCH_REG, _PATCH)
+    regs.write(_UNMAPPED_REG, BLOCK_UNMAPPED)
+    regs.write(_MODIFIER_REG, 0xAA)
+    regs.write(_LOOP_REG, 2)
+    regs.current_el = 1
+    regs.sp = BLOCK_DATA + 0x800
+    regs.pc = start
+    cpu.timer_period = timer
+    cpu.faults = []
+
+    def skip(cpu, fault):
+        cpu.faults.append((type(fault).__name__, cpu.regs.pc))
+        cpu.regs.pc += 4
+        return True
+
+    cpu.fault_hook = skip
+    return cpu
+
+
+def _block_state(cpu):
+    regs = cpu.regs
+    phys = cpu.mmu.phys
+    return (
+        cpu.halted,
+        regs.pc,
+        tuple(regs.x),
+        tuple(regs.sp_el),
+        cpu.nzcv,
+        regs.current_el,
+        cpu.cycles,
+        cpu.instructions_retired,
+        cpu.irqs_delivered,
+        tuple(cpu.faults),
+        phys.read(0x703 << 12, 0x100),
+        phys.read(0x700 << 12, 0x2000),
+    )
+
+
+#: Steps a program may take; past the HLT the state stays put.
+_BLOCK_STEPS = 96
+
+
+def _stepped_trace(cpu):
+    trace = []
+    for _ in range(_BLOCK_STEPS):
+        if cpu.halted:
+            break
+        cpu.step()
+        trace.append(_block_state(cpu))
+    return trace
+
+
+class TestTranslationBlocks:
+    """Block-wise dispatch is architecturally invisible."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ops=st.lists(_OPS, min_size=1, max_size=14),
+        start_slot=st.integers(0, 24),
+        timer=st.sampled_from((None, None, 5, 13)),
+    )
+    def test_blocks_retire_like_the_reference(self, ops, start_slot, timer):
+        """A random program — ALU ops, data loads and stores, stores over
+        its own later words, PAC/AUT pairs, faults on unmapped pages,
+        branches and raised IRQs — gives the same per-instruction trace
+        from ``run(n)`` on a cached core, a ``step()`` loop on a cached
+        core and a ``step()`` loop on a cache-free twin."""
+        # Programs start up to 24 words before the page boundary.
+        start = BLOCK_TEXT + 0x1000 - 4 * start_slot
+        reference = _stepped_trace(_block_core(False, ops, start, timer))
+        assert _stepped_trace(_block_core(True, ops, start, timer)) == reference
+        for steps, expected in enumerate(reference, 1):
+            cpu = _block_core(True, ops, start, timer)
+            try:
+                cpu.run(max_steps=steps)
+            except ReproError:
+                pass
+            assert _block_state(cpu) == expected, steps
+        if reference[-1][0]:
+            cpu = _block_core(True, ops, start, timer)
+            cpu.run(max_steps=_BLOCK_STEPS)
+            assert _block_state(cpu) == reference[-1]
+
+    def _core(self, *instructions, start=BLOCK_TEXT + 0x100, cached=True):
+        program = Assembler(start).emit(*instructions).assemble()
+        if cached:
+            cpu = CPU()
+        else:
+            with hotpath.disabled_caches():
+                cpu = CPU()
+        cpu.mmu.map_range(BLOCK_TEXT, 0x2000, 0x700, Permissions.all_access())
+        cpu.mmu.place_program(program)
+        cpu.regs.current_el = 1
+        cpu.regs.write(_TEXT_BASE_REG, BLOCK_TEXT)
+        cpu.regs.write(_PATCH_REG, _PATCH)
+        cpu.regs.pc = start
+        return cpu
+
+    @pytest.mark.parametrize("cached", (True, False))
+    def test_store_over_next_instruction_runs_the_new_word(self, cached):
+        """STR over the next word of the running block: the new word
+        (ADD x3, x3, #5) runs, not the MOVZ x3 built into the block."""
+        next_word = BLOCK_TEXT + 0x104
+        cpu = self._core(
+            isa.Str(_PATCH_REG, _TEXT_BASE_REG, next_word - BLOCK_TEXT),
+            isa.Movz(3, 1, 0),
+            isa.Movz(4, 1, 0),
+            isa.Hlt(),
+            cached=cached,
+        )
+        cpu.run(max_steps=10)
+        assert (cpu.regs.read(3), cpu.regs.read(4)) == (5, 0x77)
+        assert cpu.instructions_retired == 4
+
+    def test_block_never_crosses_a_page_boundary(self):
+        start = BLOCK_TEXT + 0x1000 - 8
+        cpu = self._core(*[isa.Nop()] * 5, isa.Hlt(), start=start)
+        cpu.run(max_steps=10)
+        assert cpu.instructions_retired == 6
+        blocks = {pc: len(block) for (pc, _), block in cpu._decode_cache.items()}
+        assert blocks == {start: 2, BLOCK_TEXT + 0x1000: 4}
+
+    def test_undecodable_word_past_a_block_never_faults_early(self):
+        """The block before an undecodable word ends at it; the fault is
+        raised only on reaching the word, and a store that repairs the
+        word first lets it run."""
+        bad = BLOCK_TEXT + 0x108
+        cpu = self._core(isa.Movz(1, 1, 0), isa.Movz(2, 2, 0))
+        assert cpu.mmu.read(bad, 4, 1) == bytes(4)
+        cpu.step()
+        cpu.step()
+        assert (cpu.regs.read(1), cpu.regs.read(2)) == (1, 2)
+        with pytest.raises(TranslationFault):
+            cpu.step()
+        assert (cpu.regs.pc, cpu.instructions_retired) == (bad, 2)
+
+        cpu = self._core(isa.Movz(1, 1, 0), isa.Movz(2, 2, 0))
+        with pytest.raises(TranslationFault):
+            cpu.run(max_steps=10)
+        assert (cpu.regs.pc, cpu.instructions_retired) == (bad, 2)
+        assert cpu.cycles == 2
+
+        cpu = self._core(
+            isa.Movz(1, 1, 0),
+            isa.Str(_PATCH_REG, _TEXT_BASE_REG, bad - BLOCK_TEXT),
+        )
+        cpu.mmu.phys.store_instruction((0x700 << 12) + 0x110, isa.Hlt(), bad + 8)
+        cpu.run(max_steps=10)
+        assert (cpu.regs.read(3), cpu.regs.read(4)) == (5, 0x77)
+
+    def test_decode_counters_count_dispatched_instructions(self):
+        """Fault-free and IRQ-free: every retired instruction is one
+        decode hit or miss, and the second pass over the loop hits."""
+        cpu = _loop_machine("timer_irq")
+        cpu.timer_period = None
+        cpu.run(max_steps=200)
+        stats = cpu.decode_stats
+        assert stats.hits + stats.misses == cpu.instructions_retired
+        assert stats.hits > stats.misses

@@ -222,6 +222,17 @@ class TestLoadsStores:
 
 
 class TestBranches:
+    def test_block_enders_are_control_transfers_msr_and_hostcall(self):
+        """The CPU ends a translation block after every branch_kind
+        class, MSR and HostCall, and after nothing else."""
+        enders = {cls for _, cls in _STORABLE if cls.ends_block}
+        transfers = {
+            cls for _, cls in _STORABLE
+            if isa.branch_kind(cls.__new__(cls)) is not None
+        }
+        assert len(transfers) == 15
+        assert enders == transfers | {isa.Msr, isa.HostCall}
+
     def test_b_and_labels(self, machine):
         asm = machine.assembler()
         asm.fn("main")
