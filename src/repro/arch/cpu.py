@@ -59,7 +59,8 @@ class DecodeCacheStats:
 
     ``hits`` and ``misses`` count dispatched instructions: those run
     from a cached block, and those run from a block built for them (on
-    a cache-free core, every one).  ``flushes`` counts cache flushes.
+    a cache-free core, every one).  ``flushes`` counts full flushes of
+    a non-empty cache, not the page-scoped drops of a remap.
     """
 
     __slots__ = ("hits", "misses", "flushes")
@@ -146,14 +147,17 @@ class CPU:
         #: Host-side decode cache (see repro.hotpath): translation
         #: blocks of ``(instruction, execute, cost)`` keyed by (PC, EL)
         #: (see ``_build_block``), stamped with the MMU's machine
-        #: generation so any write to a code page, mapping change or
-        #: stage-2 update (or installing a stage-2 table) flushes it.
-        #: Purely host-visible — cycle counts and retired streams are
-        #: identical with the cache off (tests/test_diff_cached.py).
+        #: generation.  A remap or unmap drops the blocks of that low
+        #: VPN; a write to a fetched code frame, a stage-2 update or a
+        #: table install flushes it.  Purely host-visible — cycle counts
+        #: and retired streams are identical with the cache off
+        #: (tests/test_diff_cached.py).
         self._decode_enabled = hotpath.caches_enabled()
         self._decode_cache = {}
         self._decode_stamp = -1
         self.decode_stats = DecodeCacheStats()
+        shift, mask = self.mmu.page_shift, self.mmu.vpn_mask
+        self._block_page = lambda key: (key[0] >> shift) & mask
 
     def _key_bank(self):
         """The key bank PAC instructions, MSR and MRS address: the
@@ -415,8 +419,9 @@ class CPU:
                 generation = generation_cell.value
                 if decode_enabled:
                     if generation != self._decode_stamp:
-                        if cache:
-                            cache.clear()
+                        if generation_cell.drop_stale(
+                            cache, self._decode_stamp, self._block_page
+                        ):
                             stats.flushes += 1
                         self._decode_stamp = generation
                     key = (pc, regs.current_el)

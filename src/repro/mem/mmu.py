@@ -15,7 +15,7 @@ from repro import hotpath
 from repro.arch.vmsa import AddressKind, VMSAConfig
 from repro.errors import PermissionFault, ReproError, TranslationFault
 from repro.mem.pagetable import Stage1Table, Stage2Table
-from repro.mem.phys import Generation, PhysicalMemory
+from repro.mem.phys import EVERYTHING, Generation, PhysicalMemory
 
 __all__ = ["MMU", "AddressSpace"]
 
@@ -30,7 +30,7 @@ def _installed(name):
 
     def install(self, table):
         table.generation = self.generation
-        self.generation.value += 1
+        self.generation.bump(EVERYTHING)
         setattr(self, slot, table)
 
     return property(lambda self: getattr(self, slot), install)
@@ -73,13 +73,17 @@ class MMU:
         self.stage2 = stage2 or Stage2Table()
         self.page_shift = self.config.page_shift
         self.page_size = 1 << self.page_shift
+        #: ``va >> page_shift & vpn_mask`` is the low VPN a stage-1 table
+        #: indexes, in both halves.
+        self.vpn_mask = (1 << (self.config.va_bits - self.page_shift)) - 1
         # Host-side translation cache (see repro.hotpath): successful
-        # (page, access, EL) walks memoised until the generation moves.
-        # Faults are never cached, so the faulting paths re-walk and
-        # behave identically with the cache on or off.
+        # (page, access, EL) walks memoised until a bump's scope covers
+        # them.  Faults are never cached, so the faulting paths re-walk
+        # and behave identically with the cache on or off.
         self._cache_walks = hotpath.caches_enabled()
         self._walk_cache = {}
         self._walk_stamp = -1
+        self._walk_page = lambda key: key[0] & self.vpn_mask
 
     # -- generation -------------------------------------------------------------
 
@@ -103,7 +107,9 @@ class MMU:
         if self._cache_walks:
             generation = self.generation.value
             if generation != self._walk_stamp:
-                self._walk_cache.clear()
+                self.generation.drop_stale(
+                    self._walk_cache, self._walk_stamp, self._walk_page
+                )
                 self._walk_stamp = generation
             key = (va >> self.page_shift, access, el)
             base = self._walk_cache.get(key, -1)
@@ -214,8 +220,11 @@ class MMU:
             table.map_page(first_vpn + index, frame_base + index, permissions)
 
     def frame_of(self, va):
-        """Physical frame backing ``va`` (no permission check)."""
+        """Physical frame backing ``va`` (no permission check), or None
+        if it is unmapped or not canonical."""
         kind = self.config.classify(va)
+        if kind == AddressKind.INVALID:
+            return None
         low = va & ((1 << self.config.va_bits) - 1)
         mapping = self.address_space.table_for(kind).lookup(
             low >> self.page_shift

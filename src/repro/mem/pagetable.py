@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ReproError
-from repro.mem.phys import Generation
+from repro.mem.phys import EVERYTHING, NOTHING, Generation
 
 __all__ = ["Permissions", "Stage1Table", "Stage2Table", "Mapping"]
 
@@ -85,20 +85,23 @@ class Stage1Table:
         self.page_shift = page_shift
         self._entries = {}
         #: The machine :class:`Generation`, bumped on every mutation so
-        #: host-side caches re-walk (analogous to a TLB invalidate).  A
-        #: table built on its own gets a private cell.
+        #: host-side caches re-walk (analogous to a TLB invalidate), with
+        #: the page as its scope.  A table built on its own gets a
+        #: private cell.
         self.generation = Generation() if generation is None else generation
 
     def map_page(self, vpn, frame, permissions):
         """Install a mapping; EL1 read is forced on (VMSAv8 rule)."""
         if not permissions.r_el1:
             permissions = replace(permissions, r_el1=True)
+        # A walk through an empty slot faulted, and no host cache keeps
+        # a fault, so filling one makes nothing stale.
+        self.generation.bump(vpn if vpn in self._entries else NOTHING)
         self._entries[vpn] = Mapping(frame=frame, permissions=permissions)
-        self.generation.value += 1
 
     def unmap_page(self, vpn):
         if self._entries.pop(vpn, None) is not None:
-            self.generation.value += 1
+            self.generation.bump(vpn)
 
     def lookup(self, vpn):
         """Return the :class:`Mapping` for a virtual page, or None."""
@@ -123,11 +126,11 @@ class Stage2Table:
 
     def set_frame(self, frame, *, r, w, x_el1, x_el0=False):
         self._entries[frame] = (r, w, x_el1, x_el0)
-        self.generation.value += 1
+        self.generation.bump(EVERYTHING)
 
     def clear_frame(self, frame):
         if self._entries.pop(frame, None) is not None:
-            self.generation.value += 1
+            self.generation.bump(EVERYTHING)
 
     def allows(self, frame, access, el):
         entry = self._entries.get(frame)

@@ -15,10 +15,15 @@ from repro import hotpath
 from repro.arch.isa import HostCall, decode
 from repro.errors import ReproError
 
-__all__ = ["Generation", "PhysicalMemory"]
+__all__ = ["EVERYTHING", "Generation", "NOTHING", "PhysicalMemory"]
 
 _MASK64 = (1 << 64) - 1
 _U64 = struct.Struct("<Q")
+
+
+#: Bump scopes besides one low VPN (see :class:`Generation`).
+NOTHING = -1
+EVERYTHING = None
 
 
 class Generation:
@@ -28,12 +33,47 @@ class Generation:
     cell and bump it on each change a cached fetch or translation could
     depend on (code stores, mappings, stage-2 permissions, installing a
     table).  A host-side cache stamped with an older value is stale.
+
+    Each bump names its scope: ``NOTHING``, ``EVERYTHING`` or one low
+    VPN (the stage-1 index, shared by a user and a kernel page), logged
+    so that a stale cache drops only those pages, like ``TLBI VAE1``.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_pages", "_floor")
+
+    LOG_LIMIT = 16
 
     def __init__(self):
         self.value = 0
+        #: ``(value, low VPN)`` of the page-scoped bumps since ``_floor``,
+        #: the last bump a cache stamped before must flush for.
+        self._pages = []
+        self._floor = 0
+
+    def bump(self, scope):
+        self.value += 1
+        if scope is EVERYTHING:
+            self._pages.clear()
+            self._floor = self.value
+        elif scope != NOTHING:
+            self._pages.append((self.value, scope))
+            if len(self._pages) > self.LOG_LIMIT:
+                self._floor = self._pages.pop(0)[0]
+
+    def drop_stale(self, cache, stamp, page_of):
+        """Drop from ``cache``, stamped ``stamp``, what the bumps since
+        made stale: the keys whose ``page_of(key)`` low VPN a logged
+        scope names, or every key when the stamp predates the log.
+        Returns True when it flushed a non-empty cache."""
+        if stamp < self._floor:
+            flushed = bool(cache)
+            cache.clear()
+            return flushed
+        pages = {page for value, page in self._pages if value > stamp}
+        if pages:
+            for key in [key for key in cache if page_of(key) in pages]:
+                del cache[key]
+        return False
 
 
 class PhysicalMemory:
@@ -54,6 +94,9 @@ class PhysicalMemory:
         #: page tables.
         self.generation = Generation()
         self._code_frames = set()
+        #: The code frames a fetch has read: only writes to these can
+        #: stale a decoded block.
+        self._fetched = set()
         #: This machine's host calls, bound to slots in store order.
         self.host_calls = []
         #: Decode memo (see repro.hotpath): where a word was decoded,
@@ -119,7 +162,8 @@ class PhysicalMemory:
             self._code_written(pa, 8)
 
     def _code_written(self, pa, size):
-        self.generation.value += 1
+        fetched = pa >> self.page_shift in self._fetched
+        self.generation.bump(EVERYTHING if fetched else NOTHING)
         for word in range(pa & ~3, pa + size, 4):
             self._decoded.pop(word, None)
 
@@ -151,6 +195,7 @@ class PhysicalMemory:
             return None
         frame_number, offset = divmod(pa, self.page_size)
         self._code_frames.add(frame_number)
+        self._fetched.add(frame_number)
         frame = self._frames.get(frame_number) or self._frame(frame_number)
         key = (int.from_bytes(frame[offset:offset + 4], "little"), pc)
         instruction = self._words.get(key)

@@ -20,6 +20,7 @@ from repro.arch.cpu import CPU
 from repro.errors import ReproError, SimFault
 from repro.mem.mmu import MMU
 from repro.mem.pagetable import Permissions, Stage1Table, Stage2Table
+from repro.mem.phys import Generation
 
 KERNEL_VA = 0xFFFF_0000_0800_0000
 USER_VA = 0x0000_0000_0040_0000
@@ -163,15 +164,81 @@ class TestOneGeneration:
         assert observe() == (2, "movz x0, #0x2, lsl #0", 2)
 
 
+#: A user page sharing KERNEL_VA's low VPN.
+USER_ALIAS = KERNEL_VA & ((1 << 48) - 1)
+
+#: Mutator -> the pages of KERNEL_VA, KERNEL_VA + 0x1000 and USER_ALIAS
+#: whose cached walks survive it (CODE_FRAME has been fetched).
+SCOPES = {
+    "map_empty_slot": (MUTATIONS["map_range"],
+                       {KERNEL_VA, KERNEL_VA + 0x1000, USER_ALIAS}),
+    "remap": (lambda mmu: mmu.map_range(
+        KERNEL_VA, 0x1000, 0x400, Permissions.kernel_text()
+    ), {KERNEL_VA + 0x1000}),
+    "unmap_page": (MUTATIONS["unmap_page"], {KERNEL_VA + 0x1000}),
+    "set_frame": (MUTATIONS["set_frame"], set()),
+    "clear_frame": (MUTATIONS["clear_frame"], set()),
+    "install_stage2": (MUTATIONS["install_stage2"], set()),
+    "install_user_table": (MUTATIONS["install_user_table"], set()),
+    "store_unfetched_frame": (lambda mmu: mmu.phys.store_instruction(
+        0x400 << 12, isa.Ret()
+    ), {KERNEL_VA, KERNEL_VA + 0x1000, USER_ALIAS}),
+    "store_fetched_frame": (MUTATIONS["store_instruction"], set()),
+    "write_fetched_frame": (MUTATIONS["write_code_frame"], set()),
+}
+
+
+class TestScopes:
+    """Each bump names what it may have made stale; a cache replays the
+    scopes logged since its stamp."""
+
+    @staticmethod
+    def _replay(mmu, mutations):
+        """The cached pages left after ``mutations``, and whether the
+        replay flushed."""
+        cache = {
+            (va >> mmu.page_shift, "r", 1): va
+            for va in (KERNEL_VA, KERNEL_VA + 0x1000, USER_ALIAS)
+        }
+        stamp = mmu.generation.value
+        for mutate in mutations:
+            mutate(mmu)
+        flushed = mmu.generation.drop_stale(cache, stamp, mmu._walk_page)
+        return set(cache.values()), flushed
+
+    @pytest.mark.parametrize("name", sorted(SCOPES))
+    def test_mutator_scope(self, mmu, name):
+        mutate, kept = SCOPES[name]
+        mmu.fetch(KERNEL_VA, 1)
+        assert self._replay(mmu, [mutate]) == (kept, not kept)
+
+    def test_stamp_older_than_the_log_flushes(self, mmu):
+        remap = SCOPES["remap"][0]
+        full = Generation.LOG_LIMIT
+        assert self._replay(mmu, [remap] * full) == ({KERNEL_VA + 0x1000}, False)
+        assert self._replay(mmu, [remap] * (full + 1)) == (set(), True)
+
+
 # -- cached machine vs cache-free twin -----------------------------------------
 
-# A small universe, fully mapped at the start, so that random operations
-# keep landing on the same few entries.  Pages 0 and 1 map code frames;
-# page 2 maps a data frame (until a store turns it into code).
-PAGES = 3
-FRAMES = (0x100, 0x101, 0x102)
+# A small universe, so that random operations keep landing on the same
+# few entries.  Pages 0 and 1 map code frames; page 2 maps a data frame
+# (until a store turns it into code).  Page 3 starts unmapped, so
+# installs into its empty slot follow faulting fetches and translates,
+# and in the kernel half it shares its low VPN with user page 0.  Frame
+# 0x103 starts unmapped: stores land in a code frame no fetch has read
+# until a mapping exposes it to the lookups.
+PAGES = 4
+FRAMES = (0x100, 0x101, 0x102, 0x103)
 CODE_FRAMES = FRAMES[:2]
-SLOTS = 2
+PAGE_BASES = {
+    True: (KERNEL_VA, KERNEL_VA + 0x1000, KERNEL_VA + 0x2000,
+           0xFFFF_0000_0000_0000 | USER_VA),
+    False: tuple(USER_VA + page * 0x1000 for page in range(PAGES)),
+}
+#: Instruction slots per page; slot 2 lies past the 8-byte writes at
+#: offset 0, so code stored there survives the lookups.
+SLOTS = 3
 #: 8-byte access offsets: one inside the page, one straddling into the
 #: next page.
 U64_OFFSETS = (0x0, 0xFFC)
@@ -202,6 +269,7 @@ MUTATION_OPS = st.one_of(
     st.tuples(st.just("write_u64"), _bool, _page,
               st.sampled_from(U64_OFFSETS), _el,
               st.integers(0, (1 << 64) - 1)),
+    st.tuples(st.just("load"), _bool, _page, _frame, st.integers(1, 3)),
 )
 
 #: Every lookup in the universe, run after each mutation: whatever the
@@ -234,11 +302,19 @@ LOOKUPS = [("read_u64", *access) for access in _U64_ACCESSES] + [
     )
 ]
 
+#: Run first after each mutation: the lookups that make no data write, so
+#: they meet the walks and blocks the previous round cached, before a
+#: ``write_u64`` lookup into a fetched code frame flushes both caches.
+PROBES = [
+    lookup for lookup in LOOKUPS
+    if lookup[0] in ("read_u64", "translate", "fetch", "step")
+]
+
 
 def _machine():
     cpu = CPU()
     for kernel in (True, False):
-        for page in range(PAGES):
+        for page in range(PAGES - 1):
             _apply(cpu, ("map", kernel, page, FRAMES[page], 0))
     _apply(cpu, ("install_stage2", False))
     for frame in FRAMES:
@@ -250,7 +326,7 @@ def _machine():
 
 
 def _va(kernel, page, slot=0):
-    return (KERNEL_VA if kernel else USER_VA) + page * 0x1000 + slot * 4
+    return PAGE_BASES[kernel][page] + slot * 4
 
 
 def _enter(cpu, kernel, page, slot, el):
@@ -302,6 +378,13 @@ def _apply(cpu, operation):
         elif name == "write_u64":
             kernel, page, offset, el, value = args
             mmu.write_u64(_va(kernel, page) + offset, value, el)
+        elif name == "load":
+            # A program load: map, then store code, with no lookup in
+            # between (into a frame no fetch has read, the first time).
+            kernel, page, frame, imm = args
+            _apply(cpu, ("map", kernel, page, frame, 0))
+            for slot in range(SLOTS):
+                _apply(cpu, ("store", frame, slot, imm + slot))
         elif name == "read_u64":
             kernel, page, offset, el = args
             return mmu.read_u64(_va(kernel, page) + offset, el)
@@ -342,7 +425,7 @@ class TestCachedMatchesReference:
             if mutation is not None:
                 _apply(cached, mutation)
                 _apply(reference, mutation)
-            for lookup in LOOKUPS:
+            for lookup in PROBES + LOOKUPS:
                 # The generation is compared too: whatever the caches
                 # do, it must move on exactly the same operations.
                 assert (

@@ -4,8 +4,8 @@ The differential suite (``test_diff_cached.py``) shows the caches are
 invisible on the pinned workloads; these tests pin the *mechanisms* that
 make that true — the staleness contracts.  Each one constructs the exact
 hazard a cache could get wrong (a key-register write, self-modifying
-code, an unmap, a wholesale stage-2 swap) and asserts the stale entry is
-never served.
+code, an unmap, a remap, a wholesale stage-2 swap) and asserts the stale
+entry is never served.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from repro.arch.registers import (
     PAuthKey,
 )
 from repro.errors import PermissionFault, TranslationFault
+from repro.kernel import System, layout
 from repro.mem.pagetable import Permissions, Stage2Table
+from repro.mem.phys import Generation
 
 _POINTER = 0xFFFF_0000_0801_2340
 _MODIFIER = 0xAA55
@@ -351,6 +353,95 @@ class TestTranslationCacheInvalidation:
         )
         new_pa = mmu.translate(DATA_BASE, "r", 1)
         assert new_pa == old_pa + mmu.page_size
+
+
+def _user_program(system, imm):
+    """``x1 = imm``, then getpid, then HLT, at USER_TEXT_BASE."""
+    user = Assembler(layout.USER_TEXT_BASE)
+    user.fn("main")
+    user.mov_imm(1, imm)
+    user.mov_imm(8, system.syscall_numbers["getpid"])
+    user.emit(isa.Svc(0), isa.Hlt())
+    return user.assemble()
+
+
+def _load_and_run(system, program):
+    """Load ``program`` into fresh frames as a new task would, and run it."""
+    system.load_user_program(program)
+    cycles = system.run_user(system.tasks.current, program.address_of("main"))
+    regs = system.cpu.regs
+    return cycles, regs.read(0), regs.read(1), system.cpu.instructions_retired
+
+
+def _step_from(cpu, pc):
+    cpu.regs.pc, cpu.regs.current_el = pc, 1
+    cpu.step()
+    return cpu.regs.read(0), cpu.regs.pc, cpu.cycles
+
+
+class TestScopedInvalidation:
+    """A remap drops one page's walks and blocks, a store into a frame
+    no fetch has read drops nothing, and a stamp older than the scope
+    log flushes: each against a cache-free twin."""
+
+    def test_second_user_program_keeps_kernel_blocks(self):
+        with hotpath.disabled_caches():
+            reference = System(profile="full")
+        cached = System(profile="full")
+        for system in (cached, reference):
+            system.map_user_stack()
+        first, second = (_user_program(cached, imm) for imm in (1, 2))
+        assert _load_and_run(cached, first) == _load_and_run(reference, first)
+        cpu = cached.cpu
+        frame = cached.mmu.frame_of(layout.USER_TEXT_BASE)
+        stats, blocks = cpu.decode_stats.to_dict(), set(cpu._decode_cache)
+        result = _load_and_run(cached, second)
+        assert result == _load_and_run(reference, second)
+        assert result[2] == 2
+        assert cached.mmu.frame_of(layout.USER_TEXT_BASE) != frame
+        # The new program's blocks are the only ones built; the kernel's
+        # syscall path runs from the blocks the first program left.
+        assert cpu.decode_stats.flushes == stats["flushes"]
+        assert cpu.decode_stats.misses - stats["misses"] == len(
+            second.instructions
+        )
+        assert {key for key in blocks if key[1] == 1} <= set(cpu._decode_cache)
+
+    def test_remap_of_executed_page_runs_the_new_frame(self):
+        observed = []
+        for cached in (True, False):
+            cpu = _smc_core(cached)
+            cpu.mmu.phys.store_instruction(0x421 << 12, isa.Movz(0, 8, 0))
+            first = _step_from(cpu, _SMC_TEXT)
+            flushes = cpu.decode_stats.flushes
+            cpu.mmu.map_range(_SMC_TEXT, 0x1000, 0x421, Permissions.kernel_text())
+            observed.append((first, _step_from(cpu, _SMC_TEXT)))
+            if cached:
+                assert cpu.decode_stats.flushes == flushes
+        assert observed[0] == observed[1]
+        assert [step[0] for step in observed[0]] == [7, 8]
+
+    @pytest.mark.parametrize("extra, flushes", [(0, 0), (1, 1)])
+    def test_scope_log_overflow_flushes(self, extra, flushes):
+        # The first map fills an empty slot (no scope); every later one
+        # replaces it, one page scope each.
+        remaps = Generation.LOG_LIMIT + extra
+        observed = []
+        for cached in (True, False):
+            cpu = _smc_core(cached)
+            first = _run_from(cpu, _SMC_TEXT)
+            before = cpu.decode_stats.to_dict()
+            for index in range(remaps + 1):
+                cpu.mmu.map_range(
+                    _SMC_TEXT + 0x1000, 0x1000, 0x430 + index % 2,
+                    Permissions.kernel_data(),
+                )
+            observed.append((first, _run_from(cpu, _SMC_TEXT), cpu.cycles))
+            if cached:
+                stats = cpu.decode_stats
+                assert stats.flushes - before["flushes"] == flushes
+                assert (stats.misses == before["misses"]) == (not flushes)
+        assert observed[0] == observed[1]
 
 
 class TestEnvironmentSwitch:

@@ -205,6 +205,20 @@ class TestMMU:
         assert mmu.frame_of(KERNEL_VA + 0x1000) == 0x101
         assert mmu.frame_of(0xFFFF_0000_0000_0000) is None
 
+    def test_frame_of_noncanonical_is_none(self, mmu):
+        # Not USER_VA: no table maps an address with bits above va_bits
+        # that are not all equal.
+        assert mmu.frame_of((1 << 48) | USER_VA) is None
+
+    def test_place_program_at_noncanonical_rejected(self, mmu):
+        from repro.arch import isa
+        from repro.arch.assembler import Assembler
+
+        program = Assembler((1 << 48) | USER_VA).emit(isa.Nop()).assemble()
+        with pytest.raises(ReproError, match="cannot place code at unmapped"):
+            mmu.place_program(program)
+        assert mmu.phys.read(0x200 << 12, 4) == bytes(4)
+
 
 PAGE = 1 << 12
 
