@@ -146,7 +146,7 @@ class CPU:
         self.irqs_delivered = 0
         #: Host-side decode cache (see repro.hotpath): translation
         #: blocks of ``(instruction, execute, cost)`` keyed by (PC, EL)
-        #: (see ``_build_block``), stamped with the MMU's machine
+        #: (see ``_build_block``), registered with the MMU's machine
         #: generation.  A remap or unmap drops the blocks of that low
         #: VPN; a write to a fetched code frame, a stage-2 update or a
         #: table install flushes it.  Purely host-visible — cycle counts
@@ -154,10 +154,14 @@ class CPU:
         #: (tests/test_diff_cached.py).
         self._decode_enabled = hotpath.caches_enabled()
         self._decode_cache = {}
-        self._decode_stamp = -1
         self.decode_stats = DecodeCacheStats()
-        shift, mask = self.mmu.page_shift, self.mmu.vpn_mask
-        self._block_page = lambda key: (key[0] >> shift) & mask
+        if self._decode_enabled:
+            shift, mask = self.mmu.page_shift, self.mmu.vpn_mask
+            self.mmu.generation.register(
+                self._decode_cache,
+                lambda key: (key[0] >> shift) & mask,
+                self.decode_stats,
+            )
 
     def _key_bank(self):
         """The key bank PAC instructions, MSR and MRS address: the
@@ -418,12 +422,6 @@ class CPU:
             try:
                 generation = generation_cell.value
                 if decode_enabled:
-                    if generation != self._decode_stamp:
-                        if generation_cell.drop_stale(
-                            cache, self._decode_stamp, self._block_page
-                        ):
-                            stats.flushes += 1
-                        self._decode_stamp = generation
                     key = (pc, regs.current_el)
                     block = cache.get(key)
                     if block is None:

@@ -11,8 +11,7 @@ interpreter fast without changing a single architectural outcome:
 * the **translation cache** (:mod:`repro.mem.mmu`): successful stage-1 +
   stage-2 translations are memoised per (page, access, EL);
 * the **decode memo** (:mod:`repro.mem.phys`): decoded instructions per
-  physical address (dropped when their word is written) and per (word,
-  PC);
+  (word, PC), which never go stale;
 * the **cipher memo** (:mod:`repro.qarma.qarma64`): pure memoisation of
   QARMA-64 encryptions per cipher instance.  The PAC engine keeps one
   immutable cipher per key value, so this is also the only PAC memo and

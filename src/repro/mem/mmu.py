@@ -65,7 +65,7 @@ class MMU:
         self.config = config or VMSAConfig()
         self.phys = phys or PhysicalMemory(self.config.page_shift)
         #: The machine generation, shared by physical memory, both
-        #: stage-1 tables and stage 2; both host caches stamp against it.
+        #: stage-1 tables and stage 2; both host caches register with it.
         self.generation = self.phys.generation
         self.address_space = AddressSpace(
             self.config.page_shift, self.generation
@@ -82,8 +82,11 @@ class MMU:
         # and behave identically with the cache on or off.
         self._cache_walks = hotpath.caches_enabled()
         self._walk_cache = {}
-        self._walk_stamp = -1
-        self._walk_page = lambda key: key[0] & self.vpn_mask
+        if self._cache_walks:
+            mask = self.vpn_mask
+            self.generation.register(
+                self._walk_cache, lambda key: key[0] & mask
+            )
 
     # -- generation -------------------------------------------------------------
 
@@ -105,12 +108,6 @@ class MMU:
         """
         va &= _MASK64
         if self._cache_walks:
-            generation = self.generation.value
-            if generation != self._walk_stamp:
-                self.generation.drop_stale(
-                    self._walk_cache, self._walk_stamp, self._walk_page
-                )
-                self._walk_stamp = generation
             key = (va >> self.page_shift, access, el)
             base = self._walk_cache.get(key, -1)
             if base >= 0:
@@ -205,11 +202,10 @@ class MMU:
 
     # -- mapping helpers ------------------------------------------------------------
 
-    def map_range(self, va, size, frame_base, permissions, kind=None):
+    def map_range(self, va, size, frame_base, permissions):
         """Map ``size`` bytes at ``va`` onto consecutive frames."""
         va &= _MASK64
-        if kind is None:
-            kind = self.config.classify(va)
+        kind = self.config.classify(va)
         if kind == AddressKind.INVALID:
             raise TranslationFault(f"cannot map invalid address {va:#x}")
         table = self.address_space.table_for(kind)

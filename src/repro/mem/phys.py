@@ -32,48 +32,38 @@ class Generation:
     Physical memory and every page table of one machine share a single
     cell and bump it on each change a cached fetch or translation could
     depend on (code stores, mappings, stage-2 permissions, installing a
-    table).  A host-side cache stamped with an older value is stale.
+    table).
 
     Each bump names its scope: ``NOTHING``, ``EVERYTHING`` or one low
-    VPN (the stage-1 index, shared by a user and a kernel page), logged
-    so that a stale cache drops only those pages, like ``TLBI VAE1``.
+    VPN (the stage-1 index, shared by a user and a kernel page), and
+    drops what it covers from every registered host cache at once, like
+    ``TLBI VAE1``.
     """
 
-    __slots__ = ("value", "_pages", "_floor")
-
-    LOG_LIMIT = 16
+    __slots__ = ("value", "_caches")
 
     def __init__(self):
         self.value = 0
-        #: ``(value, low VPN)`` of the page-scoped bumps since ``_floor``,
-        #: the last bump a cache stamped before must flush for.
-        self._pages = []
-        self._floor = 0
+        self._caches = []
+
+    def register(self, cache, page_of, stats=None):
+        """Have every bump drop from the dict ``cache`` the keys whose
+        ``page_of(key)`` low VPN its scope names; an everything-bump
+        clears it, counted in ``stats.flushes`` if it was not empty."""
+        self._caches.append((cache, page_of, stats))
 
     def bump(self, scope):
         self.value += 1
-        if scope is EVERYTHING:
-            self._pages.clear()
-            self._floor = self.value
-        elif scope != NOTHING:
-            self._pages.append((self.value, scope))
-            if len(self._pages) > self.LOG_LIMIT:
-                self._floor = self._pages.pop(0)[0]
-
-    def drop_stale(self, cache, stamp, page_of):
-        """Drop from ``cache``, stamped ``stamp``, what the bumps since
-        made stale: the keys whose ``page_of(key)`` low VPN a logged
-        scope names, or every key when the stamp predates the log.
-        Returns True when it flushed a non-empty cache."""
-        if stamp < self._floor:
-            flushed = bool(cache)
-            cache.clear()
-            return flushed
-        pages = {page for value, page in self._pages if value > stamp}
-        if pages:
-            for key in [key for key in cache if page_of(key) in pages]:
-                del cache[key]
-        return False
+        if scope == NOTHING:
+            return
+        for cache, page_of, stats in self._caches:
+            if scope is EVERYTHING:
+                if cache and stats is not None:
+                    stats.flushes += 1
+                cache.clear()
+            else:
+                for key in [key for key in cache if page_of(key) == scope]:
+                    del cache[key]
 
 
 class PhysicalMemory:
@@ -99,12 +89,10 @@ class PhysicalMemory:
         self._fetched = set()
         #: This machine's host calls, bound to slots in store order.
         self.host_calls = []
-        #: Decode memo (see repro.hotpath): where a word was decoded,
-        #: pa -> (pc, instruction), from which a write drops the words it
-        #: overwrites; behind it (word, pc) -> instruction, which serves
-        #: code stored again at another pa without decoding it.
+        #: Decode memo (see repro.hotpath): (word, pc) -> instruction,
+        #: which serves code stored again at another pa without decoding
+        #: it, and never goes stale.
         self._memoize = hotpath.caches_enabled()
-        self._decoded = {}
         self._words = {}
 
     def _frame(self, frame_number):
@@ -138,7 +126,7 @@ class PhysicalMemory:
                 offset_in_data:offset_in_data + chunk
             ]
             if frame_number in self._code_frames:
-                self._code_written(pa, chunk)
+                self._code_written(frame_number)
             pa += chunk
             offset_in_data += chunk
 
@@ -159,13 +147,11 @@ class PhysicalMemory:
         frame = self._frames.get(frame_number) or self._frame(frame_number)
         _U64.pack_into(frame, offset, value & _MASK64)
         if frame_number in self._code_frames:
-            self._code_written(pa, 8)
+            self._code_written(frame_number)
 
-    def _code_written(self, pa, size):
-        fetched = pa >> self.page_shift in self._fetched
+    def _code_written(self, frame_number):
+        fetched = frame_number in self._fetched
         self.generation.bump(EVERYTHING if fetched else NOTHING)
-        for word in range(pa & ~3, pa + size, 4):
-            self._decoded.pop(word, None)
 
     # -- instruction storage ----------------------------------------------------
 
@@ -188,9 +174,6 @@ class PhysicalMemory:
     def fetch_instruction(self, pa, pc):
         """Decode the word at ``pa`` as the instruction at virtual
         address ``pc`` (None if it is not one)."""
-        entry = self._decoded.get(pa)
-        if entry is not None and entry[0] == pc:
-            return entry[1]
         if pa % 4:
             return None
         frame_number, offset = divmod(pa, self.page_size)
@@ -202,7 +185,6 @@ class PhysicalMemory:
         if instruction is None:
             instruction = decode(*key, self.host_calls)
             if self._memoize and instruction is not None:
-                self._decoded[pa] = (pc, instruction)
                 self._words[key] = instruction
         return instruction
 

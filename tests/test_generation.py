@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 from repro import hotpath
 from repro.arch import isa
-from repro.arch.cpu import CPU
+from repro.arch.cpu import CPU, DecodeCacheStats
 from repro.errors import ReproError, SimFault
 from repro.mem.mmu import MMU
 from repro.mem.pagetable import Permissions, Stage1Table, Stage2Table
-from repro.mem.phys import Generation
 
 KERNEL_VA = 0xFFFF_0000_0800_0000
 USER_VA = 0x0000_0000_0040_0000
@@ -189,34 +188,28 @@ SCOPES = {
 
 
 class TestScopes:
-    """Each bump names what it may have made stale; a cache replays the
-    scopes logged since its stamp."""
+    """Each bump names what it may have made stale, and drops it from
+    every cache registered with the generation."""
 
     @staticmethod
     def _replay(mmu, mutations):
-        """The cached pages left after ``mutations``, and whether the
-        replay flushed."""
+        """The cached pages left after ``mutations``, and whether they
+        flushed the cache."""
         cache = {
             (va >> mmu.page_shift, "r", 1): va
             for va in (KERNEL_VA, KERNEL_VA + 0x1000, USER_ALIAS)
         }
-        stamp = mmu.generation.value
+        stats = DecodeCacheStats()
+        mmu.generation.register(cache, lambda key: key[0] & mmu.vpn_mask, stats)
         for mutate in mutations:
             mutate(mmu)
-        flushed = mmu.generation.drop_stale(cache, stamp, mmu._walk_page)
-        return set(cache.values()), flushed
+        return set(cache.values()), stats.flushes > 0
 
     @pytest.mark.parametrize("name", sorted(SCOPES))
     def test_mutator_scope(self, mmu, name):
         mutate, kept = SCOPES[name]
         mmu.fetch(KERNEL_VA, 1)
         assert self._replay(mmu, [mutate]) == (kept, not kept)
-
-    def test_stamp_older_than_the_log_flushes(self, mmu):
-        remap = SCOPES["remap"][0]
-        full = Generation.LOG_LIMIT
-        assert self._replay(mmu, [remap] * full) == ({KERNEL_VA + 0x1000}, False)
-        assert self._replay(mmu, [remap] * (full + 1)) == (set(), True)
 
 
 # -- cached machine vs cache-free twin -----------------------------------------

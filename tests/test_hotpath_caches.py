@@ -33,7 +33,6 @@ from repro.arch.registers import (
 from repro.errors import PermissionFault, TranslationFault
 from repro.kernel import System, layout
 from repro.mem.pagetable import Permissions, Stage2Table
-from repro.mem.phys import Generation
 
 _POINTER = 0xFFFF_0000_0801_2340
 _MODIFIER = 0xAA55
@@ -222,8 +221,8 @@ class TestDecodeCacheInvalidation:
         # new instruction, not replay the cached handler.
         cpu = machine.cpu
         pa = cpu.mmu.translate(program.address_of("main"), "x", 1)
-        cpu.mmu.phys.store_instruction(pa, isa.Movz(0, 2, 0))
         flushes_before = cpu.decode_stats.flushes
+        cpu.mmu.phys.store_instruction(pa, isa.Movz(0, 2, 0))
         result, _ = cpu.call(program.address_of("main"), stack_top=STACK_TOP)
         assert result == 2
         assert cpu.decode_stats.flushes > flushes_before
@@ -380,9 +379,9 @@ def _step_from(cpu, pc):
 
 
 class TestScopedInvalidation:
-    """A remap drops one page's walks and blocks, a store into a frame
-    no fetch has read drops nothing, and a stamp older than the scope
-    log flushes: each against a cache-free twin."""
+    """A remap drops one page's walks and blocks at the call, and a
+    store into a frame no fetch has read drops nothing: each against a
+    cache-free twin."""
 
     def test_second_user_program_keeps_kernel_blocks(self):
         with hotpath.disabled_caches():
@@ -421,27 +420,63 @@ class TestScopedInvalidation:
         assert observed[0] == observed[1]
         assert [step[0] for step in observed[0]] == [7, 8]
 
-    @pytest.mark.parametrize("extra, flushes", [(0, 0), (1, 1)])
-    def test_scope_log_overflow_flushes(self, extra, flushes):
+    @pytest.mark.parametrize("remaps", [1, 16, 17, 40])
+    def test_repeated_remaps_drop_only_that_page(self, remaps):
         # The first map fills an empty slot (no scope); every later one
-        # replaces it, one page scope each.
-        remaps = Generation.LOG_LIMIT + extra
+        # replaces it, one page scope each, and a read after each must
+        # see the frame just mapped.
         observed = []
         for cached in (True, False):
             cpu = _smc_core(cached)
+            mmu = cpu.mmu
+            for frame in (0x430, 0x431):
+                mmu.phys.write_u64(frame << mmu.page_shift, frame)
             first = _run_from(cpu, _SMC_TEXT)
             before = cpu.decode_stats.to_dict()
+            reads = []
             for index in range(remaps + 1):
-                cpu.mmu.map_range(
+                mmu.map_range(
                     _SMC_TEXT + 0x1000, 0x1000, 0x430 + index % 2,
                     Permissions.kernel_data(),
                 )
-            observed.append((first, _run_from(cpu, _SMC_TEXT), cpu.cycles))
+                reads.append(mmu.read_u64(_SMC_TEXT + 0x1000, 1))
+            observed.append(
+                (first, reads, _run_from(cpu, _SMC_TEXT), cpu.cycles)
+            )
             if cached:
                 stats = cpu.decode_stats
-                assert stats.flushes - before["flushes"] == flushes
-                assert (stats.misses == before["misses"]) == (not flushes)
+                assert stats.flushes == before["flushes"]
+                assert stats.misses == before["misses"]
+                text = (_SMC_TEXT >> mmu.page_shift, "x", 1)
+                assert text in mmu._walk_cache
         assert observed[0] == observed[1]
+        assert observed[0][1][:2] == [0x430, 0x431]
+
+    def test_unmap_drops_the_page_at_the_call(self):
+        cpu = _smc_core(True)
+        mmu = cpu.mmu
+        mmu.map_range(
+            _SMC_TEXT + 0x1000, 0x1000, 0x430, Permissions.kernel_data()
+        )
+        _run_from(cpu, _SMC_TEXT)
+        mmu.read_u64(_SMC_TEXT + 0x1000, 1)
+        page = _SMC_TEXT >> mmu.page_shift
+        assert {key[0] for key in mmu._walk_cache} == {page, page + 1}
+        assert {key[0] >> mmu.page_shift for key in cpu._decode_cache} == {page}
+        mmu.address_space.kernel.unmap_page(_stage1_vpn(mmu, _SMC_TEXT))
+        assert {key[0] for key in mmu._walk_cache} == {page + 1}
+        assert not cpu._decode_cache
+        assert cpu.decode_stats.flushes == 0
+
+    def test_only_cached_machines_register_caches(self):
+        cached = CPU()
+        registered = [cache for cache, *_ in cached.mmu.generation._caches]
+        assert [id(cache) for cache in registered] == [
+            id(cached.mmu._walk_cache), id(cached._decode_cache)
+        ]
+        with hotpath.disabled_caches():
+            reference = CPU()
+        assert reference.mmu.generation._caches == []
 
 
 class TestEnvironmentSwitch:
