@@ -19,6 +19,8 @@ exception mechanism — that is the mini-kernel's job.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from repro import hotpath
 from repro.arch.isa import get_operand, set_operand
 from repro.arch.pac import PACEngine
@@ -145,22 +147,20 @@ class CPU:
         self._timer_next = None
         self.irqs_delivered = 0
         #: Host-side decode cache (see repro.hotpath): translation
-        #: blocks of ``(instruction, execute, cost)`` keyed by (PC, EL)
-        #: (see ``_build_block``), registered with the MMU's machine
-        #: generation.  A remap or unmap drops the blocks of that low
-        #: VPN; a write to a fetched code frame, a stage-2 update or a
-        #: table install flushes it.  Purely host-visible — cycle counts
-        #: and retired streams are identical with the cache off
+        #: blocks keyed by (PC, EL) (see ``_build_block``), indexed by
+        #: low VPN and registered with the MMU's machine generation.  A
+        #: remap or unmap drops the blocks of that low VPN; a write to a
+        #: fetched code frame, a stage-2 update or a table install
+        #: flushes it.  Purely host-visible — cycle counts and retired
+        #: streams are identical with the cache off
         #: (tests/test_diff_cached.py).
         self._decode_enabled = hotpath.caches_enabled()
         self._decode_cache = {}
+        self._decode_pages = {}
         self.decode_stats = DecodeCacheStats()
         if self._decode_enabled:
-            shift, mask = self.mmu.page_shift, self.mmu.vpn_mask
             self.mmu.generation.register(
-                self._decode_cache,
-                lambda key: (key[0] >> shift) & mask,
-                self.decode_stats,
+                self._decode_cache, self._decode_pages, self.decode_stats
             )
 
     def _key_bank(self):
@@ -366,14 +366,17 @@ class CPU:
         return self.cycles
 
     def _build_block(self, pc, el, limit=BLOCK_LIMIT):
-        """The translation block at ``pc``: ``(instruction, execute,
-        cost)`` entries up to and including the first block-ending
-        instruction, within one page and at most ``limit`` long.
-        Only the first fetch may raise; a later one that faults ends
-        the block before it, so the fault is raised when (and only if)
-        execution reaches that word.  The bound ``execute`` and the cost
-        are cacheable: ``cost_on`` depends only on the immutable feature
-        set, and any write to a code frame moves the machine generation.
+        """The translation block at ``pc``: instructions up to and
+        including the first block-ending one, within one page and at
+        most ``limit`` long, as ``(instructions, executes, body,
+        costs)``: their bound ``execute``s, those of all but the last,
+        and cycle-cost prefix sums (``costs[k]`` is the cost of the
+        first ``k``).  Only the first fetch may raise; a later one that
+        faults ends the block before it, so the fault is raised when
+        (and only if) execution reaches that word.  ``execute`` and the
+        costs are cacheable: ``cost_on`` depends only on the immutable
+        feature set, and any write to a code frame moves the machine
+        generation.
         """
         fetch = self.mmu.fetch
         page_mask = self.mmu.page_size - 1
@@ -386,27 +389,32 @@ class CPU:
                 instructions.append(fetch(pc, el))
             except SimFault:
                 break
-        return tuple([(i, i.execute, i.cost_on(self)) for i in instructions])
+        executes = tuple([i.execute for i in instructions])
+        costs = (0, *accumulate([i.cost_on(self) for i in instructions]))
+        return tuple(instructions), executes, executes[:-1], costs
 
     def _execute(self, budget):
         """The one interpreter loop: up to ``budget`` steps, stopping at
         HLT.  An IRQ delivery and a fault ``fault_hook`` handles each use
         up one step.
 
-        A decode-cache probe yields a whole translation block, run in
-        the inner loop.  Only its first entry runs when a tracer is
-        attached, an IRQ is pending or a timer is armed, an auth-failure
-        hook is set, or fewer than ``len(block)`` steps remain, so
-        ``step()``, tracing and IRQ delivery stay per instruction.
-        Within a block, ``regs.pc``, ``cycles`` and
-        ``instructions_retired`` move per instruction as they would one
-        step at a time, and a moved generation (a store over code, say)
-        ends the block after the instruction that moved it.  Hooks may
-        halt the core, attach a tracer or write code, but only from a
-        block-ending instruction, after which those attributes are read
-        again."""
+        A decode-cache probe yields a whole translation block.  Every
+        entry but the last runs as a bare ``execute``; ``regs.pc``,
+        ``cycles`` and ``instructions_retired`` are set once, from the
+        block's cost prefix, just before the last entry runs.  Only
+        block enders read them or run host code (a hook may halt the
+        core, attach a tracer or write code), so each instruction sees
+        the same state as one step at a time.  A fault mid-block, or a
+        moved generation (a store over code, say) after an entry, ends
+        the block there, and the state is rebuilt from the prefix.
+        Only the first entry runs when a tracer is attached, an IRQ is
+        pending or a timer is armed, an auth-failure hook is set, or
+        fewer than the block's length of steps remain, so ``step()``,
+        tracing and IRQ delivery stay per instruction."""
         regs = self.regs
         cache = self._decode_cache
+        pages = self._decode_pages
+        shift, mask = self.mmu.page_shift, self.mmu.vpn_mask
         generation_cell = self.mmu.generation
         decode_enabled = self._decode_enabled
         stats = self.decode_stats
@@ -416,41 +424,63 @@ class CPU:
             if interrupts and self._maybe_deliver_irq():
                 steps += 1
                 continue
-            pc = start = regs.pc
+            start = regs.pc
+            cycles = self.cycles
+            retired = self.instructions_retired
+            done = 0
+            body = ()
             fault = None
             built = True
             try:
                 generation = generation_cell.value
                 if decode_enabled:
-                    key = (pc, regs.current_el)
+                    key = (start, regs.current_el)
                     block = cache.get(key)
                     if block is None:
-                        block = cache[key] = self._build_block(pc, regs.current_el)
+                        block = cache[key] = self._build_block(start, key[1])
+                        pages.setdefault(start >> shift & mask, []).append(key)
                     else:
                         built = False
+                    instructions, executes, body, costs = block
                     # Per-instruction mode, through the same cache.
                     if (
                         interrupts
                         or self.tracer is not None
                         or self.auth_failure_hook is not None
-                        or budget - steps < len(block)
+                        or budget - steps < len(executes)
                     ):
-                        block = block[:1]
+                        body = ()
                 else:
-                    block = self._build_block(pc, regs.current_el, 1)
-                for instruction, execute, cost in block:
-                    regs.pc = pc
-                    self.cycles += cost
-                    next_pc = execute(self)
-                    self.instructions_retired += 1
+                    instructions, executes, body, costs = self._build_block(
+                        start, regs.current_el, 1
+                    )
+                for execute in body:
+                    execute(self)
+                    done += 1
                     if generation_cell.value != generation:
+                        # A store moved the generation: the block ends
+                        # here, as if this entry were its last.
+                        self.cycles = cycles + costs[done]
+                        self.instructions_retired = retired + done
+                        next_pc = None
                         break
-                    pc += 4
                 else:
-                    pc -= 4  # the pc of the last entry run
-            except SimFault as error:
+                    regs.pc = start + 4 * done
+                    self.cycles = cycles + costs[done + 1]
+                    self.instructions_retired = retired + done
+                    next_pc = executes[done](self)
+                    self.instructions_retired += 1
+                    done += 1
+            except BaseException as error:
+                if done < len(body):
+                    # A body entry faulted: its state, from the prefix.
+                    regs.pc = start + 4 * done
+                    self.cycles = cycles + costs[done + 1]
+                    self.instructions_retired = retired + done
+                if not isinstance(error, SimFault):
+                    raise
                 fault = error
-            dispatched = (pc - start >> 2) + 1
+            dispatched = done + 1 if fault is not None else done
             steps += dispatched
             if built:
                 stats.misses += dispatched
@@ -460,8 +490,12 @@ class CPU:
                 if self.fault_hook is not None and self.fault_hook(self, fault):
                     continue
                 raise fault
+            pc = start + 4 * (done - 1)  # the last entry run
             if self.tracer is not None:
-                self.tracer.insn(self, pc, instruction, cost)
+                self.tracer.insn(
+                    self, pc, instructions[done - 1],
+                    costs[done] - costs[done - 1],
+                )
             regs.pc = (pc + 4 if next_pc is None else next_pc) & _MASK64
 
     def call(self, address, args=(), stack_top=None, max_steps=1_000_000):

@@ -593,6 +593,25 @@ class StrPre(Instruction):
         return f"str x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]!"
 
 
+def _load_pair(cpu, regs, base, rt1, rt2):
+    """LDP's two loads: one ``MMU.read_pair`` within a page; across a
+    page word by word, so ``rt1`` is loaded before the second word
+    faults."""
+    mmu = cpu.mmu
+    x = regs.x
+    if base & (mmu.page_size - 1) <= mmu.page_size - 16:
+        first, second = mmu.read_pair(base, regs.current_el)
+    else:
+        first = mmu.read_u64(base, regs.current_el)
+        if rt1 != XZR:
+            x[rt1] = first
+        second = mmu.read_u64(base + 8, regs.current_el)
+    if rt1 != XZR:
+        x[rt1] = first
+    if rt2 != XZR:
+        x[rt2] = second
+
+
 @dataclass(repr=False)
 class Ldp(Instruction):
     """LDP Xt1, Xt2, [Xn, #imm]"""
@@ -607,13 +626,10 @@ class Ldp(Instruction):
 
     def execute(self, cpu):
         regs = cpu.regs
-        base = (get_operand(regs, self.rn) + self.imm) & _MASK64
-        value = cpu.mmu.read_u64(base, regs.current_el)
-        if self.rt1 != XZR:
-            regs.x[self.rt1] = value
-        value = cpu.mmu.read_u64(base + 8, regs.current_el)
-        if self.rt2 != XZR:
-            regs.x[self.rt2] = value
+        _load_pair(
+            cpu, regs, (get_operand(regs, self.rn) + self.imm) & _MASK64,
+            self.rt1, self.rt2,
+        )
 
     def text(self):
         return (
@@ -629,9 +645,12 @@ class Stp(Ldp):
 
     def execute(self, cpu):
         regs = cpu.regs
-        base = (get_operand(regs, self.rn) + self.imm) & _MASK64
-        cpu.mmu.write_u64(base, get_operand(regs, self.rt1), regs.current_el)
-        cpu.mmu.write_u64(base + 8, get_operand(regs, self.rt2), regs.current_el)
+        cpu.mmu.write_pair(
+            (get_operand(regs, self.rn) + self.imm) & _MASK64,
+            get_operand(regs, self.rt1),
+            get_operand(regs, self.rt2),
+            regs.current_el,
+        )
 
 
 @dataclass(repr=False)
@@ -649,12 +668,7 @@ class LdpPost(Instruction):
     def execute(self, cpu):
         regs = cpu.regs
         base = get_operand(regs, self.rn)
-        value = cpu.mmu.read_u64(base, regs.current_el)
-        if self.rt1 != XZR:
-            regs.x[self.rt1] = value
-        value = cpu.mmu.read_u64(base + 8, regs.current_el)
-        if self.rt2 != XZR:
-            regs.x[self.rt2] = value
+        _load_pair(cpu, regs, base, self.rt1, self.rt2)
         set_operand(regs, self.rn, base + self.imm)
 
     def text(self):
@@ -678,8 +692,12 @@ class StpPre(Instruction):
     def execute(self, cpu):
         regs = cpu.regs
         base = (get_operand(regs, self.rn) + self.imm) & _MASK64
-        cpu.mmu.write_u64(base, get_operand(regs, self.rt1), regs.current_el)
-        cpu.mmu.write_u64(base + 8, get_operand(regs, self.rt2), regs.current_el)
+        cpu.mmu.write_pair(
+            base,
+            get_operand(regs, self.rt1),
+            get_operand(regs, self.rt2),
+            regs.current_el,
+        )
         set_operand(regs, self.rn, base)
 
     def text(self):

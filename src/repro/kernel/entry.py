@@ -323,6 +323,7 @@ class EntryTracepoints:
         self.tracer = tracer
         self._exceptions = []  # stack of (kind, enter cycle, syscall nr)
         self._regions = self._key_regions()
+        self._banks = {}  # pc -> bank, memoised: the regions are fixed
         self._bank = None
         self._bank_cycles = 0
         self._since_key = 0
@@ -390,10 +391,13 @@ class EntryTracepoints:
     # -- key-switch accounting -------------------------------------------------
 
     def _bank_of(self, pc):
-        for bank, (start, end) in self._regions.items():
-            if start <= pc < end:
-                return bank
-        return None
+        banks = self._banks
+        if pc not in banks:
+            banks[pc] = None
+            for bank, (start, end) in self._regions.items():
+                if start <= pc < end:
+                    banks[pc] = bank
+        return banks[pc]
 
     def _on_insn(self, event):
         bank = self._bank_of(event.data.get("pc", 0))

@@ -78,15 +78,14 @@ class MMU:
         self.vpn_mask = (1 << (self.config.va_bits - self.page_shift)) - 1
         # Host-side translation cache (see repro.hotpath): successful
         # (page, access, EL) walks memoised until a bump's scope covers
-        # them.  Faults are never cached, so the faulting paths re-walk
-        # and behave identically with the cache on or off.
+        # them, indexed by low VPN for the bump.  Faults are never
+        # cached, so the faulting paths re-walk and behave identically
+        # with the cache on or off.
         self._cache_walks = hotpath.caches_enabled()
         self._walk_cache = {}
+        self._walk_pages = {}
         if self._cache_walks:
-            mask = self.vpn_mask
-            self.generation.register(
-                self._walk_cache, lambda key: key[0] & mask
-            )
+            self.generation.register(self._walk_cache, self._walk_pages)
 
     # -- generation -------------------------------------------------------------
 
@@ -114,6 +113,7 @@ class MMU:
                 return base | (va & (self.page_size - 1))
             pa = self._translate_walk(va, access, el)
             self._walk_cache[key] = pa & ~(self.page_size - 1)
+            self._walk_pages.setdefault(key[0] & self.vpn_mask, []).append(key)
             return pa
         return self._translate_walk(va, access, el)
 
@@ -189,6 +189,22 @@ class MMU:
             self.phys.write_u64(self.translate(va, "w", el), value)
         else:
             self.write(va, (value & _MASK64).to_bytes(8, "little"), el)
+
+    def read_pair(self, va, el):
+        """The words at ``va`` and ``va + 8`` (LDP): one translate when
+        the 16 bytes sit in one page, else word by word."""
+        if va & (self.page_size - 1) <= self.page_size - 16:
+            return self.phys.read_pair(self.translate(va, "r", el))
+        return self.read_u64(va, el), self.read_u64(va + 8, el)
+
+    def write_pair(self, va, first, second, el):
+        """STP: one translate when the 16 bytes sit in one page, else
+        word by word, so the first word lands before the second faults."""
+        if va & (self.page_size - 1) <= self.page_size - 16:
+            self.phys.write_pair(self.translate(va, "w", el), first, second)
+        else:
+            self.write_u64(va, first, el)
+            self.write_u64(va + 8, second, el)
 
     def fetch(self, va, el):
         """Instruction fetch: execute-permission check, then decode."""

@@ -19,6 +19,7 @@ __all__ = ["EVERYTHING", "Generation", "NOTHING", "PhysicalMemory"]
 
 _MASK64 = (1 << 64) - 1
 _U64 = struct.Struct("<Q")
+_PAIR = struct.Struct("<QQ")
 
 
 #: Bump scopes besides one low VPN (see :class:`Generation`).
@@ -46,23 +47,26 @@ class Generation:
         self.value = 0
         self._caches = []
 
-    def register(self, cache, page_of, stats=None):
-        """Have every bump drop from the dict ``cache`` the keys whose
-        ``page_of(key)`` low VPN its scope names; an everything-bump
-        clears it, counted in ``stats.flushes`` if it was not empty."""
-        self._caches.append((cache, page_of, stats))
+    def register(self, cache, pages, stats=None):
+        """Have every bump drop what it covers from the dict ``cache``.
+        ``pages`` maps a low VPN to the list of ``cache``'s keys on it,
+        appended by the owner on each insert: a page-bump pops that list
+        and deletes its keys, an everything-bump clears both dicts,
+        counted in ``stats.flushes`` if ``cache`` was not empty."""
+        self._caches.append((cache, pages, stats))
 
     def bump(self, scope):
         self.value += 1
         if scope == NOTHING:
             return
-        for cache, page_of, stats in self._caches:
+        for cache, pages, stats in self._caches:
             if scope is EVERYTHING:
                 if cache and stats is not None:
                     stats.flushes += 1
                 cache.clear()
+                pages.clear()
             else:
-                for key in [key for key in cache if page_of(key) == scope]:
+                for key in pages.pop(scope, ()):
                     del cache[key]
 
 
@@ -146,6 +150,22 @@ class PhysicalMemory:
             return
         frame = self._frames.get(frame_number) or self._frame(frame_number)
         _U64.pack_into(frame, offset, value & _MASK64)
+        if frame_number in self._code_frames:
+            self._code_written(frame_number)
+
+    def read_pair(self, pa):
+        """The two words at ``pa`` and ``pa + 8``, which must sit in one
+        frame, unpacked in place."""
+        frame_number, offset = divmod(pa, self.page_size)
+        frame = self._frames.get(frame_number) or self._frame(frame_number)
+        return _PAIR.unpack_from(frame, offset)
+
+    def write_pair(self, pa, first, second):
+        """Pack two words at ``pa`` within one frame; a code frame bumps
+        the generation once."""
+        frame_number, offset = divmod(pa, self.page_size)
+        frame = self._frames.get(frame_number) or self._frame(frame_number)
+        _PAIR.pack_into(frame, offset, first & _MASK64, second & _MASK64)
         if frame_number in self._code_frames:
             self._code_written(frame_number)
 

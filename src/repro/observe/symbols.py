@@ -50,6 +50,7 @@ class SymbolTable:
         self._entries = []  # (address, limit, name); sorted lazily
         self._names = {}  # name -> entry address
         self._sorted = False
+        self._resolved = {}  # address -> Symbol, until the next add
         if include_landing_pad:
             self.add_region(LANDING_SYMBOL, _landing_pad_address(), 4096)
 
@@ -60,6 +61,7 @@ class SymbolTable:
         self._entries.append((address, limit, name))
         self._names.setdefault(name, address)
         self._sorted = False
+        self._resolved.clear()
         return self
 
     def add_region(self, name, base, size):
@@ -121,7 +123,14 @@ class SymbolTable:
             self._sorted = True
 
     def resolve(self, address):
-        """Bin ``address`` to a :class:`Symbol` (never fails)."""
+        """Bin ``address`` to a :class:`Symbol` (never fails), memoised
+        per address until the next registration."""
+        symbol = self._resolved.get(address)
+        if symbol is None:
+            symbol = self._resolved[address] = self._bin(address)
+        return symbol
+
+    def _bin(self, address):
         self._ensure_sorted()
         index = bisect_right(self._addresses, address) - 1
         if index >= 0:

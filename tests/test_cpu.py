@@ -423,10 +423,17 @@ BLOCK_DATA = BLOCK_TEXT + 0x3000
 BLOCK_UNMAPPED = BLOCK_TEXT + 0x5000
 _TEXT_BASE_REG, _DATA_BASE_REG, _PATCH_REG, _UNMAPPED_REG = 21, 20, 22, 24
 _MODIFIER_REG, _LOOP_REG, _IRQ_COUNT_REG = 25, 27, 28
+#: x23 points 0x80 bytes before the end of the data page (the next page
+#: is unmapped); x26 holds a second patch for pair stores.
+_PAGE_END_REG, _PATCH_REG_2 = 23, 26
 #: Two words a store may write over later code: ADD x3, x3, #5 and
 #: MOVZ x4, #0x77.  Storing XZR instead writes two undecodable words.
 _PATCH = int.from_bytes(
     isa.AddImm(3, 3, 5).encoding() + isa.Movz(4, 0x77, 0).encoding(), "little"
+)
+#: Two more: ADD x5, x5, #7 and MOVZ x6, #0x99.
+_PATCH_2 = int.from_bytes(
+    isa.AddImm(5, 5, 7).encoding() + isa.Movz(6, 0x99, 0).encoding(), "little"
 )
 
 _REGS = st.integers(0, 7)
@@ -439,11 +446,16 @@ _ALU = st.one_of(
     st.builds(isa.Movz, _REGS, st.integers(0, 0xFFFF), st.sampled_from((0, 48))),
 )
 _KEYS = st.sampled_from(("ia", "ib", "da", "db"))
+#: Pair slots 0-30 sit in the data page's first 0x100 bytes, 31 ends at
+#: the page end and 32 straddles into the unmapped page after it.
+_PAIR_SLOTS = st.integers(0, 32)
 #: One program element each: (kind, payload).
 _OPS = st.one_of(
     st.tuples(st.just("alu"), _ALU),
     st.tuples(st.just("load"), _REGS, st.integers(0, 31)),
     st.tuples(st.just("store"), _REGS, st.integers(0, 31)),
+    st.tuples(st.just("pair_load"), _REGS, _REGS, _PAIR_SLOTS),
+    st.tuples(st.just("pair_store"), _REGS, _REGS, _PAIR_SLOTS),
     st.tuples(st.just("patch"), st.booleans(), st.integers(1, 6)),
     st.tuples(st.just("pacaut"), _KEYS, _REGS, st.booleans(), st.booleans()),
     st.tuples(st.just("unmapped"), _REGS),
@@ -478,6 +490,13 @@ def _block_program(ops, start, patch_offsets=None):
             asm.emit(isa.Ldr(op[1], _DATA_BASE_REG, 8 * op[2]))
         elif kind == "store":
             asm.emit(isa.Str(op[1], _DATA_BASE_REG, 8 * op[2]))
+        elif kind in ("pair_load", "pair_store"):
+            _, first, second, slot = op
+            pair = isa.Ldp if kind == "pair_load" else isa.Stp
+            if slot < 31:
+                asm.emit(pair(first, second, _DATA_BASE_REG, 8 * slot))
+            else:
+                asm.emit(pair(first, second, _PAGE_END_REG, 8 * slot - 0x88))
         elif kind == "patch":
             source = _PATCH_REG if op[1] else isa.XZR
             offset = patch_offsets[len(patches)] if patch_offsets else 0
@@ -539,6 +558,7 @@ def _block_core(cached, ops, start, timer):
     regs.write(_TEXT_BASE_REG, BLOCK_TEXT)
     regs.write(_PATCH_REG, _PATCH)
     regs.write(_UNMAPPED_REG, BLOCK_UNMAPPED)
+    regs.write(_PAGE_END_REG, BLOCK_DATA + 0xF80)
     regs.write(_MODIFIER_REG, 0xAA)
     regs.write(_LOOP_REG, 2)
     regs.current_el = 1
@@ -599,8 +619,9 @@ class TestTranslationBlocks:
         timer=st.sampled_from((None, None, 5, 13)),
     )
     def test_blocks_retire_like_the_reference(self, ops, start_slot, timer):
-        """A random program — ALU ops, data loads and stores, stores over
-        its own later words, PAC/AUT pairs, faults on unmapped pages,
+        """A random program — ALU ops, data loads and stores, LDP/STP
+        pairs (one straddling into an unmapped page), stores over its
+        own later words, PAC/AUT pairs, faults on unmapped pages,
         branches and raised IRQs — gives the same per-instruction trace
         from ``run(n)`` on a cached core, a ``step()`` loop on a cached
         core and a ``step()`` loop on a cache-free twin."""
@@ -651,12 +672,72 @@ class TestTranslationBlocks:
         assert (cpu.regs.read(3), cpu.regs.read(4)) == (5, 0x77)
         assert cpu.instructions_retired == 4
 
+    @pytest.mark.parametrize("cached", (True, False))
+    def test_pair_store_over_the_next_words_runs_them(self, cached):
+        """STP over the next four words of the running block: all four
+        new words (two per register) run, not the MOVZs built into it."""
+        start = BLOCK_TEXT + 0xFC
+        cpu = self._core(
+            isa.Stp(_PATCH_REG, _PATCH_REG_2, _TEXT_BASE_REG, 0x100),
+            *[isa.Movz(reg, 1, 0) for reg in (3, 4, 5, 6)],
+            isa.Hlt(),
+            start=start,
+            cached=cached,
+        )
+        cpu.regs.write(_PATCH_REG_2, _PATCH_2)
+        cpu.run(max_steps=10)
+        assert [cpu.regs.read(reg) for reg in (3, 4, 5, 6)] == [5, 0x77, 7, 0x99]
+        assert cpu.instructions_retired == 6
+
+    @pytest.mark.parametrize("cached", (True, False))
+    @pytest.mark.parametrize(
+        "pair, base",
+        [
+            (isa.Ldp(1, 2, _PAGE_END_REG, 0x78), BLOCK_DATA + 0xF80),
+            (isa.LdpPost(1, 2, _PAGE_END_REG, 0x10), BLOCK_DATA + 0xFF8),
+            (isa.Stp(1, 2, _PAGE_END_REG, 0x78), BLOCK_DATA + 0xF80),
+            (isa.StpPre(1, 2, _PAGE_END_REG, -0x8), BLOCK_DATA + 0x1000),
+        ],
+        ids=["ldp", "ldp-post", "stp", "stp-pre"],
+    )
+    def test_pair_straddling_into_an_unmapped_page(self, pair, base, cached):
+        """A pair at page offset 0xFF8 whose second word is unmapped,
+        mid-block: the first register is loaded or the first word
+        stored, the second not, no writeback, and the fault leaves pc,
+        cycles and the retired count at the pair."""
+        start = BLOCK_TEXT + 0x100
+        cpu = self._core(
+            isa.Movz(1, 0x11, 0), isa.Movz(2, 0x22, 0), pair,
+            isa.Movz(3, 0x33, 0), isa.Hlt(),
+            start=start, cached=cached,
+        )
+        mmu = cpu.mmu
+        mmu.map_range(BLOCK_DATA, 0x1000, 0x703, Permissions.kernel_data())
+        mmu.write_u64(BLOCK_DATA + 0xFF8, 0xF00D, 1)
+        cpu.regs.write(_PAGE_END_REG, base)
+        with pytest.raises(TranslationFault) as info:
+            cpu.run(max_steps=10)
+        assert info.value.address == BLOCK_DATA + 0x1000
+        regs = cpu.regs
+        assert (regs.pc, cpu.cycles, cpu.instructions_retired) == (
+            start + 8, 4, 2
+        )
+        assert regs.read(_PAGE_END_REG) == base
+        assert regs.read(3) == 0
+        if pair.mnemonic == "ldp":
+            assert (regs.read(1), regs.read(2)) == (0xF00D, 0x22)
+        else:
+            assert mmu.read_u64(BLOCK_DATA + 0xFF8, 1) == 0x11
+
     def test_block_never_crosses_a_page_boundary(self):
         start = BLOCK_TEXT + 0x1000 - 8
         cpu = self._core(*[isa.Nop()] * 5, isa.Hlt(), start=start)
         cpu.run(max_steps=10)
         assert cpu.instructions_retired == 6
-        blocks = {pc: len(block) for (pc, _), block in cpu._decode_cache.items()}
+        blocks = {
+            pc: len(instructions)
+            for (pc, _), (instructions, *_) in cpu._decode_cache.items()
+        }
         assert blocks == {start: 2, BLOCK_TEXT + 0x1000: 4}
 
     def test_undecodable_word_past_a_block_never_faults_early(self):

@@ -199,8 +199,11 @@ class TestScopes:
             (va >> mmu.page_shift, "r", 1): va
             for va in (KERNEL_VA, KERNEL_VA + 0x1000, USER_ALIAS)
         }
+        pages = {}
+        for key in cache:
+            pages.setdefault(key[0] & mmu.vpn_mask, []).append(key)
         stats = DecodeCacheStats()
-        mmu.generation.register(cache, lambda key: key[0] & mmu.vpn_mask, stats)
+        mmu.generation.register(cache, pages, stats)
         for mutate in mutations:
             mutate(mmu)
         return set(cache.values()), stats.flushes > 0

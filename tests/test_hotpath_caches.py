@@ -32,6 +32,7 @@ from repro.arch.registers import (
 )
 from repro.errors import PermissionFault, TranslationFault
 from repro.kernel import System, layout
+from repro.mem.mmu import MMU
 from repro.mem.pagetable import Permissions, Stage2Table
 
 _POINTER = 0xFFFF_0000_0801_2340
@@ -451,6 +452,40 @@ class TestScopedInvalidation:
                 assert text in mmu._walk_cache
         assert observed[0] == observed[1]
         assert observed[0][1][:2] == [0x430, 0x431]
+
+    def test_remap_among_a_thousand_walks_drops_only_that_page(self):
+        """A page bump pops that page's keys from each cache's page
+        index: it never scans a cache, so its cost does not grow with
+        the walks other tasks left behind."""
+
+        class Unscannable(dict):
+            def __iter__(self):
+                raise AssertionError("a page bump scanned the cache")
+
+            keys = values = items = __iter__
+
+        mmu = MMU()
+        base, pages = 0xFFFF_0000_1000_0000, 1001
+        mmu.map_range(base, pages << mmu.page_shift, 0x1000,
+                      Permissions.kernel_data())
+        extra, extra_pages = Unscannable(), {}
+        mmu.generation.register(extra, extra_pages)
+        for page in range(pages):
+            va = base + (page << mmu.page_shift)
+            mmu.read_u64(va, 1)
+            extra[va] = page
+            extra_pages.setdefault(_stage1_vpn(mmu, va), []).append(va)
+        target = base + (500 << mmu.page_shift)
+        walk = (target >> mmu.page_shift, "r", 1)
+        others = dict(mmu._walk_cache)
+        del others[walk]
+        assert len(others) == pages - 1
+        mmu.phys.write_u64(0x3000 << mmu.page_shift, 0x55)
+        mmu.map_range(target, 0x1000, 0x3000, Permissions.kernel_data())
+        assert mmu._walk_cache == others
+        assert _stage1_vpn(mmu, target) not in mmu._walk_pages
+        assert dict.__len__(extra) == pages - 1 and target not in extra
+        assert mmu.read_u64(target, 1) == 0x55
 
     def test_unmap_drops_the_page_at_the_call(self):
         cpu = _smc_core(True)

@@ -326,6 +326,87 @@ class TestU64Oracle:
         mmu.write_u64(va, 0xDEAD, 1)
         assert mmu.generation.value > generation
 
+    def test_pair_every_offset_matches_byte_path(self):
+        """``read_pair``/``write_pair`` against 16-byte ``read``/``write``
+        at every offset, in-page and straddling; the physical pair
+        accessors at every in-frame offset."""
+        rng = random.Random(16)
+        mmu = _two_page_mmu()
+        phys = mmu.phys
+        for offset in range(PAGE):
+            va = KERNEL_VA + offset
+            first, second = rng.getrandbits(64), rng.getrandbits(64)
+            pair = first.to_bytes(8, "little") + second.to_bytes(8, "little")
+            mmu.write_pair(va, first, second, 1)
+            assert mmu.read(va, 16, 1) == pair
+            data = rng.getrandbits(128).to_bytes(16, "little")
+            mmu.write(va, data, 1)
+            assert mmu.read_pair(va, 1) == (
+                int.from_bytes(data[:8], "little"),
+                int.from_bytes(data[8:], "little"),
+            )
+            if offset <= PAGE - 16:
+                pa = 0x100 * PAGE + offset
+                phys.write_pair(pa, first, second)
+                assert phys.read(pa, 16) == pair
+                phys.write(pa, data)
+                assert phys.read_pair(pa) == mmu.read_pair(va, 1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        offset=st.integers(min_value=0, max_value=PAGE - 1),
+        first=st.integers(min_value=-(1 << 70), max_value=1 << 70),
+        second=st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    )
+    def test_write_pair_matches_byte_write(self, offset, first, second):
+        fast, slow = _two_page_mmu(), _two_page_mmu()
+        va = KERNEL_VA + offset
+        fast.write_pair(va, first, second, 1)
+        mask = (1 << 64) - 1
+        slow.write(
+            va,
+            (first & mask).to_bytes(8, "little")
+            + (second & mask).to_bytes(8, "little"),
+            1,
+        )
+        assert fast.read(KERNEL_VA, 2 * PAGE, 1) == slow.read(
+            KERNEL_VA, 2 * PAGE, 1
+        )
+
+    @pytest.mark.parametrize(
+        "second",
+        [None, Permissions.kernel_rodata(), Permissions.kernel_text()],
+        ids=["unmapped", "read-only", "no-read"],
+    )
+    def test_pair_faults_like_byte_path(self, second):
+        """A straddling pair faults where the 16-byte byte path does,
+        with the same bytes written before the fault."""
+        for offset in [*range(PAGE - 15, PAGE), PAGE, PAGE + 8, 2 * PAGE - 16]:
+            va = KERNEL_VA + offset
+            slow, fast = _two_page_mmu(second), _two_page_mmu(second)
+            expected = _fault(lambda: slow.write(va, b"\xAA" * 16, 1))
+            assert expected[1] == max(va, KERNEL_VA + PAGE)
+            word = int.from_bytes(b"\xAA" * 8, "little")
+            assert _fault(lambda: fast.write_pair(va, word, word, 1)) == expected
+            assert fast.read(KERNEL_VA, PAGE, 1) == slow.read(KERNEL_VA, PAGE, 1)
+            if second is None or not second.r_el1:
+                expected = _fault(lambda: slow.read(va, 16, 1))
+                assert _fault(lambda: fast.read_pair(va, 1)) == expected
+
+    @pytest.mark.parametrize(
+        "va",
+        [KERNEL_VA + PAGE + 0x10, KERNEL_VA + PAGE - 8, KERNEL_VA + PAGE - 4],
+        ids=["aligned", "second-word-in-code", "straddling"],
+    )
+    def test_code_frame_write_pair_bumps_generation(self, va):
+        from repro.arch import isa
+
+        mmu = _two_page_mmu(Permissions.all_access())
+        mmu.phys.store_instruction(0x101 * PAGE, isa.Nop())
+        generation = mmu.generation.value
+        mmu.write_pair(va, 0xDEAD, 0xBEEF, 1)
+        assert mmu.generation.value > generation
+
     @pytest.mark.parametrize("offset", [0x10, PAGE - 4])
     def test_code_frame_write_makes_next_step_refetch(self, machine, offset):
         from conftest import STACK_TOP, TEXT_BASE

@@ -57,6 +57,16 @@ class TestSymbolTable:
         assert table.resolve(beta).name == "beta"
         assert table.resolve(beta + 4) == table.resolve(beta + 4)
 
+    def test_adding_a_function_clears_resolved_addresses(self):
+        table = SymbolTable(include_landing_pad=False)
+        table.add_program(_two_function_program())
+        beta = table.entry_of("beta")
+        assert table.resolve(beta).name == "beta"
+        assert table.resolve(beta + 4) == ("beta", beta, 4, "function")
+        table.add_function("gamma", beta + 4, limit=beta + 8)
+        assert table.resolve(beta + 4) == ("gamma", beta + 4, 0, "function")
+        assert table.resolve(beta).name == "beta"
+
     def test_labels_are_not_entries(self):
         table = SymbolTable(include_landing_pad=False)
         table.add_program(_two_function_program())
