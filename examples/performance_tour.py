@@ -1,26 +1,22 @@
 #!/usr/bin/env python3
-"""Performance tour: regenerate the paper's evaluation figures quickly.
+"""Performance tour: regenerate the paper's performance results.
 
-Runs scaled-down versions of every performance experiment (Figures 2-4
-and the key-switch micro-benchmark of §6.1.1) and prints the tables.
-The full-size runs live in ``benchmarks/``; this script is the
-human-paced version.
+Runs the performance experiments (Figures 2-4 and the key-switch
+micro-benchmark of §6.1.1) at the parameters of EXPERIMENTS.md and
+prints their tables.  ``python -m repro experiments`` runs the rest.
 """
 
-from repro.bench import run_fig2, run_fig3, run_fig4, run_key_switch
+from repro.bench import EXPERIMENTS
 
 
 def main():
     print(__doc__)
-    for record in (
-        run_fig2(iterations=100),
-        run_fig3(iterations=10),
-        run_fig4(iterations=5),
-        run_key_switch(iterations=10),
-    ):
-        print(record.summary())
-        for table in record.tables:
-            table.print()
+    for experiment in EXPERIMENTS:
+        if experiment.id in ("E1", "E2", "E3", "E4"):
+            record = experiment.run()
+            print(record.summary())
+            for table in record.tables:
+                table.print()
 
 
 if __name__ == "__main__":

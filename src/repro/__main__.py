@@ -158,54 +158,15 @@ def _cmd_figures(args):
 
 
 def _cmd_experiments(_args):
-    from repro.bench import (
-        run_bruteforce,
-        run_canary_ablation,
-        run_compat,
-        run_ctx_switch,
-        run_fig2,
-        run_fig3,
-        run_fig4,
-        run_frame_mac_ablation,
-        run_gadget_census,
-        run_hardened_abi,
-        run_injection_matrix,
-        run_irq_overhead,
-        run_key_mgmt_ablation,
-        run_key_switch,
-        run_pac_size_sweep,
-        run_replay_matrix,
-        run_survey,
-        run_vmsa_tables,
-    )
+    from repro.bench import EXPERIMENTS
 
-    runners = (
-        lambda: run_fig2(iterations=100),
-        lambda: run_fig3(iterations=10),
-        lambda: run_fig4(iterations=5),
-        lambda: run_key_switch(iterations=10),
-        run_survey,
-        run_replay_matrix,
-        run_bruteforce,
-        run_vmsa_tables,
-        lambda: run_compat(iterations=60),
-        run_key_mgmt_ablation,
-        run_frame_mac_ablation,
-        run_irq_overhead,
-        run_ctx_switch,
-        run_pac_size_sweep,
-        run_hardened_abi,
-        run_canary_ablation,
-        run_injection_matrix,
-        run_gadget_census,
-    )
     failures = 0
-    for runner in runners:
-        record = runner()
+    for experiment in EXPERIMENTS:
+        record = experiment.run()
         print(record.summary())
         print()
         failures += 0 if record.reproduced else 1
-    print(f"{len(runners) - failures}/{len(runners)} reproduced")
+    print(f"{len(EXPERIMENTS) - failures}/{len(EXPERIMENTS)} reproduced")
     return 1 if failures else 0
 
 
@@ -405,7 +366,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("demo", help="quickstart exploit demo")
     figures = sub.add_parser("figures", help="regenerate Figures 2-4")
-    figures.add_argument("--iterations", type=int, default=20)
+    figures.add_argument("--iterations", type=_positive_int, default=20)
     sub.add_parser("experiments", help="run every experiment")
     verify = sub.add_parser(
         "verify",
@@ -415,6 +376,7 @@ def main(argv=None):
     verify.add_argument(
         "--profile",
         default="full",
+        choices=("none", "backward", "full"),
         help="protection profile to build and verify (default full)",
     )
     verify.add_argument(
@@ -454,7 +416,7 @@ def main(argv=None):
         help="profile for the syscall workload (others run their own set)",
     )
     trace.add_argument("--json", metavar="FILE", help="export the trace")
-    trace.add_argument("--capacity", type=int, default=65536)
+    trace.add_argument("--capacity", type=_positive_int, default=65536)
     trace.add_argument(
         "--event-limit",
         type=int,
@@ -493,7 +455,7 @@ def main(argv=None):
         metavar="N",
         help="show only the N hottest symbols",
     )
-    profile.add_argument("--capacity", type=int, default=262144)
+    profile.add_argument("--capacity", type=_positive_int, default=262144)
     profile.add_argument(
         "--folded",
         metavar="FILE",

@@ -4,7 +4,8 @@ Each ``run_*`` function regenerates one artifact of the paper's
 evaluation and returns an
 :class:`~repro.bench.harness.ExperimentRecord` carrying the rendered
 table(s) plus a reproduced/diverged verdict against the paper's claim.
-The ``benchmarks/`` scripts are thin wrappers over these functions.
+:data:`repro.bench.EXPERIMENTS` binds each runner to its id and the
+parameters the committed EXPERIMENTS.md was measured at.
 """
 
 from __future__ import annotations
@@ -248,12 +249,7 @@ def run_survey():
 
 
 def run_security_matrix(profiles=("none", "backward", "full")):
-    """Section 6.2: the attack-detection matrix.
-
-    Returns the record and the per-profile
-    :class:`~repro.inject.DetectionMatrix` list (render it with
-    :func:`~repro.inject.render_profile_table`).
-    """
+    """Section 6.2: the attack-detection matrix."""
     matrices = [
         InjectionCampaign(
             profile=profile,
@@ -292,7 +288,7 @@ def run_security_matrix(profiles=("none", "backward", "full")):
         ),
         reproduced=full_ok and none_broken,
         tables=[table],
-    ), matrices
+    )
 
 
 def run_replay_matrix():

@@ -1,8 +1,8 @@
 """Shared benchmark plumbing: tables, units, experiment records.
 
-Every ``benchmarks/bench_*.py`` renders its results through this module
-so the regenerated tables/figures all read the same way and can be
-pasted into EXPERIMENTS.md.
+Every experiment renders its results through this module so the
+regenerated tables/figures all read the same way and can be pasted into
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations

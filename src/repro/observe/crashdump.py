@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 
+from repro.arch.isa import decode
 from repro.arch.registers import FP, LR
 from repro.cfi.keys import KeyRole
 from repro.errors import KernelPanic, ReproError, SimFault
@@ -66,27 +67,29 @@ def _silenced(engine):
     return _Silencer()
 
 
-def _call_target(instructions, return_address):
+def _instruction_at(system, address):
+    """Decode the word mapped at ``address`` (None if it is no
+    instruction), without marking its frame fetched."""
+    mmu = system.cpu.mmu
+    frame = mmu.frame_of(address)
+    if frame is None or address % 4:
+        return None
+    phys = mmu.phys
+    pa = frame * phys.page_size + address % phys.page_size
+    word = int.from_bytes(phys.read(pa, 4), "little")
+    return decode(word, address, phys.host_calls)
+
+
+def _call_target(system, return_address):
     """Callee of the call site preceding ``return_address`` (or None).
 
     ``bl`` sites name their target statically; ``blr`` dispatch does
     not, and the caller falls back to the previous frame's containment.
     """
-    call = instructions.get((return_address - 4) & ((1 << 64) - 1))
-    if call is not None and getattr(call, "mnemonic", "") == "bl":
+    call = _instruction_at(system, (return_address - 4) & ((1 << 64) - 1))
+    if call is not None and call.mnemonic == "bl":
         return call.target
     return None
-
-
-def _instruction_index(system):
-    index = {}
-    for address, instruction in system.kernel_image.text_instructions():
-        index[address] = instruction
-    loader = getattr(system, "modules", None)
-    for module in getattr(loader, "modules", {}).values():
-        for address, instruction in module.image.text_instructions():
-            index[address] = instruction
-    return index
 
 
 def unwind(system, symbols=None, max_frames=DEFAULT_MAX_FRAMES):
@@ -108,7 +111,6 @@ def unwind(system, symbols=None, max_frames=DEFAULT_MAX_FRAMES):
         profile.key_for(KeyRole.BACKWARD) if profile.protects_backward else None
     )
     key = system.kernel_keys.get(key_name) if key_name else None
-    instructions = _instruction_index(system)
     task = system.tasks.current if system.tasks is not None else None
 
     def frame(kind, address, symbol_name, raw=None, authenticated=None):
@@ -141,7 +143,7 @@ def unwind(system, symbols=None, max_frames=DEFAULT_MAX_FRAMES):
             symbol_name = None
             if scheme is not None and key is not None:
                 stripped = cpu.pac.strip(raw_lr)
-                owner_entry = _call_target(instructions, stripped)
+                owner_entry = _call_target(system, stripped)
                 if owner_entry is None:
                     owner_entry = fallback_entry or 0
                 owner = symbols.resolve(owner_entry)
@@ -341,10 +343,12 @@ class CrashDump:
 
 
 def _disassembly_window(system, pc, before=6, after=6):
-    """(address, text, is_pc) rows around the faulting instruction."""
+    """(address, text, is_pc) rows around the faulting instruction,
+    decoded from memory."""
     rows = []
-    for address, instruction in system.kernel_image.text_instructions():
-        if pc - 4 * before <= address <= pc + 4 * after:
+    for address in range(max(0, pc - 4 * before), pc + 4 * after + 4, 4):
+        instruction = _instruction_at(system, address)
+        if instruction is not None:
             rows.append(
                 {
                     "address": address,
@@ -352,7 +356,6 @@ def _disassembly_window(system, pc, before=6, after=6):
                     "pc": address == pc,
                 }
             )
-    rows.sort(key=lambda row: row["address"])
     return rows
 
 

@@ -138,3 +138,20 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figures", "--iterations", "0"],
+            ["trace", "syscall", "--capacity", "0"],
+            ["profile", "syscall", "--capacity", "0"],
+            ["verify", "--profile", "bogus"],
+        ],
+    )
+    def test_bad_option_value_is_a_usage_error(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "error: argument" in capsys.readouterr().err

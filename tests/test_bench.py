@@ -1,5 +1,7 @@
 """Tests for the bench harness and the fast experiment runners."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench.harness import ExperimentRecord, TextTable, ns_from_cycles
@@ -79,3 +81,47 @@ class TestFastRunners:
 
         record = run_replay_matrix()
         assert record.reproduced
+
+
+class TestExperimentTable:
+    """The one list of experiments; none of these runs an experiment."""
+
+    def test_ids_are_unique(self):
+        from repro.bench import EXPERIMENTS
+
+        ids = [experiment.id for experiment in EXPERIMENTS]
+        assert len(ids) == len(set(ids))
+
+    def test_experiments_md_sections_follow_the_table(self):
+        from repro.bench import EXPERIMENTS
+
+        path = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+        headings = [
+            line[3:].split(" / ")[0]
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.startswith("## ")
+        ]
+        assert headings == [experiment.id for experiment in EXPERIMENTS]
+
+    def test_experiments_command_counts_diverged_records(
+        self, monkeypatch, capsys
+    ):
+        import repro.bench
+        from repro.__main__ import main
+        from repro.bench import Experiment
+
+        def record(reproduced):
+            return ExperimentRecord("X", "claim", "value", reproduced)
+
+        monkeypatch.setattr(
+            repro.bench,
+            "EXPERIMENTS",
+            (
+                Experiment("X1", lambda: record(True)),
+                Experiment("X2", lambda: record(False)),
+            ),
+        )
+        assert main(["experiments"]) == 1
+        out = capsys.readouterr().out
+        assert "[DIVERGED] X" in out
+        assert out.rstrip().endswith("1/2 reproduced")

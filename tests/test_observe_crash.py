@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+from repro.arch.isa import Nop
 from repro.arch.registers import FP
 from repro.cfi.policy import frame_mac_profile
 from repro.kernel.entry import FRAME_ELR_OFFSET, S_FRAME_SIZE
@@ -147,6 +148,19 @@ class TestDumpContents:
         marked = [row for row in rows if row["pc"]]
         assert len(marked) == 1
         assert "ldr" in marked[0]["text"]
+
+    def test_disassembly_reads_the_words_in_memory(self):
+        system = force_pauth_panic()
+        pc = system.cpu.regs.pc
+        mmu = system.cpu.mmu
+        phys = mmu.phys
+        pa = mmu.frame_of(pc) * phys.page_size + pc % phys.page_size
+        phys.write(pa, Nop().encoding(pc))
+        # Capture is no fetch: it marks no frame as fetched code.
+        phys._fetched.clear()
+        rows = CrashDump.capture(system).data["disassembly"]
+        assert [row["text"] for row in rows if row["pc"]] == ["nop"]
+        assert not phys._fetched
 
     def test_stack_window_reads_the_kernel_stack(self, crashed):
         stack = crashed.last_crash.data["stack"]
