@@ -93,29 +93,20 @@ def _cmd_verify(args):
     import json
 
     from repro.analysis.verifier import verify_image
-    from repro.kernel.system import SYSCALL_TABLE, System
+    from repro.kernel.system import System
 
     system = System(profile=args.profile)
-    kernel = system.kernel_image
-    sealed = [
-        (s.base, s.base + s.size)
-        for s in kernel.sections.values()
-        if not s.permissions.w_el1
-    ]
-    sealed.append((SYSCALL_TABLE, SYSCALL_TABLE + 0x1000))
+    images = [(None, system.kernel_image)] + _example_module_images(system)
     reports = [
-        verify_image(kernel, profile=system.profile, sealed_ranges=sealed)
-    ]
-    for name, image in _example_module_images(system):
-        reports.append(
-            verify_image(
-                image,
-                profile=system.profile,
-                sealed_ranges=system.modules._sealed_ranges(image),
-                module=True,
-                name=name,
-            )
+        verify_image(
+            image,
+            profile=system.profile,
+            sealed_ranges=system.modules._sealed_ranges(image),
+            module=name is not None,
+            name=name,
         )
+        for name, image in images
+    ]
     ok = all(r.ok for r in reports)
     strict_ok = all(r.clean for r in reports)
     failed = not ok or (args.strict and not strict_ok)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.isa import branch_kind, branch_target
+from repro.elfimage.image import text_programs
 from repro.errors import ReproError
 
 __all__ = ["BasicBlock", "FunctionCFG", "ImageCFG", "recover_cfg"]
@@ -71,15 +72,6 @@ class FunctionCFG:
     def instruction_count(self):
         return sum(len(b.instructions) for b in self.blocks.values())
 
-    def block_at(self, address):
-        """The block containing ``address`` (not just block starts)."""
-        for block in self.blocks.values():
-            if block.start <= address < block.end:
-                return block
-        raise ReproError(
-            f"{self.name}: no block contains {address:#x}"
-        )
-
     def instructions(self):
         """All (address, instruction) pairs in address order."""
         out = []
@@ -116,14 +108,6 @@ class ImageCFG:
             return self.functions[name]
         except KeyError:
             raise ReproError(f"{self.name}: no function {name!r}") from None
-
-    def function_containing(self, address):
-        """The FunctionCFG whose extent covers ``address``, or None."""
-        for cfg in self.functions.values():
-            for block in cfg.blocks.values():
-                if block.start <= address < block.end:
-                    return cfg
-        return None
 
 
 def _function_extents(instructions, symbols, functions):
@@ -233,32 +217,15 @@ def _build_function_cfg(name, entry, end, body):
 def recover_cfg(target, name=None):
     """Build an :class:`ImageCFG` from an Image or a Program.
 
-    Accepts anything with ``instructions``/``symbols``/``functions``
-    (a :class:`~repro.arch.assembler.Program`) or with text sections
-    carrying such programs (an :class:`~repro.elfimage.image.Image`).
+    An Image's text is decoded section by section
+    (:func:`~repro.elfimage.image.text_programs`); functions run to the
+    next function entry in the same section.
     """
-    sections = []
-    if hasattr(target, "sections"):  # Image
-        label = name or target.name
-        for section in target.sections.values():
-            if section.program is not None:
-                sections.append(section.program)
-    elif hasattr(target, "instructions"):  # Program
-        label = name or "program"
-        sections.append(target)
-    else:
-        raise ReproError(f"cannot recover a CFG from {target!r}")
-
-    image_cfg = ImageCFG(name=label)
-    for program in sections:
-        functions = getattr(program, "functions", None)
-        if not functions:
-            continue
+    image_cfg = ImageCFG(name=name or getattr(target, "name", "program"))
+    for program in text_programs(target):
         for fn_name, entry, end, body in _function_extents(
-            program.instructions, program.symbols, functions
+            program.instructions, program.symbols, program.functions
         ):
-            if fn_name in image_cfg.functions:
-                raise ReproError(f"duplicate function {fn_name!r}")
             image_cfg.functions[fn_name] = _build_function_cfg(
                 fn_name, entry, end, body
             )

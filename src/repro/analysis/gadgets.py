@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.arch import isa
 from repro.arch.isa import branch_kind, is_auth
+from repro.elfimage.image import text_programs
 
 __all__ = ["Gadget", "GadgetCensus", "census", "MAX_GADGET_WINDOW"]
 
@@ -115,21 +116,9 @@ _TERMINATORS = {
 _AUTHENTICATED = (isa.RetA, isa.BlrA, isa.BrA)
 
 
-def _text_instructions(target):
-    """(address, instruction) pairs of an Image or Program."""
-    if hasattr(target, "text_instructions"):  # Image
-        pairs = list(target.text_instructions())
-    elif hasattr(target, "instructions"):  # Program
-        pairs = list(target.instructions)
-    else:
-        raise TypeError(f"cannot census {target!r}")
-    pairs.sort(key=lambda pair: pair[0])
-    return pairs
-
-
 def census(target, max_window=MAX_GADGET_WINDOW, name=None):
     """Count gadget windows in an assembled Image or Program."""
-    pairs = _text_instructions(target)
+    pairs = [pair for code in text_programs(target) for pair in code.instructions]
     label = name or getattr(target, "name", None) or "image"
     out = GadgetCensus(name=label, instructions=len(pairs))
     for index, (terminator_address, terminator) in enumerate(pairs):

@@ -1008,6 +1008,10 @@ class HostCall(Instruction):
         self.label = label
         self.slot = slot
 
+    def bound(self, slot):
+        """This call bound to ``slot`` of a host-call table."""
+        return HostCall(self.fn, self.label, slot)
+
     def execute(self, cpu):
         return self.fn(cpu)
 

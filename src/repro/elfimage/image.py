@@ -3,19 +3,24 @@
 A deliberately small model of what the kernel build system produces: an
 image is an ordered set of page-aligned sections (.text, .rodata,
 .data) with a symbol table and the paper's ``.pauth_ptrs`` table
-(Section 4.6).  Text sections carry assembled
-:class:`~repro.arch.assembler.Program` objects; data sections carry
-bytes built incrementally with symbol allocation.
+(Section 4.6).  Every section carries bytes: text is the words of an
+assembled :class:`~repro.arch.assembler.Program`, encoded once at the
+section base, so the static tools decode the words the loader maps.
+A HostCall word holds an image-local slot, relocated at load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.arch.assembler import Program
+from repro.arch.isa import HostCall, decode
 from repro.errors import ReproError
 from repro.mem.pagetable import Permissions
 
-__all__ = ["Section", "Image", "ImageBuilder", "DataSectionBuilder"]
+__all__ = [
+    "Section", "Image", "ImageBuilder", "DataSectionBuilder", "text_programs",
+]
 
 _PAGE = 4096
 
@@ -33,7 +38,6 @@ class Section:
     size: int
     permissions: Permissions
     data: bytes = b""
-    program: object = None  # assembled Program for text sections
 
     @property
     def end(self):
@@ -51,6 +55,8 @@ class Image:
     pauth_ptrs: list = field(default_factory=list)
     #: symbol names that are function entry points (``Assembler.fn``)
     functions: set = field(default_factory=set)
+    #: the image's HostCalls, indexed by the image-local slot a word holds
+    host_calls: list = field(default_factory=list)
 
     def section(self, name):
         try:
@@ -68,16 +74,45 @@ class Image:
     def end(self):
         return max((s.end for s in self.sections.values()), default=self.base)
 
-    def text_instructions(self):
-        """All (address, instruction) pairs across text sections.
+    def text_instructions(self, section=None):
+        """(address, instruction) pairs decoded from the words of text
+        ``section``, or of every text section: what the static verifier
+        scans at module-load time.  A word that does not decode raises
+        ReproError naming its section and offset."""
+        if section is None:
+            return [pair for program in self.text_programs()
+                    for pair in program.instructions]
+        out = []
+        for offset in range(0, len(section.data), 4):
+            word = int.from_bytes(section.data[offset:offset + 4], "little")
+            instruction = decode(word, section.base + offset, self.host_calls)
+            if instruction is None:
+                raise ReproError(f"{self.name}: {section.name}+{offset:#x} "
+                                 f"holds {word:#010x}, which does not decode")
+            out.append((section.base + offset, instruction))
+        return out
 
-        This is what the static verifier scans at module-load time.
-        """
+    def text_programs(self):
+        """One decoded Program per text section, with the image symbols
+        and functions inside it."""
         out = []
         for section in self.sections.values():
-            if section.program is not None:
-                out.extend(section.program.instructions)
+            if section.permissions.x_el1:
+                base, end = section.base, section.base + len(section.data)
+                symbols = {name: address for name, address in self.symbols.items()
+                           if base <= address < end}
+                pairs = self.text_instructions(section)
+                out.append(Program(base, pairs, symbols, self.functions))
         return out
+
+
+def text_programs(target):
+    """An Image's decoded text programs, or a bare Program alone."""
+    if isinstance(target, Image):
+        return target.text_programs()
+    if isinstance(target, Program):
+        return [target]
+    raise ReproError(f"no code in {target!r}")
 
 
 class DataSectionBuilder:
@@ -123,8 +158,8 @@ class ImageBuilder:
 
     Text sections must be added as assembled programs whose base was
     obtained from :meth:`next_base` (the builder cannot relocate
-    instructions).  Data sections are built via
-    :class:`DataSectionBuilder`.
+    instructions), and are encoded on the way in.  Data sections are
+    built via :class:`DataSectionBuilder`.
     """
 
     def __init__(self, name, base):
@@ -140,7 +175,8 @@ class ImageBuilder:
         return (self._cursor + align - 1) & ~(align - 1)
 
     def add_text(self, name, program, el0_executable=False):
-        """Add an assembled program as an executable section."""
+        """Add an assembled program as an executable section of its
+        words; each HostCall takes the image's next slot."""
         if program.base != self.next_base():
             raise ReproError(
                 f"{name}: program assembled at {program.base:#x}, "
@@ -152,17 +188,23 @@ class ImageBuilder:
             r_el0=el0_executable,
             x_el0=el0_executable,
         )
+        words, host_calls = [], self._image.host_calls
+        for address, instruction in program.instructions:
+            if isinstance(instruction, HostCall):
+                instruction = instruction.bound(len(host_calls))
+                host_calls.append(instruction)
+            words.append(instruction.encoding(address))
         section = Section(
             name=name,
             base=program.base,
             size=_page_align(max(program.size, 4)),
             permissions=permissions,
-            program=program,
+            data=b"".join(words),
         )
         self._register(section)
         for symbol, address in program.symbols.items():
             self._define(symbol, address)
-        self._image.functions.update(getattr(program, "functions", ()))
+        self._image.functions.update(program.functions)
         return section
 
     def add_data(self, name, builder, writable=True, el0=False):

@@ -1,14 +1,19 @@
 """Placing images into simulated memory.
 
 The loader maps each section's pages through the MMU (allocating
-physical frames from a bump allocator), writes data bytes, stores
-decoded instructions for text, and returns the per-section frame lists
-so the hypervisor can seal text/rodata or carve out XOM pages.
+physical frames from a bump allocator), writes every section's bytes,
+text words included, and returns the per-section frame lists so the
+hypervisor can seal text/rodata or carve out XOM pages.  Its one
+relocation kind is the HostCall slot: every word the text decodes to a
+HostCall moves from its image-local slot past the ones the machine
+already holds, so the loader writes what the verifier decoded.
 """
 
 from __future__ import annotations
 
+from repro.arch.isa import HostCall
 from repro.errors import ReproError
+from repro.mem.pagetable import Permissions
 
 __all__ = ["FrameAllocator", "ImageLoader", "LoadedImage"]
 
@@ -25,10 +30,6 @@ class FrameAllocator:
         first = self._next
         self._next += count
         return first
-
-    @property
-    def next_frame(self):
-        return self._next
 
 
 class LoadedImage:
@@ -53,8 +54,24 @@ class ImageLoader:
         self.allocator = allocator or FrameAllocator()
 
     def load(self, image):
-        loaded = LoadedImage(image)
+        """Map and write every section, binding decoded HostCall words."""
+        phys = self.mmu.phys
+        first_slot = len(phys.host_calls)
+        contents = []
         for section in image.sections.values():
+            data = bytearray(section.data)
+            if section.permissions.x_el1:
+                for address, insn in image.text_instructions(section):
+                    if isinstance(insn, HostCall):
+                        offset = address - section.base
+                        call = insn.bound(first_slot + insn.slot)
+                        data[offset:offset + 4] = call.encoding()
+            contents.append((section, data))
+        phys.host_calls.extend(
+            call.bound(first_slot + call.slot) for call in image.host_calls
+        )
+        loaded = LoadedImage(image)
+        for section, data in contents:
             pages = max(1, (section.size + _PAGE - 1) // _PAGE)
             first_frame = self.allocator.allocate(pages)
             self.mmu.map_range(
@@ -66,11 +83,8 @@ class ImageLoader:
             loaded.section_frames[section.name] = list(
                 range(first_frame, first_frame + pages)
             )
-            base_pa = first_frame << self.mmu.page_shift
-            if section.data:
-                self.mmu.phys.write(base_pa, section.data)
-            if section.program is not None:
-                self.mmu.place_program(section.program)
+            if data:
+                phys.write(first_frame << self.mmu.page_shift, data)
         return loaded
 
     def map_stack(self, top_va, size, el0=False):
@@ -80,27 +94,13 @@ class ImageLoader:
         that makes the low 12 bits of SP repeat across threads, which
         the paper's hardened modifier defends against (Section 4.2).
         """
-        if top_va % _PAGE or size % _PAGE:
-            raise ReproError("stack bounds must be page-aligned")
-        from repro.mem.pagetable import Permissions
-
-        base = top_va - size
-        pages = size // _PAGE
-        first_frame = self.allocator.allocate(pages)
-        permissions = (
-            Permissions.user_data() if el0 else Permissions.kernel_data()
-        )
-        self.mmu.map_range(base, size, first_frame, permissions)
-        return base
+        return self.map_heap(top_va - size, size, el0)
 
     def map_heap(self, base_va, size, el0=False):
-        """Map a kernel (or user) heap region and return its base."""
+        """Map a kernel (or user) data region and return its base."""
         if base_va % _PAGE or size % _PAGE:
-            raise ReproError("heap bounds must be page-aligned")
-        from repro.mem.pagetable import Permissions
-
-        pages = size // _PAGE
-        first_frame = self.allocator.allocate(pages)
+            raise ReproError("data region bounds must be page-aligned")
+        first_frame = self.allocator.allocate(size // _PAGE)
         permissions = (
             Permissions.user_data() if el0 else Permissions.kernel_data()
         )

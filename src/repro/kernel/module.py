@@ -3,9 +3,10 @@
 Loading an LKM in the protected kernel involves three extra steps over
 placing its sections:
 
-1. **static verification** — the module's text is scanned for key
-   reads, SCTLR corruption, unsanctioned key writes and PAC-strip
-   instructions, then run through the whole-image CFI verifier
+1. **static verification** — the module's text words, as they will be
+   mapped, are decoded (a word that does not decode rejects it) and
+   scanned for key reads, SCTLR corruption, unsanctioned key writes and
+   PAC-strip instructions, then run through the whole-image CFI verifier
    (:mod:`repro.analysis.verifier`): sign/auth pairing, naked indirect
    branches, signing oracles.  A module that fails either check is
    rejected before any of its code can run, with a dmesg line;
@@ -63,7 +64,13 @@ class ModuleLoader:
     def load(self, image):
         """Load one module image; raises :class:`ModuleRejected` on a
         failed static scan or CFI verification."""
-        report = scan_image(image, forbid_strip=True)
+        try:
+            report = scan_image(image, forbid_strip=True)
+        except ReproError as error:  # a text word that does not decode
+            self._log_rejection(image)
+            raise ModuleRejected(
+                f"module {image.name!r} failed static verification: {error}"
+            ) from None
         if not report.ok:
             self._log_rejection(image)
             raise ModuleRejected(

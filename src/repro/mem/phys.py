@@ -83,9 +83,9 @@ class PhysicalMemory:
         self.page_shift = page_shift
         self.page_size = 1 << page_shift
         self._frames = {}
-        #: Bumped on every write to a code frame, one an instruction was
-        #: stored into or fetched from; an MMU shares this cell with its
-        #: page tables.
+        #: Bumped on every write to a code frame, one store_instruction
+        #: wrote or a fetch read (a loaded image's text is plain bytes
+        #: until then); an MMU shares this cell with its page tables.
         self.generation = Generation()
         self._code_frames = set()
         #: The code frames a fetch has read: only writes to these can
@@ -182,8 +182,7 @@ class PhysicalMemory:
         if pa % 4:
             raise ReproError(f"instruction address {pa:#x} not 4-aligned")
         if isinstance(instruction, HostCall):
-            slot = len(self.host_calls)
-            instruction = HostCall(instruction.fn, instruction.label, slot)
+            instruction = instruction.bound(len(self.host_calls))
             self.host_calls.append(instruction)
         data = instruction.encoding(pc)
         # The frame is code from here on, so the write bumps the

@@ -89,9 +89,8 @@ class SymbolTable:
 
     def add_image(self, image):
         """Register every text section of an elf-style image."""
-        for section in image.sections.values():
-            if section.program is not None:
-                self.add_program(section.program)
+        for program in image.text_programs():
+            self.add_program(program)
         return self
 
     @classmethod

@@ -34,7 +34,7 @@ sigma1 is the variant the ARM reference PAC algorithm uses).
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -315,7 +315,7 @@ class Qarma64:
             (backward, forward, _apply(tables.R, reflect_key)),
         )
         object.__setattr__(
-            self, "_memo", {} if hotpath.caches_enabled() else None
+            self, "_memo", OrderedDict() if hotpath.caches_enabled() else None
         )
         object.__setattr__(self, "memo_stats", CipherMemoStats())
 
@@ -417,7 +417,7 @@ class Qarma64:
         result = self._crypt(plaintext, tweak, self._encrypt_keys)
         if memo is not None:
             if len(memo) >= _MEMO_LIMIT:
-                memo.pop(next(iter(memo)))
+                memo.popitem(last=False)  # FIFO, O(1)
             memo[(plaintext, tweak)] = result
         return result
 

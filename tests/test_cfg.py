@@ -5,9 +5,18 @@ import pytest
 from repro.arch import isa
 from repro.arch.assembler import Assembler
 from repro.analysis.cfg import recover_cfg
+from repro.elfimage.image import ImageBuilder
 from repro.errors import ReproError
 
 BASE = 0x1000
+
+
+def _ret_program(base, name):
+    """A one-function program at ``base``: ``name`` returns 1."""
+    asm = Assembler(base)
+    asm.fn(name)
+    asm.emit(isa.Movz(0, 1, 0), isa.Ret())
+    return asm.assemble()
 
 
 def _single(asm):
@@ -100,22 +109,24 @@ class TestExtents:
         assert cfg.function("first").blocks[BASE].exits
 
     def test_duplicate_function_rejected(self):
-        from types import SimpleNamespace
+        # Two text sections cannot both define "f": the image builder
+        # refuses the symbol, so an image CFG holds one "f" at most.
+        builder = ImageBuilder("dup", BASE)
+        builder.add_text(".text", _ret_program(builder.next_base(), "f"))
+        with pytest.raises(ReproError, match="duplicate symbol 'f'"):
+            builder.add_text(
+                ".text.other", _ret_program(builder.next_base(), "f")
+            )
 
-        asm = Assembler(BASE)
-        asm.fn("f")
-        asm.emit(isa.Ret())
-        program = asm.assemble()
-        # An image whose two text sections both define "f".
-        fake = SimpleNamespace(
-            name="dup",
-            sections={
-                ".text": SimpleNamespace(program=program),
-                ".text.other": SimpleNamespace(program=program),
-            },
-        )
-        with pytest.raises(ReproError):
-            recover_cfg(fake)
+    def test_image_functions_end_with_their_section(self):
+        builder = ImageBuilder("two", BASE)
+        builder.add_text(".text", _ret_program(builder.next_base(), "f"))
+        other = _ret_program(builder.next_base(), "g")
+        builder.add_text(".text.other", other)
+        cfg = recover_cfg(builder.build())
+        assert cfg.name == "two"
+        assert cfg.function("f").instruction_count == 2
+        assert cfg.function("g").entry == other.base == BASE + 0x1000
 
     def test_unsupported_target_rejected(self):
         with pytest.raises(ReproError):
@@ -143,11 +154,6 @@ class TestQueries:
         asm.emit(isa.Ret())
         return _single(asm)
 
-    def test_block_at_inner_address(self):
-        fcfg = self._diamond()
-        block = fcfg.block_at(BASE + 8)  # the B inside the left arm
-        assert block.start == BASE + 4
-
     def test_reachable_blocks_cover_diamond(self):
         fcfg = self._diamond()
         assert fcfg.reachable_blocks() == set(fcfg.blocks)
@@ -169,11 +175,3 @@ class TestQueries:
         fcfg = self._diamond()
         addresses = [a for a, _ in fcfg.instructions()]
         assert addresses == sorted(addresses)
-
-    def test_function_containing(self):
-        asm = Assembler(BASE)
-        asm.fn("f")
-        asm.emit(isa.Movz(0, 1, 0), isa.Ret())
-        cfg = recover_cfg(asm.assemble())
-        assert cfg.function_containing(BASE + 4).name == "f"
-        assert cfg.function_containing(BASE + 0x400) is None

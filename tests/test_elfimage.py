@@ -111,6 +111,20 @@ class TestImageBuilder:
         image = _simple_image()
         assert len(image.text_instructions()) == 2
 
+    def test_text_programs_hold_their_own_section_symbols(self):
+        builder = ImageBuilder("two", BASE)
+        for name in ("f", "g"):
+            asm = Assembler(builder.next_base())
+            asm.fn(name)
+            asm.emit(isa.Movz(0, 7, 0), isa.Ret())
+            builder.add_text(f".text.{name}", asm.assemble())
+        first, second = builder.build().text_programs()
+        assert (first.symbols, first.functions) == ({"f": BASE}, {"f"})
+        assert first.end == BASE + 8 and second.base == BASE + 0x1000
+        assert [i.text() for _, i in second.instructions] == [
+            "movz x0, #0x7, lsl #0", "ret"
+        ]
+
 
 class TestLoader:
     def test_load_places_data_and_text(self):
@@ -137,7 +151,6 @@ class TestLoader:
         a = allocator.allocate(2)
         b = allocator.allocate(1)
         assert (a, b) == (10, 12)
-        assert allocator.next_frame == 13
 
     def test_map_stack_alignment_enforced(self):
         loader = ImageLoader(MMU())

@@ -1199,6 +1199,13 @@ class TestRandomWordDifferential:
         assert cached == _retire(_random_core(False, page, seed, el), 64)
 
 
+#: sha256 of the words mapped at every address of the full-profile
+#: kernel's text_instructions(), in order.
+KERNEL_TEXT_SHA256 = (
+    "893551526c2c8cf69b614b053d3002ad6f525fdec2c45116512aafd802c5e3e5"
+)
+
+
 class TestProcessIndependence:
     def test_kernel_text_bytes_do_not_depend_on_the_process(self):
         """Encoded words depend on nothing but the instruction: not the
@@ -1226,4 +1233,6 @@ class TestProcessIndependence:
             ).stdout
             for seed, order in (("1", "plain"), ("2", "movk-first"))
         }
-        assert len(digests) == 1
+        # The kernel's own text, pinned: a change to the instruction
+        # format, the kernel build or the loader that moves a word fails.
+        assert digests == {KERNEL_TEXT_SHA256 + "\n"}

@@ -146,3 +146,110 @@ class TestStaticVerification:
         module = _evil_module([isa.Mrs(0, "CONTEXTIDR_EL1")], name="ok")
         loaded = system.modules.load(module)
         assert loaded.name == "ok"
+
+
+def _patch_text(image, offset, word):
+    """Overwrite one word of a built image's ``.text`` bytes."""
+    text = image.section(".text")
+    data = bytearray(text.data)
+    data[offset:offset + 4] = word
+    text.data = bytes(data)
+    return text
+
+
+def _mapped_word(system, address):
+    mmu = system.mmu
+    pa = mmu.frame_of(address) << mmu.page_shift
+    return mmu.phys.read(pa | address & (mmu.page_size - 1), 4)
+
+
+class TestLoadedBytes:
+    """The loader judges the words that it maps."""
+
+    @pytest.mark.parametrize(
+        "instruction", [isa.Msr("APIAKeyLo_EL1", 0), isa.Xpac(0)],
+        ids=["msr-key", "xpaci"],
+    )
+    def test_word_written_after_build_rejected(self, instruction):
+        from repro.errors import TranslationFault
+
+        system = System(profile="full")
+        image = _evil_module([isa.Movz(0, 1, 0)], name="patched")
+        text = _patch_text(image, 0, instruction.encoding(MODULE_BASE))
+        with pytest.raises(ModuleRejected) as info:
+            system.modules.load(image)
+        assert info.value.report.violations[0].address == text.base
+        with pytest.raises(TranslationFault):
+            system.mmu.read_u64(MODULE_BASE, 1)
+
+    def test_undecodable_word_rejected_with_its_offset(self):
+        system = System(profile="full")
+        image = _evil_module([isa.Movz(0, 1, 0)], name="garbled")
+        _patch_text(image, 4, b"\xff\xff\xff\xff")
+        with pytest.raises(ModuleRejected, match=r"\.text\+0x4 holds"):
+            system.modules.load(image)
+        assert "garbled" not in system.modules.modules
+
+    def test_host_call_slot_relocated_past_the_kernel(self):
+        system = System(profile="full")
+        kernel_slots = len(system.mmu.phys.host_calls)
+        assert kernel_slots >= 2
+        seen = []
+        probe = isa.HostCall(lambda cpu: seen.append(cpu.regs.x[0]), "probe")
+        image = _evil_module([isa.Movz(0, 0x42, 0), probe], name="hooked")
+        (local,) = image.host_calls
+        assert local.slot == 0
+        module = system.modules.load(image)
+        entry = module.symbol("hooked_init")
+        word = int.from_bytes(_mapped_word(system, entry + 4), "little")
+        call = isa.decode(word, entry + 4, system.mmu.phys.host_calls)
+        assert call.slot == kernel_slots and call.fn is probe.fn
+        system.kernel_call(entry)
+        assert seen == [0x42]
+
+    def test_host_call_words_written_after_build_are_relocated(self):
+        # The slot-0 word moves from +4 to +8 after build(): the loader
+        # binds the words it decodes, not the addresses add_text saw.
+        system = System(profile="full")
+        kernel_slots = len(system.mmu.phys.host_calls)
+        seen = []
+        probe = isa.HostCall(lambda cpu: seen.append(cpu.regs.x[0]), "probe")
+        image = _evil_module(
+            [isa.Movz(0, 7, 0), probe, isa.Movz(0, 8, 0)], name="moved"
+        )
+        text = image.section(".text")
+        call_word = text.data[8:12]
+        _patch_text(image, 8, text.data[4:8])
+        _patch_text(image, 4, call_word)
+        module = system.modules.load(image)
+        entry = module.symbol("moved_init")
+        assert _mapped_word(system, entry + 4) == isa.Movz(0, 8, 0).encoding()
+        word = int.from_bytes(_mapped_word(system, entry + 8), "little")
+        call = isa.decode(word, entry + 8, system.mmu.phys.host_calls)
+        assert call.slot == kernel_slots and call.fn is probe.fn
+        system.kernel_call(entry)
+        assert seen == [8]
+
+    def test_second_slot_zero_word_runs_the_module_call(self):
+        system = System(profile="full")
+        seen = []
+        probe = isa.HostCall(lambda cpu: seen.append(cpu.regs.x[0]), "probe")
+        image = _evil_module(
+            [isa.Movz(0, 1, 0), probe, isa.Movz(0, 2, 0), isa.Nop()],
+            name="twice",
+        )
+        text = image.section(".text")
+        _patch_text(image, 12, text.data[4:8])
+        module = system.modules.load(image)
+        calls = [insn for _, insn in image.text_instructions()
+                 if isinstance(insn, isa.HostCall)]
+        assert [call.fn for call in calls] == [probe.fn, probe.fn]
+        system.kernel_call(module.symbol("twice_init"))
+        assert seen == [1, 2]
+
+    def test_kernel_text_instructions_are_the_mapped_words(self):
+        system = System(profile="full")
+        pairs = system.kernel_image.text_instructions()
+        assert any(isinstance(insn, isa.HostCall) for _, insn in pairs)
+        for address, insn in pairs:
+            assert _mapped_word(system, address) == insn.encoding(address)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.qarma import ALPHA, ROUND_CONSTANTS, SBOXES, Qarma64
+from repro import hotpath
+from repro.qarma import ALPHA, ROUND_CONSTANTS, SBOXES, Qarma64, qarma64
 from repro.qarma.qarma64 import (
     H_PERM,
     H_PERM_INV,
@@ -463,3 +464,31 @@ class TestValidation:
         cipher = Qarma64(W0, K0)
         assert cipher.w1 == _omega(W0)
         assert cipher.k1 == K0
+
+
+@pytest.mark.skipif(
+    not hotpath.caches_enabled(), reason="the encryption memo is off"
+)
+class TestMemo:
+    def test_full_memo_evicts_oldest_first(self, monkeypatch):
+        """At the limit the oldest entry goes first (FIFO, a hit does not
+        refresh it), and the counters match a plain list model."""
+        monkeypatch.setattr(qarma64, "_MEMO_LIMIT", 4)
+        cipher = Qarma64(W0, K0)
+        keys = cipher._encrypt_keys
+        reference = [cipher._crypt(p, TWEAK, keys) for p in range(8)]
+        model, hits, misses = [], 0, 0
+        for plaintext in (0, 1, 2, 3, 0, 4, 0, 1, 5, 2, 6, 2, 7, 3, 4):
+            assert cipher.encrypt(plaintext, TWEAK) == reference[plaintext]
+            if plaintext in model:
+                hits += 1
+                continue
+            misses += 1
+            if len(model) == 4:
+                model.pop(0)
+            model.append(plaintext)
+            assert list(cipher._memo) == [(p, TWEAK) for p in model]
+        assert (cipher.memo_stats.hits, cipher.memo_stats.misses) == (
+            hits, misses
+        )
+        assert 0 < hits < misses
