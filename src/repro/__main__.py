@@ -195,39 +195,37 @@ def _cmd_boot(args):
     return 0
 
 
+def _syscall_system(profile):
+    """A booted system with a user stack for the ``null_call`` loop: the
+    workload that exercises the Section 6.1 key choreography."""
+    from repro.workloads.lmbench import build_lmbench_system
+
+    system = build_lmbench_system(profile)
+    system.map_user_stack()
+    return system
+
+
 def _cmd_trace(args):
-    from repro.bench import (
-        run_fig2,
-        run_fig3,
-        run_fig4,
-        run_key_switch,
-        run_survey,
-    )
-    from repro.bench.harness import run_traced
+    from repro.bench import run_fig2, run_fig3, run_fig4, run_key_switch
+    from repro.trace import TraceSession
     from repro.trace.report import render_summary
-
-    def _syscall():
-        # A user-mode null-syscall loop on a fully booted system: the
-        # workload that exercises the Section 6.1 key choreography.
-        from repro.workloads.lmbench import _measure_one, build_lmbench_system
-
-        system = build_lmbench_system(args.profile)
-        system.map_user_stack()
-        return _measure_one(system, "null_call", args.iterations)
+    from repro.workloads.lmbench import _measure_one
 
     workloads = {
-        "syscall": _syscall,
+        "syscall": lambda: _measure_one(
+            _syscall_system(args.profile), "null_call", args.iterations
+        ),
         "fig2": lambda: run_fig2(iterations=args.iterations * 4),
         "fig3": lambda: run_fig3(iterations=max(2, args.iterations // 2)),
         "fig4": lambda: run_fig4(iterations=max(2, args.iterations // 4)),
         "key-switch": lambda: run_key_switch(iterations=args.iterations),
-        "survey": run_survey,
     }
-    result, tracer = run_traced(
-        workloads[args.workload],
-        capacity=args.capacity,
-        instructions=not args.no_instructions,
-    )
+    # Process-wide: every core the workload creates (and the system
+    # booted around it) attaches the tracer, boot included.
+    with TraceSession(
+        capacity=args.capacity, instructions=not args.no_instructions
+    ) as tracer:
+        result = workloads[args.workload]()
     if hasattr(result, "summary"):
         print(result.summary())
         print()
@@ -245,10 +243,9 @@ def _cmd_profile(args):
     from repro.observe import ProfileSession, render_profile
 
     if args.workload == "syscall":
-        from repro.workloads.lmbench import _measure_one, build_lmbench_system
+        from repro.workloads.lmbench import _measure_one
 
-        system = build_lmbench_system(args.profile)
-        system.map_user_stack()
+        system = _syscall_system(args.profile)
         session = ProfileSession(system, capacity=args.capacity)
         with session as profiler:
             cycles = _measure_one(system, "null_call", args.iterations)
@@ -397,7 +394,7 @@ def main(argv=None):
     trace = sub.add_parser("trace", help="run a workload under the tracer")
     trace.add_argument(
         "workload",
-        choices=("syscall", "fig2", "fig3", "fig4", "key-switch", "survey"),
+        choices=("syscall", "fig2", "fig3", "fig4", "key-switch"),
     )
     trace.add_argument("--iterations", type=_positive_int, default=10)
     trace.add_argument(

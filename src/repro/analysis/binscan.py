@@ -135,22 +135,15 @@ def scan_image(
     """Scan every text section of an image.
 
     ``allowed_symbols`` names functions whose key writes are sanctioned
-    (e.g. ``__restore_user_keys``); their extent is taken to run until
-    the next symbol in the same image.
+    (e.g. ``__restore_user_keys``), over the image's function range
+    (``Image.function_ranges``: to the next function entry).
     """
-    ranges = []
-    if allowed_symbols:
-        ordered = sorted(image.symbols.values())
-        for symbol in allowed_symbols:
-            if symbol not in image.symbols:
-                continue
-            start = image.symbols[symbol]
-            following = [a for a in ordered if a > start]
-            end = following[0] if following else start + 0x1000
-            ranges.append((start, end))
+    functions = image.function_ranges()
     return scan_instructions(
         image.text_instructions(),
         allow_key_writes=allow_key_writes,
-        allowed_ranges=tuple(ranges),
+        allowed_ranges=tuple(
+            functions[name] for name in allowed_symbols if name in functions
+        ),
         forbid_strip=forbid_strip,
     )

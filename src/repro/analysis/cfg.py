@@ -110,27 +110,16 @@ class ImageCFG:
             raise ReproError(f"{self.name}: no function {name!r}") from None
 
 
-def _function_extents(instructions, symbols, functions):
-    """Partition an instruction stream into per-function slices.
+def _function_extents(program):
+    """Partition a program's instructions into per-function slices.
 
-    Functions run from their entry to the next function entry in the
-    same stream; instructions before the first function symbol (there
-    are none in practice) are dropped.
+    Functions run from their entry to the next function entry or the
+    program end (``Program.function_ranges``); instructions before the
+    first function symbol (there are none in practice) are dropped.
     """
-    if not instructions:
-        return []
-    addresses = sorted(
-        (symbols[name], name) for name in functions if name in symbols
-    )
     out = []
-    stream_end = instructions[-1][0] + 4
-    for index, (start, name) in enumerate(addresses):
-        end = (
-            addresses[index + 1][0]
-            if index + 1 < len(addresses)
-            else stream_end
-        )
-        body = [pair for pair in instructions if start <= pair[0] < end]
+    for name, (start, end) in program.function_ranges().items():
+        body = [pair for pair in program.instructions if start <= pair[0] < end]
         if body:
             out.append((name, start, end, body))
     return out
@@ -223,9 +212,7 @@ def recover_cfg(target, name=None):
     """
     image_cfg = ImageCFG(name=name or getattr(target, "name", "program"))
     for program in text_programs(target):
-        for fn_name, entry, end, body in _function_extents(
-            program.instructions, program.symbols, program.functions
-        ):
+        for fn_name, entry, end, body in _function_extents(program):
             image_cfg.functions[fn_name] = _build_function_cfg(
                 fn_name, entry, end, body
             )

@@ -12,7 +12,22 @@ from __future__ import annotations
 from repro.arch import isa
 from repro.errors import ReproError
 
-__all__ = ["Assembler", "Program"]
+__all__ = ["Assembler", "Program", "function_ranges"]
+
+
+def function_ranges(symbols, functions, end):
+    """``{name: (entry, limit)}`` for the ``functions`` among ``symbols``,
+    in address order: each runs to the next function entry and the last
+    to ``end``.  The one rule for where a function ends; a label that
+    is not a function entry (a branch target, ``vectors``) ends none.
+    """
+    entries = sorted((symbols[name], name) for name in functions
+                     if name in symbols)
+    limits = [address for address, _ in entries[1:]] + [end]
+    return {
+        name: (entry, limit)
+        for (entry, name), limit in zip(entries, limits)
+    }
 
 
 class Program:
@@ -37,6 +52,10 @@ class Program:
     @property
     def end(self):
         return self.base + self.size
+
+    def function_ranges(self):
+        """Every function's ``(entry, limit)``: see :func:`function_ranges`."""
+        return function_ranges(self.symbols, self.functions, self.end)
 
     def address_of(self, label):
         try:

@@ -124,20 +124,18 @@ class CPU:
         self.fault_hook = None
         #: Hypervisor-call service (EL2 key management ablation).
         self.hvc_hook = None
-        #: Auth-failure observer (fault-free statistics for experiments).
-        self.auth_failure_hook = None
         #: Nullable tracer (:class:`repro.trace.Tracer`).  Every emit
         #: site is behind one ``is not None`` check, so the disabled
         #: path costs a single attribute read and simulated cycle
-        #: counts are identical with and without tracing.  A bare core
-        #: created inside a process-wide trace session picks it up here
-        #: (architectural events only; booting a full System layers the
-        #: kernel tracepoints on top).
+        #: counts are identical with and without tracing.  A core
+        #: created inside a process-wide trace session attaches it here,
+        #: the one place the slot is read (a System booted around the
+        #: core layers the kernel tracepoints on top).
         self.tracer = None
-        from repro.trace import attach_cpu, global_tracer
+        from repro.trace import global_tracer
 
         if global_tracer() is not None:
-            attach_cpu(self, global_tracer())
+            self.attach_tracer(global_tracer())
         #: Asynchronous interrupt plumbing: a pending IRQ line plus an
         #: optional free-running timer raising it every ``timer_period``
         #: cycles (the preemption-tick model).  IRQs are delivered
@@ -162,6 +160,18 @@ class CPU:
             self.mmu.generation.register(
                 self._decode_cache, self._decode_pages, self.decode_stats
             )
+
+    def attach_tracer(self, tracer):
+        """Emit architectural events (retires, PAC ops, exceptions, key
+        writes) to ``tracer``, timestamped by this core's cycles."""
+        self.tracer = tracer
+        self.pac.trace_hook = tracer.pac_event
+        tracer.clock = lambda: self.cycles
+        return tracer
+
+    def detach_tracer(self):
+        self.tracer = None
+        self.pac.trace_hook = None
 
     def _key_bank(self):
         """The key bank PAC instructions, MSR and MRS address: the
@@ -206,17 +216,14 @@ class CPU:
         result = self.pac.auth_pac(
             pointer, modifier, self._key(key_name), key_name=key_name
         )
-        if not result.ok:
-            if self.auth_failure_hook is not None:
-                self.auth_failure_hook(key_name, pointer, modifier)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "auth_failure",
-                    cycle=self.cycles,
-                    key=key_name,
-                    pointer=pointer,
-                    el=self.regs.current_el,
-                )
+        if not result.ok and self.tracer is not None:
+            self.tracer.emit(
+                "auth_failure",
+                cycle=self.cycles,
+                key=key_name,
+                pointer=pointer,
+                el=self.regs.current_el,
+            )
         return result.pointer
 
     def pac_strip(self, pointer):
@@ -408,9 +415,9 @@ class CPU:
         moved generation (a store over code, say) after an entry, ends
         the block there, and the state is rebuilt from the prefix.
         Only the first entry runs when a tracer is attached, an IRQ is
-        pending or a timer is armed, an auth-failure hook is set, or
-        fewer than the block's length of steps remain, so ``step()``,
-        tracing and IRQ delivery stay per instruction."""
+        pending or a timer is armed, or fewer than the block's length
+        of steps remain, so ``step()``, tracing and IRQ delivery stay
+        per instruction."""
         regs = self.regs
         cache = self._decode_cache
         pages = self._decode_pages
@@ -446,7 +453,6 @@ class CPU:
                     if (
                         interrupts
                         or self.tracer is not None
-                        or self.auth_failure_hook is not None
                         or budget - steps < len(executes)
                     ):
                         body = ()

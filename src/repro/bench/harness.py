@@ -11,30 +11,12 @@ from dataclasses import dataclass, field
 
 from repro.arch.cpu import CYCLES_PER_SECOND
 
-__all__ = ["ns_from_cycles", "TextTable", "ExperimentRecord", "run_traced"]
+__all__ = ["ns_from_cycles", "TextTable", "ExperimentRecord"]
 
 
 def ns_from_cycles(cycles):
     """Convert simulated cycles to nanoseconds at the platform clock."""
     return cycles / (CYCLES_PER_SECOND / 1e9)
-
-
-def run_traced(runner, tracer=None, capacity=65536, instructions=False):
-    """Run ``runner()`` under a process-wide trace session.
-
-    Every :class:`~repro.kernel.system.System` booted while the session
-    is active attaches the tracer automatically, so any existing
-    experiment runner works unmodified.  Returns ``(result, tracer)``.
-    Tracing is host-side only: the runner's measured cycle counts are
-    identical with or without it.
-    """
-    from repro.trace import TraceSession
-
-    with TraceSession(
-        tracer=tracer, capacity=capacity, instructions=instructions
-    ) as active:
-        result = runner()
-    return result, active
 
 
 class TextTable:

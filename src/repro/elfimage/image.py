@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arch.assembler import Program
+from repro.arch.assembler import Program, function_ranges
 from repro.arch.isa import HostCall, decode
 from repro.errors import ReproError
 from repro.mem.pagetable import Permissions
@@ -92,18 +92,30 @@ class Image:
             out.append((section.base + offset, instruction))
         return out
 
-    def text_programs(self):
-        """One decoded Program per text section, with the image symbols
-        and functions inside it."""
-        out = []
+    def _text_symbols(self):
+        """(section, the symbols inside it) for every text section."""
         for section in self.sections.values():
             if section.permissions.x_el1:
                 base, end = section.base, section.base + len(section.data)
-                symbols = {name: address for name, address in self.symbols.items()
-                           if base <= address < end}
-                pairs = self.text_instructions(section)
-                out.append(Program(base, pairs, symbols, self.functions))
-        return out
+                yield section, {name: address for name, address in self.symbols.items()
+                                if base <= address < end}
+
+    def text_programs(self):
+        """One decoded Program per text section, with the image symbols
+        and functions inside it."""
+        return [Program(section.base, self.text_instructions(section), symbols,
+                        self.functions)
+                for section, symbols in self._text_symbols()]
+
+    def function_ranges(self):
+        """Every text function's ``(entry, limit)``, by the rule of
+        :func:`~repro.arch.assembler.function_ranges` (the last one in a
+        section ends with it), without decoding the text."""
+        ranges = {}
+        for section, symbols in self._text_symbols():
+            ranges.update(function_ranges(
+                symbols, self.functions, section.base + len(section.data)))
+        return ranges
 
 
 def text_programs(target):

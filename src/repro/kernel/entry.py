@@ -279,20 +279,6 @@ def _verify_frame_mac_irq():
     ]
 
 
-def _symbol_range(image, symbol):
-    """The half-open address range of ``symbol`` in ``image``.
-
-    The end is the next symbol above it (symbols in this image model
-    are function entry points, so consecutive symbols bound function
-    bodies); a symbol with nothing above it gets a one-page bound.
-    """
-    start = image.symbols.get(symbol)
-    if start is None:
-        return None
-    above = [a for a in image.symbols.values() if a > start]
-    return (start, min(above) if above else start + 0x1000)
-
-
 class EntryTracepoints:
     """Kernel-entry semantic events, derived from architectural ones.
 
@@ -334,18 +320,17 @@ class EntryTracepoints:
     def _key_regions(self):
         """PC ranges of the two key-switching code bodies."""
         system = self.system
+        functions = system.kernel_image.function_ranges()
         regions = {}
         setter = system.key_setter_address
         if setter is not None:
-            in_image = _symbol_range(system.kernel_image, KEY_SETTER_SYMBOL)
+            in_image = functions.get(KEY_SETTER_SYMBOL)
             if in_image is not None:
                 regions["kernel"] = in_image
             else:
                 # The XOM setter owns its page outright.
                 regions["kernel"] = (setter, (setter & ~0xFFF) + 0x1000)
-        restore = _symbol_range(
-            system.kernel_image, RESTORE_USER_KEYS_SYMBOL
-        )
+        restore = functions.get(RESTORE_USER_KEYS_SYMBOL)
         if restore is not None:
             regions["user"] = restore
         return regions

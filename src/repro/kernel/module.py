@@ -63,7 +63,11 @@ class ModuleLoader:
 
     def load(self, image):
         """Load one module image; raises :class:`ModuleRejected` on a
-        failed static scan or CFI verification."""
+        duplicate name, a failed static scan or CFI verification, before
+        anything is mapped."""
+        if image.name in self.modules:
+            self._log_rejection(image)
+            raise ModuleRejected(f"module {image.name!r} already loaded")
         try:
             report = scan_image(image, forbid_strip=True)
         except ReproError as error:  # a text word that does not decode
@@ -102,8 +106,6 @@ class ModuleLoader:
                     )
         signed = self._sign_pointers(image)
         module = LoadedModule(image=image, loaded=loaded, signed_pointers=signed)
-        if image.name in self.modules:
-            raise ReproError(f"module {image.name!r} already loaded")
         self.modules[image.name] = module
         return module
 

@@ -162,13 +162,10 @@ class System:
         self._define_types()
         self._boot(text_builders)
 
-        # A process-wide trace session (``TraceSession()`` with no
-        # target) captures every system booted inside it — that is how
-        # existing benchmarks run under tracing unmodified.
-        from repro.trace import global_tracer
-
-        if global_tracer() is not None:
-            self.attach_tracer(global_tracer())
+        # A core created inside a process-wide trace session traced
+        # the boot; layer the kernel tracepoints onto its tracer.
+        if self.cpu.tracer is not None:
+            self.attach_tracer(self.cpu.tracer)
 
     # -- construction ------------------------------------------------------------
 
@@ -394,41 +391,23 @@ class System:
         :meth:`detach_tracer`; attaching never changes simulated cycle
         counts.
         """
-        from repro.trace import attach_cpu
-
         if self.tracer is not None:
             self.detach_tracer()
-        self.tracer = tracer
-        attach_cpu(self.cpu, tracer)
-        self.faults.tracer = tracer
-        self._entry_tracepoints = EntryTracepoints(self, tracer)
-        tracer.add_listener(self._entry_tracepoints)
+        self.cpu.attach_tracer(tracer)
+        self.tracer = self.faults.tracer = tracer
+        self._entry_tracepoints = tracer.add_listener(
+            EntryTracepoints(self, tracer)
+        )
         return tracer
 
     def detach_tracer(self):
         """Remove the attached tracer from every layer (idempotent)."""
-        from repro.trace import detach_cpu
-
         if self.tracer is None:
             return
         self.tracer.remove_listener(self._entry_tracepoints)
         self._entry_tracepoints = None
-        detach_cpu(self.cpu)
-        self.faults.tracer = None
-        self.tracer = None
-
-    def trace(self, tracer=None, capacity=65536):
-        """Context manager: trace this system for the block's duration.
-
-        ::
-
-            with system.trace() as tracer:
-                ...
-            print(tracer.count("syscall_enter"))
-        """
-        from repro.trace import TraceSession
-
-        return TraceSession(self, tracer=tracer, capacity=capacity)
+        self.cpu.detach_tracer()
+        self.tracer = self.faults.tracer = None
 
     # -- interrupts -------------------------------------------------------------------
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 
+from repro.arch.cpu import CPU
 from repro.errors import ReproError
 from repro.observe.symbols import HOST_SYMBOL, SymbolTable
 from repro.trace import events as ev
@@ -216,51 +217,43 @@ class Profiler:
         return path
 
 
-class ProfileSession:
-    """Context manager: trace ``target`` with a profiler attached.
+class ProfileSession(TraceSession):
+    """A :class:`TraceSession` with a :class:`Profiler` listening.
 
     ``target`` is a booted :class:`~repro.kernel.system.System` (symbols
     resolve through its kernel image, key-setter page and modules) or a
     bare CPU (pass the assembled ``programs`` the run will execute).
-    Yields the :class:`Profiler`; the underlying tracer is available as
-    ``session.tracer`` for conservation checks against its totals.
+    Yields the :class:`Profiler`; the tracer is ``session.tracer``, for
+    conservation checks against its totals.
     """
 
     def __init__(self, target, programs=(), symbols=None, tracer=None,
                  capacity=65536):
         if target is None:
             raise ReproError("ProfileSession needs a System or CPU target")
-        self.target = target
-        self._programs = tuple(programs)
-        self._symbols = symbols
-        self._session = TraceSession(
-            target=target, tracer=tracer, capacity=capacity,
-            instructions=True,
-        )
-        self.profiler = None
-        self.tracer = None
-
-    def __enter__(self):
-        self.tracer = self._session.__enter__()
+        super().__init__(target, tracer=tracer, capacity=capacity)
         if not self.tracer.instructions:
-            self._session.__exit__(None, None, None)
             raise ReproError(
                 "profiling needs a tracer retaining insn_retire events"
             )
+        self._symbols = symbols
+        self._programs = tuple(programs)
+        self.profiler = None
+
+    def __enter__(self):
+        tracer = super().__enter__()
         symbols = self._symbols
         if symbols is None:
-            if hasattr(self.target, "attach_tracer"):
-                symbols = SymbolTable.from_system(self.target)
-            else:
-                symbols = SymbolTable()
+            symbols = (
+                SymbolTable() if isinstance(self.target, CPU)
+                else SymbolTable.from_system(self.target)
+            )
         for program in self._programs:
             symbols.add_program(program)
-        self.profiler = Profiler(symbols)
-        self.tracer.add_listener(self.profiler)
+        self.profiler = tracer.add_listener(Profiler(symbols))
         return self.profiler
 
     def __exit__(self, exc_type, exc_value, traceback):
-        if self.profiler is not None:
-            self.profiler.finalize()
-            self.tracer.remove_listener(self.profiler)
-        return self._session.__exit__(exc_type, exc_value, traceback)
+        self.profiler.finalize()
+        self.tracer.remove_listener(self.profiler)
+        return super().__exit__(exc_type, exc_value, traceback)

@@ -69,29 +69,18 @@ class SymbolTable:
         return self.add_function(name, base, limit=base + size)
 
     def add_program(self, program):
-        """Register a bare :class:`~repro.arch.assembler.Program`.
+        """Register a bare :class:`~repro.arch.assembler.Program` or an
+        elf-style image.
 
         Only symbols the assembler marked as functions are registered;
-        each extends to the next function entry or the program end.
+        each extends to the next function entry or the end of its code
+        (``function_ranges``).
         """
-        functions = sorted(
-            (program.symbols[name], name)
-            for name in getattr(program, "functions", ())
-        )
-        for index, (address, name) in enumerate(functions):
-            limit = (
-                functions[index + 1][0]
-                if index + 1 < len(functions)
-                else program.end
-            )
-            self.add_function(name, address, limit=limit)
+        for name, (entry, limit) in program.function_ranges().items():
+            self.add_function(name, entry, limit=limit)
         return self
 
-    def add_image(self, image):
-        """Register every text section of an elf-style image."""
-        for program in image.text_programs():
-            self.add_program(program)
-        return self
+    add_image = add_program
 
     @classmethod
     def from_system(cls, system, config=None):

@@ -12,8 +12,17 @@ end-of-run totals:
 * the **kernel layers** emit semantic events (syscall enter/exit,
   key-bank switches with per-key cycle attribution, context switches,
   work execution, fault-manager panic ticks);
-* the **tracer** aggregates both into a bounded ring buffer, per-event
-  counters and cycle histograms, with JSON export and text summaries.
+* the **tracer** aggregates both into a bounded ring buffer and
+  per-event-kind cycle statistics (count, total, min/max, histogram),
+  with JSON export and text summaries.
+
+A tracer reaches a core one way: ``attach_tracer(tracer)`` /
+``detach_tracer()``, which :class:`~repro.arch.cpu.CPU` and
+:class:`~repro.kernel.system.System` both provide (the system's calls
+its core's, then wires the fault manager and the entry tracepoints).
+:class:`TraceSession` calls them on its target; with no target it fills
+the process-wide slot, which every ``CPU`` created inside the session
+reads when it is constructed.
 
 Quick use::
 
@@ -41,10 +50,7 @@ from repro.trace.tracer import (
     CycleStats,
     Tracer,
     TraceSession,
-    attach_cpu,
-    detach_cpu,
     global_tracer,
-    set_global_tracer,
 )
 
 __all__ = [
@@ -56,8 +62,5 @@ __all__ = [
     "CycleStats",
     "Tracer",
     "TraceSession",
-    "attach_cpu",
-    "detach_cpu",
     "global_tracer",
-    "set_global_tracer",
 ]

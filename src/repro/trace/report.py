@@ -23,7 +23,7 @@ def _layer(kind):
 
 
 def summary_table(tracer, title="Trace summary", top=None):
-    """Per-event-kind counters and cycle statistics as a TextTable.
+    """Per-event-kind counts and cycle statistics as a TextTable.
 
     ``top`` switches from the canonical event ordering to a
     cycles-consumed ranking and keeps only the ``top`` hottest kinds.
@@ -32,28 +32,17 @@ def summary_table(tracer, title="Trace summary", top=None):
         title, ["event", "layer", "count", "cycles", "min", "avg", "max"]
     )
     ordering = {kind: index for index, kind in enumerate(ev.ALL_EVENTS)}
-    kinds = sorted(
-        tracer.counters, key=lambda k: (ordering.get(k, 99), k)
-    )
+    stats = tracer.stats
+    kinds = sorted(stats, key=lambda k: (ordering.get(k, 99), k))
     if top is not None:
-
-        def _cycles(kind):
-            stats = tracer.stats.get(kind)
-            return stats.total if stats else 0
-
-        kinds = sorted(kinds, key=lambda k: (-_cycles(k), k))[:top]
+        kinds = sorted(kinds, key=lambda k: (-stats[k].total, k))[:top]
         table.title = f"{title} (top {top} by cycles)"
     for kind in kinds:
-        stats = tracer.stats.get(kind)
-        # "-" marks an empty histogram; a real min/max of 0 prints 0.
+        # Every recorded kind has at least one event, so min/max are set.
+        row = stats[kind]
         table.add_row(
-            kind,
-            _layer(kind),
-            tracer.counters[kind],
-            stats.total if stats else 0,
-            stats.min if stats and stats.min is not None else "-",
-            stats.mean if stats else 0.0,
-            stats.max if stats and stats.max is not None else "-",
+            kind, _layer(kind), row.count, row.total, row.min, row.mean,
+            row.max,
         )
     return table
 

@@ -1,6 +1,6 @@
 """A fixed-capacity ring buffer for trace events.
 
-The tracer's counters and histograms never saturate, but keeping every
+The tracer's statistics and histograms never saturate, but keeping every
 raw event of a long benchmark would grow without bound — so raw events
 go through a classic overwrite-oldest ring, exactly like the kernel's
 own ftrace buffer.  ``dropped`` reports how many events were evicted,

@@ -1,11 +1,12 @@
-"""The tracer: ring buffer, per-event counters and cycle histograms.
+"""The tracer: ring buffer and per-event-kind cycle statistics.
 
 One :class:`Tracer` collects everything a traced run produces:
 
 * every event goes through :meth:`Tracer.emit`, which appends it to the
-  ring buffer, bumps the per-kind counter, folds its cost into the
-  per-kind cycle statistics, and fans it out to registered listeners
-  (the kernel's semantic tracepoints are such listeners);
+  ring buffer, folds its cost into the per-kind cycle statistics (whose
+  ``count`` is the one per-kind event count), and fans it out to
+  registered listeners (the kernel's semantic tracepoints are such
+  listeners);
 * the per-instruction fast path (:meth:`Tracer.insn`) additionally
   maintains the instruction-mix table (cycles per mnemonic) that lets a
   benchmark break its total down by instruction class.
@@ -16,9 +17,12 @@ tracer is pure host-side bookkeeping — attaching one never changes a
 single simulated cycle.
 
 :class:`TraceSession` is the lifecycle wrapper: a context manager that
-attaches a tracer to a system, a bare CPU, or (with no target) to the
-process-wide slot that every subsequently booted
-:class:`~repro.kernel.system.System` picks up — which is how existing
+calls ``attach_tracer`` on its target and ``detach_tracer`` on exit.
+A :class:`~repro.arch.cpu.CPU` attaches its architectural events, a
+:class:`~repro.kernel.system.System` its core's plus the kernel
+tracepoints, and no target means the process-wide slot: every core
+created while it holds a tracer attaches it (and a ``System`` booted
+around that core layers its tracepoints on top) — which is how existing
 benchmarks run under tracing without any plumbing changes.
 """
 
@@ -35,10 +39,7 @@ __all__ = [
     "CycleStats",
     "Tracer",
     "TraceSession",
-    "attach_cpu",
-    "detach_cpu",
     "global_tracer",
-    "set_global_tracer",
 ]
 
 #: PAC-engine operation name -> event kind.
@@ -100,10 +101,10 @@ class Tracer:
     Parameters
     ----------
     capacity:
-        Ring-buffer size for raw events (counters never drop).
+        Ring-buffer size for raw events (the statistics never drop).
     instructions:
         Keep raw :data:`~repro.trace.events.INSN_RETIRE` events in the
-        ring.  With ``False`` they still hit the counters and the
+        ring.  With ``False`` they still hit the statistics and the
         instruction-mix table but are not retained individually (and
         listeners do not see them) — a lighter mode for long runs that
         only need aggregate numbers.
@@ -112,11 +113,11 @@ class Tracer:
     def __init__(self, capacity=65536, instructions=True):
         self.ring = RingBuffer(capacity)
         self.instructions = instructions
-        self.counters = {}
+        #: Event kind -> :class:`CycleStats`; ``count`` is the kind's
+        #: event count.
         self.stats = {}
         self.insn_mix = {}
         self.listeners = []
-        self.enabled = True
         #: Cycle source used when an event has no explicit timestamp;
         #: set on attach to the core's cycle counter.
         self.clock = None
@@ -125,13 +126,10 @@ class Tracer:
 
     def emit(self, kind, cycle=None, cost=0, **data):
         """Record one event; listeners run synchronously, in order."""
-        if not self.enabled:
-            return None
         if cycle is None:
             cycle = self.clock() if self.clock is not None else 0
         event = ev.TraceEvent(kind, cycle, cost, data)
         self.ring.append(event)
-        self.counters[kind] = self.counters.get(kind, 0) + 1
         stats = self.stats.get(kind)
         if stats is None:
             stats = self.stats[kind] = CycleStats()
@@ -142,8 +140,6 @@ class Tracer:
 
     def insn(self, cpu, pc, instruction, cost):
         """Per-retired-instruction fast path (called by the core)."""
-        if not self.enabled:
-            return
         mnemonic = instruction.mnemonic
         mix = self.insn_mix.get(mnemonic)
         if mix is None:
@@ -160,9 +156,6 @@ class Tracer:
                 el=cpu.regs.current_el,
             )
         else:
-            self.counters[ev.INSN_RETIRE] = (
-                self.counters.get(ev.INSN_RETIRE, 0) + 1
-            )
             stats = self.stats.get(ev.INSN_RETIRE)
             if stats is None:
                 stats = self.stats[ev.INSN_RETIRE] = CycleStats()
@@ -190,7 +183,8 @@ class Tracer:
     # -- queries -------------------------------------------------------------
 
     def count(self, kind):
-        return self.counters.get(kind, 0)
+        stats = self.stats.get(kind)
+        return stats.count if stats is not None else 0
 
     def events(self, kind=None):
         """Retained events, oldest first, optionally filtered by kind."""
@@ -205,7 +199,6 @@ class Tracer:
     def reset(self):
         """Forget everything recorded so far (attachments survive)."""
         self.ring.clear()
-        self.counters.clear()
         self.stats.clear()
         self.insn_mix.clear()
 
@@ -220,7 +213,9 @@ class Tracer:
                 "dropped_events": self.dropped,
                 "capacity": self.ring.capacity,
             },
-            "counters": dict(sorted(self.counters.items())),
+            "counters": {
+                kind: stats.count for kind, stats in sorted(self.stats.items())
+            },
             "histograms": {
                 kind: stats.as_dict()
                 for kind, stats in sorted(self.stats.items())
@@ -252,23 +247,9 @@ class Tracer:
         return path
 
 
-# -- attachment helpers ------------------------------------------------------
+# -- the process-wide slot ------------------------------------------------------
 
-
-def attach_cpu(cpu, tracer):
-    """Wire a tracer into a bare core (no kernel semantic layer)."""
-    cpu.tracer = tracer
-    cpu.pac.trace_hook = tracer.pac_event
-    tracer.clock = lambda: cpu.cycles
-    return tracer
-
-
-def detach_cpu(cpu):
-    cpu.tracer = None
-    cpu.pac.trace_hook = None
-
-
-#: Process-wide tracer picked up by every System booted while it is set.
+#: Process-wide tracer attached by every CPU created while it is set.
 _GLOBAL_TRACER = None
 
 
@@ -276,53 +257,49 @@ def global_tracer():
     return _GLOBAL_TRACER
 
 
-def set_global_tracer(tracer):
-    """Install (or clear, with None) the process-wide tracer."""
-    global _GLOBAL_TRACER
-    _GLOBAL_TRACER = tracer
+class _ProcessWide:
+    """The process-wide slot as a trace target (``TraceSession()``)."""
+
+    @staticmethod
+    def attach_tracer(tracer):
+        global _GLOBAL_TRACER
+        if _GLOBAL_TRACER is not None:
+            raise ReproError("a global trace session is already active")
+        _GLOBAL_TRACER = tracer
+        return tracer
+
+    @staticmethod
+    def detach_tracer():
+        global _GLOBAL_TRACER
+        _GLOBAL_TRACER = None
 
 
 class TraceSession:
     """Context manager bounding one traced run.
 
-    ``target`` may be a :class:`~repro.kernel.system.System` (attaches
-    the full semantic layer), a bare CPU (architectural events only), or
+    ``target`` is anything with ``attach_tracer``/``detach_tracer``: a
+    :class:`~repro.kernel.system.System` (the full semantic layer), a
+    bare :class:`~repro.arch.cpu.CPU` (architectural events only), or
     None — in which case the tracer is installed process-wide and every
-    system booted inside the ``with`` block attaches itself.
+    core (and so every system) created inside the ``with`` block
+    attaches it.
     """
 
     def __init__(self, target=None, tracer=None, capacity=65536,
                  instructions=True):
+        if target is None:
+            target = _ProcessWide
+        elif not hasattr(target, "attach_tracer"):
+            raise ReproError(f"cannot trace {type(target).__name__} objects")
         self.target = target
         self.tracer = tracer if tracer is not None else Tracer(
             capacity=capacity, instructions=instructions
         )
-        self._mode = None
 
     def __enter__(self):
-        if self.target is None:
-            if global_tracer() is not None:
-                raise ReproError("a global trace session is already active")
-            set_global_tracer(self.tracer)
-            self._mode = "global"
-        elif hasattr(self.target, "attach_tracer"):
-            self.target.attach_tracer(self.tracer)
-            self._mode = "system"
-        elif hasattr(self.target, "regs"):
-            attach_cpu(self.target, self.tracer)
-            self._mode = "cpu"
-        else:
-            raise ReproError(
-                f"cannot trace {type(self.target).__name__} objects"
-            )
+        self.target.attach_tracer(self.tracer)
         return self.tracer
 
     def __exit__(self, exc_type, exc_value, traceback):
-        if self._mode == "global":
-            set_global_tracer(None)
-        elif self._mode == "system":
-            self.target.detach_tracer()
-        elif self._mode == "cpu":
-            detach_cpu(self.target)
-        self._mode = None
+        self.target.detach_tracer()
         return False

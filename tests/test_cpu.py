@@ -20,7 +20,7 @@ from repro.errors import (
     UndefinedInstructionFault,
 )
 from repro.mem.pagetable import Permissions
-from repro.trace import Tracer, attach_cpu
+from repro.trace import Tracer
 
 
 def _with_keys(machine):
@@ -150,14 +150,12 @@ class TestPAuthDataPath:
         assert machine.cpu.pac_add("ia", pointer, 1) == pointer
         assert machine.cpu.pac_auth("ia", pointer, 1) == pointer
 
-    def test_auth_failure_hook_fires(self, machine):
+    def test_auth_failure_is_traced(self, machine):
         _with_keys(machine)
-        failures = []
-        machine.cpu.auth_failure_hook = (
-            lambda key, ptr, mod: failures.append(key)
-        )
+        tracer = machine.cpu.attach_tracer(Tracer())
         machine.cpu.pac_auth("ia", 0xFFFF_0000_0801_2340, 0xAA)
-        assert failures == ["ia"]
+        failures = tracer.events("auth_failure")
+        assert [event.data["key"] for event in failures] == ["ia"]
 
 
 class TestV80Core:
@@ -307,7 +305,7 @@ def _skip_faulting_instruction(cpu, fault):
 
 def _attach_tracer(cpu, imm):
     if cpu.tracer is None:
-        attach_cpu(cpu, Tracer(instructions=False))
+        cpu.attach_tracer(Tracer(instructions=False))
 
 
 #: The instruction inside the loop, and the core set-up, per scenario.

@@ -136,7 +136,7 @@ class TestLmbenchDifferential:
                 system.map_user_stack()
                 _measure_one(system, "null_call", 5)
             totals = {kind: s.total for kind, s in tracer.stats.items()}
-            return set(tracer.counters), totals, system.cpu.cycles
+            return set(tracer.stats), totals, system.cpu.cycles
 
         cached, uncached = _run_cached_and_uncached(workload)
         assert not any("cache" in kind for kind in cached[0] | uncached[0])

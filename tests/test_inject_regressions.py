@@ -80,7 +80,7 @@ class TestAddressZeroDistinctFromNone:
 
 
 class TestCycleStatsSentinels:
-    """Empty stats must stay ``None``/``null``/``-``; true zero prints 0."""
+    """Empty stats must stay ``None``/``null``; true zero prints 0."""
 
     def test_empty_stats_as_dict_keeps_none(self):
         stats = CycleStats()
@@ -96,14 +96,11 @@ class TestCycleStatsSentinels:
         assert data["min"] == 0
         assert data["max"] == 0
 
-    def test_summary_table_dash_for_empty_zero_for_zero(self):
+    def test_summary_table_prints_true_zero(self):
         tracer = Tracer()
         tracer.emit("zero_cost", cycle=1, cost=0)
-        tracer.counters["ghost"] = 1  # counted, but no cycle data
-        tracer.stats.pop("ghost", None)
         rows = {row[0]: row for row in summary_table(tracer).rows}
         assert rows["zero_cost"][4] == "0" and rows["zero_cost"][6] == "0"
-        assert rows["ghost"][4] == "-" and rows["ghost"][6] == "-"
 
 
 class TestPoisonDecode:

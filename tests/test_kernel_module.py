@@ -7,7 +7,7 @@ from repro.arch.assembler import Assembler
 from repro.cfi.instrument import Compiler
 from repro.cfi.keys import KeyRole
 from repro.elfimage.image import DataSectionBuilder, ImageBuilder
-from repro.errors import PermissionFault, ReproError
+from repro.errors import PermissionFault
 from repro.kernel import System
 from repro.kernel.module import ModuleRejected
 from repro.kernel.workqueue import declare_work
@@ -105,10 +105,15 @@ class TestLoading:
     def test_duplicate_module_rejected(self):
         system = System(profile="full")
         system.modules.load(_benign_module(system))
-        with pytest.raises(ReproError):
-            system.modules.load(
-                _benign_module(system, base=MODULE_BASE + 0x100000)
-            )
+        allocator, phys = system.loader.allocator, system.mmu.phys
+        next_frame, host_calls = allocator.allocate(0), list(phys.host_calls)
+        base = MODULE_BASE + 0x100000
+        with pytest.raises(ModuleRejected, match="already loaded"):
+            system.modules.load(_benign_module(system, base=base))
+        # Rejected before placement: nothing mapped, allocated or bound.
+        assert system.mmu.frame_of(base) is None
+        assert allocator.allocate(0) == next_frame
+        assert phys.host_calls == host_calls
 
 
 class TestStaticVerification:

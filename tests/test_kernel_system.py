@@ -57,6 +57,26 @@ class TestBoot:
         )
         assert report.ok, report.summary()
 
+    def test_inner_label_ends_no_function_range(self):
+        # Where a function ends is one rule for the key-write exemption,
+        # the tracepoint regions, the CFG and the profiler: at the next
+        # function entry, whatever labels lie inside it.
+        from repro.kernel.entry import EntryTracepoints
+        from repro.trace import Tracer
+
+        system = System(profile="full")
+        image = system.kernel_image
+        start, end = image.function_ranges()[RESTORE_USER_KEYS_SYMBOL]
+        assert end == image.symbols["cpu_switch_to"]
+        image.symbols["__restore_user_keys_inner"] = start + 8
+        assert image.function_ranges()[RESTORE_USER_KEYS_SYMBOL] == (
+            start, end
+        )
+        report = scan_image(image, allowed_symbols=(RESTORE_USER_KEYS_SYMBOL,))
+        assert report.ok, report.summary()
+        tracepoints = EntryTracepoints(system, Tracer())
+        assert tracepoints._regions["user"] == (start, end)
+
     def test_kernel_image_without_whitelist_flags_restore_stub(self):
         # Sanity check that the scan actually sees the key MSRs.
         system = System(profile="full")

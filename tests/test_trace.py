@@ -1,10 +1,12 @@
 """Unit and integration tests for the tracing subsystem (repro.trace)."""
 
 import json
+import os
 
 import pytest
 
 from repro.arch import isa
+from repro.arch.cpu import CPU
 from repro.errors import ReproError
 from repro.kernel import System
 from repro.trace import (
@@ -13,7 +15,6 @@ from repro.trace import (
     Tracer,
     TraceEvent,
     TraceSession,
-    attach_cpu,
     global_tracer,
 )
 
@@ -140,7 +141,7 @@ def _pac_program(machine):
 
 class TestCpuTracing:
     def test_insn_stream_and_pac_events(self, machine):
-        tracer = attach_cpu(machine.cpu, Tracer())
+        tracer = machine.cpu.attach_tracer(Tracer())
         machine.run(_pac_program(machine), args=(0x1234, 0))
         assert tracer.count("pac_add") == 1
         assert tracer.count("pac_auth") == 1
@@ -159,12 +160,12 @@ class TestCpuTracing:
         untraced = BareMachine()
         untraced.run(_pac_program(untraced), args=(0x1234, 0))
 
-        attach_cpu(machine.cpu, Tracer())
+        machine.cpu.attach_tracer(Tracer())
         machine.run(_pac_program(machine), args=(0x1234, 0))
         assert machine.cpu.cycles == untraced.cpu.cycles
 
     def test_instructions_false_counts_without_retaining(self, machine):
-        tracer = attach_cpu(machine.cpu, Tracer(instructions=False))
+        tracer = machine.cpu.attach_tracer(Tracer(instructions=False))
         machine.run(_pac_program(machine), args=(0x1234, 0))
         assert tracer.count("insn_retire") == 4  # incl. the HLT pad
         assert tracer.events("insn_retire") == []
@@ -189,17 +190,21 @@ class TestTraceSession:
         assert system.cpu.tracer is None
         assert system.faults.tracer is None
 
-    def test_system_trace_convenience(self):
-        system = System(profile="full")
-        with system.trace() as tracer:
-            assert system.tracer is tracer
-
     def test_global_mode_attaches_booted_systems(self):
         with TraceSession() as tracer:
             assert global_tracer() is tracer
             system = System(profile="full")
             assert system.tracer is tracer
         assert global_tracer() is None
+
+    def test_global_mode_attaches_bare_cores(self):
+        # fig2 runs on bare cores: the slot reaches them with no System.
+        with TraceSession() as tracer:
+            cpu = CPU()
+            assert cpu.tracer is tracer
+            assert cpu.pac.trace_hook == tracer.pac_event
+            assert tracer.clock() == cpu.cycles
+        assert CPU().tracer is None
 
     def test_nested_global_sessions_rejected(self):
         with TraceSession():
@@ -247,7 +252,28 @@ class TestExport:
         }
 
 
+#: ``trace syscall|fig2 --iterations 2 --json`` aggregates, pinned.
+GOLDEN_EXPORTS = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "golden", "trace_exports.json"
+)
+
+
 class TestCli:
+    @pytest.mark.parametrize("workload", ["syscall", "fig2"])
+    def test_trace_export_matches_golden(self, workload, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "trace.json"
+        rc = main(
+            ["trace", workload, "--iterations", "2", "--json", str(path)]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        data = json.loads(path.read_text())
+        with open(GOLDEN_EXPORTS) as handle:
+            golden = json.load(handle)[workload]
+        assert {key: data[key] for key in golden} == golden
+
     def test_trace_subcommand_exports_consumable_json(
         self, tmp_path, capsys
     ):
@@ -271,12 +297,3 @@ class TestCli:
         hist = data["histograms"]["key_switch"]
         assert hist["count"] == 12
         assert data["instruction_mix"]["msr"]["count"] > 0
-
-    def test_run_traced_helper(self):
-        from repro.bench.harness import run_traced
-
-        result, tracer = run_traced(
-            lambda: System(profile="full") and 123
-        )
-        assert result == 123
-        assert global_tracer() is None

@@ -14,7 +14,7 @@ from repro.arch import isa
 from repro.arch.cpu import KEY_WRITE_EXTRA_CYCLES
 from repro.arch.isa import PAUTH_CYCLES
 from repro.kernel import System
-from repro.trace import Tracer, TraceSession, attach_cpu
+from repro.trace import Tracer, TraceSession
 
 
 class TestCalibrationConstants:
@@ -39,7 +39,7 @@ class TestCalibrationConstants:
 
 class TestTracedInstructionCosts:
     def test_pac_and_aut_retire_at_four_cycles(self, machine):
-        tracer = attach_cpu(machine.cpu, Tracer())
+        tracer = machine.cpu.attach_tracer(Tracer())
         asm = machine.assembler()
         asm.fn("main")
         asm.emit(isa.Pac("ia", 0, 1), isa.Aut("ia", 0, 1), isa.Ret())
@@ -56,7 +56,7 @@ class TestTracedInstructionCosts:
     def test_hint_forms_retire_as_nops_on_v80(self, v80_machine):
         # PACIASP/AUTIASP are HINT-space: 1-cycle NOPs without
         # FEAT_PAuth (the compat story of Section 4.4).
-        tracer = attach_cpu(v80_machine.cpu, Tracer())
+        tracer = v80_machine.cpu.attach_tracer(Tracer())
         asm = v80_machine.assembler()
         asm.fn("main")
         asm.emit(isa.PacSp("ia"), isa.AutSp("ia"), isa.Ret())
@@ -65,7 +65,7 @@ class TestTracedInstructionCosts:
         assert costs[:2] == [1, 1]
 
     def test_hint_forms_cost_full_pauth_price_on_v83(self, machine):
-        tracer = attach_cpu(machine.cpu, Tracer())
+        tracer = machine.cpu.attach_tracer(Tracer())
         asm = machine.assembler()
         asm.fn("main")
         asm.emit(isa.PacSp("ia"), isa.AutSp("ia"), isa.Ret())
