@@ -209,11 +209,11 @@ def _cmd_trace(args):
     from repro.bench import run_fig2, run_fig3, run_fig4, run_key_switch
     from repro.trace import TraceSession
     from repro.trace.report import render_summary
-    from repro.workloads.lmbench import _measure_one
+    from repro.workloads.guest import syscall_cycles
 
     workloads = {
-        "syscall": lambda: _measure_one(
-            _syscall_system(args.profile), "null_call", args.iterations
+        "syscall": lambda: syscall_cycles(
+            _syscall_system(args.profile), "null_call", args.iterations, x0=3
         ),
         "fig2": lambda: run_fig2(iterations=args.iterations * 4),
         "fig3": lambda: run_fig3(iterations=max(2, args.iterations // 2)),
@@ -243,22 +243,24 @@ def _cmd_profile(args):
     from repro.observe import ProfileSession, render_profile
 
     if args.workload == "syscall":
-        from repro.workloads.lmbench import _measure_one
+        from repro.workloads.guest import syscall_cycles
 
         system = _syscall_system(args.profile)
         session = ProfileSession(system, capacity=args.capacity)
         with session as profiler:
-            cycles = _measure_one(system, "null_call", args.iterations)
+            cycles = syscall_cycles(
+                system, "null_call", args.iterations, x0=3
+            )
         label = f"{args.iterations} null_call syscall(s)"
     else:  # fig2: the camouflage-instrumented call benchmark
-        from repro.workloads.callbench import _prepare, _run_prepared
+        from repro.workloads.callbench import build_call_loop, run_call_loop
 
-        cpu, program = _prepare("camouflage", args.iterations)
+        machine, program = build_call_loop("camouflage", args.iterations)
         session = ProfileSession(
-            cpu, programs=[program], capacity=args.capacity
+            machine.cpu, programs=[program], capacity=args.capacity
         )
         with session as profiler:
-            cycles = _run_prepared(cpu, program, args.iterations)
+            cycles = run_call_loop(machine, program, args.iterations)
         label = f"{args.iterations} instrumented call(s)"
     print(f"{args.workload}: {label}, {cycles:.2f} cycles/iteration")
     print()

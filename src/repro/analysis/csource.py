@@ -95,13 +95,5 @@ class SourceCorpus:
         self.sites.append(site)
         return site
 
-    def sites_for(self, type_name, member_name=None):
-        return [
-            s
-            for s in self.sites
-            if s.type_name == type_name
-            and (member_name is None or s.member_name == member_name)
-        ]
-
     def type_count(self):
         return len(self.types)

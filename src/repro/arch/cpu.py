@@ -163,7 +163,11 @@ class CPU:
 
     def attach_tracer(self, tracer):
         """Emit architectural events (retires, PAC ops, exceptions, key
-        writes) to ``tracer``, timestamped by this core's cycles."""
+        writes) to ``tracer``, timestamped by this core's cycles.
+
+        A core holding a different tracer refuses: detach it first."""
+        if self.tracer is not None and self.tracer is not tracer:
+            raise ReproError("this core already has a tracer attached")
         self.tracer = tracer
         self.pac.trace_hook = tracer.pac_event
         tracer.clock = lambda: self.cycles

@@ -211,10 +211,6 @@ class RegisterFile:
             if index not in keep:
                 self.x[index] = 0
 
-    def nonzero_gprs(self):
-        """Indices of GPRs currently holding non-zero values."""
-        return tuple(i for i, v in enumerate(self.x) if v != 0)
-
     # -- SP ------------------------------------------------------------------
 
     @property

@@ -10,7 +10,6 @@ this reproduction.
 from __future__ import annotations
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
 from repro.arch.vmsa import VMSAConfig
 from repro.bench.harness import ExperimentRecord, TextTable
 from repro.cfi.policy import frame_mac_profile
@@ -18,7 +17,14 @@ from repro.hyp.hypervisor import EL2_TRAP_ROUND_TRIP_CYCLES
 from repro.inject import InjectionCampaign
 from repro.inject.scenarios import expected_guesses, success_probability
 from repro.kernel.system import System
-from repro.kernel import layout
+from repro.workloads.guest import (
+    DATA_BASE,
+    BareMachine,
+    emit_call_loop,
+    run_el0,
+    syscall,
+    syscall_cycles,
+)
 
 __all__ = [
     "run_key_mgmt_ablation",
@@ -28,29 +34,14 @@ __all__ = [
     "run_pac_size_sweep",
     "run_hardened_abi",
     "run_canary_ablation",
+    "null_syscall_cycles",
 ]
 
 
-def _null_syscall_cycles(system, iterations=30):
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(19, iterations)
-    user.label("loop")
-    user.mov_imm(8, system.syscall_numbers["getpid"])
-    user.emit(
-        isa.Svc(0),
-        isa.SubsImm(19, 19, 1),
-        isa.BCond("ne", "loop"),
-        isa.Hlt(),
-    )
-    program = user.assemble()
-    system.load_user_program(program)
+def null_syscall_cycles(system, iterations=30):
+    """Cycles per ``getpid`` round trip on a freshly booted system."""
     system.map_user_stack()
-    cycles = system.run_user(
-        system.tasks.current, program.address_of("main"),
-        max_steps=2000 * iterations + 10_000,
-    )
-    return cycles / iterations
+    return syscall_cycles(system, "getpid", iterations)
 
 
 def run_key_mgmt_ablation(iterations=30):
@@ -66,16 +57,16 @@ def run_key_mgmt_ablation(iterations=30):
       registers with a select flag, so switching is one MSR and no key
       material ever exists outside the registers.
     """
-    xom = _null_syscall_cycles(
+    xom = null_syscall_cycles(
         System(profile="full", key_management="xom"), iterations
     )
-    trap = _null_syscall_cycles(
+    trap = null_syscall_cycles(
         System(profile="full", key_management="el2-trap"), iterations
     )
-    banked = _null_syscall_cycles(
+    banked = null_syscall_cycles(
         System(profile="full", key_management="banked-isa"), iterations
     )
-    baseline = _null_syscall_cycles(System(profile="none"), iterations)
+    baseline = null_syscall_cycles(System(profile="none"), iterations)
     table = TextTable(
         "Ablation — key management strategy (null syscall)",
         ["strategy", "cycles/syscall", "key overhead vs none"],
@@ -110,8 +101,8 @@ def run_frame_mac_ablation(iterations=30):
     published design), the fix (the PACGA frame MAC detects it) and its
     price (extra cycles per syscall).
     """
-    full = _null_syscall_cycles(System(profile="full"), iterations)
-    mac = _null_syscall_cycles(System(profile=frame_mac_profile()), iterations)
+    full = null_syscall_cycles(System(profile="full"), iterations)
+    mac = null_syscall_cycles(System(profile=frame_mac_profile()), iterations)
     against_full, against_mac = (
         InjectionCampaign(
             profile=profile,
@@ -161,22 +152,11 @@ def run_irq_overhead(ticks=8, tick_period=2_000):
     for profile in ("none", "full"):
         system = System(profile=profile)
         system.map_user_stack()
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(19, ticks * tick_period // 40)
-        user.label("loop")
-        user.emit(
-            isa.Work(38),
-            isa.SubsImm(19, 19, 1),
-            isa.BCond("ne", "loop"),
-            isa.Hlt(),
-        )
-        program = user.assemble()
-        system.load_user_program(program)
         system.enable_timer(tick_period)
-        cycles = system.run_user(
-            system.tasks.current, program.address_of("main"),
-            max_steps=ticks * tick_period * 4 + 100_000,
+        cycles = run_el0(
+            system,
+            lambda user: user.emit(isa.Work(38)),
+            ticks * tick_period // 40,
         )
         results[profile] = (cycles, system.cpu.irqs_delivered, system.jiffies)
     table = TextTable(
@@ -327,27 +307,16 @@ def run_hardened_abi(iterations=20):
     def attempt(system, sign, loop=1):
         buffer = system.map_user_data()
         system.mmu.write_u64(buffer, 0xFEED_FACE, 1)
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(19, loop)
-        user.label("loop")
-        user.mov_imm(0, buffer)
-        if sign:
-            emit_user_sign(user, 0)
-        user.mov_imm(8, system.syscall_numbers[SECURE_WRITE_SYSCALL])
-        user.emit(
-            isa.Svc(0),
-            isa.SubsImm(19, 19, 1),
-            isa.BCond("ne", "loop"),
-            isa.Hlt(),
-        )
-        program = user.assemble()
-        system.load_user_program(program)
+        number = system.syscall_numbers[SECURE_WRITE_SYSCALL]
+
+        def body(user):
+            user.mov_imm(0, buffer)
+            if sign:
+                emit_user_sign(user, 0)
+            syscall(user, number)
+
         try:
-            cycles = system.run_user(
-                system.tasks.current, program.address_of("main"),
-                max_steps=3000 * loop + 10_000,
-            )
+            cycles = run_el0(system, body, loop)
             return "accepted", cycles / loop, system.cpu.regs.read(0)
         except TaskKilled:
             return "rejected", 0.0, 0
@@ -356,7 +325,7 @@ def run_hardened_abi(iterations=20):
         fresh_system(), sign=True, loop=iterations
     )
     raw_outcome, _, _ = attempt(fresh_system(), sign=False)
-    plain = _null_syscall_cycles(
+    plain = null_syscall_cycles(
         System(profile="full", key_management="banked-isa"), iterations
     )
     table = TextTable(
@@ -396,52 +365,23 @@ def run_canary_ablation(iterations=60):
     against each: the global guard falls to a single arbitrary read,
     the per-frame PACGA canary does not.
     """
-    from repro.arch.cpu import CPU
     from repro.arch.registers import PAuthKey
-    from repro.arch.assembler import Assembler as _Assembler
     from repro.cfi.canary import CanaryKind, emit_canary_function
     from repro.inject.scenarios import canary_leak_replay
-    from repro.mem.pagetable import Permissions
-
-    text_base = 0xFFFF_0000_0801_0000
-    stack_top = 0xFFFF_0000_0900_0000
-    guard_page = 0xFFFF_0000_0A00_0000
 
     def measure(kind):
-        cpu = CPU()
-        cpu.regs.keys.ga = PAuthKey(0x6A6A, 0x7B7B)
-        cpu.mmu.map_range(
-            text_base, 0x4000, 0x400, Permissions(r_el1=True, x_el1=True)
-        )
-        cpu.mmu.map_range(
-            stack_top - 0x8000, 0x8000, 0x500, Permissions.kernel_data()
-        )
-        cpu.mmu.map_range(guard_page, 0x1000, 0x600, Permissions.kernel_data())
-        cpu.mmu.write_u64(guard_page, 0x5EED, 1)
-        asm = _Assembler(text_base)
+        machine = BareMachine()
+        machine.cpu.regs.keys.ga = PAuthKey(0x6A6A, 0x7B7B)
+        machine.cpu.mmu.write_u64(DATA_BASE, 0x5EED, 1)
+        asm = machine.assembler()
         emit_canary_function(
             asm, "fn", kind,
             body=lambda a: a.emit(isa.Work(3)),
-            guard_address=guard_page,
+            guard_address=DATA_BASE,
         )
-        asm.fn("bench")
-        from repro.arch.registers import FP, LR
-        from repro.arch.isa import SP as _SP
-
-        asm.emit(isa.StpPre(FP, LR, _SP, -16), isa.MovReg(FP, _SP))
-        asm.mov_imm(19, iterations)
-        asm.label("loop")
-        asm.emit(
-            isa.Bl("fn"),
-            isa.SubsImm(19, 19, 1),
-            isa.BCond("ne", "loop"),
-            isa.LdpPost(FP, LR, _SP, 16),
-            isa.Ret(),
-        )
-        program = cpu.mmu.place_program(asm.assemble())
-        _, cycles = cpu.call(
-            program.address_of("bench"), stack_top=stack_top,
-            max_steps=200 * iterations + 1000,
+        emit_call_loop(asm, "fn", iterations)
+        _, cycles = machine.run(
+            asm.assemble(), entry="bench", iterations=iterations
         )
         return cycles / iterations
 

@@ -441,15 +441,15 @@ def run_compat(iterations=100):
     must execute correctly on both, with the PAuth instructions costing
     nothing but NOPs on the old core.
     """
-    from repro.workloads.callbench import _build_and_run
+    from repro.workloads.callbench import cycles_per_call
 
-    with_pauth = _build_and_run(
+    with_pauth = cycles_per_call(
         "sp-only", iterations, compat=True, features=("pauth",)
     )
-    without = _build_and_run(
+    without = cycles_per_call(
         "sp-only", iterations, compat=True, features=()
     )
-    baseline = _build_and_run(None, iterations, features=())
+    baseline = cycles_per_call(None, iterations, features=())
     table = TextTable(
         "Section 5.5 — backwards compatibility (same binary)",
         ["core", "cycles/call"],
@@ -461,7 +461,7 @@ def run_compat(iterations=100):
 
     # Whole-kernel compat: the same compat-built kernel image booted on
     # both cores, measured on the null syscall.
-    from repro.bench.ablations import _null_syscall_cycles
+    from repro.bench.ablations import null_syscall_cycles
     from repro.cfi.policy import ProtectionProfile
     from repro.kernel.system import System
 
@@ -471,11 +471,11 @@ def run_compat(iterations=100):
             forward=True, dfi=True, compat=True,
         )
 
-    kernel_v83 = _null_syscall_cycles(
+    kernel_v83 = null_syscall_cycles(
         System(profile=compat_profile(), features=frozenset({"pauth"})),
         iterations=20,
     )
-    kernel_v80 = _null_syscall_cycles(
+    kernel_v80 = null_syscall_cycles(
         System(profile=compat_profile(), features=frozenset()),
         iterations=20,
     )

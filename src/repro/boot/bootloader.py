@@ -129,7 +129,3 @@ class Bootloader:
         for frame in loaded.frames_of(".text.keys"):
             hypervisor.make_xom(frame)
         return image.address_of(KEY_SETTER_SYMBOL)
-
-    def install_user_keys_on(self, keybank, regs):
-        """Copy a user key bank into the live key registers (host-side)."""
-        regs.keys = keybank.copy()

@@ -35,8 +35,6 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
-from repro.arch import isa
-from repro.arch.assembler import Assembler
 from repro.cfi.keys import KeyRole
 from repro.cfi.policy import profile_by_name
 from repro.errors import (
@@ -52,11 +50,11 @@ from repro.inject.scenarios import (
     SCENARIOS,
     build_canary_victim,
 )
-from repro.kernel import layout
 from repro.kernel.fault import TaskKilled
 from repro.kernel.module import ModuleRejected
 from repro.kernel.system import System
 from repro.trace import Tracer
+from repro.workloads.guest import run_el0, syscall
 
 __all__ = [
     "DEFAULT_SEED",
@@ -113,6 +111,9 @@ class CampaignDriver:
             text_builders=(build_canary_victim,) + tuple(text),
         )
         self.tracer = Tracer(capacity=16384, instructions=True)
+        # The evidence counts this trial alone: drop the tracer a
+        # process-wide session gave the system at boot.
+        self.system.detach_tracer()
         self.system.attach_tracer(self.tracer)
         self.checker = (
             InvariantChecker(self.system, self.tracer) if invariants else None
@@ -215,24 +216,18 @@ class CampaignDriver:
 
     # -- user-mode syscall workload ------------------------------------------
 
-    def run_user_syscall(self, name="getpid", x0=None, max_steps=200_000):
+    def run_user_syscall(self, name="getpid", x0=None):
         """One ``name`` round trip from EL0 through the full entry path.
 
-        Maps the user stack and the program ``main: [x0 = x0;] x8 = nr;
-        svc #0; hlt`` at ``USER_TEXT_BASE``, its entry, then runs it on
-        the current task.
+        Maps the user stack and runs ``main: [x0 = x0;] x8 = nr; svc
+        #0; hlt`` on the current task, on a budget that stops a trial
+        whose corruption sends the kernel into a loop.
         """
         system = self.system
         system.map_user_stack()
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        if x0 is not None:
-            user.mov_imm(0, x0)
-        user.mov_imm(8, system.syscall_numbers[name])
-        user.emit(isa.Svc(0), isa.Hlt())
-        system.load_user_program(user.assemble())
-        return system.run_user(
-            system.tasks.current, layout.USER_TEXT_BASE, max_steps=max_steps
+        number = system.syscall_numbers[name]
+        return run_el0(
+            system, lambda user: syscall(user, number, x0), max_steps=200_000
         )
 
     # -- canary victim workload ----------------------------------------------

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 from repro.arch import isa
 from repro.arch.assembler import Assembler
-from repro.arch.cpu import CPU
 from repro.arch.isa import SP
 from repro.arch.pac import PACEngine
 from repro.arch.registers import XZR, PAuthKey
@@ -49,7 +48,7 @@ from repro.kernel.sched import CPU_SWITCH_TO_SYMBOL
 from repro.kernel.syscalls import SyscallSpec
 from repro.kernel.vfs import FILE_F_CRED_OFFSET, FILE_F_OPS_OFFSET, open_file
 from repro.kernel.workqueue import init_work
-from repro.mem.pagetable import Permissions
+from repro.workloads.guest import DATA_BASE, STACK_TOP, BareMachine
 
 __all__ = [
     "Scenario",
@@ -729,11 +728,6 @@ def _linear_overflow(driver, rng):
     driver.call_canary_victim()
 
 
-_LEAK_TEXT = 0xFFFF_0000_0801_0000
-_LEAK_STACK = 0xFFFF_0000_0900_0000
-_LEAK_GUARD = 0xFFFF_0000_0A00_0000
-
-
 def canary_leak_replay(kind):
     """Leak a canary from one frame, replay it over another (bare CPU).
 
@@ -745,16 +739,10 @@ def canary_leak_replay(kind):
     """
     if kind not in CanaryKind.ALL:
         raise ReproError(f"unknown canary kind {kind!r}")
-    cpu = CPU()
+    machine = BareMachine()
+    cpu = machine.cpu
     cpu.regs.keys.ga = PAuthKey(0x6A6A, 0x7B7B)
-    cpu.mmu.map_range(
-        _LEAK_TEXT, 0x4000, 0x400, Permissions(r_el1=True, x_el1=True)
-    )
-    cpu.mmu.map_range(
-        _LEAK_STACK - 0x8000, 0x8000, 0x500, Permissions.kernel_data()
-    )
-    cpu.mmu.map_range(_LEAK_GUARD, 0x1000, 0x600, Permissions.kernel_data())
-    cpu.mmu.write_u64(_LEAK_GUARD, 0x1337_C0DE_5EED_F00D, 1)
+    cpu.mmu.write_u64(DATA_BASE, 0x1337_C0DE_5EED_F00D, 1)
     leaked, caught = [], []
 
     def leak(machine):
@@ -769,21 +757,21 @@ def canary_leak_replay(kind):
         machine.mmu.write_u64(sp + canary_slot_offset(), leaked[0], 1)
         machine.mmu.write_u64(sp + 56, program.address_of("__gadget"), 1)
 
-    asm = Assembler(_LEAK_TEXT)
+    asm = machine.assembler()
     asm.fn("__gadget")
     asm.emit(isa.Movz(_MARKER, 0xBEEF, 0), isa.Hlt())
     for name, hook in (("helper", leak), ("victim", overflow)):
         emit_canary_function(
             asm, name, kind,
             body=lambda a, hook=hook: a.emit(isa.HostCall(hook, hook.__name__)),
-            guard_address=_LEAK_GUARD,
+            guard_address=DATA_BASE,
             stack_chk_fail=lambda machine: caught.append(True),
         )
-    program = cpu.mmu.place_program(asm.assemble())
+    program = machine.place(asm.assemble())
     # Leak from the helper at a deeper SP, overflow the victim.
-    cpu.call(program.address_of("helper"), stack_top=_LEAK_STACK - 0x200)
+    cpu.call(program.address_of("helper"), stack_top=STACK_TOP - 0x200)
     cpu.regs.write(_MARKER, 0)
-    cpu.call(program.address_of("victim"), stack_top=_LEAK_STACK)
+    cpu.call(program.address_of("victim"), stack_top=STACK_TOP)
     if caught:
         return False
     return kind == CanaryKind.NONE or cpu.regs.read(_MARKER) == 0xBEEF

@@ -21,7 +21,6 @@ from repro.arch.isa import SP
 from repro.arch.registers import IP1, LR
 from repro.cfi.accessors import emit_keyed_op
 from repro.cfi.keys import KeyRole
-from repro.errors import ReproError
 from repro.kernel.task import (
     TASK_CALLEE_SAVED_OFFSET,
     TASK_CONTEXT_PC_OFFSET,
@@ -89,24 +88,11 @@ def build_cpu_switch_to(asm, profile, task_type, current_ptr_address):
 
 
 class Scheduler:
-    """Host-side round-robin policy driving the simulated switch path."""
+    """Host side of a context switch: drives the simulated switch path."""
 
     def __init__(self, system):
         self.system = system
         self.switches = 0
-
-    def pick_next(self, current):
-        """Round-robin over alive tasks."""
-        tasks = [t for t in self.system.tasks.tasks.values() if t.alive]
-        if not tasks:
-            raise ReproError("no runnable tasks")
-        if current is None:
-            return tasks[0]
-        ordered = sorted(tasks, key=lambda t: t.tid)
-        for task in ordered:
-            if task.tid > current.tid:
-                return task
-        return ordered[0]
 
     def switch_to(self, next_task, max_steps=100_000):
         """Run ``cpu_switch_to`` from host context.

@@ -65,6 +65,9 @@ SYSCALL_TABLE = layout.KERNEL_PERCPU_BASE + 0x1000
 #: Default simulated drivers registered with the VFS.
 DEFAULT_DRIVERS = ("ext4", "sockfs", "tracefs")
 
+#: Steps ``System.run_user`` lets a user program take before it gives up.
+USER_STEP_BUDGET = 2_000_000
+
 
 @dataclass
 class BuildContext:
@@ -112,7 +115,6 @@ class System:
         text_builders=(),
         stack_stride=None,
         fault_threshold=None,
-        drivers=DEFAULT_DRIVERS,
         key_management="xom",
     ):
         if isinstance(profile, str):
@@ -130,7 +132,6 @@ class System:
         self.loader = ImageLoader(self.mmu)
         self.bootloader = Bootloader(DeviceTree().set_kaslr_seed(seed))
         self.registry = TypeRegistry()
-        self.drivers = tuple(drivers)
         self.syscall_specs = list(default_syscalls()) + list(syscalls)
         self.syscall_numbers = {
             spec.name: number for number, spec in enumerate(self.syscall_specs)
@@ -242,7 +243,7 @@ class System:
         )
         build_irq_handler(asm, compiler, irq_dispatch=self._dispatch_irq)
         vfs = VfsBuilder(compiler, self.registry)
-        for driver in self.drivers:
+        for driver in DEFAULT_DRIVERS:
             if driver == "tracefs":
                 # The observability filesystem: same sealed fops table
                 # and authenticated dispatch, host-rendered content.
@@ -275,7 +276,7 @@ class System:
 
         # 5) rodata: one file_operations table per driver.
         rodata = DataSectionBuilder(".rodata")
-        for driver in self.drivers:
+        for driver in DEFAULT_DRIVERS:
             build_fops_table(
                 rodata,
                 f"{driver}_fops",
@@ -389,10 +390,13 @@ class System:
         and the entry tracepoints translate the raw stream into
         semantic syscall/key-switch events.  Detach with
         :meth:`detach_tracer`; attaching never changes simulated cycle
-        counts.
+        counts.  A system holding a different tracer refuses, as its
+        core does.
         """
+        if self.tracer is tracer:
+            return tracer
         if self.tracer is not None:
-            self.detach_tracer()
+            raise ReproError("this system already has a tracer attached")
         self.cpu.attach_tracer(tracer)
         self.tracer = self.faults.tracer = tracer
         self._entry_tracepoints = tracer.add_listener(
@@ -429,10 +433,6 @@ class System:
         core runs with interrupts unmasked, i.e. in user mode)."""
         self.cpu.timer_period = period_cycles
         self.cpu._timer_next = None
-
-    def disable_timer(self):
-        self.cpu.timer_period = None
-        self.cpu.pending_irq = False
 
     def raise_irq(self):
         """Assert the interrupt line once (device model)."""
@@ -503,7 +503,7 @@ class System:
     def map_user_data(self, size=4096):
         return self.loader.map_heap(layout.USER_DATA_BASE, size, el0=True)
 
-    def run_user(self, task, entry, max_steps=2_000_000):
+    def run_user(self, task, entry, max_steps=USER_STEP_BUDGET):
         """Run a user program on ``task`` until it halts.
 
         Installs the task's user keys (as the previous kernel exit would

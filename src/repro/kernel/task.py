@@ -77,9 +77,6 @@ class Task:
     def address(self):
         return self.kobj.address
 
-    def stack_contains(self, va):
-        return self.stack_base <= va < self.stack_top
-
     def write_user_keys(self, mmu):
         """Serialise the user keys into the task struct.
 

@@ -391,12 +391,10 @@ def _build_crashme(asm, ctx):
 def force_pauth_panic(profile="full", tracer=None, capacity=8192,
                       fault_threshold=1):
     """Boot, crash, and return the system with ``last_crash`` captured."""
-    from repro.arch.assembler import Assembler
-    from repro.arch import isa
-    from repro.kernel import layout
     from repro.kernel.syscalls import SyscallSpec
     from repro.kernel.system import System
     from repro.trace import Tracer
+    from repro.workloads.guest import run_el0, syscall
 
     system = System(
         profile=profile,
@@ -405,17 +403,18 @@ def force_pauth_panic(profile="full", tracer=None, capacity=8192,
     )
     if tracer is None:
         tracer = Tracer(capacity=capacity)
+    # The dump's ring holds this run alone: drop the tracer a
+    # process-wide session gave the system at boot.
+    system.detach_tracer()
     system.attach_tracer(tracer)
     system.map_user_stack()
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(8, system.syscall_numbers[CRASHME_SYSCALL])
-    user.emit(isa.Svc(0), isa.Hlt())
-    program = system.load_user_program(user.assemble())
-    entry = program.address_of("main")
-    task = system.spawn_process(name="crashme")
+    number = system.syscall_numbers[CRASHME_SYSCALL]
     try:
-        system.run_user(task, entry)
+        run_el0(
+            system,
+            lambda user: syscall(user, number),
+            task=system.spawn_process(name="crashme"),
+        )
     except KernelPanic:
         pass
     else:

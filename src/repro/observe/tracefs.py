@@ -176,9 +176,6 @@ class TracefsRegistry:
         self.system.install_fd(fd, fobj)
         return fobj
 
-    def path_of(self, file_address):
-        return self._files.get(file_address)
-
     def render(self, path):
         """Current content of ``path`` (host-side view, un-truncated)."""
         match, renderer = _resolve_renderer(path)

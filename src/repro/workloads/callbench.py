@@ -13,19 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch import isa
-from repro.arch.assembler import Assembler
-from repro.arch.cpu import CPU, CYCLES_PER_SECOND
-from repro.arch.registers import FP, LR
-from repro.arch.isa import SP
+from repro.arch.cpu import CYCLES_PER_SECOND
 from repro.cfi.instrument import Compiler
 from repro.cfi.policy import ProtectionProfile
-from repro.mem.pagetable import Permissions
+from repro.workloads.guest import BareMachine, emit_call_loop
 
-__all__ = ["CallCost", "measure_call_cost", "figure2_series"]
-
-_TEXT_BASE = 0xFFFF_0000_0801_0000
-_STACK_TOP = 0xFFFF_0000_0900_0000
+__all__ = [
+    "CallCost",
+    "build_call_loop",
+    "run_call_loop",
+    "cycles_per_call",
+    "measure_call_cost",
+    "figure2_series",
+]
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,11 @@ class CallCost:
         return self.overhead_cycles / (CYCLES_PER_SECOND / 1e9)
 
 
-def _prepare(scheme_name, iterations, compat=False, features=("pauth",)):
-    """Build the benchmark machine; returns (cpu, program).
+def build_call_loop(scheme_name, iterations, compat=False,
+                    features=("pauth",)):
+    """The benchmark machine with its call loop placed: (machine, program).
 
-    Split from :func:`_build_and_run` so callers (the ``profile`` CLI,
+    Split from :func:`run_call_loop` so callers (the ``profile`` CLI,
     the profiler and differential tests) can run or observe the
     steady-state loop alone, excluding assembly and mapping setup.
     """
@@ -54,63 +55,42 @@ def _prepare(scheme_name, iterations, compat=False, features=("pauth",)):
         compat=compat,
     )
     compiler = Compiler(profile)
-    cpu = CPU(features=frozenset(features))
+    machine = BareMachine(features)
     if profile.protects_backward:
         # Give the instruction keys arbitrary boot values.
-        cpu.regs.keys.ia.lo = 0x1111
-        cpu.regs.keys.ib.lo = 0x2222
+        machine.cpu.regs.keys.ia.lo = 0x1111
+        machine.cpu.regs.keys.ib.lo = 0x2222
 
-    asm = Assembler(_TEXT_BASE)
+    asm = machine.assembler()
     compiler.function(asm, "callee", [])
-
-    asm.fn("bench")
-    # Hand-written, *uninstrumented* driver so only the callee's
-    # instrumentation is measured.
-    asm.emit(isa.StpPre(FP, LR, SP, -16), isa.MovReg(FP, SP))
-    asm.mov_imm(19, iterations)
-    asm.label("loop")
-    asm.emit(
-        isa.Bl("callee"),
-        isa.SubsImm(19, 19, 1),
-        isa.BCond("ne", "loop"),
-        isa.LdpPost(FP, LR, SP, 16),
-        isa.Ret(),
-    )
-    program = asm.assemble()
-
-    cpu.mmu.map_range(
-        _TEXT_BASE, 0x4000, 0x400, Permissions(r_el1=True, x_el1=True)
-    )
-    cpu.mmu.place_program(program)
-    cpu.mmu.map_range(
-        _STACK_TOP - 0x4000, 0x4000, 0x500, Permissions.kernel_data()
-    )
-    return cpu, program
+    emit_call_loop(asm, "callee", iterations)
+    return machine, machine.place(asm.assemble())
 
 
-def _run_prepared(cpu, program, iterations):
-    """Run the benchmark loop on a prepared machine; cycles per call."""
-    _, cycles = cpu.call(
-        program.address_of("bench"),
-        stack_top=_STACK_TOP,
-        max_steps=100 * iterations + 1000,
+def run_call_loop(machine, program, iterations):
+    """Run a placed call loop once; cycles per call."""
+    _, cycles = machine.call(
+        program.address_of("bench"), iterations=iterations
     )
     return cycles / iterations
 
 
-def _build_and_run(scheme_name, iterations, compat=False, features=("pauth",)):
+def cycles_per_call(scheme_name, iterations, compat=False,
+                    features=("pauth",)):
     """Cycles per call of an empty frame-carrying function."""
-    cpu, program = _prepare(scheme_name, iterations, compat, features)
-    return _run_prepared(cpu, program, iterations)
+    machine, program = build_call_loop(
+        scheme_name, iterations, compat, features
+    )
+    return run_call_loop(machine, program, iterations)
 
 
 def measure_call_cost(scheme_name, iterations=200, compat=False):
     """Measure one scheme against the uninstrumented baseline."""
-    baseline = _build_and_run(None, iterations)
+    baseline = cycles_per_call(None, iterations)
     cycles = (
         baseline
         if scheme_name is None
-        else _build_and_run(scheme_name, iterations, compat=compat)
+        else cycles_per_call(scheme_name, iterations, compat=compat)
     )
     return CallCost(
         scheme=scheme_name or "none",

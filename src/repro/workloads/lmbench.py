@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
 from repro.kernel.syscalls import SyscallSpec
 from repro.kernel.system import System
 from repro.kernel.vfs import open_file
 from repro.kernel import layout
+from repro.workloads.guest import syscall_cycles
 
 __all__ = ["LMBENCH_BENCHMARKS", "LmbenchRow", "run_suite", "build_lmbench_system"]
 
@@ -177,29 +177,6 @@ class LmbenchRow:
         return 100.0 * (self.cycles[profile] / self.cycles[baseline] - 1.0)
 
 
-def _measure_one(system, name, iterations):
-    number = system.syscall_numbers[name]
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(19, iterations)
-    user.label("loop")
-    user.mov_imm(0, 3)
-    user.mov_imm(8, number)
-    user.emit(
-        isa.Svc(0),
-        isa.SubsImm(19, 19, 1),
-        isa.BCond("ne", "loop"),
-        isa.Hlt(),
-    )
-    program = user.assemble()
-    system.load_user_program(program)
-    task = system.tasks.current
-    cycles = system.run_user(
-        task, program.address_of("main"), max_steps=3000 * iterations + 10_000
-    )
-    return cycles / iterations
-
-
 def run_suite(profiles=("none", "backward", "full"), iterations=20):
     """Run every benchmark under every profile.
 
@@ -212,5 +189,7 @@ def run_suite(profiles=("none", "backward", "full"), iterations=20):
         system = build_lmbench_system(profile)
         system.map_user_stack()
         for name in LMBENCH_BENCHMARKS:
-            cycles[name][profile] = _measure_one(system, name, iterations)
+            cycles[name][profile] = syscall_cycles(
+                system, name, iterations, x0=3
+            )
     return [LmbenchRow(name, cycles[name]) for name in LMBENCH_BENCHMARKS]

@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
+from repro.workloads.guest import run_el0, syscall
 from repro.workloads.lmbench import build_lmbench_system
-from repro.kernel import layout
 
 __all__ = ["WorkloadSpec", "WORKLOADS", "UserspaceRow", "run_userspace", "geometric_mean"]
 
@@ -91,20 +90,6 @@ def geometric_mean(values):
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _workload_program(system, spec, iterations):
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(19, iterations)
-    user.label("loop")
-    user.emit(isa.Work(spec.user_work))
-    for name, fd in spec.syscalls:
-        user.mov_imm(0, fd)
-        user.mov_imm(8, system.syscall_numbers[name])
-        user.emit(isa.Svc(0))
-    user.emit(isa.SubsImm(19, 19, 1), isa.BCond("ne", "loop"), isa.Hlt())
-    return user.assemble()
-
-
 def run_userspace(profiles=("none", "backward", "full"), iterations=10):
     """Run the three workloads under each profile.
 
@@ -116,14 +101,15 @@ def run_userspace(profiles=("none", "backward", "full"), iterations=10):
         system = build_lmbench_system(profile)
         system.map_user_stack()
         for spec in WORKLOADS:
-            program = _workload_program(system, spec, iterations)
-            system.load_user_program(program)
-            total = system.run_user(
-                system.tasks.current,
-                program.address_of("main"),
-                max_steps=5_000 * iterations + 10_000,
+
+            def body(user, spec=spec):
+                user.emit(isa.Work(spec.user_work))
+                for name, fd in spec.syscalls:
+                    syscall(user, system.syscall_numbers[name], x0=fd)
+
+            cycles[spec.name][profile] = (
+                run_el0(system, body, iterations) / iterations
             )
-            cycles[spec.name][profile] = total / iterations
     rows = [UserspaceRow(spec.name, cycles[spec.name]) for spec in WORKLOADS]
     geomeans = {}
     for profile in profiles:

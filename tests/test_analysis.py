@@ -50,15 +50,6 @@ class TestSourceModel:
         with pytest.raises(ReproError):
             corpus.add_site(AccessSite("f.c", 3, "t", "ghost", False))
 
-    def test_sites_for(self):
-        corpus = SourceCorpus()
-        corpus.add_type(
-            CCompoundType("t", [CMember("m", MemberKind.SCALAR)])
-        )
-        corpus.add_site(AccessSite("f.c", 1, "t", "m", True))
-        assert len(corpus.sites_for("t", "m")) == 1
-        assert corpus.sites_for("t", "other" ) == []
-
 
 class TestCalibratedCorpus:
     def test_reproduces_paper_numbers(self):

@@ -2,11 +2,10 @@
 
 import pytest
 
-from conftest import TEXT_BASE
-
 from repro.arch import isa
 from repro.arch.assembler import Assembler
 from repro.errors import ReproError
+from repro.workloads.guest import TEXT_BASE
 
 
 class TestAssembly:

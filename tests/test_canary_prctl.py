@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
 from repro.arch.registers import PAuthKey
 from repro.cfi.canary import (
     CanaryKind,
@@ -13,9 +12,10 @@ from repro.cfi.canary import (
 )
 from repro.errors import ReproError
 from repro.inject.scenarios import canary_leak_replay
-from repro.kernel import System, layout
+from repro.kernel import System
 from repro.kernel.fault import TaskKilled
 from repro.kernel.syscalls import make_prctl_rekey_spec
+from repro.workloads.guest import run_el0, syscall
 
 
 class TestCanaryEmission:
@@ -103,6 +103,12 @@ class TestCanaryLeakAttack:
             canary_leak_replay("bogus")
 
 
+def _rekey(system):
+    run_el0(
+        system, lambda user: syscall(user, system.syscall_numbers["prctl_rekey"])
+    )
+
+
 class TestPrctlRekey:
     def _system(self):
         holder = {}
@@ -116,25 +122,13 @@ class TestPrctlRekey:
         system = self._system()
         task = system.tasks.current
         before = task.user_keys.snapshot()
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(8, system.syscall_numbers["prctl_rekey"])
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        system.load_user_program(program)
-        system.run_user(task, program.address_of("main"))
+        _rekey(system)
         assert task.user_keys.snapshot() != before
 
     def test_exit_path_restores_new_keys(self):
         system = self._system()
         task = system.tasks.current
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(8, system.syscall_numbers["prctl_rekey"])
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        system.load_user_program(program)
-        system.run_user(task, program.address_of("main"))
+        _rekey(system)
         # The live registers hold the *new* keys, not the boot ones.
         assert system.cpu.regs.keys.ia.lo == task.user_keys.ia.lo
 
@@ -143,12 +137,6 @@ class TestPrctlRekey:
         task = system.tasks.current
         pointer = 0x0000_0000_1000_0100
         old_signed = system.cpu.pac.add_pac(pointer, 7, task.user_keys.da)
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(8, system.syscall_numbers["prctl_rekey"])
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        system.load_user_program(program)
-        system.run_user(task, program.address_of("main"))
+        _rekey(system)
         result = system.cpu.pac.auth_pac(old_signed, 7, task.user_keys.da)
         assert not result.ok

@@ -2,8 +2,6 @@
 
 import pytest
 
-from conftest import DATA_BASE
-
 from repro.arch import isa
 from repro.arch.pac import PACEngine
 from repro.arch.registers import KeyBank, PAuthKey
@@ -15,6 +13,7 @@ from repro.cfi.accessors import (
 from repro.cfi.policy import ProtectionProfile
 from repro.errors import ReproError, TranslationFault
 from repro.kernel.kobject import Field
+from repro.workloads.guest import DATA_BASE
 
 
 FOPS_FIELD = Field(

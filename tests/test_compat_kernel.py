@@ -11,12 +11,12 @@ every role onto the IB key).  The *same* image must:
 import pytest
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
 from repro.cfi.policy import ProtectionProfile
 from repro.inject import ArbitraryMemoryPrimitive
 from repro.kernel import System, init_work, layout, open_file
 from repro.kernel.fault import TaskKilled
 from repro.kernel.vfs import FILE_F_OPS_OFFSET
+from repro.workloads.guest import run_el0, syscall
 
 
 def compat_profile():
@@ -44,15 +44,9 @@ def _attack_text(asm, ctx):
     ctx.compiler.function(asm, "__evil_read", body, leaf=True)
 
 
-def _read_program(system):
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(0, 3)
-    user.mov_imm(8, system.syscall_numbers["read"])
-    user.emit(isa.Svc(0), isa.Hlt())
-    program = user.assemble()
-    system.load_user_program(program)
-    return program
+def _read_fd3(system):
+    number = system.syscall_numbers["read"]
+    return run_el0(system, lambda user: syscall(user, number, 3))
 
 
 class TestSameBinaryBothCores:
@@ -63,8 +57,7 @@ class TestSameBinaryBothCores:
     def test_honest_read_works(self, features):
         system = _boot(features)
         system.install_fd(3, open_file(system, "ext4_fops"))
-        program = _read_program(system)
-        system.run_user(system.tasks.current, program.address_of("main"))
+        _read_fd3(system)
         assert system.cpu.regs.read(0) == 4096
 
     def test_identical_kernel_image_bytes(self):
@@ -89,9 +82,8 @@ class TestSameBinaryBothCores:
         fake = system.heap.allocate_raw(32)
         primitive.write_u64(fake, system.kernel_symbol("__evil_read"))
         primitive.write_u64(victim.address + FILE_F_OPS_OFFSET, fake)
-        program = _read_program(system)
         with pytest.raises(TaskKilled):
-            system.run_user(system.tasks.current, program.address_of("main"))
+            _read_fd3(system)
 
     def test_v80_runs_but_is_unprotected(self):
         # On the old core the HINT forms are NOPs: the kernel works,
@@ -109,8 +101,7 @@ class TestSameBinaryBothCores:
         primitive.write_u64(fake, system.kernel_symbol("__evil_read"))
         primitive.write_u64(victim.address + FILE_F_OPS_OFFSET, fake)
         system.mmu.write_u64(layout.ATTACK_SCRATCH, 0, 1)
-        program = _read_program(system)
-        system.run_user(system.tasks.current, program.address_of("main"))
+        _read_fd3(system)
         assert system.mmu.read_u64(layout.ATTACK_SCRATCH, 1) == 0xF00D
 
     def test_v80_workqueue_roundtrip(self):
@@ -148,12 +139,12 @@ class TestSameBinaryBothCores:
     def test_v83_compat_cheaper_than_v83_full(self):
         # Compat switches one key instead of three; also the setter
         # programs fewer registers.
-        from repro.bench.ablations import _null_syscall_cycles
+        from repro.bench.ablations import null_syscall_cycles
 
-        compat = _null_syscall_cycles(
+        compat = null_syscall_cycles(
             System(profile=compat_profile()), iterations=10
         )
-        full = _null_syscall_cycles(System(profile="full"), iterations=10)
+        full = null_syscall_cycles(System(profile="full"), iterations=10)
         assert compat < full
 
     def test_blra_not_emitted_in_compat(self):

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STACK_TOP, TEXT_BASE, BareMachine
-
 from repro import hotpath
 from repro.arch import isa
 from repro.arch.assembler import Assembler
@@ -21,6 +19,7 @@ from repro.errors import (
 )
 from repro.mem.pagetable import Permissions
 from repro.trace import Tracer
+from repro.workloads.guest import TEXT_BASE, BareMachine
 
 
 def _with_keys(machine):

@@ -61,20 +61,21 @@ class TestCallbenchDifferential:
         "scheme", [None, "sp-only", "parts", "camouflage"]
     )
     def test_cycles_per_call_identical(self, scheme):
-        from repro.workloads.callbench import _build_and_run
+        from repro.workloads.callbench import cycles_per_call
 
         cached, uncached = _run_cached_and_uncached(
-            lambda: _build_and_run(scheme, iterations=40)
+            lambda: cycles_per_call(scheme, iterations=40)
         )
         assert cached == uncached
 
     def test_retired_stream_identical(self):
-        from repro.workloads.callbench import _prepare, _run_prepared
+        from repro.workloads.callbench import build_call_loop, run_call_loop
 
         def workload():
-            cpu, program = _prepare("camouflage", 25)
+            machine, program = build_call_loop("camouflage", 25)
+            cpu = machine.cpu
             with TraceSession(target=cpu) as tracer:
-                per_call = _run_prepared(cpu, program, 25)
+                per_call = run_call_loop(machine, program, 25)
             stream = [
                 (event.data["pc"], event.data["mnemonic"], event.cost)
                 for event in tracer.events("insn_retire")
@@ -90,25 +91,27 @@ class TestLmbenchDifferential:
 
     @pytest.mark.parametrize("bench_name", ["null_call", "read_fd"])
     def test_cycles_per_iteration_identical(self, bench_name):
-        from repro.workloads.lmbench import _measure_one, build_lmbench_system
+        from repro.workloads.guest import syscall_cycles
+        from repro.workloads.lmbench import build_lmbench_system
 
         def workload():
             system = build_lmbench_system("full")
             system.map_user_stack()
-            cycles = _measure_one(system, bench_name, 10)
+            cycles = syscall_cycles(system, bench_name, 10, x0=3)
             return cycles, system.cpu.cycles, system.cpu.instructions_retired
 
         cached, uncached = _run_cached_and_uncached(workload)
         assert cached == uncached
 
     def test_retired_stream_and_key_choreography_identical(self):
-        from repro.workloads.lmbench import _measure_one, build_lmbench_system
+        from repro.workloads.guest import syscall_cycles
+        from repro.workloads.lmbench import build_lmbench_system
 
         def workload():
             with TraceSession() as tracer:
                 system = build_lmbench_system("full")
                 system.map_user_stack()
-                _measure_one(system, "null_call", 5)
+                syscall_cycles(system, "null_call", 5, x0=3)
             stream = [
                 (event.data["pc"], event.data["mnemonic"], event.cost)
                 for event in tracer.events("insn_retire")
@@ -128,13 +131,14 @@ class TestLmbenchDifferential:
     def test_cache_events_never_carry_cycles(self):
         """No host-cache event is traced, and the per-kind cycle totals
         match the cache-free run."""
-        from repro.workloads.lmbench import _measure_one, build_lmbench_system
+        from repro.workloads.guest import syscall_cycles
+        from repro.workloads.lmbench import build_lmbench_system
 
         def workload():
             with TraceSession() as tracer:
                 system = build_lmbench_system("full")
                 system.map_user_stack()
-                _measure_one(system, "null_call", 5)
+                syscall_cycles(system, "null_call", 5, x0=3)
             totals = {kind: s.total for kind, s in tracer.stats.items()}
             return set(tracer.stats), totals, system.cpu.cycles
 

@@ -18,27 +18,29 @@ from repro.trace import TraceSession
 
 
 def _callbench_outcome(profiled):
-    from repro.workloads.callbench import _prepare, _run_prepared
+    from repro.workloads.callbench import build_call_loop, run_call_loop
 
     iterations = 25
-    cpu, program = _prepare("camouflage", iterations)
+    machine, program = build_call_loop("camouflage", iterations)
     if profiled:
-        session = ProfileSession(cpu, programs=[program])
+        session = ProfileSession(machine.cpu, programs=[program])
         with session as _profiler:
-            per_call = _run_prepared(cpu, program, iterations)
+            per_call = run_call_loop(machine, program, iterations)
         tracer = session.tracer
     else:
-        with TraceSession(target=cpu) as tracer:
-            per_call = _run_prepared(cpu, program, iterations)
+        with TraceSession(target=machine.cpu) as tracer:
+            per_call = run_call_loop(machine, program, iterations)
     stream = [
         (event.data["pc"], event.data["mnemonic"], event.cost)
         for event in tracer.events("insn_retire")
     ]
+    cpu = machine.cpu
     return per_call, cpu.cycles, cpu.instructions_retired, stream
 
 
 def _lmbench_outcome(profiled):
-    from repro.workloads.lmbench import _measure_one, build_lmbench_system
+    from repro.workloads.guest import syscall_cycles
+    from repro.workloads.lmbench import build_lmbench_system
 
     iterations = 8
     system = build_lmbench_system("full")
@@ -46,11 +48,11 @@ def _lmbench_outcome(profiled):
     if profiled:
         session = ProfileSession(system, capacity=262144)
         with session as _profiler:
-            cycles = _measure_one(system, "null_call", iterations)
+            cycles = syscall_cycles(system, "null_call", iterations, x0=3)
         tracer = session.tracer
     else:
         with TraceSession(target=system, capacity=262144) as tracer:
-            cycles = _measure_one(system, "null_call", iterations)
+            cycles = syscall_cycles(system, "null_call", iterations, x0=3)
     stream = [
         (event.data["pc"], event.data["mnemonic"], event.cost)
         for event in tracer.events("insn_retire")

@@ -113,19 +113,6 @@ class TestHypervisorHvc:
         assert cpu.regs.keys.da.lo == 0
 
 
-class TestBootMisc:
-    def test_install_user_keys_on(self):
-        boot = Bootloader()
-        boot.generate_kernel_keys()
-        bank = boot.generate_user_keys()
-        cpu = CPU()
-        boot.install_user_keys_on(bank, cpu.regs)
-        assert cpu.regs.keys.snapshot() == bank.snapshot()
-        # A copy, not an alias.
-        cpu.regs.keys.ia.lo ^= 1
-        assert cpu.regs.keys.snapshot() != bank.snapshot()
-
-
 class TestCliFigures:
     def test_figures_command_small(self, capsys):
         from repro.__main__ import main

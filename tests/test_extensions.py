@@ -3,24 +3,19 @@
 import pytest
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
 from repro.cfi.policy import ProtectionProfile, frame_mac_profile
 from repro.errors import KernelPanic, ReproError, UndefinedInstructionFault
 from repro.hyp.hypervisor import EL2_TRAP_ROUND_TRIP_CYCLES
 from repro.inject import InjectionCampaign
 from repro.kernel import System, layout
 from repro.kernel.entry import FRAME_ELR_OFFSET, FRAME_MAC_OFFSET, S_FRAME_SIZE
+from repro.workloads.guest import run_el0, syscall
 
 
-def _getpid_program(system):
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(8, system.syscall_numbers["getpid"])
-    user.emit(isa.Svc(0), isa.Hlt())
-    program = user.assemble()
-    system.load_user_program(program)
+def _run_syscall(system, name="getpid"):
     system.map_user_stack()
-    return program
+    number = system.syscall_numbers[name]
+    return run_el0(system, lambda user: syscall(user, number))
 
 
 class TestFrameMacProfile:
@@ -34,8 +29,7 @@ class TestFrameMacProfile:
 
     def test_syscall_roundtrip_with_frame_mac(self):
         system = System(profile=frame_mac_profile())
-        program = _getpid_program(system)
-        system.run_user(system.tasks.current, program.address_of("main"))
+        _run_syscall(system)
         assert system.cpu.regs.read(0) == system.tasks.current.tid
 
     def test_frame_mac_slot_populated(self):
@@ -43,24 +37,21 @@ class TestFrameMacProfile:
         # slot must hold a non-zero PACGA value.
         system = System(profile=frame_mac_profile())
         task = system.tasks.current
-        program = _getpid_program(system)
-        system.run_user(task, program.address_of("main"))
+        _run_syscall(system)
         frame = task.stack_top - S_FRAME_SIZE
         assert system.mmu.read_u64(frame + FRAME_MAC_OFFSET, 1) != 0
 
     def test_plain_full_profile_leaves_mac_slot_empty(self):
         system = System(profile="full")
         task = system.tasks.current
-        program = _getpid_program(system)
-        system.run_user(task, program.address_of("main"))
+        _run_syscall(system)
         frame = task.stack_top - S_FRAME_SIZE
         assert system.mmu.read_u64(frame + FRAME_MAC_OFFSET, 1) == 0
 
     def test_elr_saved_in_frame(self):
         system = System(profile="full")
         task = system.tasks.current
-        program = _getpid_program(system)
-        system.run_user(task, program.address_of("main"))
+        _run_syscall(system)
         frame = task.stack_top - S_FRAME_SIZE
         saved_elr = system.mmu.read_u64(frame + FRAME_ELR_OFFSET, 1)
         # The syscall returns to the instruction after the SVC.
@@ -107,24 +98,15 @@ class TestFrameTamperAttack:
             profile=frame_mac_profile(),
             syscalls=[SyscallSpec("tamper", tamper_build)],
         )
-        task = system2.tasks.current
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(8, system2.syscall_numbers["tamper"])
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        system2.load_user_program(program)
-        system2.map_user_stack()
         with pytest.raises(KernelPanic) as info:
-            system2.run_user(task, program.address_of("main"))
+            _run_syscall(system2, "tamper")
         assert info.value.reason == "frame-mac"
 
 
 class TestEl2TrapKeyManagement:
     def test_boots_and_serves_syscalls(self):
         system = System(profile="full", key_management="el2-trap")
-        program = _getpid_program(system)
-        system.run_user(system.tasks.current, program.address_of("main"))
+        _run_syscall(system)
         assert system.cpu.regs.read(0) == system.tasks.current.tid
 
     def test_kernel_keys_installed_by_hypercall(self):
@@ -153,12 +135,12 @@ class TestEl2TrapKeyManagement:
         assert not movs
 
     def test_trap_costs_more_than_xom(self):
-        from repro.bench.ablations import _null_syscall_cycles
+        from repro.bench.ablations import null_syscall_cycles
 
-        xom = _null_syscall_cycles(
+        xom = null_syscall_cycles(
             System(profile="full", key_management="xom"), iterations=10
         )
-        trap = _null_syscall_cycles(
+        trap = null_syscall_cycles(
             System(profile="full", key_management="el2-trap"), iterations=10
         )
         assert trap - xom >= EL2_TRAP_ROUND_TRIP_CYCLES * 0.5

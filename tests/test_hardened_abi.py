@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
 from repro.arch.registers import PAuthKey
 from repro.cfi.hardened_abi import (
     ABI_POINTER_TAG,
@@ -12,9 +11,10 @@ from repro.cfi.hardened_abi import (
     emit_user_sign,
 )
 from repro.errors import UndefinedInstructionFault
-from repro.kernel import System, layout
+from repro.kernel import System
 from repro.kernel.fault import TaskKilled
 from repro.kernel.syscalls import SyscallSpec
+from repro.workloads.guest import run_el0, syscall
 
 
 def _secure_system():
@@ -27,20 +27,26 @@ def _secure_system():
     return system
 
 
+def _secure_write(system, pointer, sign=None):
+    """``secure_write(pointer)`` from EL0, ``sign(user)`` run on x0 first."""
+    number = system.syscall_numbers[SECURE_WRITE_SYSCALL]
+
+    def body(user):
+        user.mov_imm(0, pointer)
+        if sign is not None:
+            sign(user)
+        syscall(user, number)
+
+    run_el0(system, body)
+    return system.cpu.regs.read(0)
+
+
 def _run(system, sign):
     buffer = system.map_user_data()
     system.mmu.write_u64(buffer, 0xFEED_FACE, 1)
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(0, buffer)
-    if sign:
-        emit_user_sign(user, 0)
-    user.mov_imm(8, system.syscall_numbers[SECURE_WRITE_SYSCALL])
-    user.emit(isa.Svc(0), isa.Hlt())
-    program = user.assemble()
-    system.load_user_program(program)
-    system.run_user(system.tasks.current, program.address_of("main"))
-    return system.cpu.regs.read(0)
+    return _secure_write(
+        system, buffer, (lambda user: emit_user_sign(user, 0)) if sign else None
+    )
 
 
 class TestBankedKeys:
@@ -51,22 +57,18 @@ class TestBankedKeys:
     def test_syscall_roundtrip(self):
         system = System(profile="full", key_management="banked-isa")
         system.map_user_stack()
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(8, system.syscall_numbers["getpid"])
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        system.load_user_program(program)
-        system.run_user(system.tasks.current, program.address_of("main"))
+        run_el0(
+            system, lambda user: syscall(user, system.syscall_numbers["getpid"])
+        )
         assert system.cpu.regs.read(0) == system.tasks.current.tid
 
     def test_cheapest_key_management(self):
-        from repro.bench.ablations import _null_syscall_cycles
+        from repro.bench.ablations import null_syscall_cycles
 
-        banked = _null_syscall_cycles(
+        banked = null_syscall_cycles(
             System(profile="full", key_management="banked-isa"), iterations=10
         )
-        xom = _null_syscall_cycles(
+        xom = null_syscall_cycles(
             System(profile="full", key_management="xom"), iterations=10
         )
         assert banked < xom
@@ -147,19 +149,16 @@ class TestHardenedAbi:
         system = _secure_system()
         buffer = system.map_user_data()
         system.mmu.write_u64(buffer, 1, 1)
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(0, buffer)
-        # Sign under the wrong ABI tag: valid PAC, wrong modifier.
-        user.emit(
-            isa.Movz(10, ABI_POINTER_TAG ^ 1, 0), isa.Pac("da", 0, 10)
-        )
-        user.mov_imm(8, system.syscall_numbers[SECURE_WRITE_SYSCALL])
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        system.load_user_program(program)
         with pytest.raises(TaskKilled):
-            system.run_user(system.tasks.current, program.address_of("main"))
+            # Sign under the wrong ABI tag: valid PAC, wrong modifier.
+            _secure_write(
+                system,
+                buffer,
+                lambda user: user.emit(
+                    isa.Movz(10, ABI_POINTER_TAG ^ 1, 0),
+                    isa.Pac("da", 0, 10),
+                ),
+            )
 
     def test_other_process_signature_rejected(self):
         # Keys are per-process: a pointer signed by process A fails
@@ -171,14 +170,5 @@ class TestHardenedAbi:
         foreign = system.cpu.pac.add_pac(
             buffer, ABI_POINTER_TAG, other.user_keys.da
         )
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(0, foreign)
-        user.mov_imm(8, system.syscall_numbers[SECURE_WRITE_SYSCALL])
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        system.load_user_program(program)
         with pytest.raises(TaskKilled):
-            system.run_user(
-                system.tasks.current, program.address_of("main")
-            )
+            _secure_write(system, foreign)

@@ -18,8 +18,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_BASE, STACK_TOP
-
 from repro import hotpath
 from repro.arch import isa
 from repro.arch.assembler import Assembler
@@ -34,6 +32,7 @@ from repro.errors import PermissionFault, TranslationFault
 from repro.kernel import System, layout
 from repro.mem.mmu import MMU
 from repro.mem.pagetable import Permissions, Stage2Table
+from repro.workloads.guest import DATA_BASE, STACK_TOP, run_el0, syscall
 
 _POINTER = 0xFFFF_0000_0801_2340
 _MODIFIER = 0xAA55
@@ -355,20 +354,16 @@ class TestTranslationCacheInvalidation:
         assert new_pa == old_pa + mmu.page_size
 
 
-def _user_program(system, imm):
-    """``x1 = imm``, then getpid, then HLT, at USER_TEXT_BASE."""
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(1, imm)
-    user.mov_imm(8, system.syscall_numbers["getpid"])
-    user.emit(isa.Svc(0), isa.Hlt())
-    return user.assemble()
+def _getpid_with_x1(system, imm):
+    """``x1 = imm``, then getpid, loaded into fresh frames as a new task
+    would be, and run: (cycles, x0, x1, retired)."""
+    number = system.syscall_numbers["getpid"]
 
+    def body(user):
+        user.mov_imm(1, imm)
+        syscall(user, number)
 
-def _load_and_run(system, program):
-    """Load ``program`` into fresh frames as a new task would, and run it."""
-    system.load_user_program(program)
-    cycles = system.run_user(system.tasks.current, program.address_of("main"))
+    cycles = run_el0(system, body)
     regs = system.cpu.regs
     return cycles, regs.read(0), regs.read(1), system.cpu.instructions_retired
 
@@ -390,21 +385,19 @@ class TestScopedInvalidation:
         cached = System(profile="full")
         for system in (cached, reference):
             system.map_user_stack()
-        first, second = (_user_program(cached, imm) for imm in (1, 2))
-        assert _load_and_run(cached, first) == _load_and_run(reference, first)
+        assert _getpid_with_x1(cached, 1) == _getpid_with_x1(reference, 1)
         cpu = cached.cpu
         frame = cached.mmu.frame_of(layout.USER_TEXT_BASE)
         stats, blocks = cpu.decode_stats.to_dict(), set(cpu._decode_cache)
-        result = _load_and_run(cached, second)
-        assert result == _load_and_run(reference, second)
+        result = _getpid_with_x1(cached, 2)
+        assert result == _getpid_with_x1(reference, 2)
         assert result[2] == 2
         assert cached.mmu.frame_of(layout.USER_TEXT_BASE) != frame
         # The new program's blocks are the only ones built; the kernel's
         # syscall path runs from the blocks the first program left.
         assert cpu.decode_stats.flushes == stats["flushes"]
-        assert cpu.decode_stats.misses - stats["misses"] == len(
-            second.instructions
-        )
+        # Its ten words: two four-word moves, SVC and HLT.
+        assert cpu.decode_stats.misses - stats["misses"] == 10
         assert {key for key in blocks if key[1] == 1} <= set(cpu._decode_cache)
 
     def test_remap_of_executed_page_runs_the_new_frame(self):

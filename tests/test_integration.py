@@ -5,23 +5,17 @@ import os
 import pytest
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
 from repro.errors import KernelPanic
 from repro.inject import ArbitraryMemoryPrimitive
-from repro.kernel import System, layout, open_file
+from repro.kernel import System, open_file
 from repro.kernel.fault import TaskKilled
 from repro.kernel.vfs import FILE_F_OPS_OFFSET
+from repro.workloads.guest import run_el0, syscall
 
 
-def _read_syscall_program(system, fd=3):
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(0, fd)
-    user.mov_imm(8, system.syscall_numbers["read"])
-    user.emit(isa.Svc(0), isa.Hlt())
-    program = user.assemble()
-    system.load_user_program(program)
-    return program
+def _read_fd3(system, task=None):
+    number = system.syscall_numbers["read"]
+    return run_el0(system, lambda user: syscall(user, number, 3), task=task)
 
 
 class TestExploitationCampaignLifecycle:
@@ -35,15 +29,12 @@ class TestExploitationCampaignLifecycle:
         primitive = ArbitraryMemoryPrimitive(system)
         fake = system.heap.allocate_raw(32)
         primitive.write_u64(fake, system.kernel_symbol("sockfs_write"))
-        program = _read_syscall_program(system)
 
         outcomes = []
         for attempt in range(3):
             primitive.write_u64(victim.address + FILE_F_OPS_OFFSET, fake)
             try:
-                system.run_user(
-                    system.tasks.current, program.address_of("main")
-                )
+                _read_fd3(system)
                 outcomes.append("ran")
             except TaskKilled:
                 outcomes.append("killed")
@@ -57,11 +48,10 @@ class TestExploitationCampaignLifecycle:
         system.map_user_stack()
         victim = open_file(system, "ext4_fops")
         system.install_fd(3, victim)
-        program = _read_syscall_program(system)
         # One failed attack ...
         victim.raw_write("f_ops", 0xFFFF_0000_0900_0000)
         with pytest.raises(TaskKilled):
-            system.run_user(system.tasks.current, program.address_of("main"))
+            _read_fd3(system)
         # ... then the legitimate path still works after re-binding.
         from repro.cfi.keys import KeyRole
 
@@ -72,7 +62,7 @@ class TestExploitationCampaignLifecycle:
             system.kernel_keys,
             system.profile.key_for(KeyRole.DFI),
         )
-        system.run_user(system.tasks.current, program.address_of("main"))
+        _read_fd3(system)
         assert system.cpu.regs.read(0) == 4096
         assert system.faults.pauth_failures == 1
 
@@ -100,10 +90,9 @@ class TestMultiProcess:
         system = System(profile="full")
         system.map_user_stack()
         system.install_fd(3, open_file(system, "ext4_fops"))
-        program = _read_syscall_program(system)
         for name in ("p1", "p2"):
             task = system.spawn_process(name)
-            system.run_user(task, program.address_of("main"))
+            _read_fd3(system, task)
             assert system.cpu.regs.read(0) == 4096
             assert system.cpu.regs.keys.ib.lo == task.user_keys.ib.lo
 
@@ -114,10 +103,7 @@ class TestDeterminism:
             system = System(profile="full", seed=seed)
             system.map_user_stack()
             system.install_fd(3, open_file(system, "ext4_fops"))
-            program = _read_syscall_program(system)
-            cycles = system.run_user(
-                system.tasks.current, program.address_of("main")
-            )
+            cycles = _read_fd3(system)
             victim = open_file(system, "ext4_fops")
             return (
                 cycles,
@@ -134,13 +120,8 @@ class TestDeterminism:
         for profile in ("none", "full"):
             system = System(profile=profile)
             system.map_user_stack()
-            user = Assembler(layout.USER_TEXT_BASE)
-            user.fn("main")
-            user.emit(isa.Work(500), isa.Hlt())
-            program = user.assemble()
-            system.load_user_program(program)
-            results[profile] = system.run_user(
-                system.tasks.current, program.address_of("main")
+            results[profile] = run_el0(
+                system, lambda user: user.emit(isa.Work(500))
             )
         assert results["none"] == results["full"]
 

@@ -12,8 +12,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_BASE, STACK_TOP, TEXT_BASE
-
 from repro import hotpath
 from repro.arch import isa
 from repro.arch.assembler import Assembler
@@ -29,6 +27,7 @@ from repro.errors import (
 )
 from repro.mem.pagetable import Permissions
 from repro.mem.phys import PhysicalMemory
+from repro.workloads.guest import DATA_BASE, STACK_TOP, TEXT_BASE
 
 
 def run_body(machine, body, args=(), **kwargs):

@@ -3,22 +3,12 @@
 import pytest
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
-from repro.kernel import System, layout
+from repro.kernel import System
+from repro.workloads.guest import run_el0
 
 
-def _spin_program(iterations=200, chunk=40):
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(19, iterations)
-    user.label("loop")
-    user.emit(
-        isa.Work(chunk),
-        isa.SubsImm(19, 19, 1),
-        isa.BCond("ne", "loop"),
-        isa.Hlt(),
-    )
-    return user.assemble()
+def _spin(system, iterations=200):
+    return run_el0(system, lambda user: user.emit(isa.Work(40)), iterations)
 
 
 @pytest.fixture
@@ -30,32 +20,18 @@ def system():
 
 class TestTimerDelivery:
     def test_ticks_delivered_during_user_execution(self, system):
-        program = _spin_program()
-        system.load_user_program(program)
         system.enable_timer(1_000)
-        system.run_user(system.tasks.current, program.address_of("main"))
+        _spin(system)
         assert system.cpu.irqs_delivered >= 3
         assert system.jiffies == system.cpu.irqs_delivered
 
     def test_no_timer_no_irqs(self, system):
-        program = _spin_program(iterations=50)
-        system.load_user_program(program)
-        system.run_user(system.tasks.current, program.address_of("main"))
-        assert system.cpu.irqs_delivered == 0
-
-    def test_disable_timer(self, system):
-        system.enable_timer(500)
-        system.disable_timer()
-        program = _spin_program(iterations=50)
-        system.load_user_program(program)
-        system.run_user(system.tasks.current, program.address_of("main"))
+        _spin(system, iterations=50)
         assert system.cpu.irqs_delivered == 0
 
     def test_raise_irq_once(self, system):
         system.raise_irq()
-        program = _spin_program(iterations=50)
-        system.load_user_program(program)
-        system.run_user(system.tasks.current, program.address_of("main"))
+        _spin(system, iterations=50)
         assert system.cpu.irqs_delivered == 1
 
     def test_irq_not_delivered_while_masked(self, system):
@@ -69,31 +45,20 @@ class TestTimerDelivery:
 
 class TestIrqTransparency:
     def test_user_state_preserved_across_irq(self, system):
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(20, 0xABCD)
-        user.mov_imm(19, 100)
-        user.label("loop")
-        user.emit(
-            isa.Work(25),
-            isa.AddImm(20, 20, 1),
-            isa.SubsImm(19, 19, 1),
-            isa.BCond("ne", "loop"),
-            isa.Hlt(),
-        )
-        program = user.assemble()
-        system.load_user_program(program)
+        system.cpu.regs.write(20, 0xABCD)
         system.enable_timer(400)
-        system.run_user(system.tasks.current, program.address_of("main"))
+        run_el0(
+            system,
+            lambda user: user.emit(isa.Work(25), isa.AddImm(20, 20, 1)),
+            100,
+        )
         assert system.cpu.irqs_delivered >= 2
         assert system.cpu.regs.read(20) == 0xABCD + 100
 
     def test_user_keys_restored_after_irq(self, system):
-        program = _spin_program()
-        system.load_user_program(program)
         system.enable_timer(1_000)
         task = system.tasks.current
-        system.run_user(task, program.address_of("main"))
+        _spin(system)
         assert system.cpu.regs.keys.ib.lo == task.user_keys.ib.lo
 
     def test_kernel_keys_active_in_irq_handler(self, system):
@@ -101,20 +66,16 @@ class TestIrqTransparency:
         system.irq_actions.append(
             lambda s: observed.append(s.cpu.regs.keys.ib.lo)
         )
-        program = _spin_program()
-        system.load_user_program(program)
         system.enable_timer(1_500)
-        system.run_user(system.tasks.current, program.address_of("main"))
+        _spin(system)
         assert observed
         assert all(v == system.kernel_keys.ib.lo for v in observed)
 
     def test_irq_actions_invoked_per_tick(self, system):
         hits = []
         system.irq_actions.append(lambda s: hits.append(1))
-        program = _spin_program()
-        system.load_user_program(program)
         system.enable_timer(900)
-        system.run_user(system.tasks.current, program.address_of("main"))
+        _spin(system)
         assert len(hits) == system.cpu.irqs_delivered
 
     def test_irq_costs_cycles_under_protection(self):
@@ -122,13 +83,8 @@ class TestIrqTransparency:
         for profile in ("none", "full"):
             s = System(profile=profile)
             s.map_user_stack()
-            program = _spin_program(iterations=100)
-            s.load_user_program(program)
             s.enable_timer(800)
-            totals[profile] = (
-                s.run_user(s.tasks.current, program.address_of("main")),
-                s.cpu.irqs_delivered,
-            )
+            totals[profile] = (_spin(s, iterations=100), s.cpu.irqs_delivered)
         none_cycles, none_irqs = totals["none"]
         full_cycles, full_irqs = totals["full"]
         assert none_irqs > 0 and full_irqs > 0

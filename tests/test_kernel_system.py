@@ -3,11 +3,11 @@
 import pytest
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
 from repro.analysis.binscan import scan_image
 from repro.errors import PermissionFault
-from repro.kernel import System, layout, open_file
+from repro.kernel import System, open_file
 from repro.kernel.entry import RESTORE_USER_KEYS_SYMBOL
+from repro.workloads.guest import run_el0, syscall
 
 
 @pytest.fixture(scope="module")
@@ -18,16 +18,9 @@ def full_system(traced_system):
     return traced_system
 
 
-def _user_syscall_program(system, name, arg0=None, extra=()):
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    if arg0 is not None:
-        user.mov_imm(0, arg0)
-    user.mov_imm(8, system.syscall_numbers[name])
-    user.emit(isa.Svc(0), *extra, isa.Hlt())
-    program = user.assemble()
-    system.load_user_program(program)
-    return program
+def _run_syscall(system, name, x0=None):
+    number = system.syscall_numbers[name]
+    return run_el0(system, lambda user: syscall(user, number, x0))
 
 
 class TestBoot:
@@ -110,55 +103,33 @@ class TestBoot:
 
 class TestSyscalls:
     def test_getpid_returns_tid(self, full_system):
-        program = _user_syscall_program(full_system, "getpid")
-        task = full_system.tasks.current
-        full_system.run_user(task, program.address_of("main"))
-        assert full_system.cpu.regs.read(0) == task.tid
+        _run_syscall(full_system, "getpid")
+        assert full_system.cpu.regs.read(0) == full_system.tasks.current.tid
 
     def test_read_dispatches_through_fops(self, full_system):
-        program = _user_syscall_program(full_system, "read", arg0=3)
-        full_system.run_user(
-            full_system.tasks.current, program.address_of("main")
-        )
+        _run_syscall(full_system, "read", x0=3)
         assert full_system.cpu.regs.read(0) == 4096  # driver read result
 
     def test_write_dispatches(self, full_system):
-        program = _user_syscall_program(full_system, "write", arg0=3)
-        full_system.run_user(
-            full_system.tasks.current, program.address_of("main")
-        )
+        _run_syscall(full_system, "write", x0=3)
         assert full_system.cpu.regs.read(0) == 4096
 
     def test_bad_syscall_returns_enosys(self, full_system):
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(8, 999)
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        full_system.load_user_program(program)
-        full_system.run_user(
-            full_system.tasks.current, program.address_of("main")
-        )
+        run_el0(full_system, lambda user: syscall(user, 999))
         assert full_system.cpu.regs.read(0) == (-38) & ((1 << 64) - 1)
 
     def test_returns_to_el0(self, full_system):
-        program = _user_syscall_program(full_system, "getpid")
-        full_system.run_user(
-            full_system.tasks.current, program.address_of("main")
-        )
+        _run_syscall(full_system, "getpid")
         assert full_system.cpu.regs.current_el == 0
 
     def test_user_registers_preserved_across_syscall(self, full_system):
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(20, 0x1234_5678)
-        user.mov_imm(8, full_system.syscall_numbers["getpid"])
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        full_system.load_user_program(program)
-        full_system.run_user(
-            full_system.tasks.current, program.address_of("main")
-        )
+        number = full_system.syscall_numbers["getpid"]
+
+        def body(user):
+            user.mov_imm(20, 0x1234_5678)
+            syscall(user, number)
+
+        run_el0(full_system, body)
         assert full_system.cpu.regs.read(20) == 0x1234_5678
 
 
@@ -167,8 +138,7 @@ class TestKeySwitching:
         system = System(profile="full")
         system.map_user_stack()
         task = system.tasks.current
-        program = _user_syscall_program(system, "getpid")
-        system.run_user(task, program.address_of("main"))
+        _run_syscall(system, "getpid")
         live = system.cpu.regs.keys
         assert live.ib.lo == task.user_keys.ib.lo
         assert live.ia.lo == task.user_keys.ia.lo
@@ -196,8 +166,7 @@ class TestKeySwitching:
             profile="full", syscalls=[SyscallSpec("probe", probe_build)]
         )
         system.map_user_stack()
-        program = _user_syscall_program(system, "probe")
-        system.run_user(system.tasks.current, program.address_of("main"))
+        _run_syscall(system, "probe")
         assert observed["ib"] == system.kernel_keys.ib.lo
 
     def test_none_profile_makes_no_key_switch(self):

@@ -409,7 +409,7 @@ class TestU64Oracle:
 
     @pytest.mark.parametrize("offset", [0x10, PAGE - 4])
     def test_code_frame_write_makes_next_step_refetch(self, machine, offset):
-        from conftest import STACK_TOP, TEXT_BASE
+        from repro.workloads.guest import STACK_TOP, TEXT_BASE
 
         from repro.arch import isa
 

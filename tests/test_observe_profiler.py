@@ -178,12 +178,12 @@ class TestConservationE1:
     """Figure 2 workload: instrumented call loop on a bare core."""
 
     def _profile(self, iterations=25):
-        from repro.workloads.callbench import _prepare, _run_prepared
+        from repro.workloads.callbench import build_call_loop, run_call_loop
 
-        cpu, program = _prepare("camouflage", iterations)
-        session = ProfileSession(cpu, programs=[program])
+        machine, program = build_call_loop("camouflage", iterations)
+        session = ProfileSession(machine.cpu, programs=[program])
         with session as profiler:
-            _run_prepared(cpu, program, iterations)
+            run_call_loop(machine, program, iterations)
         return profiler, session.tracer
 
     def test_exclusive_cycles_sum_to_tracer_total(self):
@@ -208,16 +208,14 @@ class TestConservationE2:
     """Figure 3 workload: null syscalls through the full kernel path."""
 
     def _profile(self, iterations=15):
-        from repro.workloads.lmbench import (
-            _measure_one,
-            build_lmbench_system,
-        )
+        from repro.workloads.guest import syscall_cycles
+        from repro.workloads.lmbench import build_lmbench_system
 
         system = build_lmbench_system("full")
         system.map_user_stack()
         session = ProfileSession(system, capacity=262144)
         with session as profiler:
-            _measure_one(system, "null_call", iterations)
+            syscall_cycles(system, "null_call", iterations, x0=3)
         return profiler, session.tracer
 
     def test_exclusive_cycles_sum_to_tracer_total(self):
@@ -237,12 +235,12 @@ class TestConservationE2:
 
 class TestExport:
     def _profiled(self):
-        from repro.workloads.callbench import _prepare, _run_prepared
+        from repro.workloads.callbench import build_call_loop, run_call_loop
 
-        cpu, program = _prepare("camouflage", 10)
-        session = ProfileSession(cpu, programs=[program])
+        machine, program = build_call_loop("camouflage", 10)
+        session = ProfileSession(machine.cpu, programs=[program])
         with session as profiler:
-            _run_prepared(cpu, program, 10)
+            run_call_loop(machine, program, 10)
         return profiler
 
     def test_folded_lines_are_collapsed_format(self):

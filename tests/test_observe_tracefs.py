@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arch import isa
-from repro.arch.assembler import Assembler
 from repro.errors import ReproError
 from repro.kernel import System, layout
 from repro.observe import mount_tracefs
@@ -22,23 +20,17 @@ from repro.observe.tracefs import (
     UPTIME_PATH,
 )
 from repro.trace import Tracer
-
-
-def _read_program(system, fd, buffer):
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(0, fd)
-    user.mov_imm(1, buffer)
-    user.mov_imm(8, system.syscall_numbers["read"])
-    user.emit(isa.Svc(0), isa.Hlt())
-    program = user.assemble()
-    system.load_user_program(program)
-    return program
+from repro.workloads.guest import run_el0, syscall
 
 
 def _guest_read(system, fd, buffer=layout.USER_DATA_BASE):
-    program = _read_program(system, fd, buffer)
-    system.run_user(system.tasks.current, program.address_of("main"))
+    number = system.syscall_numbers["read"]
+
+    def body(user):
+        user.mov_imm(1, buffer)
+        syscall(user, number, fd)
+
+    run_el0(system, body)
     count = system.cpu.regs.read(0)
     if count >= (1 << 63):  # negative errno
         return count - (1 << 64), b""
@@ -133,15 +125,12 @@ class TestRegistry:
             TracefsRegistry().open(TRACE_PATH)
 
     def test_mount_opens_the_standard_set(self, system):
-        files = mount_tracefs(system)
-        assert set(files) == {
+        assert set(mount_tracefs(system)) == {
             TRACE_PATH,
             AVAILABLE_EVENTS_PATH,
             UPTIME_PATH,
             "/proc/self/status",
         }
-        for path, fobj in files.items():
-            assert system.tracefs.path_of(fobj.address) == path
 
     def test_status_of_a_specific_pid(self, system):
         task = system.spawn_process("worker")

@@ -48,11 +48,7 @@ class TestGPRs:
         for i in range(31):
             regs.write(i, i + 1)
         regs.clear_gprs(keep=(19,))
-        assert regs.read(19) == 20
-        assert regs.nonzero_gprs() == (19,)
-
-    def test_nonzero_gprs_empty_initially(self):
-        assert RegisterFile().nonzero_gprs() == ()
+        assert [regs.read(i) for i in range(31)] == [0] * 19 + [20] + [0] * 11
 
 
 class TestBankedSP:

@@ -17,6 +17,7 @@ from repro.trace import (
     TraceSession,
     global_tracer,
 )
+from repro.workloads.guest import BareMachine
 
 
 class TestRingBuffer:
@@ -155,8 +156,6 @@ class TestCpuTracing:
         )
 
     def test_tracing_does_not_change_cycles(self, machine):
-        from conftest import BareMachine
-
         untraced = BareMachine()
         untraced.run(_pac_program(untraced), args=(0x1234, 0))
 
@@ -211,6 +210,33 @@ class TestTraceSession:
             with pytest.raises(ReproError):
                 TraceSession().__enter__()
 
+    def test_nested_session_keeps_the_outer_tracer(self):
+        with TraceSession() as outer:
+            system = System(profile="full")
+            with pytest.raises(ReproError):
+                with TraceSession(system):
+                    pass
+            assert system.tracer is outer
+            assert system.cpu.tracer is outer
+
+    def test_runs_that_boot_their_own_system_keep_their_own_tracer(self):
+        from repro.inject.campaign import CampaignDriver
+        from repro.observe import force_pauth_panic
+
+        with TraceSession():
+            assert force_pauth_panic().last_crash is not None
+            driver = CampaignDriver(invariants=False)
+            assert driver.system.tracer is driver.tracer
+
+    def test_cpu_holding_another_tracer_rejects_a_second(self):
+        cpu = CPU()
+        first = cpu.attach_tracer(Tracer())
+        with pytest.raises(ReproError):
+            cpu.attach_tracer(Tracer())
+        assert cpu.tracer is first
+        assert cpu.pac.trace_hook == first.pac_event
+        assert cpu.attach_tracer(first) is first
+
     def test_untraceable_target_rejected(self):
         with pytest.raises(ReproError):
             TraceSession(object()).__enter__()
@@ -252,13 +278,36 @@ class TestExport:
         }
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
 #: ``trace syscall|fig2 --iterations 2 --json`` aggregates, pinned.
-GOLDEN_EXPORTS = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "golden", "trace_exports.json"
-)
+GOLDEN_EXPORTS = os.path.join(GOLDEN, "trace_exports.json")
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["profile", "syscall", "--iterations", "5"], "profile_syscall"),
+            (["profile", "fig2", "--iterations", "5"], "profile_fig2"),
+            (["crash"], "crash"),
+        ],
+        ids=["profile-syscall", "profile-fig2", "crash"],
+    )
+    def test_json_artifact_matches_golden(
+        self, argv, golden, tmp_path, capsys
+    ):
+        """The profile and crash artifacts are byte-identical to the
+        pinned ones: the guest harness, the Figure 2 machine and the
+        forced panic all feed them."""
+        from repro.__main__ import main
+
+        path = tmp_path / "artifact.json"
+        assert main(argv + ["--json", str(path)]) == 0
+        capsys.readouterr()
+        with open(os.path.join(GOLDEN, f"{golden}.json"), "rb") as handle:
+            assert path.read_bytes() == handle.read()
+
     @pytest.mark.parametrize("workload", ["syscall", "fig2"])
     def test_trace_export_matches_golden(self, workload, tmp_path, capsys):
         from repro.__main__ import main

@@ -12,9 +12,7 @@ setter, or the cycle model shows up as a golden-trace diff.
 
 import pytest
 
-from repro.arch import isa
-from repro.arch.assembler import Assembler
-from repro.kernel import layout
+from repro.workloads.guest import run_el0, syscall
 
 #: Keys switched per direction under the full profile (install order).
 FULL_PROFILE_KEYS = ["db", "ia", "ib"]
@@ -29,14 +27,8 @@ RESTORE_PROLOGUE_CYCLES = 6  # current-pointer load, first key absorbs it
 def one_syscall(traced_system):
     """Run exactly one getpid syscall; return the fresh tracer."""
     system = traced_system
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(8, system.syscall_numbers["getpid"])
-    user.emit(isa.Svc(0), isa.Hlt())
-    program = user.assemble()
-    system.load_user_program(program)
     system.tracer.reset()
-    system.run_user(system.tasks.current, program.address_of("main"))
+    run_el0(system, lambda user: syscall(user, system.syscall_numbers["getpid"]))
     return system.tracer
 
 

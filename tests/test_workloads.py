@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.workloads.callbench import figure2_series, measure_call_cost
+from repro.errors import ReproError
+from repro.kernel import System
+from repro.kernel.system import USER_STEP_BUDGET
+from repro.workloads import guest
+from repro.workloads.callbench import (
+    cycles_per_call,
+    figure2_series,
+    measure_call_cost,
+)
+from repro.workloads.guest import run_el0, step_budget, syscall, syscall_cycles
 from repro.workloads.lmbench import (
     LMBENCH_BENCHMARKS,
     build_lmbench_system,
@@ -112,3 +121,32 @@ class TestUserspace:
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
         assert geometric_mean([1.0, 1.0, 1.0]) == pytest.approx(1.0)
+
+
+class TestStepBudget:
+    """A counted loop's step budget grows with its iteration count."""
+
+    def test_budget_scales_past_the_fixed_ceiling(self):
+        assert step_budget() == USER_STEP_BUDGET
+        assert step_budget(1) == USER_STEP_BUDGET
+        assert step_budget(14_000) == 14_000 * guest.STEPS_PER_ITERATION
+        assert step_budget(14_000) > USER_STEP_BUDGET
+
+    def test_el0_loop_runs_past_the_fixed_budget(self, monkeypatch):
+        system = System(profile="full")
+        system.map_user_stack()
+        number = system.syscall_numbers["getpid"]
+        monkeypatch.setattr(guest, "USER_STEP_BUDGET", 1_000)
+        # 20 round trips take ~3k steps: over the fixed budget, inside
+        # the loop's.
+        assert syscall_cycles(system, "getpid", 20) > 0
+        with pytest.raises(ReproError, match="exceeded 1000 steps"):
+            run_el0(
+                system,
+                lambda user: [syscall(user, number) for _ in range(20)],
+            )
+
+    def test_bare_call_loop_runs_past_the_fixed_budget(self, monkeypatch):
+        expected = cycles_per_call("camouflage", 200)
+        monkeypatch.setattr(guest, "USER_STEP_BUDGET", 100)
+        assert cycles_per_call("camouflage", 200) == expected
