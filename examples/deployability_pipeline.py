@@ -17,12 +17,10 @@ Replays the paper's engineering story on the simulated stack:
    through the accessors, and an injected raw pointer is caught.
 """
 
-from repro.analysis import (
-    SemanticPatch,
-    generate_linux_like_corpus,
-    survey_function_pointers,
-)
 from repro.analysis.codegen import generate_protected_module
+from repro.analysis.corpus import generate_linux_like_corpus
+from repro.analysis.semanticpatch import SemanticPatch
+from repro.analysis.survey import survey_function_pointers
 from repro.kernel import System
 
 

@@ -16,6 +16,13 @@ The package is layered bottom-up:
 * :mod:`repro.inject` — adversarial scenarios (the Section 6.2 attacks
   and state corruptions), the invariant checker and detection matrices;
 * :mod:`repro.workloads` / :mod:`repro.bench` — the evaluation harness.
+
+:mod:`repro.bench`, :mod:`repro.inject` and the CLI
+(:mod:`repro.__main__`) sit on top, and nothing beneath imports them:
+a booted :class:`~repro.kernel.system.System` loads the kernel and the
+layers it runs, not the experiments or the campaign.  The ``analysis``
+and ``workloads`` packages import nothing from their ``__init__``, so
+importing one of their modules loads only that module's dependencies.
 """
 
 __version__ = "1.0.0"

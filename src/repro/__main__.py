@@ -28,12 +28,12 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
 def _cmd_demo(_args):
     import importlib.util
-    import os
 
     path = os.path.join(
         os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
@@ -66,7 +66,6 @@ def _example_module_images(system):
     (it lives in ``examples/``, not in the package); the codegen module
     comes straight from the deployability pipeline."""
     import importlib.util
-    import os
 
     images = []
     path = os.path.join(
@@ -79,7 +78,7 @@ def _example_module_images(system):
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         images.append(("examples/driver_module", module.build_driver_module(system)))
-    from repro.analysis import generate_linux_like_corpus
+    from repro.analysis.corpus import generate_linux_like_corpus
     from repro.analysis.codegen import generate_protected_module
 
     generated = generate_protected_module(
@@ -206,26 +205,36 @@ def _syscall_system(profile):
 
 
 def _cmd_trace(args):
-    from repro.bench import run_fig2, run_fig3, run_fig4, run_key_switch
     from repro.trace import TraceSession
     from repro.trace.report import render_summary
-    from repro.workloads.guest import syscall_cycles
 
-    workloads = {
-        "syscall": lambda: syscall_cycles(
-            _syscall_system(args.profile), "null_call", args.iterations, x0=3
-        ),
-        "fig2": lambda: run_fig2(iterations=args.iterations * 4),
-        "fig3": lambda: run_fig3(iterations=max(2, args.iterations // 2)),
-        "fig4": lambda: run_fig4(iterations=max(2, args.iterations // 4)),
-        "key-switch": lambda: run_key_switch(iterations=args.iterations),
-    }
+    if args.workload == "syscall":
+        from repro.workloads.guest import syscall_cycles
+
+        def workload():
+            system = _syscall_system(args.profile)
+            return syscall_cycles(system, "null_call", args.iterations, x0=3)
+    else:  # an experiment runner: only these load the benchmark harness
+        from repro import bench
+
+        workload = {
+            "fig2": lambda: bench.run_fig2(iterations=args.iterations * 4),
+            "fig3": lambda: bench.run_fig3(
+                iterations=max(2, args.iterations // 2)
+            ),
+            "fig4": lambda: bench.run_fig4(
+                iterations=max(2, args.iterations // 4)
+            ),
+            "key-switch": lambda: bench.run_key_switch(
+                iterations=args.iterations
+            ),
+        }[args.workload]
     # Process-wide: every core the workload creates (and the system
     # booted around it) attaches the tracer, boot included.
     with TraceSession(
         capacity=args.capacity, instructions=not args.no_instructions
     ) as tracer:
-        result = workloads[args.workload]()
+        result = workload()
     if hasattr(result, "summary"):
         print(result.summary())
         print()
@@ -348,6 +357,17 @@ def _positive_int(text):
     return value
 
 
+def _output_file(text):
+    """An output FILE path, checked before any work starts: its
+    directory exists and it is not a directory itself."""
+    directory = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"no such directory: {directory}")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"is a directory: {text}")
+    return text
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -374,6 +394,7 @@ def main(argv=None):
         nargs="?",
         const="-",
         default=None,
+        type=_output_file,
         metavar="PATH",
         help="emit the report as JSON (to PATH, or stdout if omitted)",
     )
@@ -405,11 +426,13 @@ def main(argv=None):
         choices=("none", "backward", "full"),
         help="profile for the syscall workload (others run their own set)",
     )
-    trace.add_argument("--json", metavar="FILE", help="export the trace")
+    trace.add_argument(
+        "--json", type=_output_file, metavar="FILE", help="export the trace"
+    )
     trace.add_argument("--capacity", type=_positive_int, default=65536)
     trace.add_argument(
         "--event-limit",
-        type=int,
+        type=_positive_int,
         default=None,
         help="cap the number of raw events in the JSON export",
     )
@@ -448,11 +471,15 @@ def main(argv=None):
     profile.add_argument("--capacity", type=_positive_int, default=262144)
     profile.add_argument(
         "--folded",
+        type=_output_file,
         metavar="FILE",
         help="write Brendan Gregg collapsed stacks (flamegraph input)",
     )
     profile.add_argument(
-        "--json", metavar="FILE", help="write the per-symbol profile"
+        "--json",
+        type=_output_file,
+        metavar="FILE",
+        help="write the per-symbol profile",
     )
 
     crash = sub.add_parser(
@@ -471,7 +498,10 @@ def main(argv=None):
         help="protection profile for the forced panic",
     )
     crash.add_argument(
-        "--json", metavar="FILE", help="save the dump as JSON"
+        "--json",
+        type=_output_file,
+        metavar="FILE",
+        help="save the dump as JSON",
     )
 
     inject = sub.add_parser(
@@ -505,7 +535,9 @@ def main(argv=None):
     inject.add_argument(
         "--smoke", action="store_true", help="single trial per site (CI)"
     )
-    inject.add_argument("--json", metavar="FILE", help="export the matrix")
+    inject.add_argument(
+        "--json", type=_output_file, metavar="FILE", help="export the matrix"
+    )
     inject.add_argument(
         "--list", action="store_true", help="list the scenarios and exit"
     )

@@ -25,7 +25,7 @@ from repro.bench.experiments import (
     run_survey,
     run_vmsa_tables,
 )
-from repro.bench.harness import ExperimentRecord, TextTable, ns_from_cycles
+from repro.bench.harness import ExperimentRecord, ns_from_cycles
 from repro.bench.injection import run_injection_matrix
 
 
@@ -102,6 +102,5 @@ __all__ = [
     "run_compat",
     "run_injection_matrix",
     "ExperimentRecord",
-    "TextTable",
     "ns_from_cycles",
 ]

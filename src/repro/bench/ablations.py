@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from repro.arch import isa
 from repro.arch.vmsa import VMSAConfig
-from repro.bench.harness import ExperimentRecord, TextTable
+from repro.bench.harness import ExperimentRecord
 from repro.cfi.policy import frame_mac_profile
 from repro.hyp.hypervisor import EL2_TRAP_ROUND_TRIP_CYCLES
 from repro.inject import InjectionCampaign
 from repro.inject.scenarios import expected_guesses, success_probability
 from repro.kernel.system import System
+from repro.trace.report import TextTable
 from repro.workloads.guest import (
     DATA_BASE,
     BareMachine,

@@ -14,7 +14,7 @@ import random
 
 from repro.arch.vmsa import VMSAConfig
 from repro.bench.figures import BarChart
-from repro.bench.harness import ExperimentRecord, TextTable
+from repro.bench.harness import ExperimentRecord
 from repro.errors import KernelPanic
 from repro.inject import ATTACKS, InjectionCampaign, profile_rows
 from repro.inject.scenarios import (
@@ -24,6 +24,7 @@ from repro.inject.scenarios import (
     replay_profile,
     success_probability,
 )
+from repro.trace.report import TextTable
 from repro.workloads.callbench import figure2_series
 from repro.workloads.lmbench import run_suite
 from repro.workloads.userspace import run_userspace
@@ -204,14 +205,14 @@ def run_key_switch(iterations=40):
 
 def run_survey():
     """Section 5.3: the Coccinelle survey and the semantic patch."""
-    from repro.analysis import (
+    from repro.analysis.corpus import (
         PAPER_MEMBER_COUNT,
         PAPER_MULTI_COUNT,
         PAPER_TYPE_COUNT,
-        SemanticPatch,
         generate_linux_like_corpus,
-        survey_function_pointers,
     )
+    from repro.analysis.semanticpatch import SemanticPatch
+    from repro.analysis.survey import survey_function_pointers
 
     corpus = generate_linux_like_corpus()
     report = survey_function_pointers(corpus)

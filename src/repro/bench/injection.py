@@ -11,8 +11,9 @@ modelled corruption into a fault, a panic or an invariant violation.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentRecord, TextTable
+from repro.bench.harness import ExperimentRecord
 from repro.inject import CORRUPTIONS, InjectionCampaign, profile_rows
+from repro.trace.report import TextTable
 
 __all__ = ["run_injection_matrix"]
 

@@ -1,12 +1,9 @@
-"""Rendering detection matrices (text tables for the CLI and docs).
-
-``repro.bench`` imports this package, so its table helper is imported
-where it is used rather than at module level.
-"""
+"""Rendering detection matrices (text tables for the CLI and docs)."""
 
 from __future__ import annotations
 
 from repro.inject.scenarios import SCENARIOS
+from repro.trace.report import TextTable
 
 __all__ = [
     "profile_rows",
@@ -23,8 +20,6 @@ def _clip(text, width=52):
 
 def render_matrix(matrix):
     """One campaign's detection matrix as one printable string."""
-    from repro.bench.harness import TextTable
-
     table = TextTable(
         f"Injection detection matrix "
         f"(profile={matrix.profile}, seed={matrix.seed:#x}, "
@@ -78,8 +73,6 @@ def render_profile_table(matrices):
 
 def render_site_listing():
     """Every scenario, for ``inject --list``."""
-    from repro.bench.harness import TextTable
-
     table = TextTable(
         "Adversarial scenarios",
         ["site", "requires", "expected", "invariants-only", "residual",

@@ -52,6 +52,7 @@ from repro.kernel.vfs import VfsBuilder, build_fops_table, define_file_type
 from repro.kernel.workqueue import WorkqueueBuilder, define_work_type
 from repro.analysis.binscan import scan_image
 from repro.mem.pagetable import Permissions
+from repro.observe.tracefs import TracefsRegistry
 
 __all__ = ["System", "BuildContext"]
 
@@ -154,8 +155,6 @@ class System:
         self.last_crash_error = None
         # The tracefs/procfs analogue: created pre-boot because the
         # driver's read leaf closes over its host_read; bound post-boot.
-        from repro.observe.tracefs import TracefsRegistry
-
         self.tracefs = TracefsRegistry()
 
         self._stack_stride = stack_stride

@@ -15,31 +15,35 @@ The observability layer on top of :mod:`repro.trace`:
 * :func:`render_crash` / :func:`render_profile` — terminal rendering.
 """
 
-from repro.observe.crashdump import CrashDump, force_pauth_panic, unwind
-from repro.observe.profiler import (
-    CALL_MNEMONICS,
-    RET_MNEMONICS,
-    Profiler,
-    ProfileSession,
-)
-from repro.observe.render import render_crash, render_profile
-from repro.observe.symbols import HOST_SYMBOL, LANDING_SYMBOL, Symbol, SymbolTable
-from repro.observe.tracefs import TracefsRegistry, mount_tracefs
+import importlib
 
-__all__ = [
-    "CALL_MNEMONICS",
-    "RET_MNEMONICS",
-    "CrashDump",
-    "HOST_SYMBOL",
-    "LANDING_SYMBOL",
-    "Profiler",
-    "ProfileSession",
-    "Symbol",
-    "SymbolTable",
-    "TracefsRegistry",
-    "force_pauth_panic",
-    "mount_tracefs",
-    "render_crash",
-    "render_profile",
-    "unwind",
-]
+#: Exported name -> defining submodule.  A booted System loads only
+#: ``tracefs``; the rest load on first access (PEP 562), so the kernel
+#: does not pay for the profiler, the crash dump or their renderers.
+_EXPORTS = {
+    "CALL_MNEMONICS": "profiler",
+    "RET_MNEMONICS": "profiler",
+    "CrashDump": "crashdump",
+    "HOST_SYMBOL": "symbols",
+    "LANDING_SYMBOL": "symbols",
+    "Profiler": "profiler",
+    "ProfileSession": "profiler",
+    "Symbol": "symbols",
+    "SymbolTable": "symbols",
+    "TracefsRegistry": "tracefs",
+    "force_pauth_panic": "crashdump",
+    "mount_tracefs": "tracefs",
+    "render_crash": "render",
+    "render_profile": "render",
+    "unwind": "crashdump",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value

@@ -10,7 +10,7 @@ so CI artifacts and piped output stay readable.
 
 from __future__ import annotations
 
-from repro.bench.harness import TextTable
+from repro.trace.report import TextTable
 
 __all__ = ["render_crash", "render_profile"]
 

@@ -1,17 +1,66 @@
-"""Human-readable rendering of a trace: summary and mix tables.
+"""Human-readable rendering: :class:`TextTable`, and a trace's summary
+and mix tables.
 
-Kept separate from :mod:`repro.trace.tracer` so the tracer core stays
-free of benchmark-layer imports (the tables reuse the bench harness's
-:class:`~repro.bench.harness.TextTable` renderer, which the rest of the
-evaluation artifacts already use).
+:class:`TextTable` is the one table renderer every text artifact uses:
+these trace tables, the profile and crash views, the injection matrices
+and the experiment records.  It lives here, in the lowest layer that
+renders with it, so nothing beneath the benchmark harness imports it.
 """
 
 from __future__ import annotations
 
-from repro.bench.harness import TextTable
 from repro.trace import events as ev
 
-__all__ = ["summary_table", "instruction_mix_table", "render_summary"]
+__all__ = [
+    "TextTable",
+    "summary_table",
+    "instruction_mix_table",
+    "render_summary",
+]
+
+
+class TextTable:
+    """Fixed-width text table with a title (one per paper artifact)."""
+
+    def __init__(self, title, columns):
+        self.title = title
+        self.columns = list(columns)
+        self.rows = []
+
+    def add_row(self, *values):
+        if len(values) != len(self.columns):
+            raise ValueError(
+                f"expected {len(self.columns)} values, got {len(values)}"
+            )
+        self.rows.append([self._fmt(v) for v in values])
+        return self
+
+    @staticmethod
+    def _fmt(value):
+        if isinstance(value, float):
+            return f"{value:.2f}"
+        return str(value)
+
+    def render(self):
+        widths = [
+            max(len(self.columns[i]), *(len(r[i]) for r in self.rows))
+            if self.rows
+            else len(self.columns[i])
+            for i in range(len(self.columns))
+        ]
+        def line(cells):
+            return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
+
+        out = [self.title, "=" * len(self.title), line(self.columns)]
+        out.append("-" * len(out[-1]))
+        out.extend(line(r) for r in self.rows)
+        return "\n".join(out)
+
+    def print(self):
+        print()
+        print(self.render())
+        print()
+        return self
 
 
 def _layer(kind):

@@ -1,31 +1,7 @@
-"""Evaluation workloads: call micro-bench, lmbench suite, user mixes."""
+"""Evaluation workloads: the guest-program harness (``guest``), the call
+micro-bench (``callbench``), the lmbench suite (``lmbench``) and the
+user mixes (``userspace``).
 
-from repro.workloads.callbench import CallCost, figure2_series, measure_call_cost
-from repro.workloads.lmbench import (
-    LMBENCH_BENCHMARKS,
-    LmbenchRow,
-    build_lmbench_system,
-    run_suite,
-)
-from repro.workloads.userspace import (
-    WORKLOADS,
-    UserspaceRow,
-    WorkloadSpec,
-    geometric_mean,
-    run_userspace,
-)
-
-__all__ = [
-    "CallCost",
-    "measure_call_cost",
-    "figure2_series",
-    "LMBENCH_BENCHMARKS",
-    "LmbenchRow",
-    "build_lmbench_system",
-    "run_suite",
-    "WORKLOADS",
-    "WorkloadSpec",
-    "UserspaceRow",
-    "run_userspace",
-    "geometric_mean",
-]
+Import from the defining module: a booted lmbench system needs only
+``guest`` and ``lmbench``, so the package loads nothing else.
+"""

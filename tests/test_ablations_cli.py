@@ -144,6 +144,7 @@ class TestCli:
         [
             ["figures", "--iterations", "0"],
             ["trace", "syscall", "--capacity", "0"],
+            ["trace", "syscall", "--event-limit", "0"],
             ["profile", "syscall", "--capacity", "0"],
             ["verify", "--profile", "bogus"],
         ],
@@ -155,3 +156,32 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--strict", "--json"],
+            ["trace", "syscall", "--json"],
+            ["profile", "fig2", "--folded"],
+            ["profile", "syscall", "--json"],
+            ["crash", "--json"],
+            ["inject", "--smoke", "--json"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+    )
+    @pytest.mark.parametrize(
+        "path, message",
+        [("missing/out.json", "no such directory"), (".", "is a directory")],
+        ids=["missing-dir", "dir"],
+    )
+    def test_unwritable_output_file_is_a_usage_error(
+        self, argv, path, message, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [str(tmp_path / path)])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert out == ""  # rejected before any work started

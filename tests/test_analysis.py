@@ -4,19 +4,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
+from repro.analysis.corpus import (
     PAPER_MEMBER_COUNT,
     PAPER_MULTI_COUNT,
     PAPER_TYPE_COUNT,
+    generate_linux_like_corpus,
+)
+from repro.analysis.csource import (
     AccessSite,
     CCompoundType,
     CMember,
     MemberKind,
-    SemanticPatch,
     SourceCorpus,
-    generate_linux_like_corpus,
-    survey_function_pointers,
 )
+from repro.analysis.semanticpatch import SemanticPatch
+from repro.analysis.survey import survey_function_pointers
 from repro.errors import ReproError
 
 

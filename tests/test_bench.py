@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import ExperimentRecord, TextTable, ns_from_cycles
+from repro.bench.harness import ExperimentRecord, ns_from_cycles
+from repro.trace.report import TextTable
 
 
 class TestTextTable:

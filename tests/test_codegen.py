@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import generate_linux_like_corpus
+from repro.analysis.corpus import generate_linux_like_corpus
 from repro.analysis.codegen import generate_protected_module
 from repro.errors import ReproError
 from repro.kernel import System
