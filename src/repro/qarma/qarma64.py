@@ -21,11 +21,12 @@ S-boxes (sigma0, sigma1, sigma2).  The tweak itself is updated every
 round by the permutation h followed by an LFSR on seven designated
 cells.
 
-Every layer but the S-box is XOR-linear, so the cipher runs word-sliced:
-each round is a handful of whole-word lookups in byte-indexed tables
-(:class:`WordTables`) instead of cell-by-cell work.  The tables are
-process-wide constants built once per S-box, on first use, from the
-cell-level helpers below.
+Every layer but the S-box is XOR-linear, so the cipher runs as a fused
+circuit on byte-indexed tables (:class:`WordTables`): each round is
+eight lookups in a table folding the S-box into the linear layer after
+it, and one wide lookup yields the tweak's term in every round, each a
+64-bit lane.  The tables are process-wide constants built once per
+(S-box, rounds), on first use, from the cell-level helpers below.
 
 The implementation is validated in the test suite against the published
 reference test vectors (rounds 5, 6 and 7, S-boxes sigma0 and sigma1;
@@ -97,7 +98,6 @@ def _invert_perm(perm):
 
 
 TAU_INV = _invert_perm(TAU)
-H_PERM_INV = _invert_perm(H_PERM)
 SBOXES_INV = tuple(_invert_perm(sbox) for sbox in SBOXES)
 
 
@@ -121,11 +121,6 @@ def _rot4(cell, amount):
 def _lfsr(cell):
     """Forward tweak LFSR: (b3 b2 b1 b0) -> (b0^b1, b3, b2, b1)."""
     return (((cell ^ (cell >> 1)) & 1) << 3) | (cell >> 1)
-
-
-def _lfsr_inv(cell):
-    """Inverse of :func:`_lfsr`."""
-    return ((cell << 1) & 0xF) | (((cell >> 3) ^ cell) & 1)
 
 
 def _shuffle(cells, perm):
@@ -201,38 +196,52 @@ def _byte_sbox(sbox):
     return bytes((sbox[v >> 4] << 4) | sbox[v & 0xF] for v in range(256))
 
 
-#: The word-sliced cipher: every round layer as whole-word lookups.
-#: L = tau then M; LB = S^-1 then M then tau^-1; R = the reflector's
-#: linear part tau^-1 M tau; TW = h then the LFSR (the tweak update);
-#: SB / SIB = the S-box and its inverse on both cells of a byte.
-WordTables = namedtuple("WordTables", "L LB SB SIB R TW")
+#: The fused circuit's tables.  LS = S then L (tau, then M: a forward
+#: round); RS = S then R (tau^-1 M tau, the reflector's linear part); LB
+#: = S^-1 then M then tau^-1 (a backward round); SIB = S^-1 on both
+#: cells of a byte; W = the tweak's term in every round (see _lanes).
+WordTables = namedtuple("WordTables", "LS RS LB SIB W")
+
+_L = _cellwise(lambda c: _shuffle(c, TAU), _mix_columns)
+_R = _cellwise(lambda c: _shuffle(c, TAU), _mix_columns,
+               lambda c: _shuffle(c, TAU_INV))
+
+
+def _lanes(forward, backward):
+    """Round terms as the 64-bit lanes of one integer, in the order
+    :meth:`Qarma64._crypt` reads them from the lowest: L of forward round
+    r's term (it is added behind L) in lane r - 1, backward round r's in
+    lane 2 * rounds - r.  ``forward[r - 1]`` is round r's term."""
+    packed = 0
+    for word in backward:
+        packed = (packed << 64) | word
+    for word in reversed(forward):
+        packed = (packed << 64) | _L(word)
+    return packed
+
+
+def _tweak_terms(rounds, tweak):
+    """The lanes of t_1 .. t_rounds, ``tweak`` after each update."""
+    schedule = []
+    for _ in range(rounds):
+        tweak = Qarma64._tweak_forward(tweak)
+        schedule.append(tweak)
+    return _lanes(schedule, schedule)
 
 
 @lru_cache(maxsize=None)
-def _linear_tables():
-    """The S-box-independent tables (L, R, TW), built on first use."""
-    return (
-        _byte_tables(_cellwise(lambda c: _shuffle(c, TAU), _mix_columns)),
-        _byte_tables(_cellwise(lambda c: _shuffle(c, TAU), _mix_columns,
-                               lambda c: _shuffle(c, TAU_INV))),
-        _byte_tables(Qarma64._tweak_forward),
-    )
-
-
-@lru_cache(maxsize=None)
-def _word_tables(sbox_index):
-    """The :class:`WordTables` of one S-box, built on first use."""
+def _word_tables(sbox_index, rounds):
+    """The :class:`WordTables` of one variant, built on first use."""
     sbox, inverse = SBOXES[sbox_index], SBOXES_INV[sbox_index]
-    forward, reflect, tweak = _linear_tables()
     return WordTables(
-        L=forward,
+        LS=_byte_tables(_L, sbox),
+        RS=_byte_tables(_R, sbox),
         LB=_byte_tables(
             _cellwise(_mix_columns, lambda c: _shuffle(c, TAU_INV)), inverse
         ),
-        SB=_byte_sbox(sbox),
         SIB=_byte_sbox(inverse),
-        R=reflect,
-        TW=tweak,
+        # Every lane is XOR-linear in the tweak, so the whole is too.
+        W=_byte_tables(lambda tweak: _tweak_terms(rounds, tweak)),
     )
 
 
@@ -242,6 +251,13 @@ def _round_keys(core, whitening, centre, rounds):
     keys = [core ^ constant for constant in ROUND_CONSTANTS[:rounds]]
     keys[0] ^= whitening
     return tuple(keys) + (centre,)
+
+
+def _plan(forward, backward, reflect_key):
+    """One direction's keys as :meth:`Qarma64._crypt` reads them, the
+    round keys packed like W's lanes so that one XOR adds them all."""
+    return (forward[0], _lanes(forward[1:], backward[1:]), reflect_key,
+            backward[0])
 
 
 class CipherMemoStats:
@@ -290,29 +306,26 @@ class Qarma64:
         if self.sbox_index not in (0, 1):
             raise ValueError("sbox_index must be 0 or 1")
         # Host-side precomputation on the frozen instance: the derived
-        # whitening key, the word tables of its S-box (process-wide
-        # constants), each direction's round keys, and (when enabled, see
+        # whitening key, the tables of its variant (process-wide
+        # constants), each direction's keys, and (when enabled, see
         # repro.hotpath) a pure (plaintext, tweak) -> ciphertext memo.  A
         # frozen instance's encryption is a pure function of its inputs,
         # so the memo can never serve a stale value — it survives key
         # switches because a *new* key value gets a *new* cipher instance.
         w1 = _omega(self.w0)
-        tables = _word_tables(self.sbox_index)
+        tables = _word_tables(self.sbox_index, self.rounds)
         forward = _round_keys(self.k0, self.w0, w1, self.rounds)
         backward = _round_keys(self.k0 ^ ALPHA, w1, self.w0, self.rounds)
         # The reflector is R(x) ^ tau^-1(k1); R is an involution, so its
         # inverse is R(x) ^ R(tau^-1(k1)).
-        reflect_key = _cells_to_text(
-            _shuffle(_text_to_cells(self.k1), TAU_INV)
-        )
+        reflect_key = _cellwise(lambda c: _shuffle(c, TAU_INV))(self.k1)
         object.__setattr__(self, "_w1", w1)
         object.__setattr__(self, "_tables", tables)
         object.__setattr__(
-            self, "_encrypt_keys", (forward, backward, reflect_key)
+            self, "_encrypt_keys", _plan(forward, backward, reflect_key)
         )
         object.__setattr__(
-            self, "_decrypt_keys",
-            (backward, forward, _apply(tables.R, reflect_key)),
+            self, "_decrypt_keys", _plan(backward, forward, _R(reflect_key))
         )
         object.__setattr__(
             self, "_memo", OrderedDict() if hotpath.caches_enabled() else None
@@ -335,7 +348,7 @@ class Qarma64:
         """
         return self.k0
 
-    # -- the tweak update (the TW table is built from it) --------------------
+    # -- the tweak update (the W table is built from it) ---------------------
 
     @staticmethod
     def _tweak_forward(tweak):
@@ -344,60 +357,46 @@ class Qarma64:
             cells[index] = _lfsr(cells[index])
         return _cells_to_text(cells)
 
-    @staticmethod
-    def _tweak_backward(tweak):
-        cells = _text_to_cells(tweak)
-        for index in LFSR_CELLS:
-            cells[index] = _lfsr_inv(cells[index])
-        return _cells_to_text(_shuffle(cells, H_PERM_INV))
-
     # -- the cipher circuit --------------------------------------------------
 
-    def _crypt(self, block, tweak, keys):
-        """Run the whole cipher on the word tables.
+    def _crypt(self, block, tweak, plan):
+        """Run the whole cipher on the fused tables.
 
-        ``keys`` is (forward, backward, reflector key) as built in
-        ``__post_init__``.  Decryption is this same circuit with the
-        forward and backward keys swapped: each inverse round has the
-        shape of its mirror round, so one table set serves both.
+        ``plan`` is one direction's keys from :func:`_plan`.  Decryption
+        is this same circuit with the forward and backward keys swapped:
+        each inverse round has the shape of its mirror round, so one
+        table set serves both.
         """
-        forward, backward, reflect_key = keys
+        first, keys, reflect_key, last = plan
         tables = self._tables
-        l0, l1, l2, l3, l4, l5, l6, l7 = tables.L
+        f0, f1, f2, f3, f4, f5, f6, f7 = tables.LS
         b0, b1, b2, b3, b4, b5, b6, b7 = tables.LB
-        r0, r1, r2, r3, r4, r5, r6, r7 = tables.R
-        h0, h1, h2, h3, h4, h5, h6, h7 = tables.TW
-        sbox, sbox_inv = tables.SB, tables.SIB
-        from_bytes = int.from_bytes
-        rounds = self.rounds
-        # tweaks[r] is in effect at round r; tweaks[rounds] at the centre.
-        tweaks = [tweak]
+        r0, r1, r2, r3, r4, r5, r6, r7 = tables.RS
+        t0, t1, t2, t3, t4, t5, t6, t7 = tables.W
+        mask, rounds = _MASK64, self.rounds
+        # Every round's tweakey, one 64-bit lane each, in round order.
+        x0, x1, x2, x3, x4, x5, x6, x7 = tweak.to_bytes(8, "big")
+        lanes = (t0[x0] ^ t1[x1] ^ t2[x2] ^ t3[x3] ^ t4[x4] ^ t5[x5]
+                 ^ t6[x6] ^ t7[x7] ^ keys)
+        # Forward rounds, the centre round last: S then L, adding the
+        # round's tweakey behind L.
+        state = block ^ first ^ tweak
         for _ in range(rounds):
-            x0, x1, x2, x3, x4, x5, x6, x7 = tweak.to_bytes(8, "big")
-            tweak = (h0[x0] ^ h1[x1] ^ h2[x2] ^ h3[x3]
-                     ^ h4[x4] ^ h5[x5] ^ h6[x6] ^ h7[x7])
-            tweaks.append(tweak)
-        # Forward rounds: round 0 is S only, the rest (and the centre
-        # round) are L then S.
-        state = block ^ forward[0] ^ tweaks[0]
-        for r in range(1, rounds + 1):
-            state = from_bytes(state.to_bytes(8, "big").translate(sbox), "big")
-            x0, x1, x2, x3, x4, x5, x6, x7 = (
-                state ^ forward[r] ^ tweaks[r]
-            ).to_bytes(8, "big")
-            state = (l0[x0] ^ l1[x1] ^ l2[x2] ^ l3[x3]
-                     ^ l4[x4] ^ l5[x5] ^ l6[x6] ^ l7[x7])
-        state = from_bytes(state.to_bytes(8, "big").translate(sbox), "big")
+            x0, x1, x2, x3, x4, x5, x6, x7 = state.to_bytes(8, "big")
+            state = (f0[x0] ^ f1[x1] ^ f2[x2] ^ f3[x3] ^ f4[x4] ^ f5[x5]
+                     ^ f6[x6] ^ f7[x7] ^ (lanes & mask))
+            lanes >>= 64
         x0, x1, x2, x3, x4, x5, x6, x7 = state.to_bytes(8, "big")
         state = (r0[x0] ^ r1[x1] ^ r2[x2] ^ r3[x3]
                  ^ r4[x4] ^ r5[x5] ^ r6[x6] ^ r7[x7] ^ reflect_key)
         # Backward rounds, centre first: LB then the key; round 0 is S^-1.
-        for r in range(rounds, 0, -1):
+        for _ in range(rounds):
             x0, x1, x2, x3, x4, x5, x6, x7 = state.to_bytes(8, "big")
             state = (b0[x0] ^ b1[x1] ^ b2[x2] ^ b3[x3] ^ b4[x4] ^ b5[x5]
-                     ^ b6[x6] ^ b7[x7] ^ backward[r] ^ tweaks[r])
-        state = from_bytes(state.to_bytes(8, "big").translate(sbox_inv), "big")
-        return state ^ backward[0] ^ tweaks[0]
+                     ^ b6[x6] ^ b7[x7] ^ (lanes & mask))
+            lanes >>= 64
+        state = state.to_bytes(8, "big").translate(tables.SIB)
+        return int.from_bytes(state, "big") ^ last ^ tweak
 
     # -- public API --------------------------------------------------------
 

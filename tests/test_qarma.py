@@ -8,7 +8,6 @@ from repro import hotpath
 from repro.qarma import ALPHA, ROUND_CONSTANTS, SBOXES, Qarma64, qarma64
 from repro.qarma.qarma64 import (
     H_PERM,
-    H_PERM_INV,
     LFSR_CELLS,
     M_MATRIX,
     SBOXES_INV,
@@ -16,8 +15,8 @@ from repro.qarma.qarma64 import (
     TAU_INV,
     _apply,
     _cells_to_text,
+    _invert_perm,
     _lfsr,
-    _lfsr_inv,
     _mix_columns,
     _omega,
     _rot4,
@@ -25,6 +24,7 @@ from repro.qarma.qarma64 import (
     _text_to_cells,
     _word_tables,
 )
+from repro.workloads.lmbench import build_lmbench_system
 
 # Published reference test vectors (w0, k0, tweak, plaintext fixed).
 W0 = 0x84BE85CE9804E94B
@@ -187,7 +187,7 @@ class TestOracle:
 
 
 class TestWordTables:
-    """Each word table is exactly the cell-wise map it replaces."""
+    """Each fused table is exactly the cell-wise map it replaces."""
 
     WORDS = (0, 1, (1 << 64) - 1, W0, K0, TWEAK, 0x0123456789ABCDEF)
 
@@ -198,46 +198,73 @@ class TestWordTables:
             cells = step(cells)
         return _cells_to_text(cells)
 
+    @staticmethod
+    def _lanes(word, rounds):
+        """W's lanes of ``word``, lowest first."""
+        return [(word >> (64 * lane)) & ((1 << 64) - 1)
+                for lane in range(2 * rounds)]
+
     @pytest.mark.parametrize("sbox", [0, 1])
     def test_tables_match_cell_maps(self, sbox):
-        tables = _word_tables(sbox)
+        tables = _word_tables(sbox, 5)
         s, s_inv = SBOXES[sbox], SBOXES_INV[sbox]
+        sub = lambda cells: [s[c] for c in cells]  # noqa: E731
         tau = lambda cells: _shuffle(cells, TAU)  # noqa: E731
         tau_inv = lambda cells: _shuffle(cells, TAU_INV)  # noqa: E731
         for x in self.WORDS:
-            assert _apply(tables.L, x) == self._cellwise(x, tau, _mix_columns)
+            assert _apply(tables.LS, x) == self._cellwise(
+                x, sub, tau, _mix_columns
+            )
+            assert _apply(tables.RS, x) == self._cellwise(
+                x, sub, tau, _mix_columns, tau_inv
+            )
             assert _apply(tables.LB, x) == self._cellwise(
                 x, lambda cells: [s_inv[c] for c in cells], _mix_columns,
                 tau_inv,
             )
-            assert _apply(tables.R, x) == self._cellwise(
-                x, tau, _mix_columns, tau_inv
+            substituted = int.from_bytes(
+                x.to_bytes(8, "big").translate(tables.SIB), "big"
             )
-            assert _apply(tables.TW, x) == Qarma64._tweak_forward(x)
-            for table, cell_box in ((tables.SB, s), (tables.SIB, s_inv)):
-                substituted = int.from_bytes(
-                    x.to_bytes(8, "big").translate(table), "big"
-                )
-                assert substituted == self._cellwise(
-                    x, lambda cells, box=cell_box: [box[c] for c in cells]
-                )
+            assert substituted == self._cellwise(
+                x, lambda cells: [s_inv[c] for c in cells]
+            )
+
+    @pytest.mark.parametrize("rounds", range(1, len(ROUND_CONSTANTS) + 1))
+    def test_wide_table_lanes_are_the_tweak_schedule(self, rounds):
+        wide = _word_tables(1, rounds).W
+        tau = lambda cells: _shuffle(cells, TAU)  # noqa: E731
+        for x in self.WORDS:
+            schedule = _oracle_tweaks(x, rounds)[1:]
+            assert self._lanes(_apply(wide, x), rounds) == [
+                self._cellwise(t, tau, _mix_columns) for t in schedule
+            ] + schedule[::-1]
 
     @settings(max_examples=25, deadline=None)
     @given(x=u64)
     def test_linear_tables_on_random_words(self, x):
-        tables = _word_tables(1)
+        tables = _word_tables(1, 5)
+        s = SBOXES[1]
         tau = lambda cells: _shuffle(cells, TAU)  # noqa: E731
-        assert _apply(tables.L, x) == self._cellwise(x, tau, _mix_columns)
-        assert _apply(tables.R, _apply(tables.R, x)) == x  # an involution
-        assert _apply(tables.TW, x) == Qarma64._tweak_forward(x)
+        assert _apply(tables.LS, x) == self._cellwise(
+            x, lambda cells: [s[c] for c in cells], tau, _mix_columns
+        )
+        # R is an involution; RS after S^-1 is R.
+        def reflect(word):
+            return _apply(tables.RS, int.from_bytes(
+                word.to_bytes(8, "big").translate(tables.SIB), "big"
+            ))
+
+        assert reflect(reflect(x)) == x
+        schedule = _oracle_tweaks(x, 5)[1:]
+        assert self._lanes(_apply(tables.W, x), 5)[5:] == schedule[::-1]
 
     def test_tables_are_built_per_sbox_on_first_use(self):
         _word_tables.cache_clear()
         try:
-            Qarma64(W0, K0, sbox_index=1).encrypt(PLAINTEXT, TWEAK)
+            build_lmbench_system("full")
             info = _word_tables.cache_info()
-            assert info.currsize == 1  # sbox 0's tables were not built
-            _word_tables(1)
+            assert info.currsize == 1  # only the booted variant's tables
+            _word_tables(1, 5)
             assert _word_tables.cache_info().hits == info.hits + 1
         finally:
             _word_tables.cache_clear()
@@ -246,7 +273,8 @@ class TestWordTables:
         a = Qarma64(W0, K0, sbox_index=0)
         b = Qarma64(K0, W0, sbox_index=0)
         assert a._tables is b._tables
-        assert a._tables.L is Qarma64(W0, K0, sbox_index=1)._tables.L
+        assert a._tables is not Qarma64(W0, K0, sbox_index=1)._tables
+        assert a._tables is not Qarma64(W0, K0, rounds=6, sbox_index=0)._tables
 
 
 class TestRoundTrip:
@@ -368,8 +396,9 @@ class TestComponents:
             assert TAU_INV[TAU[i]] == i
 
     def test_h_inverse(self):
+        h_inv = _invert_perm(H_PERM)
         for i in range(16):
-            assert H_PERM_INV[H_PERM[i]] == i
+            assert h_inv[H_PERM[i]] == i
 
     def test_m_matrix_symmetric_circulant(self):
         for row in range(4):
@@ -381,11 +410,6 @@ class TestComponents:
         for value in (0, 0x0123456789ABCDEF, (1 << 64) - 1, W0, K0):
             cells = _text_to_cells(value)
             assert _mix_columns(_mix_columns(cells)) == cells
-
-    def test_lfsr_inverse(self):
-        for cell in range(16):
-            assert _lfsr_inv(_lfsr(cell)) == cell
-            assert _lfsr(_lfsr_inv(cell)) == cell
 
     def test_lfsr_max_period(self):
         # The 4-bit LFSR must cycle through all 15 non-zero states.
@@ -425,12 +449,6 @@ class TestComponents:
 
     def test_alpha_constant(self):
         assert ALPHA == 0xC0AC29B7C97C50DD
-
-    def test_tweak_schedule_roundtrip(self):
-        cipher = Qarma64(W0, K0)
-        for value in (0, TWEAK, (1 << 64) - 1):
-            forward = cipher._tweak_forward(value)
-            assert cipher._tweak_backward(forward) == value
 
 
 class TestValidation:
