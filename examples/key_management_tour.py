@@ -10,7 +10,7 @@ place the keys could leak:
    reading and writing it fail even for kernel-mode code;
 3. the setter scrubs its GPRs, so nothing lingers after it runs;
 4. a malicious module trying ``MRS`` on the key registers is rejected
-   by the load-time static scan;
+   by the load-time static verifier;
 5. writes to the locked MMU registers (including SCTLR's PAuth enable
    bits) trap to the hypervisor;
 6. user space keys are per-process: a fresh bank per exec, restored on

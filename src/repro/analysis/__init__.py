@@ -1,7 +1,9 @@
-"""Static analysis: source survey, semantic patch, binary key scan,
-CFG recovery, whole-image CFI verification, gadget census.
+"""Static analysis: source survey, semantic patch, CFG recovery,
+whole-image verification (CFI rules and the key-register rule), gadget
+census.
 
 Import from the defining module (``repro.analysis.verifier``,
-``repro.analysis.corpus``, ...): the kernel's module loader needs only
-the binary scan and the verifier, so the package loads nothing else.
+``repro.analysis.corpus``, ...): the kernel's boot and module loader
+need only the verifier and the CFG recovery beneath it, so the package
+loads nothing else.
 """

@@ -10,11 +10,14 @@ follow directly from :func:`repro.arch.isa.branch_kind`.
 
 The resulting :class:`FunctionCFG` objects are what the CFI verifier
 (:mod:`repro.analysis.verifier`) runs its dataflow rules over; they are
-also useful on their own (``blocks``, ``edges``, reachability).
+also useful on their own (``blocks``, ``edges``, reachability).  The
+:class:`ImageCFG` keeps the programs it was cut from, so the verifier's
+word rules see every decoded word, the ones outside any function too.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.arch.isa import branch_kind, branch_target
@@ -94,14 +97,40 @@ class FunctionCFG:
 
 @dataclass
 class ImageCFG:
-    """Per-function CFGs of a whole image (or a single program)."""
+    """Per-function CFGs of a whole image (or a single program), and the
+    decoded programs they were cut from."""
 
     name: str
     functions: dict = field(default_factory=dict)  # name -> FunctionCFG
+    programs: list = field(default_factory=list)
 
     @property
     def instruction_count(self):
+        """Instructions inside function extents (not every word)."""
         return sum(f.instruction_count for f in self.functions.values())
+
+    def words(self):
+        """Every decoded word as ``(owner, address, instruction)``.
+
+        ``owner`` is the function whose extent holds the word or, for a
+        word before a program's first function (the vector table), the
+        nearest preceding symbol, or ``"?"`` when no symbol precedes it.
+        """
+        for program in self.programs:
+            entries = {
+                start: name
+                for name, (start, _) in program.function_ranges().items()
+            }
+            labels = {}
+            for name, address in program.symbols.items():
+                labels.setdefault(address, name)
+            owner, in_function = "?", False
+            for address, instruction in program.instructions:
+                if address in entries:
+                    owner, in_function = entries[address], True
+                elif not in_function and address in labels:
+                    owner = labels[address]
+                yield owner, address, instruction
 
     def function(self, name):
         try:
@@ -111,15 +140,20 @@ class ImageCFG:
 
 
 def _function_extents(program):
-    """Partition a program's instructions into per-function slices.
+    """Partition a program's instructions (in address order, as
+    assembled or decoded) into per-function slices.
 
     Functions run from their entry to the next function entry or the
     program end (``Program.function_ranges``); instructions before the
-    first function symbol (there are none in practice) are dropped.
+    first function symbol (the kernel's vector table) belong to no
+    function, and only :meth:`ImageCFG.words` yields them.
     """
+    addresses = [address for address, _ in program.instructions]
     out = []
     for name, (start, end) in program.function_ranges().items():
-        body = [pair for pair in program.instructions if start <= pair[0] < end]
+        body = program.instructions[
+            bisect_left(addresses, start):bisect_left(addresses, end)
+        ]
         if body:
             out.append((name, start, end, body))
     return out
@@ -204,14 +238,18 @@ def _build_function_cfg(name, entry, end, body):
 
 
 def recover_cfg(target, name=None):
-    """Build an :class:`ImageCFG` from an Image or a Program.
+    """Build an :class:`ImageCFG` from an Image, a Program or a list of
+    programs decoded from an image's text.
 
     An Image's text is decoded section by section
     (:func:`~repro.elfimage.image.text_programs`); functions run to the
     next function entry in the same section.
     """
-    image_cfg = ImageCFG(name=name or getattr(target, "name", "program"))
-    for program in text_programs(target):
+    image_cfg = ImageCFG(
+        name=name or getattr(target, "name", "program"),
+        programs=text_programs(target),
+    )
+    for program in image_cfg.programs:
         for fn_name, entry, end, body in _function_extents(program):
             image_cfg.functions[fn_name] = _build_function_cfg(
                 fn_name, entry, end, body

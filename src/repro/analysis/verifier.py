@@ -22,9 +22,16 @@ compiler cannot drift apart), and runs pluggable dataflow rules:
   attacker-writable memory-derived data is a signing oracle.
 * :class:`StripGadgetRule` — loadable modules must not carry
   XPACI/XPACD; a reachable strip defeats PAC without the key.
+* :class:`KeyRegisterRule` — key confidentiality (§4.1, R2): no text
+  reads a key register or writes ``SCTLR_EL1``, and only the kernel's
+  user-key restore stub writes a key register.
 
-The module loader runs :func:`verify_image` next to the key scan, and
-``python -m repro verify`` exposes the same engine on the command line.
+The last two judge every decoded text word, not just the words inside
+function extents (the vector table, anything before the first function
+symbol), so they hold wherever a word sits.  The kernel boot runs the
+key rule over its image before loading it, the module loader runs
+every rule over a module, and ``python -m repro verify`` exposes the
+same engine on the command line.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass, field
 from repro.analysis.cfg import recover_cfg
 from repro.arch import isa
 from repro.arch.isa import SP, branch_kind, is_sign, is_strip
-from repro.arch.registers import LR
+from repro.arch.registers import KEY_REGISTER_NAMES, LR
 from repro.cfi.modifiers import edge_signature, edge_table, modifier_identity
 
 __all__ = [
@@ -46,8 +53,10 @@ __all__ = [
     "ModifierCollisionRule",
     "SigningOracleRule",
     "StripGadgetRule",
+    "KeyRegisterRule",
     "verify_image",
     "DEFAULT_ALLOWED_SYMBOLS",
+    "RESTORE_USER_KEYS_SYMBOL",
 ]
 
 #: Hand-written assembly allowed to move raw return addresses around:
@@ -55,6 +64,10 @@ __all__ = [
 #: and reloads the incoming task's — crossing task contexts is its job,
 #: and the task_struct slots are under DFI, not PAC (paper §5.2).
 DEFAULT_ALLOWED_SYMBOLS = ("cpu_switch_to",)
+
+#: The one kernel function sanctioned to write key registers: it
+#: restores the *user* keys on the way back to EL0 (modules never may).
+RESTORE_USER_KEYS_SYMBOL = "__restore_user_keys"
 
 
 @dataclass(frozen=True)
@@ -149,9 +162,10 @@ class VerifyReport:
 class _VerifyContext:
     """Shared state between rules for one image."""
 
-    def __init__(self, sealed_ranges=(), allowed=()):
+    def __init__(self, sealed_ranges=(), allowed=(), module=False):
         self.sealed_ranges = tuple(sealed_ranges)
         self.allowed = frozenset(allowed)
+        self.module = module
         self.table = edge_table()
         self._ops = {}
 
@@ -773,8 +787,12 @@ class ModifierCollisionRule(VerifierRule):
 
 
 # ---------------------------------------------------------------------------
-# rule 5: strip gadgets in modules
+# rules 5 and 6: words no text may hold
 # ---------------------------------------------------------------------------
+#
+# These judge every decoded word (``ImageCFG.words``), not the function
+# CFGs, and exempt no ``allowed_symbols``: where a word sits does not
+# change what it does.
 
 
 class StripGadgetRule(VerifierRule):
@@ -787,22 +805,69 @@ class StripGadgetRule(VerifierRule):
         return module
 
     def run(self, image_cfg, context):
+        return [
+            Finding(
+                rule=self.name,
+                function=owner,
+                address=address,
+                message=(
+                    f"'{instruction.text()}' strips a PAC "
+                    f"without the key — forbidden in modules"
+                ),
+            )
+            for owner, address, instruction in image_cfg.words()
+            if is_strip(instruction)
+        ]
+
+
+_KEY_REGISTERS = frozenset(KEY_REGISTER_NAMES)
+
+
+class KeyRegisterRule(VerifierRule):
+    """Key confidentiality and integrity (§4.1, R2).
+
+    ``MRS`` encodes the register it reads, so a key read is visible in
+    the word itself: none is allowed anywhere.  Nor is any ``MSR
+    SCTLR_EL1``, which could clear the PAuth enable flags.  A key write
+    is allowed only inside :data:`RESTORE_USER_KEYS_SYMBOL` of a kernel
+    image; a module may write none.  Runs under every profile.
+    """
+
+    name = "key-register"
+
+    def run(self, image_cfg, context):
+        writer = None if context.module else RESTORE_USER_KEYS_SYMBOL
+        if writer not in image_cfg.functions:
+            writer = None  # a label outside any function is no writer
         findings = []
-        for fcfg in self._functions(image_cfg, context):
-            for address, instruction in fcfg.instructions():
-                if is_strip(instruction):
-                    findings.append(
-                        Finding(
-                            rule=self.name,
-                            function=fcfg.name,
-                            address=address,
-                            message=(
-                                f"'{instruction.text()}' strips a PAC "
-                                f"without the key — forbidden in modules"
-                            ),
-                        )
+        for owner, address, instruction in image_cfg.words():
+            reason = self._reason(instruction, owner == writer)
+            if reason is not None:
+                findings.append(
+                    Finding(
+                        rule=self.name,
+                        function=owner,
+                        address=address,
+                        message=f"'{instruction.text()}' {reason}",
                     )
+                )
         return findings
+
+    @staticmethod
+    def _reason(instruction, sanctioned):
+        """Why the word is refused, or None."""
+        if isinstance(instruction, isa.Mrs):
+            if instruction.sysreg in _KEY_REGISTERS:
+                return "reads a PAuth key register (R2)"
+        elif isinstance(instruction, isa.Msr):
+            if instruction.sysreg == "SCTLR_EL1":
+                return "could clear the PAuth enable flags (R2)"
+            if instruction.sysreg in _KEY_REGISTERS and not sanctioned:
+                return (
+                    f"writes a PAuth key register outside the kernel's "
+                    f"{RESTORE_USER_KEYS_SYMBOL} (R2)"
+                )
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +880,7 @@ ALL_RULES = (
     ModifierCollisionRule,
     SigningOracleRule,
     StripGadgetRule,
+    KeyRegisterRule,
 )
 
 
@@ -833,8 +899,10 @@ def verify_image(
     Parameters
     ----------
     target:
-        An :class:`~repro.elfimage.image.Image` or a
-        :class:`~repro.arch.assembler.Program` with function metadata.
+        An :class:`~repro.elfimage.image.Image`, a
+        :class:`~repro.arch.assembler.Program` with function metadata,
+        or a list of programs already decoded from an image's text
+        (``Image.text_programs()``; pass ``name``).
     profile:
         The :class:`~repro.cfi.policy.ProtectionProfile` the build
         claims to implement; gates which rules run (None runs all).
@@ -842,14 +910,15 @@ def verify_image(
         ``(start, end)`` address ranges of read-only (sealed) memory;
         loads from these produce trusted pointers (the syscall table).
     module:
-        Verify as a loadable module (enables the strip-gadget rule).
+        Verify as a loadable module (enables the strip-gadget rule and
+        sanctions no key write).
     allowed_symbols:
         Function names exempt from the dataflow rules (hand-written
         context-switch code).
     """
     image_cfg = recover_cfg(target, name=name)
     context = _VerifyContext(
-        sealed_ranges=sealed_ranges, allowed=allowed_symbols
+        sealed_ranges=sealed_ranges, allowed=allowed_symbols, module=module
     )
     findings = []
     ran = []

@@ -1387,6 +1387,11 @@ _BRANCH_KINDS = (
 )
 
 
+#: :func:`branch_kind` of each instruction class, filled as classes are
+#: first classified (the kind depends on the class alone).
+_KIND_OF_CLASS = {}
+
+
 def branch_kind(instruction):
     """Classify a control-transfer instruction; None for straight-line.
 
@@ -1394,10 +1399,17 @@ def branch_kind(instruction):
     BRA* share a base class, so the table is checked most-specific
     first.
     """
-    for classes, kind in _BRANCH_KINDS:
-        if isinstance(instruction, classes):
-            return kind
-    return None
+    cls = type(instruction)
+    try:
+        return _KIND_OF_CLASS[cls]
+    except KeyError:
+        kind = next(
+            (kind for classes, kind in _BRANCH_KINDS
+             if issubclass(cls, classes)),
+            None,
+        )
+        _KIND_OF_CLASS[cls] = kind
+        return kind
 
 
 def branch_target(instruction):

@@ -127,8 +127,8 @@ class SCTLR:
     EnIA/EnIB/EnDA/EnDB gate whether PAC*/AUT* instructions using the
     corresponding key actually compute MACs (when clear they behave as
     NOPs for the PAC* forms).  The kernel hardening requirement R2 says
-    no kernel code may clear these at run time — the module loader's
-    static scan enforces that.
+    no kernel code may clear these at run time — the verifier's
+    key-register rule, run at boot and at module load, enforces that.
     """
 
     en_ia: bool = True

@@ -125,7 +125,7 @@ class Bootloader:
         builder = ImageBuilder(name="key-setter", base=base_va)
         builder.add_text(".text.keys", program)
         image = builder.build()
-        loaded = loader.load(image)
+        loaded = loader.load(image, [program])
         for frame in loaded.frames_of(".text.keys"):
             hypervisor.make_xom(frame)
         return image.address_of(KEY_SETTER_SYMBOL)

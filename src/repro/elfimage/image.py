@@ -77,8 +77,9 @@ class Image:
     def text_instructions(self, section=None):
         """(address, instruction) pairs decoded from the words of text
         ``section``, or of every text section: what the static verifier
-        scans at module-load time.  A word that does not decode raises
-        ReproError naming its section and offset."""
+        judges and the loader relocates, decoded once per load.  A word
+        that does not decode raises ReproError naming its section and
+        offset."""
         if section is None:
             return [pair for program in self.text_programs()
                     for pair in program.instructions]
@@ -119,11 +120,14 @@ class Image:
 
 
 def text_programs(target):
-    """An Image's decoded text programs, or a bare Program alone."""
+    """An Image's decoded text programs, a bare Program alone, or a list
+    of programs as it is."""
     if isinstance(target, Image):
         return target.text_programs()
     if isinstance(target, Program):
         return [target]
+    if isinstance(target, list):
+        return target
     raise ReproError(f"no code in {target!r}")
 
 

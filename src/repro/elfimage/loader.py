@@ -4,9 +4,11 @@ The loader maps each section's pages through the MMU (allocating
 physical frames from a bump allocator), writes every section's bytes,
 text words included, and returns the per-section frame lists so the
 hypervisor can seal text/rodata or carve out XOM pages.  Its one
-relocation kind is the HostCall slot: every word the text decodes to a
-HostCall moves from its image-local slot past the ones the machine
-already holds, so the loader writes what the verifier decoded.
+relocation kind is the HostCall slot: every word of the decoded text
+programs it is handed (the ones the caller verified) that is a HostCall
+moves from its image-local slot past the ones the machine already
+holds.  The loader decodes nothing itself, so an image is decoded once
+per load and the loader writes what the verifier judged.
 """
 
 from __future__ import annotations
@@ -53,25 +55,28 @@ class ImageLoader:
         self.mmu = mmu
         self.allocator = allocator or FrameAllocator()
 
-    def load(self, image):
-        """Map and write every section, binding decoded HostCall words."""
+    def load(self, image, programs):
+        """Map and write every section, binding the HostCall words of
+        ``programs``, the image's decoded text (``text_programs()``)."""
         phys = self.mmu.phys
         first_slot = len(phys.host_calls)
-        contents = []
-        for section in image.sections.values():
-            data = bytearray(section.data)
-            if section.permissions.x_el1:
-                for address, insn in image.text_instructions(section):
-                    if isinstance(insn, HostCall):
-                        offset = address - section.base
-                        call = insn.bound(first_slot + insn.slot)
-                        data[offset:offset + 4] = call.encoding()
-            contents.append((section, data))
+        contents = {
+            section.base: bytearray(section.data)
+            for section in image.sections.values()
+        }
+        for program in programs:
+            data = contents[program.base]
+            for address, insn in program.instructions:
+                if isinstance(insn, HostCall):
+                    offset = address - program.base
+                    call = insn.bound(first_slot + insn.slot)
+                    data[offset:offset + 4] = call.encoding()
         phys.host_calls.extend(
             call.bound(first_slot + call.slot) for call in image.host_calls
         )
         loaded = LoadedImage(image)
-        for section, data in contents:
+        for section in image.sections.values():
+            data = contents[section.base]
             pages = max(1, (section.size + _PAGE - 1) // _PAGE)
             first_frame = self.allocator.allocate(pages)
             self.mmu.map_range(

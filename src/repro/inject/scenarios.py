@@ -536,7 +536,7 @@ def _sctlr_disable(driver, rng):
     try:
         system.modules.load(module)
     except ModuleRejected:
-        pass  # the static scan held; try the run-time variant
+        pass  # the static verifier held; try the run-time variant
     else:
         return "module accepted (scan missed the MSR!)"
     system.cpu.write_sysreg_checked("SCTLR_EL1", 0)

@@ -30,6 +30,7 @@ exploitation attempt and panics the system.
 
 from __future__ import annotations
 
+from repro.analysis.verifier import RESTORE_USER_KEYS_SYMBOL
 from repro.arch import isa
 from repro.arch.cpu import VBAR_OFFSETS
 from repro.arch.isa import SP
@@ -72,7 +73,6 @@ EXIT_HOUSEKEEPING_CYCLES = 50
 IRQ_HOUSEKEEPING_CYCLES = 40
 
 VECTORS_SYMBOL = "vectors"
-RESTORE_USER_KEYS_SYMBOL = "__restore_user_keys"
 IRQ_HANDLER_SYMBOL = "__handle_irq"
 
 _KEY_REGISTER = {

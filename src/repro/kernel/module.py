@@ -4,12 +4,13 @@ Loading an LKM in the protected kernel involves three extra steps over
 placing its sections:
 
 1. **static verification** — the module's text words, as they will be
-   mapped, are decoded (a word that does not decode rejects it) and
-   scanned for key reads, SCTLR corruption, unsanctioned key writes and
-   PAC-strip instructions, then run through the whole-image CFI verifier
-   (:mod:`repro.analysis.verifier`): sign/auth pairing, naked indirect
-   branches, signing oracles.  A module that fails either check is
-   rejected before any of its code can run, with a dmesg line;
+   mapped, are decoded once (a word that does not decode rejects it)
+   and judged by the verifier (:mod:`repro.analysis.verifier`) as a
+   module: key reads, SCTLR writes, key writes and PAC strips in any
+   word, and sign/auth pairing, naked indirect branches and signing
+   oracles over the functions.  A module with any error is rejected
+   before any of its code can run, with a dmesg line, and the loader
+   maps the very words that were judged;
 2. **sealing** — text and rodata frames are write-protected through the
    hypervisor's stage 2 (the threat model's read-only guarantee);
 3. **signed-pointer fixup** — the module's ``.pauth_ptrs`` table is
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.binscan import scan_image
 from repro.analysis.verifier import verify_image
 from repro.elfimage.ptrtable import sign_in_place
 from repro.errors import ReproError
@@ -31,7 +31,9 @@ __all__ = ["ModuleRejected", "LoadedModule", "ModuleLoader"]
 
 
 class ModuleRejected(ReproError):
-    """The static verifier refused the module."""
+    """The static verifier refused the module.  ``report`` is its
+    :class:`~repro.analysis.verifier.VerifyReport`, or None when a text
+    word did not decode or the name is already loaded."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -63,40 +65,24 @@ class ModuleLoader:
 
     def load(self, image):
         """Load one module image; raises :class:`ModuleRejected` on a
-        duplicate name, a failed static scan or CFI verification, before
-        anything is mapped."""
+        duplicate name or a failed static verification, before anything
+        is mapped."""
         if image.name in self.modules:
-            self._log_rejection(image)
-            raise ModuleRejected(f"module {image.name!r} already loaded")
+            self._reject(image, "already loaded")
         try:
-            report = scan_image(image, forbid_strip=True)
+            programs = image.text_programs()
         except ReproError as error:  # a text word that does not decode
-            self._log_rejection(image)
-            raise ModuleRejected(
-                f"module {image.name!r} failed static verification: {error}"
-            ) from None
+            self._reject(image, f"failed static verification: {error}")
+        report = self.verify(image, programs)
         if not report.ok:
-            self._log_rejection(image)
-            raise ModuleRejected(
-                f"module {image.name!r} failed static verification:\n"
-                f"{report.summary()}",
-                report=report,
-            )
-        verdict = verify_image(
-            image,
-            profile=self.system.profile,
-            sealed_ranges=self._sealed_ranges(image),
-            module=True,
-        )
-        if not verdict.ok:
-            self._log_rejection(image)
-            raise ModuleRejected(
-                f"module {image.name!r} failed CFI verification:\n"
-                f"{verdict.summary()}",
-                report=verdict,
+            self._reject(
+                image,
+                f"failed static verification: {len(report.errors)} "
+                f"violation(s)\n{report.summary()}",
+                report,
             )
         system = self.system
-        loaded = system.loader.load(image)
+        loaded = system.loader.load(image, programs)
         for section in image.sections.values():
             writable = section.permissions.w_el1
             if not writable:
@@ -109,8 +95,20 @@ class ModuleLoader:
         self.modules[image.name] = module
         return module
 
-    def _sealed_ranges(self, image):
-        """Read-only memory the module may legitimately dispatch
+    def verify(self, image, programs):
+        """The :class:`~repro.analysis.verifier.VerifyReport` of a module
+        image whose text decoded to ``programs``: every rule of the
+        system's profile, as a module, over its sealed ranges."""
+        return verify_image(
+            programs,
+            profile=self.system.profile,
+            sealed_ranges=self.sealed_ranges(image),
+            module=True,
+            name=image.name,
+        )
+
+    def sealed_ranges(self, image):
+        """Read-only memory code in ``image`` may legitimately dispatch
         through: its own non-writable sections (sealed right after
         placement), the kernel image's, and the syscall table page."""
         ranges = []
@@ -127,10 +125,12 @@ class ModuleLoader:
         ranges.append((SYSCALL_TABLE, SYSCALL_TABLE + 0x1000))
         return tuple(ranges)
 
-    def _log_rejection(self, image):
+    def _reject(self, image, reason, report=None):
+        """Refuse a module, with a dmesg line."""
         faults = getattr(self.system, "faults", None)
         if faults is not None:
             faults.log(f"module-rejected({image.name})")
+        raise ModuleRejected(f"module {image.name!r} {reason}", report=report)
 
     def _sign_pointers(self, image):
         """Walk the module's ``.pauth_ptrs`` table (Section 4.6)."""

@@ -8,10 +8,10 @@
    :class:`~repro.cfi.policy.ProtectionProfile` — vectors and syscall
    entry (with key switching), ``cpu_switch_to``, the VFS and workqueue
    machinery, generated accessors, and the registered syscall handlers;
-3. **early boot** loads the image, seals text/rodata through the
-   hypervisor, signs the ``.pauth_ptrs`` table, verifies the image with
-   the static key scan, installs the vector base, runs the key setter
-   once and locks the MMU registers down;
+3. **early boot** checks every text word of the image with the
+   verifier's key rule, loads it, seals text/rodata through the
+   hypervisor, signs the ``.pauth_ptrs`` table, installs the vector
+   base, runs the key setter once and locks the MMU registers down;
 4. runtime services: task/process creation with per-thread user keys,
    fd table management, user-program execution at EL0, module loading,
    and the fault manager with the brute-force panic threshold.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.verifier import KeyRegisterRule, verify_image
 from repro.arch.assembler import Assembler
 from repro.arch.cpu import CPU
 from repro.arch.vmsa import VMSAConfig
@@ -35,7 +36,6 @@ from repro.errors import ReproError
 from repro.hyp.hypervisor import Hypervisor
 from repro.kernel import layout
 from repro.kernel.entry import (
-    RESTORE_USER_KEYS_SYMBOL,
     VECTORS_SYMBOL,
     EntryTracepoints,
     build_irq_handler,
@@ -50,7 +50,6 @@ from repro.kernel.syscalls import default_syscalls, write_syscall_table
 from repro.kernel.task import TaskTable, define_task_struct_type
 from repro.kernel.vfs import VfsBuilder, build_fops_table, define_file_type
 from repro.kernel.workqueue import WorkqueueBuilder, define_work_type
-from repro.analysis.binscan import scan_image
 from repro.mem.pagetable import Permissions
 from repro.observe.tracefs import TracefsRegistry
 
@@ -293,8 +292,19 @@ class System:
         image = builder.build()
         self.kernel_image = image
 
-        # 7) load, then seal immutable sections through stage 2.
-        loaded = self.loader.load(image)
+        # 7) static verification of the kernel image itself (R2): the
+        #    key rule judges every decoded text word, vectors included,
+        #    then the loader writes those words and stage 2 seals the
+        #    immutable sections.
+        programs = image.text_programs()
+        report = verify_image(
+            programs, rules=(KeyRegisterRule,), name=image.name
+        )
+        if not report.ok:
+            raise ReproError(
+                f"kernel image failed its own key check:\n{report.summary()}"
+            )
+        loaded = self.loader.load(image, programs)
         for name, section in image.sections.items():
             if not section.permissions.w_el1:
                 for frame in loaded.frames_of(name):
@@ -320,16 +330,7 @@ class System:
                 self.kernel_keys,
             )
 
-        # 10) static verification of the kernel image itself (R2).
-        report = scan_image(
-            image, allowed_symbols=(RESTORE_USER_KEYS_SYMBOL,)
-        )
-        if not report.ok:
-            raise ReproError(
-                f"kernel image failed its own key scan:\n{report.summary()}"
-            )
-
-        # 11) heap, tasks, fault handling, vector base, keys, lockdown.
+        # 10) heap, tasks, fault handling, vector base, keys, lockdown.
         self.loader.map_heap(layout.KERNEL_HEAP_BASE, layout.KERNEL_HEAP_SIZE)
         self.heap = KernelHeap(
             self.mmu, layout.KERNEL_HEAP_BASE, layout.KERNEL_HEAP_SIZE

@@ -131,7 +131,7 @@ class TestLoader:
         mmu = MMU()
         loader = ImageLoader(mmu)
         image = _simple_image()
-        loaded = loader.load(image)
+        loaded = loader.load(image, image.text_programs())
         assert mmu.read_u64(image.address_of("answer"), 1) == 42
         assert mmu.fetch(image.address_of("entry"), 1) is not None
         assert loaded.frames_of(".text")
@@ -140,7 +140,8 @@ class TestLoader:
         from repro.errors import PermissionFault
 
         mmu = MMU()
-        ImageLoader(mmu).load(_simple_image())
+        image = _simple_image()
+        ImageLoader(mmu).load(image, image.text_programs())
         image_rodata = 0  # resolved below
         image = _simple_image("img2")  # same layout
         with pytest.raises(PermissionFault):
@@ -169,7 +170,8 @@ class TestLoader:
 
     def test_unloaded_section_frames_raise(self):
         loader = ImageLoader(MMU())
-        loaded = loader.load(_simple_image())
+        image = _simple_image()
+        loaded = loader.load(image, image.text_programs())
         with pytest.raises(ReproError):
             loaded.frames_of(".missing")
 
@@ -185,7 +187,7 @@ class TestSignedPointerTable:
         mmu = MMU()
         loader = ImageLoader(mmu)
         image = _simple_image()
-        loader.load(image)
+        loader.load(image, image.text_programs())
         keys = KeyBank()
         keys.ia = PAuthKey(0x77, 0x88)
         engine = PACEngine()
@@ -203,7 +205,7 @@ class TestSignedPointerTable:
         mmu = MMU()
         loader = ImageLoader(mmu)
         image = _simple_image()
-        loader.load(image)
+        loader.load(image, image.text_programs())
         keys = KeyBank()
         keys.ia = PAuthKey(0x77, 0x88)
         engine = PACEngine()

@@ -45,8 +45,8 @@ MODULES = sorted(
 
 #: Modules that booting a system and running a user program must not
 #: load: ``repro.bench`` and ``repro.inject`` sit on top of the kernel,
-#: and the kernel's module loader needs only the binary scan and the
-#: verifier of ``repro.analysis``.
+#: and the kernel's boot and module loader need only the verifier (and
+#: the CFG recovery beneath it) of ``repro.analysis``.
 NOT_LOADED_BY_A_BOOT = (
     "repro.bench",
     "repro.inject",

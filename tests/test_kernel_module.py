@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.analysis.verifier import verify_image
 from repro.arch import isa
 from repro.arch.assembler import Assembler
 from repro.cfi.instrument import Compiler
 from repro.cfi.keys import KeyRole
-from repro.elfimage.image import DataSectionBuilder, ImageBuilder
+from repro.elfimage.image import DataSectionBuilder, Image, ImageBuilder
 from repro.errors import PermissionFault
 from repro.kernel import System
 from repro.kernel.module import ModuleRejected
@@ -122,7 +123,7 @@ class TestStaticVerification:
         module = _evil_module([isa.Mrs(0, "APIAKeyHi_EL1")])
         with pytest.raises(ModuleRejected) as info:
             system.modules.load(module)
-        assert info.value.report.violations[0].register == "APIAKeyHi_EL1"
+        assert "APIAKeyHi_EL1" in info.value.report.errors[0].message
 
     def test_sctlr_write_rejected(self):
         system = System(profile="full")
@@ -183,7 +184,7 @@ class TestLoadedBytes:
         text = _patch_text(image, 0, instruction.encoding(MODULE_BASE))
         with pytest.raises(ModuleRejected) as info:
             system.modules.load(image)
-        assert info.value.report.violations[0].address == text.base
+        assert info.value.report.errors[0].address == text.base
         with pytest.raises(TranslationFault):
             system.mmu.read_u64(MODULE_BASE, 1)
 
@@ -258,3 +259,94 @@ class TestLoadedBytes:
         assert any(isinstance(insn, isa.HostCall) for _, insn in pairs)
         for address, insn in pairs:
             assert _mapped_word(system, address) == insn.encoding(address)
+
+
+_GAP_WORDS = [
+    pytest.param(isa.Mrs(0, "APIAKeyLo_EL1"), "key-register", id="mrs-key"),
+    pytest.param(isa.Msr("APIAKeyLo_EL1", 0), "key-register", id="msr-key"),
+    pytest.param(isa.Msr("SCTLR_EL1", 0), "key-register", id="msr-sctlr"),
+    pytest.param(isa.Xpac(0), "strip-gadget", id="xpaci"),
+]
+
+
+def _word_before_first_function(word, name="gap"):
+    """The word, then the module's first function symbol."""
+    asm = Assembler(MODULE_BASE)
+    asm.emit(word)
+    asm.fn(f"{name}_init")
+    asm.emit(isa.Movz(0, 1, 0), isa.Ret())
+    builder = ImageBuilder(name, MODULE_BASE)
+    builder.add_text(".text", asm.assemble())
+    return builder.build(), MODULE_BASE, "?"
+
+
+def _word_in_unnamed_section(word, name="gap"):
+    """A clean ``.text``, then an executable section with no function
+    symbol: a label, the word and a RET."""
+    builder = ImageBuilder(name, MODULE_BASE)
+    asm = Assembler(MODULE_BASE)
+    asm.fn(f"{name}_init")
+    asm.emit(isa.Movz(0, 1, 0), isa.Ret())
+    builder.add_text(".text", asm.assemble())
+    extra = Assembler(builder.next_base())
+    extra.label(f"{name}_extra")
+    extra.emit(word, isa.Ret())
+    builder.add_text(".text.extra", extra.assemble())
+    image = builder.build()
+    return image, image.section(".text.extra").base, f"{name}_extra"
+
+
+class TestWordsOutsideFunctions:
+    """No key read, key write, SCTLR write or strip escapes the verifier
+    because it sits outside every function's extent."""
+
+    @pytest.mark.parametrize("word, rule", _GAP_WORDS)
+    @pytest.mark.parametrize(
+        "place", [_word_before_first_function, _word_in_unnamed_section],
+        ids=["before-first-function", "unnamed-section"],
+    )
+    def test_word_flagged_and_module_rejected(self, word, rule, place):
+        image, address, owner = place(word)
+        report = verify_image(image, module=True)
+        assert [(f.rule, f.function, f.address) for f in report.errors] == [
+            (rule, owner, address)
+        ], report.summary()
+        system = System(profile="full")
+        with pytest.raises(ModuleRejected) as info:
+            system.modules.load(image)
+        assert info.value.report.errors == report.errors
+        for section in image.sections.values():
+            assert system.mmu.frame_of(section.base) is None
+
+
+class TestDecodeOnce:
+    """Each load decodes an image's text once: the words the verifier
+    judges are the words the loader relocates and maps."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        counts = {}
+        decode = Image.text_instructions
+
+        def counted(image, section=None):
+            key = (image.name, section.name if section else None)
+            counts[key] = counts.get(key, 0) + 1
+            return decode(image, section)
+
+        monkeypatch.setattr(Image, "text_instructions", counted)
+        return counts
+
+    def test_boot_decodes_each_kernel_text_section_once(self, decodes):
+        system = System(profile="full")
+        text = [
+            ("vmlinux", section.name)
+            for section in system.kernel_image.sections.values()
+            if section.permissions.x_el1
+        ]
+        assert decodes == dict.fromkeys(text, 1)
+
+    def test_module_load_decodes_its_text_once(self, decodes):
+        system = System(profile="full")
+        decodes.clear()
+        system.modules.load(_benign_module(system))
+        assert decodes == {("testmod", ".text"): 1}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import isa
-from repro.analysis.binscan import scan_image
+from repro.analysis.verifier import KeyRegisterRule, verify_image
 from repro.errors import PermissionFault
 from repro.kernel import System, open_file
 from repro.kernel.entry import RESTORE_USER_KEYS_SYMBOL
@@ -44,11 +44,10 @@ class TestBoot:
         assert fresh.cpu.regs.keys.ib.lo == fresh.kernel_keys.ib.lo
 
     def test_kernel_image_passes_static_scan(self, full_system):
-        report = scan_image(
-            full_system.kernel_image,
-            allowed_symbols=(RESTORE_USER_KEYS_SYMBOL,),
+        report = verify_image(
+            full_system.kernel_image, rules=(KeyRegisterRule,)
         )
-        assert report.ok, report.summary()
+        assert report.clean, report.summary()
 
     def test_inner_label_ends_no_function_range(self):
         # Where a function ends is one rule for the key-write exemption,
@@ -65,21 +64,31 @@ class TestBoot:
         assert image.function_ranges()[RESTORE_USER_KEYS_SYMBOL] == (
             start, end
         )
-        report = scan_image(image, allowed_symbols=(RESTORE_USER_KEYS_SYMBOL,))
-        assert report.ok, report.summary()
+        report = verify_image(image, rules=(KeyRegisterRule,))
+        assert report.clean, report.summary()
         tracepoints = EntryTracepoints(system, Tracer())
         assert tracepoints._regions["user"] == (start, end)
 
     def test_kernel_image_without_whitelist_flags_restore_stub(self):
-        # Sanity check that the scan actually sees the key MSRs.
+        # Sanity check that the key rule actually sees the key MSRs:
+        # judged as a module, the kernel has no sanctioned key writer,
+        # and exactly the restore stub's six MSRs are flagged.
         system = System(profile="full")
-        report = scan_image(system.kernel_image)
-        assert not report.ok
+        image = system.kernel_image
+        report = verify_image(image, rules=(KeyRegisterRule,), module=True)
+        start, end = image.function_ranges()[RESTORE_USER_KEYS_SYMBOL]
+        assert len(report.errors) == 6, report.summary()
+        for finding in report.errors:
+            assert finding.function == RESTORE_USER_KEYS_SYMBOL
+            assert start <= finding.address < end
+            assert finding.message.startswith("'msr ")
 
     def test_none_profile_has_no_key_msrs(self):
         system = System(profile="none")
-        report = scan_image(system.kernel_image)
-        assert report.ok
+        report = verify_image(
+            system.kernel_image, rules=(KeyRegisterRule,), module=True
+        )
+        assert report.clean, report.summary()
 
     def test_rodata_sealed_by_hypervisor(self, full_system):
         table = full_system.kernel_symbol("ext4_fops")

@@ -5,8 +5,14 @@ import pytest
 from repro.arch import isa
 from repro.arch.assembler import Assembler
 from repro.arch.isa import SP
-from repro.arch.registers import FP, LR
-from repro.analysis.verifier import verify_image
+from repro.arch.registers import FP, KEY_REGISTER_NAMES, LR
+from repro.analysis.cfg import recover_cfg
+from repro.analysis.verifier import (
+    RESTORE_USER_KEYS_SYMBOL,
+    KeyRegisterRule,
+    StripGadgetRule,
+    verify_image,
+)
 from repro.cfi.instrument import Compiler, frame_pop, frame_push
 from repro.cfi.modifiers import SCHEMES
 from repro.cfi.policy import ProtectionProfile, profile_by_name
@@ -256,11 +262,143 @@ class TestSeededViolations:
         ), report.findings
 
 
+# The word rules, one case a row: (functions, module, expected), where
+# ``functions`` lays out ``(name, words)`` in order, each function ending
+# in RET, and ``expected`` lists the ``(rule, function)`` of every
+# finding, or is empty for clean code.
+_STUB = RESTORE_USER_KEYS_SYMBOL
+_KEY_READ = isa.Mrs(3, "APDBKeyHi_EL1")
+_KEY_WRITE = isa.Msr("APIBKeyLo_EL1", 1)
+_SCTLR_WRITE = isa.Msr("SCTLR_EL1", 0)
+_KR, _SG = "key-register", "strip-gadget"
+
+WORD_RULE_TABLE = [
+    pytest.param(
+        [("victim", [isa.Movz(0, 1, 0), isa.Mrs(0, "CONTEXTIDR_EL1")])],
+        False, [], id="clean-code",
+    ),
+    pytest.param(
+        [("victim", [isa.Msr("CONTEXTIDR_EL1", 0)])], True, [],
+        id="benign-msr-clean",
+    ),
+    pytest.param(
+        [("victim", [_KEY_READ])], False, [(_KR, "victim")],
+        id="key-read-flagged",
+    ),
+    *[
+        pytest.param(
+            [("victim", [isa.Mrs(0, name)])], False, [(_KR, "victim")],
+            id=f"key-read-{name}",
+        )
+        for name in KEY_REGISTER_NAMES
+    ],
+    pytest.param(
+        [(_STUB, [_KEY_READ])], False, [(_KR, _STUB)],
+        id="key-read-in-restore-stub-flagged",
+    ),
+    pytest.param(
+        [("victim", [_SCTLR_WRITE])], False, [(_KR, "victim")],
+        id="sctlr-write-flagged",
+    ),
+    pytest.param(
+        [(_STUB, [_SCTLR_WRITE])], False, [(_KR, _STUB)],
+        id="sctlr-write-in-restore-stub-flagged",
+    ),
+    pytest.param(
+        [("victim", [_KEY_WRITE])], False, [(_KR, "victim")],
+        id="kernel-key-write-outside-stub-flagged",
+    ),
+    pytest.param(
+        [(_STUB, [_KEY_WRITE, isa.Msr("APIBKeyHi_EL1", 2)])], False, [],
+        id="kernel-key-write-in-stub-clean",
+    ),
+    pytest.param(
+        [(_STUB, [_KEY_WRITE]), ("after", [isa.Msr("APIBKeyHi_EL1", 2)])],
+        False, [(_KR, "after")],
+        id="kernel-key-write-one-word-past-stub-flagged",
+    ),
+    pytest.param(
+        [(_STUB, [_KEY_WRITE])], True, [(_KR, _STUB)],
+        id="module-key-write-in-stub-flagged",
+    ),
+    pytest.param(
+        [("cpu_switch_to", [_KEY_WRITE])], True, [(_KR, "cpu_switch_to")],
+        id="module-key-write-in-allowed-symbol-flagged",
+    ),
+    pytest.param(
+        [("victim", [isa.Xpac(5), isa.Xpac(7, data=True)])], False, [],
+        id="kernel-strip-clean",
+    ),
+    pytest.param(
+        [("victim", [isa.Xpac(5)])], True, [(_SG, "victim")],
+        id="module-xpaci-flagged",
+    ),
+    pytest.param(
+        [("victim", [isa.Xpac(7, data=True)])], True, [(_SG, "victim")],
+        id="module-xpacd-flagged",
+    ),
+    pytest.param(
+        [(_STUB, [isa.Xpac(5)])], True, [(_SG, _STUB)],
+        id="module-strip-in-stub-flagged",
+    ),
+]
+
+
+def _laid_out(functions):
+    asm = Assembler(BASE)
+    for name, words in functions:
+        asm.fn(name)
+        asm.emit(*words, isa.Ret())
+    return asm.assemble()
+
+
+class TestWordRules:
+    """Key reads, SCTLR writes, key writes and strips (§4.1, §6.2.2)."""
+
+    @pytest.mark.parametrize("functions, module, expected", WORD_RULE_TABLE)
+    def test_table(self, functions, module, expected):
+        program = _laid_out(functions)
+        report = verify_image(
+            program, module=module, rules=(KeyRegisterRule, StripGadgetRule)
+        )
+        found = [(f.rule, f.function) for f in report.findings]
+        assert found == expected, report.summary()
+        words = dict(program.instructions)
+        for finding in report.findings:
+            assert finding.severity == "error"
+            assert words[finding.address].text() in finding.message
+        if not expected:
+            assert report.summary().endswith("clean")
+
+    def test_summary_lists_each_finding_with_its_register(self):
+        program = _laid_out(
+            [("victim", [isa.Mrs(0, "APIAKeyLo_EL1"), isa.Xpac(5),
+                         _SCTLR_WRITE, _KEY_WRITE])]
+        )
+        report = verify_image(program, module=True)
+        lines = report.summary().splitlines()[1:]
+        assert len(lines) == 4, report.summary()
+        for line, text in zip(lines, [
+            "mrs x0, APIAKeyLo_EL1", "xpaci x5", "msr SCTLR_EL1, x0",
+            "msr APIBKeyLo_EL1, x1",
+        ]):
+            assert text in line
+        assert "reads a PAuth key register (R2)" in lines[0]
+        assert "could clear the PAuth enable flags (R2)" in lines[2]
+        assert f"outside the kernel's {RESTORE_USER_KEYS_SYMBOL}" in lines[3]
+
+    def test_key_rule_runs_under_every_profile(self):
+        program = _laid_out([("victim", [_KEY_READ])])
+        for name in ("none", "backward", "full"):
+            report = verify_image(program, profile=profile_by_name(name))
+            assert [f.rule for f in report.errors] == ["key-register"]
+
+
 class TestKernelImages:
     @pytest.mark.parametrize("name", ["full", "backward", "none"])
     def test_stock_kernel_verifies_clean(self, name):
         system = System(profile=name)
-        sealed = system.modules._sealed_ranges(system.kernel_image)
+        sealed = system.modules.sealed_ranges(system.kernel_image)
         report = verify_image(
             system.kernel_image,
             profile=system.profile,
@@ -277,13 +415,40 @@ class TestKernelImages:
             compat=True,
         )
         system = System(profile=profile)
-        sealed = system.modules._sealed_ranges(system.kernel_image)
+        sealed = system.modules.sealed_ranges(system.kernel_image)
         report = verify_image(
             system.kernel_image,
             profile=system.profile,
             sealed_ranges=sealed,
         )
         assert report.clean, report.summary()
+
+    def test_key_rule_judges_every_kernel_text_word(self):
+        # The CFG covers 544 of the kernel's 672 text words; the other
+        # 128 are the vector table, before the first function of its
+        # section.  A key read planted in each of them is flagged, and
+        # named after the symbol it follows.
+        system = System(profile="full")
+        programs = system.kernel_image.text_programs()
+        cfg = recover_cfg(programs)
+        inside = {
+            address
+            for fcfg in cfg.functions.values()
+            for address, _ in fcfg.instructions()
+        }
+        assert sum(len(p.instructions) for p in programs) == 672
+        assert len(inside) == cfg.instruction_count == 544
+        outside = set()
+        for program in programs:
+            for index, (address, _) in enumerate(program.instructions):
+                if address not in inside:
+                    outside.add(address)
+                    program.instructions[index] = (address, _KEY_READ)
+        report = verify_image(programs, rules=(KeyRegisterRule,))
+        assert report.instructions == 544
+        assert len(outside) == 128
+        assert {f.address for f in report.errors} == outside
+        assert {f.function for f in report.errors} == {"vectors"}
 
     def test_report_to_dict_round_trips(self):
         profile = _profile()
@@ -310,7 +475,7 @@ class TestModuleLoader:
         system = System(profile="full")
         with pytest.raises(ModuleRejected) as info:
             system.modules.load(self._evil([isa.Blr(3)]))
-        assert "failed CFI verification" in str(info.value)
+        assert "failed static verification" in str(info.value)
         assert any(
             f.rule == "naked-branch" for f in info.value.report.findings
         )
