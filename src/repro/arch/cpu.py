@@ -8,7 +8,8 @@ An interpreter over :mod:`repro.arch.isa` instruction objects with:
   key bank, gated by the SCTLR enable bits);
 * a cycle cost model in which every PAuth computation costs the
   PA-analogue 4 cycles and PAuth key-register writes carry the extra
-  cost the paper measures as ~9 cycles per key (Section 6.1.1);
+  cost the paper measures as ~9 cycles per key (Section 6.1.1,
+  ``isa.KEY_WRITE_EXTRA_CYCLES``);
 * an optional feature set: construct with ``features=frozenset()`` for
   an ARMv8.0 core, on which HINT-space PAuth instructions are NOPs and
   general PAuth instructions are undefined (Section 5.5).
@@ -22,6 +23,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from repro import hotpath
+from repro.arch import isa
 from repro.arch.isa import get_operand, set_operand
 from repro.arch.pac import PACEngine
 from repro.arch.registers import KEY_REGISTERS, RegisterFile
@@ -45,15 +47,65 @@ VBAR_OFFSETS = {
     ("irq", 0): 0x480,
 }
 
-#: Extra MSR cycles when writing half of a PAuth key register.  Zero in
-#: the default calibration: with 2-cycle MSRs, installing one key from
-#: immediates (8 moves + 2 MSRs = 12 cycles) and restoring one key from
-#: memory (1 LDP + 2 MSRs = 6 cycles) average exactly 9 cycles per key
-#: per switch — the paper's Section 6.1.1 measurement (avg 8.88).
-KEY_WRITE_EXTRA_CYCLES = 0
-
 #: Longest translation block, in instructions.
 BLOCK_LIMIT = 64
+
+#: Runs of a cached block after which its body runs as one generated
+#: function (``_compile_body``).  Most of a new task's blocks run only
+#: a few times, too few to repay the compile.
+HOT_BLOCK_RUNS = 8
+
+#: Generated block functions by source text, so blocks with the same
+#: instructions (a rebuilt task's, say) share one code object.  Cleared
+#: when full.
+_BLOCK_CODE = {}
+_BLOCK_CODE_LIMIT = 4096
+
+_BODY_HEAD = """\
+def body(cpu, executes, generation):
+    regs = cpu.regs
+    x = regs.x
+    sp = regs.sp_el
+    mmu = cpu.mmu
+    cell = mmu.generation
+    i = 0
+    try:
+"""
+_BODY_TAIL = """\
+    except BaseException:
+        cpu._block_fault = i
+        raise
+"""
+
+
+def _compile_body(instructions, el, page_size):
+    """One function running every entry of ``instructions`` but the
+    last at ``el``: ``body(cpu, executes, generation)``.  A class with
+    a template runs inlined, its operands as literals; any other is
+    called through ``executes``.  After each store or call, a moved
+    ``generation`` returns the number of entries run; None means all
+    ran.  An entry that raises leaves its index in
+    ``cpu._block_fault``."""
+    lines = []
+    for index, instruction in enumerate(instructions[:-1]):
+        inlined = instruction.inline(el, page_size)
+        text = "\n".join(inlined or ())
+        if inlined is None or "mmu." in text or "raise" in text:
+            lines.append(f"i = {index}")
+        lines += [f"executes[{index}](cpu)"] if inlined is None else inlined
+        if inlined is None or "mmu.write" in text:
+            lines.append(f"if cell.value != generation: return {index + 1}")
+    source = _BODY_HEAD + "".join(
+        f"        {line}\n" for line in lines or ["pass"]
+    ) + _BODY_TAIL
+    body = _BLOCK_CODE.get(source)
+    if body is None:
+        if len(_BLOCK_CODE) >= _BLOCK_CODE_LIMIT:
+            _BLOCK_CODE.clear()
+        namespace = {}
+        exec(compile(source, "<translation block>", "exec"), vars(isa), namespace)
+        body = _BLOCK_CODE[source] = namespace["body"]
+    return body
 
 
 class DecodeCacheStats:
@@ -86,10 +138,11 @@ class CPU:
     ``step()`` and ``run()`` share one interpreter loop.  With the
     host-side caches on, it dispatches per translation block: one
     decode-cache probe per ``(pc, EL)`` yields the straight-line run of
-    instructions up to the next branch, exception, MSR or HostCall,
-    executed back to back.  Every architectural effect — PC, cycles,
-    retired count, faults, IRQ delivery, tracing — is the same as one
-    instruction at a time (``tests/test_diff_cached.py``).
+    instructions up to the next branch, exception or HostCall, executed
+    back to back (once hot, as one generated function).  Every
+    architectural effect — PC, cycles, retired count, faults, IRQ
+    delivery, tracing — is the same as one instruction at a time
+    (``tests/test_diff_cached.py``, ``tests/test_block_compile.py``).
 
     Parameters
     ----------
@@ -155,6 +208,8 @@ class CPU:
         self._decode_enabled = hotpath.caches_enabled()
         self._decode_cache = {}
         self._decode_pages = {}
+        #: Index of the entry a compiled block body raised at.
+        self._block_fault = 0
         self.decode_stats = DecodeCacheStats()
         if self._decode_enabled:
             self.mmu.generation.register(
@@ -239,7 +294,8 @@ class CPU:
     # -- system registers -------------------------------------------------------
 
     def write_sysreg_checked(self, name, value):
-        """MSR path: hypervisor lock check + key-write surcharge."""
+        """MSR path: hypervisor lock check, then the write (a key write's
+        surcharge is in ``Msr.cost_on``)."""
         if self.sysreg_write_hook is not None:
             self.sysreg_write_hook(self, name, value)
         if name == "APKSSEL_EL1" and not self.has_banked_keys:
@@ -270,9 +326,7 @@ class CPU:
                 # The registers do not exist on v8.0; the paper's
                 # PA-analogue substitutes CONTEXTIDR_EL1 writes.
                 self.regs.sysregs[f"shadow:{name}"] = value
-                self.cycles += KEY_WRITE_EXTRA_CYCLES
                 return
-            self.cycles += KEY_WRITE_EXTRA_CYCLES
             key = getattr(self._key_bank(), target[0])
             self.pac.note_key_write(key)
             setattr(key, target[1], value & _MASK64)
@@ -379,15 +433,16 @@ class CPU:
     def _build_block(self, pc, el, limit=BLOCK_LIMIT):
         """The translation block at ``pc``: instructions up to and
         including the first block-ending one, within one page and at
-        most ``limit`` long, as ``(instructions, executes, body,
-        costs)``: their bound ``execute``s, those of all but the last,
-        and cycle-cost prefix sums (``costs[k]`` is the cost of the
-        first ``k``).  Only the first fetch may raise; a later one that
-        faults ends the block before it, so the fault is raised when
-        (and only if) execution reaches that word.  ``execute`` and the
-        costs are cacheable: ``cost_on`` depends only on the immutable
-        feature set, and any write to a code frame moves the machine
-        generation.
+        most ``limit`` long, as ``[instructions, executes, body, costs,
+        compiled, runs]``: their bound ``execute``s, those of all but
+        the last, cycle-cost prefix sums (``costs[k]`` is the cost of
+        the first ``k``), the generated body once the block is hot
+        (``_compile_body``) and the runs before that.  Only the first
+        fetch may raise; a later one that faults ends the block before
+        it, so the fault is raised when (and only if) execution reaches
+        that word.  ``execute`` and the costs are cacheable: ``cost_on``
+        depends only on the operands and the immutable feature set, and
+        any write to a code frame moves the machine generation.
         """
         fetch = self.mmu.fetch
         page_mask = self.mmu.page_size - 1
@@ -402,7 +457,7 @@ class CPU:
                 break
         executes = tuple([i.execute for i in instructions])
         costs = (0, *accumulate([i.cost_on(self) for i in instructions]))
-        return tuple(instructions), executes, executes[:-1], costs
+        return [tuple(instructions), executes, executes[:-1], costs, None, 0]
 
     def _execute(self, budget):
         """The one interpreter loop: up to ``budget`` steps, stopping at
@@ -410,22 +465,24 @@ class CPU:
         up one step.
 
         A decode-cache probe yields a whole translation block.  Every
-        entry but the last runs as a bare ``execute``; ``regs.pc``,
-        ``cycles`` and ``instructions_retired`` are set once, from the
-        block's cost prefix, just before the last entry runs.  Only
-        block enders read them or run host code (a hook may halt the
-        core, attach a tracer or write code), so each instruction sees
-        the same state as one step at a time.  A fault mid-block, or a
-        moved generation (a store over code, say) after an entry, ends
-        the block there, and the state is rebuilt from the prefix.
-        Only the first entry runs when a tracer is attached, an IRQ is
-        pending or a timer is armed, or fewer than the block's length
-        of steps remain, so ``step()``, tracing and IRQ delivery stay
-        per instruction."""
+        entry but the last runs as a bare ``execute`` or, once the block
+        has run ``HOT_BLOCK_RUNS`` times, inside its generated body;
+        ``regs.pc``, ``cycles`` and ``instructions_retired`` are set
+        once, from the block's cost prefix, just before the last entry
+        runs.  Only block enders read them or run host code (a hook may
+        halt the core, attach a tracer or write code), so each
+        instruction sees the same state as one step at a time.  A fault
+        mid-block, or a moved generation (a store over code, say) after
+        an entry, ends the block there, and the state is rebuilt from
+        the prefix.  Only the first entry runs when a tracer is
+        attached, an IRQ is pending or a timer is armed, or fewer than
+        the block's length of steps remain, so ``step()``, tracing and
+        IRQ delivery stay per instruction."""
         regs = self.regs
         cache = self._decode_cache
         pages = self._decode_pages
         shift, mask = self.mmu.page_shift, self.mmu.vpn_mask
+        page_size = self.mmu.page_size
         generation_cell = self.mmu.generation
         decode_enabled = self._decode_enabled
         stats = self.decode_stats
@@ -452,7 +509,7 @@ class CPU:
                         pages.setdefault(start >> shift & mask, []).append(key)
                     else:
                         built = False
-                    instructions, executes, body, costs = block
+                    instructions, executes, body, costs, compiled, runs = block
                     # Per-instruction mode, through the same cache.
                     if (
                         interrupts
@@ -460,21 +517,41 @@ class CPU:
                         or budget - steps < len(executes)
                     ):
                         body = ()
+                        compiled = None
+                    elif compiled is None and body:
+                        if runs < HOT_BLOCK_RUNS:
+                            block[5] = runs + 1
+                        else:
+                            compiled = block[4] = _compile_body(
+                                instructions, key[1], page_size
+                            )
                 else:
-                    instructions, executes, body, costs = self._build_block(
-                        start, regs.current_el, 1
+                    instructions, executes, body, costs, compiled, _ = (
+                        self._build_block(start, regs.current_el, 1)
                     )
-                for execute in body:
-                    execute(self)
-                    done += 1
-                    if generation_cell.value != generation:
-                        # A store moved the generation: the block ends
-                        # here, as if this entry were its last.
-                        self.cycles = cycles + costs[done]
-                        self.instructions_retired = retired + done
-                        next_pc = None
-                        break
+                moved = None
+                if compiled is None:
+                    for execute in body:
+                        execute(self)
+                        done += 1
+                        if generation_cell.value != generation:
+                            moved = done
+                            break
                 else:
+                    try:
+                        moved = compiled(self, executes, generation)
+                    except BaseException:
+                        done = self._block_fault
+                        raise
+                if moved is not None:
+                    # A store moved the generation: the block ends here,
+                    # as if this entry were its last.
+                    done = moved
+                    self.cycles = cycles + costs[done]
+                    self.instructions_retired = retired + done
+                    next_pc = None
+                else:
+                    done = len(body)
                     regs.pc = start + 4 * done
                     self.cycles = cycles + costs[done + 1]
                     self.instructions_retired = retired + done

@@ -18,15 +18,19 @@ Register operand conventions:
 
 ``execute`` indexes the register storage (``regs.x``, ``regs.sp_el``)
 directly; operands that may name SP go through :func:`get_operand` and
-:func:`set_operand`, the one home of the XZR/SP routing rule.
+:func:`set_operand`, the one home of the XZR/SP routing rule.  A class
+that states its semantics as a ``template`` gets its ``execute`` built
+from it, and the CPU inlines the same template into compiled blocks
+(:meth:`Instruction.inline`).
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 
-from repro.arch.registers import LR, SYSTEM_REGISTERS, XZR
+from repro.arch.registers import KEY_REGISTERS, LR, SYSTEM_REGISTERS, XZR
 from repro.errors import ReproError, UndefinedInstructionFault
 
 __all__ = [
@@ -55,6 +59,13 @@ SP = 32
 #: Estimated computational overhead of one PAuth instruction — the
 #: "PA-analogue" cost from the paper (4 cycles per instruction).
 PAUTH_CYCLES = 4
+
+#: Extra MSR cycles when writing half of a PAuth key register.  Zero in
+#: the default calibration: with 2-cycle MSRs, installing one key from
+#: immediates (8 moves + 2 MSRs = 12 cycles) and restoring one key from
+#: memory (1 LDP + 2 MSRs = 6 cycles) average exactly 9 cycles per key
+#: per switch — the paper's Section 6.1.1 measurement (avg 8.88).
+KEY_WRITE_EXTRA_CYCLES = 0
 
 _MASK64 = (1 << 64) - 1
 
@@ -116,16 +127,117 @@ def set_operand(regs, index, value):
         regs.x[index] = value & _MASK64
 
 
+#: A template slot: ``{name}``, or ``{name:n}`` for the operand number
+#: of a register field rather than the register's value.
+_SLOT = re.compile(r"\{(\w+)(:n)?\}")
+
+
+def _expand(cls, read, value):
+    """``cls.template`` as ``(indent, target, text)`` lines.  A line
+    ``{rd} = ...`` writes register field ``rd`` (its target; any other
+    line's is None) and must have a right-hand side without side
+    effects.  Each slot becomes ``read(name)`` for a register field and
+    ``value(name)`` otherwise: another field, ``el`` (the exception
+    level) or ``page`` (the page size)."""
+    registers = {name for name, field in cls.fields if field in (_X, _XSP)}
+
+    def slot(match):
+        name, number = match.groups()
+        return read(name) if name in registers and not number else value(name)
+
+    for line in cls.template:
+        text = line.lstrip()
+        target, equals, rhs = text.partition(" = ")
+        indent = line[: len(line) - len(text)]
+        if equals and target[0] == "{" and target[1:-1] in registers:
+            yield indent, target[1:-1], _SLOT.sub(slot, rhs)
+        else:
+            yield indent, None, _SLOT.sub(slot, text)
+
+
+def _template_execute(cls):
+    """``cls.execute``, built from ``cls.template``: X-register fields
+    index ``regs.x`` (slot 31 reads 0, a write to it is skipped) and
+    SP-capable ones go through :func:`get_operand`/:func:`set_operand`."""
+    with_sp = {name for name, field in cls.fields if field is _XSP}
+
+    def read(name):
+        if name in with_sp:
+            return f"get_operand(regs, self.{name})"
+        return f"x[self.{name}]"
+
+    def value(name):
+        return {"el": "regs.current_el", "page": "mmu.page_size"}.get(
+            name, f"self.{name}"
+        )
+
+    body = []
+    for indent, target, text in _expand(cls, read, value):
+        if target in with_sp:
+            text = f"set_operand(regs, self.{target}, {text})"
+        elif target is not None:
+            text = f"if self.{target} != XZR: x[self.{target}] = {text}"
+        body.append(indent + text)
+    uses = set(re.findall(r"\b(regs|x|mmu)\b", "\n".join(body)))
+    prologue = (
+        ["regs = cpu.regs"] * bool(uses & {"regs", "x"})
+        + ["x = regs.x"] * ("x" in uses)
+        + ["mmu = cpu.mmu"] * ("mmu" in uses)
+    )
+    source = "\n    ".join(["def execute(self, cpu):", *prologue, *body, "pass"])
+    namespace = {}
+    exec(compile(source, f"<{cls.__name__}.execute>", "exec"), globals(), namespace)
+    execute = namespace["execute"]
+    execute.__qualname__ = f"{cls.__name__}.execute"
+    return execute
+
+
 class Instruction:
     """Base class: one 4-byte instruction."""
 
     mnemonic = "???"
     cycles = 1
     #: True when the CPU ends a translation block after this instruction:
-    #: every :func:`branch_kind` class, MSR and HostCall.
+    #: every :func:`branch_kind` class and HostCall.
     ends_block = False
     #: (attribute, field) pairs, packed from bit 0 upward.
     fields = ()
+    #: The semantics as source lines with operand slots (see
+    #: :func:`_expand`), or None: ``execute`` is built from it, and the
+    #: CPU inlines it into compiled blocks.  ``cpu``, ``x`` (the
+    #: registers), ``mmu`` and this module's globals are bound; ``a``,
+    #: ``v`` and ``w`` are free for temporaries.
+    template = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "template" in cls.__dict__:
+            cls.execute = _template_execute(cls)
+
+    def inline(self, el, page_size):
+        """The template's lines with this instruction's operands as
+        literals, for code that runs at ``el``: XZR reads 0, SP is
+        ``sp[el]``.  None for a class without a template."""
+        if self.template is None:
+            return None
+
+        def read(name):
+            index = getattr(self, name)
+            if index == SP:
+                return f"sp[{el}]"
+            return "0" if index == XZR else f"x[{index}]"
+
+        special = {"el": el, "page": page_size}
+
+        def value(name):
+            return repr(special[name] if name in special else getattr(self, name))
+
+        lines = []
+        for indent, target, text in _expand(type(self), read, value):
+            if target is not None and getattr(self, target) != XZR:
+                text = f"{read(target)} = {text}"
+            lines.append(indent + text)
+        return lines
 
     def cost_on(self, cpu):
         """Cycle cost on a specific core (feature-dependent)."""
@@ -182,10 +294,7 @@ class Movz(Instruction):
     shift: int = 0
     mnemonic = "movz"
     fields = (("imm16", _IMM16), ("rd", _X), ("shift", _HALFWORD))
-
-    def execute(self, cpu):
-        if self.rd != XZR:
-            cpu.regs.x[self.rd] = (self.imm16 & 0xFFFF) << self.shift
+    template = ("{rd} = ({imm16} & 0xFFFF) << {shift}",)
 
     def text(self):
         return f"{self.mnemonic} x{self.rd}, #{self.imm16:#x}, lsl #{self.shift}"
@@ -200,13 +309,9 @@ class Movk(Instruction):
     shift: int = 0
     mnemonic = "movk"
     fields = Movz.fields
-
-    def execute(self, cpu):
-        if self.rd != XZR:
-            x = cpu.regs.x
-            x[self.rd] = (x[self.rd] & ~(0xFFFF << self.shift)) | (
-                (self.imm16 & 0xFFFF) << self.shift
-            )
+    template = (
+        "{rd} = ({rd} & ~(0xFFFF << {shift})) | (({imm16} & 0xFFFF) << {shift})",
+    )
 
     text = Movz.text
 
@@ -219,10 +324,7 @@ class MovReg(Instruction):
     rn: int
     mnemonic = "mov"
     fields = (("rd", _XSP), ("rn", _XSP))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        set_operand(regs, self.rd, get_operand(regs, self.rn))
+    template = ("{rd} = {rn}",)
 
     def text(self):
         return f"mov {_reg(self.rd)}, {_reg(self.rn)}"
@@ -270,10 +372,7 @@ class AddImm(Instruction):
     imm: int
     mnemonic = "add"
     fields = (("rd", _XSP), ("rn", _XSP), ("imm", _UIMM))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        set_operand(regs, self.rd, get_operand(regs, self.rn) + self.imm)
+    template = ("{rd} = ({rn} + {imm}) & _MASK64",)
 
     def text(self):
         return f"{self.mnemonic} {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
@@ -282,10 +381,7 @@ class AddImm(Instruction):
 @dataclass(repr=False)
 class SubImm(AddImm):
     mnemonic = "sub"
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        set_operand(regs, self.rd, get_operand(regs, self.rn) - self.imm)
+    template = ("{rd} = ({rn} - {imm}) & _MASK64",)
 
 
 @dataclass(repr=False)
@@ -295,12 +391,7 @@ class AddReg(Instruction):
     rm: int
     mnemonic = "add"
     fields = (("rd", _XSP), ("rn", _XSP), ("rm", _XSP))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        set_operand(
-            regs, self.rd, get_operand(regs, self.rn) + get_operand(regs, self.rm)
-        )
+    template = ("{rd} = ({rn} + {rm}) & _MASK64",)
 
     def text(self):
         return f"{self.mnemonic} {_reg(self.rd)}, {_reg(self.rn)}, {_reg(self.rm)}"
@@ -309,21 +400,15 @@ class AddReg(Instruction):
 @dataclass(repr=False)
 class SubReg(AddReg):
     mnemonic = "sub"
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        set_operand(
-            regs, self.rd, get_operand(regs, self.rn) - get_operand(regs, self.rm)
-        )
+    template = ("{rd} = ({rn} - {rm}) & _MASK64",)
 
 
-def _set_flags(cpu, result, carry, overflow):
-    cpu.nzcv = (
-        bool(result >> 63),
-        (result & _MASK64) == 0,
-        carry,
-        overflow,
-    )
+#: SUBS of ``a`` and ``w``: NZCV from the 64-bit difference.
+_SUBTRACT_FLAGS = (
+    "v = (a - w) & _MASK64",
+    "cpu.nzcv = (v >> 63 == 1, v == 0, a >= w, _s64(a) - _s64(w) != _s64(v))",
+    "{rd} = v",
+)
 
 
 @dataclass(repr=False)
@@ -335,16 +420,7 @@ class SubsReg(Instruction):
     rm: int
     mnemonic = "subs"
     fields = (("rd", _XSP), ("rn", _XSP), ("rm", _XSP))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        a = get_operand(regs, self.rn)
-        b = get_operand(regs, self.rm)
-        result = (a - b) & _MASK64
-        carry = a >= b
-        overflow = (_s64(a) - _s64(b)) != _s64(result)
-        _set_flags(cpu, result, carry, overflow)
-        set_operand(regs, self.rd, result)
+    template = ("a = {rn}", "w = {rm}", *_SUBTRACT_FLAGS)
 
     def text(self):
         if self.rd == XZR:
@@ -359,16 +435,7 @@ class SubsImm(Instruction):
     imm: int
     mnemonic = "subs"
     fields = (("rd", _XSP), ("rn", _XSP), ("imm", _UIMM))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        a = get_operand(regs, self.rn)
-        b = self.imm & _MASK64
-        result = (a - b) & _MASK64
-        carry = a >= b
-        overflow = (_s64(a) - _s64(b)) != _s64(result)
-        _set_flags(cpu, result, carry, overflow)
-        set_operand(regs, self.rd, result)
+    template = ("a = {rn}", "w = {imm}", *_SUBTRACT_FLAGS)
 
     def text(self):
         if self.rd == XZR:
@@ -383,10 +450,7 @@ class AndImm(Instruction):
     imm: int
     mnemonic = "and"
     fields = (("rd", _XSP), ("rn", _XSP), ("imm", _UIMM))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        set_operand(regs, self.rd, get_operand(regs, self.rn) & self.imm)
+    template = ("{rd} = {rn} & {imm}",)
 
     text = AddImm.text
 
@@ -394,10 +458,7 @@ class AndImm(Instruction):
 @dataclass(repr=False)
 class OrrImm(AndImm):
     mnemonic = "orr"
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        set_operand(regs, self.rd, get_operand(regs, self.rn) | self.imm)
+    template = ("{rd} = {rn} | {imm}",)
 
 
 @dataclass(repr=False)
@@ -407,12 +468,7 @@ class EorReg(Instruction):
     rm: int
     mnemonic = "eor"
     fields = (("rd", _XSP), ("rn", _XSP), ("rm", _XSP))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        set_operand(
-            regs, self.rd, get_operand(regs, self.rn) ^ get_operand(regs, self.rm)
-        )
+    template = ("{rd} = {rn} ^ {rm}",)
 
     text = AddReg.text
 
@@ -420,10 +476,7 @@ class EorReg(Instruction):
 @dataclass(repr=False)
 class EorImm(AndImm):
     mnemonic = "eor"
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        set_operand(regs, self.rd, get_operand(regs, self.rn) ^ self.imm)
+    template = ("{rd} = {rn} ^ {imm}",)
 
 
 @dataclass(repr=False)
@@ -433,10 +486,7 @@ class LslImm(Instruction):
     shift: int
     mnemonic = "lsl"
     fields = (("rd", _XSP), ("rn", _XSP), ("shift", _BIT))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        set_operand(regs, self.rd, get_operand(regs, self.rn) << self.shift)
+    template = ("{rd} = ({rn} << {shift}) & _MASK64",)
 
     def text(self):
         return f"{self.mnemonic} {_reg(self.rd)}, {_reg(self.rn)}, #{self.shift}"
@@ -445,10 +495,7 @@ class LslImm(Instruction):
 @dataclass(repr=False)
 class LsrImm(LslImm):
     mnemonic = "lsr"
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        set_operand(regs, self.rd, get_operand(regs, self.rn) >> self.shift)
+    template = ("{rd} = {rn} >> {shift}",)
 
 
 class Adr(Instruction):
@@ -457,14 +504,12 @@ class Adr(Instruction):
     mnemonic = "adr"
     fields = (("rd", _X), ("target", _REL20))
 
+    template = ("{rd} = {target}",)
+
     def __init__(self, rd, label=None, target=None):
         self.rd = rd
         self.label = label
         self.target = target
-
-    def execute(self, cpu):
-        if self.rd != XZR:
-            cpu.regs.x[self.rd] = self.target
 
     def text(self):
         return f"adr x{self.rd}, {self.label or hex(self.target)}"
@@ -486,18 +531,14 @@ class Bfi(Instruction):
     width: int
     mnemonic = "bfi"
     fields = (("rd", _XSP), ("rn", _XSP), ("lsb", _BIT), ("width", _WIDTH))
-
-    def execute(self, cpu):
-        if self.rn == SP or self.rd == SP:
-            raise UndefinedInstructionFault(
-                "SP is not a valid BFI operand", el=cpu.regs.current_el
-            )
-        if self.rd != XZR:
-            x = cpu.regs.x
-            ones = (1 << self.width) - 1
-            x[self.rd] = (x[self.rd] & ~(ones << self.lsb)) | (
-                (x[self.rn] & ones) << self.lsb
-            )
+    template = (
+        # SP is 32, the one operand number with bit 5 set.
+        "if ({rd:n} | {rn:n}) & 32:",
+        "    raise UndefinedInstructionFault("
+        "'SP is not a valid BFI operand', el={el})",
+        "{rd} = ({rd} & ~(((1 << {width}) - 1) << {lsb}))"
+        " | (({rn} & ((1 << {width}) - 1)) << {lsb})",
+    )
 
     def __post_init__(self):
         if self.lsb + self.width > 64:
@@ -522,14 +563,7 @@ class Ldr(Instruction):
     mnemonic = "ldr"
     cycles = 2
     fields = (("rt", _X), ("rn", _XSP), ("imm", _OFFSET))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        value = cpu.mmu.read_u64(
-            (get_operand(regs, self.rn) + self.imm) & _MASK64, regs.current_el
-        )
-        if self.rt != XZR:
-            regs.x[self.rt] = value
+    template = ("v = mmu.read_u64(({rn} + {imm}) & _MASK64, {el})", "{rt} = v")
 
     def text(self):
         return f"{self.mnemonic} x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]"
@@ -539,14 +573,7 @@ class Ldr(Instruction):
 class Str(Ldr):
     mnemonic = "str"
     fields = (("rt", _XSP), ("rn", _XSP), ("imm", _OFFSET))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        cpu.mmu.write_u64(
-            (get_operand(regs, self.rn) + self.imm) & _MASK64,
-            get_operand(regs, self.rt),
-            regs.current_el,
-        )
+    template = ("mmu.write_u64(({rn} + {imm}) & _MASK64, {rt}, {el})",)
 
 
 @dataclass(repr=False)
@@ -559,14 +586,12 @@ class LdrPost(Instruction):
     mnemonic = "ldr"
     cycles = 2
     fields = (("rt", _X), ("rn", _XSP), ("imm", _OFFSET))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        address = get_operand(regs, self.rn)
-        value = cpu.mmu.read_u64(address, regs.current_el)
-        if self.rt != XZR:
-            regs.x[self.rt] = value
-        set_operand(regs, self.rn, address + self.imm)
+    template = (
+        "a = {rn}",
+        "v = mmu.read_u64(a, {el})",
+        "{rt} = v",
+        "{rn} = (a + {imm}) & _MASK64",
+    )
 
     def text(self):
         return f"ldr x{self.rt}, [{_reg(self.rn)}], #{self.imm:#x}"
@@ -582,34 +607,32 @@ class StrPre(Instruction):
     mnemonic = "str"
     cycles = 2
     fields = (("rt", _XSP), ("rn", _XSP), ("imm", _OFFSET))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        address = (get_operand(regs, self.rn) + self.imm) & _MASK64
-        cpu.mmu.write_u64(address, get_operand(regs, self.rt), regs.current_el)
-        set_operand(regs, self.rn, address)
+    template = (
+        "a = ({rn} + {imm}) & _MASK64",
+        "mmu.write_u64(a, {rt}, {el})",
+        "{rn} = a",
+    )
 
     def text(self):
         return f"str x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]!"
 
 
-def _load_pair(cpu, regs, base, rt1, rt2):
-    """LDP's two loads: one ``MMU.read_pair`` within a page; across a
-    page word by word, so ``rt1`` is loaded before the second word
-    faults."""
-    mmu = cpu.mmu
-    x = regs.x
-    if base & (mmu.page_size - 1) <= mmu.page_size - 16:
-        first, second = mmu.read_pair(base, regs.current_el)
-    else:
-        first = mmu.read_u64(base, regs.current_el)
-        if rt1 != XZR:
-            x[rt1] = first
-        second = mmu.read_u64(base + 8, regs.current_el)
+def _straddling_pair(mmu, x, rt1, address, el):
+    """LDP's loads across a page, word by word: ``rt1`` is loaded
+    before the second word faults."""
+    first = mmu.read_u64(address, el)
     if rt1 != XZR:
         x[rt1] = first
-    if rt2 != XZR:
-        x[rt2] = second
+    return first, mmu.read_u64(address + 8, el)
+
+
+#: LDP's two loads from ``a``: one ``MMU.read_pair`` within a page.
+_LOAD_PAIR = (
+    "v, w = mmu.read_pair(a, {el}) if a & {page} - 1 <= {page} - 16"
+    " else _straddling_pair(mmu, x, {rt1:n}, a, {el})",
+    "{rt1} = v",
+    "{rt2} = w",
+)
 
 
 @dataclass(repr=False)
@@ -623,13 +646,7 @@ class Ldp(Instruction):
     mnemonic = "ldp"
     cycles = 2
     fields = (("rt1", _X), ("rt2", _X), ("rn", _XSP), ("imm", _PAIR))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        _load_pair(
-            cpu, regs, (get_operand(regs, self.rn) + self.imm) & _MASK64,
-            self.rt1, self.rt2,
-        )
+    template = ("a = ({rn} + {imm}) & _MASK64", *_LOAD_PAIR)
 
     def text(self):
         return (
@@ -642,15 +659,7 @@ class Ldp(Instruction):
 class Stp(Ldp):
     mnemonic = "stp"
     fields = (("rt1", _XSP), ("rt2", _XSP), ("rn", _XSP), ("imm", _PAIR))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        cpu.mmu.write_pair(
-            (get_operand(regs, self.rn) + self.imm) & _MASK64,
-            get_operand(regs, self.rt1),
-            get_operand(regs, self.rt2),
-            regs.current_el,
-        )
+    template = ("mmu.write_pair(({rn} + {imm}) & _MASK64, {rt1}, {rt2}, {el})",)
 
 
 @dataclass(repr=False)
@@ -664,12 +673,7 @@ class LdpPost(Instruction):
     mnemonic = "ldp"
     cycles = 2
     fields = (("rt1", _X), ("rt2", _X), ("rn", _XSP), ("imm", _PAIR))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        base = get_operand(regs, self.rn)
-        _load_pair(cpu, regs, base, self.rt1, self.rt2)
-        set_operand(regs, self.rn, base + self.imm)
+    template = ("a = {rn}", *_LOAD_PAIR, "{rn} = (a + {imm}) & _MASK64")
 
     def text(self):
         return (
@@ -688,17 +692,11 @@ class StpPre(Instruction):
     mnemonic = "stp"
     cycles = 2
     fields = (("rt1", _XSP), ("rt2", _XSP), ("rn", _XSP), ("imm", _PAIR))
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        base = (get_operand(regs, self.rn) + self.imm) & _MASK64
-        cpu.mmu.write_pair(
-            base,
-            get_operand(regs, self.rt1),
-            get_operand(regs, self.rt2),
-            regs.current_el,
-        )
-        set_operand(regs, self.rn, base)
+    template = (
+        "a = ({rn} + {imm}) & _MASK64",
+        "mmu.write_pair(a, {rt1}, {rt2}, {el})",
+        "{rn} = a",
+    )
 
     def text(self):
         return (
@@ -860,9 +858,7 @@ class BCond(_LabelBranch):
 
 class Nop(Instruction):
     mnemonic = "nop"
-
-    def execute(self, cpu):
-        pass
+    template = ()
 
 
 class Hlt(Instruction):
@@ -945,17 +941,23 @@ class Isb(Instruction):
 class Msr(Instruction):
     """MSR sysreg, Xn — system register write.
 
-    Writes to PAuth key registers cost extra cycles (the paper measures
-    about 9 cycles per 128-bit key, i.e. per two MSRs).  Writes to
-    hypervisor-locked registers trap to EL2.
+    Writes to PAuth key registers cost ``KEY_WRITE_EXTRA_CYCLES`` more
+    (the paper measures about 9 cycles per 128-bit key, i.e. per two
+    MSRs).  Writes to hypervisor-locked registers trap to EL2, an
+    ordinary fault: an MSR reads no PC or cycle count, so it need not
+    end a translation block.
     """
 
     sysreg: str
     rn: int
     mnemonic = "msr"
     cycles = 2
-    ends_block = True
     fields = (("sysreg", _SYSREG), ("rn", _X))
+
+    def cost_on(self, cpu):
+        if self.sysreg in KEY_REGISTERS:
+            return self.cycles + KEY_WRITE_EXTRA_CYCLES
+        return self.cycles
 
     def execute(self, cpu):
         cpu.write_sysreg_checked(self.sysreg, cpu.regs.x[self.rn])
@@ -1031,13 +1033,11 @@ class Work(Instruction):
     units: int = 1
     mnemonic = "work"
     fields = (("units", _COUNT),)
+    template = ()
 
     @property
     def cycles(self):
         return self.units
-
-    def execute(self, cpu):
-        pass
 
     def text(self):
         return f"work #{self.units}"

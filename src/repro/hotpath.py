@@ -5,9 +5,9 @@ interpreter fast without changing a single architectural outcome:
 
 * the **decode cache** (:mod:`repro.arch.cpu`): translation blocks — the
   bound handlers and costs of the straight-line instructions from a
-  ``(pc, EL)`` up to the next branch, exception, MSR or HostCall — run
-  back to back on one probe instead of re-walking the MMU on every
-  fetch;
+  ``(pc, EL)`` up to the next branch, exception or HostCall — run back
+  to back on one probe instead of re-walking the MMU on every fetch,
+  a hot block's body as one generated function;
 * the **translation cache** (:mod:`repro.mem.mmu`): successful stage-1 +
   stage-2 translations are memoised per (page, access, EL);
 * the **decode memo** (:mod:`repro.mem.phys`): decoded instructions per

@@ -316,12 +316,6 @@ class DetectionMatrix:
         """Escapes that are not a documented residual."""
         return [r for r in self.escapes() if not r.expected]
 
-    def by_site(self):
-        sites = {}
-        for result in self.results:
-            sites.setdefault(result.site, []).append(result)
-        return sites
-
     def to_dict(self):
         return {
             "profile": self.profile,

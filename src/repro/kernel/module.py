@@ -110,11 +110,12 @@ class ModuleLoader:
     def sealed_ranges(self, image):
         """Read-only memory code in ``image`` may legitimately dispatch
         through: its own non-writable sections (sealed right after
-        placement), the kernel image's, and the syscall table page."""
+        placement), the kernel image's (once, when ``image`` is the
+        kernel), and the syscall table page."""
         ranges = []
         images = [image]
         kernel = getattr(self.system, "kernel_image", None)
-        if kernel is not None:
+        if kernel is not None and kernel is not image:
             images.append(kernel)
         for source in images:
             for section in source.sections.values():

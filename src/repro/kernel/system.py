@@ -434,10 +434,6 @@ class System:
         self.cpu.timer_period = period_cycles
         self.cpu._timer_next = None
 
-    def raise_irq(self):
-        """Assert the interrupt line once (device model)."""
-        self.cpu.pending_irq = True
-
     def spawn_process(self, name=""):
         """New task with fresh user keys (the exec() behaviour)."""
         user_keys = self.bootloader.generate_user_keys()

@@ -311,20 +311,6 @@ class CrashDump:
     def registers(self):
         return self.data["registers"]
 
-    def symbolised_frames(self):
-        """Frames that resolved to a real function symbol."""
-        return [
-            frame
-            for frame in self.frames
-            if frame["symbol"] and not frame["symbol"].startswith("<")
-        ]
-
-    def broken_frames(self):
-        """Frames whose authentication failed — evidence of tampering."""
-        return [
-            frame for frame in self.frames if frame["authenticated"] is False
-        ]
-
     # -- persistence ---------------------------------------------------------
 
     def to_dict(self):

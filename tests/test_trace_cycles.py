@@ -11,8 +11,7 @@ unprotected one.  Any cycle-model drift fails here first.
 import pytest
 
 from repro.arch import isa
-from repro.arch.cpu import KEY_WRITE_EXTRA_CYCLES
-from repro.arch.isa import PAUTH_CYCLES
+from repro.arch.isa import KEY_WRITE_EXTRA_CYCLES, PAUTH_CYCLES
 from repro.kernel import System
 from repro.trace import Tracer, TraceSession
 

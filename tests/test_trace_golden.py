@@ -17,7 +17,7 @@ from repro.workloads.guest import run_el0, syscall
 #: Keys switched per direction under the full profile (install order).
 FULL_PROFILE_KEYS = ["db", "ia", "ib"]
 
-#: Section 6.1.1 calibration (see repro.arch.cpu.KEY_WRITE_EXTRA_CYCLES).
+#: Section 6.1.1 calibration (see repro.arch.isa.KEY_WRITE_EXTRA_CYCLES).
 INSTALL_CYCLES_PER_KEY = 12  # 8 MOVZ/MOVK + 2 MSR
 RESTORE_CYCLES_PER_KEY = 6  # 1 LDP + 2 MSR
 RESTORE_PROLOGUE_CYCLES = 6  # current-pointer load, first key absorbs it

@@ -406,6 +406,18 @@ class TestKernelImages:
         )
         assert report.clean, report.summary()
 
+    def test_kernel_sealed_ranges_have_no_duplicate(self):
+        """The kernel's read-only sections count once when the kernel
+        itself is the image judged."""
+        system = System(profile="full")
+        sealed = system.modules.sealed_ranges(system.kernel_image)
+        assert len(set(sealed)) == len(sealed)
+        read_only = [
+            section for section in system.kernel_image.sections.values()
+            if not section.permissions.w_el1
+        ]
+        assert len(sealed) == len(read_only) + 1  # + the syscall table
+
     def test_compat_kernel_verifies_clean(self):
         profile = ProtectionProfile(
             name="compat-full",
