@@ -28,8 +28,9 @@ from repro.arch.isa import get_operand, set_operand
 from repro.arch.pac import PACEngine
 from repro.arch.registers import KEY_REGISTERS, RegisterFile
 from repro.arch.vmsa import VMSAConfig
-from repro.errors import ReproError, SimFault
+from repro.errors import ReproError, SimFault, UndefinedInstructionFault
 from repro.mem.mmu import MMU
+from repro.mem.pagetable import Permissions
 
 __all__ = ["CPU", "CYCLES_PER_SECOND", "DecodeCacheStats", "VBAR_OFFSETS"]
 
@@ -55,12 +56,6 @@ BLOCK_LIMIT = 64
 #: a few times, too few to repay the compile.
 HOT_BLOCK_RUNS = 8
 
-#: Generated block functions by source text, so blocks with the same
-#: instructions (a rebuilt task's, say) share one code object.  Cleared
-#: when full.
-_BLOCK_CODE = {}
-_BLOCK_CODE_LIMIT = 4096
-
 _BODY_HEAD = """\
 def body(cpu, executes, generation):
     regs = cpu.regs
@@ -85,7 +80,9 @@ def _compile_body(instructions, el, page_size):
     called through ``executes``.  After each store or call, a moved
     ``generation`` returns the number of entries run; None means all
     ran.  An entry that raises leaves its index in
-    ``cpu._block_fault``."""
+    ``cpu._block_fault``.  The function is memoised by its source
+    (``isa._generate``), so blocks with the same instructions (a rebuilt
+    task's, say) share one code object."""
     lines = []
     for index, instruction in enumerate(instructions[:-1]):
         inlined = instruction.inline(el, page_size)
@@ -98,14 +95,7 @@ def _compile_body(instructions, el, page_size):
     source = _BODY_HEAD + "".join(
         f"        {line}\n" for line in lines or ["pass"]
     ) + _BODY_TAIL
-    body = _BLOCK_CODE.get(source)
-    if body is None:
-        if len(_BLOCK_CODE) >= _BLOCK_CODE_LIMIT:
-            _BLOCK_CODE.clear()
-        namespace = {}
-        exec(compile(source, "<translation block>", "exec"), vars(isa), namespace)
-        body = _BLOCK_CODE[source] = namespace["body"]
-    return body
+    return isa._generate(source, "<translation block>", "body")
 
 
 class DecodeCacheStats:
@@ -299,8 +289,6 @@ class CPU:
         if self.sysreg_write_hook is not None:
             self.sysreg_write_hook(self, name, value)
         if name == "APKSSEL_EL1" and not self.has_banked_keys:
-            from repro.errors import UndefinedInstructionFault
-
             raise UndefinedInstructionFault(
                 "APKSSEL_EL1 requires the banked-keys ISA extension",
                 el=self.regs.current_el,
@@ -611,17 +599,13 @@ class CPU:
         existing = self.regs.sysregs.get("sim:landing")
         if existing:
             return existing
-        from repro.arch.isa import Hlt
-
         address = 0xFFFF_0000_0000_0000 | 0x0000_FFFF_FFF0_0000
         # Map one page for the pad.
         frame = 0x7FF00
-        from repro.mem.pagetable import Permissions
-
         self.mmu.map_range(
             address, 4096, frame, Permissions(r_el1=True, x_el1=True, x_el0=True, r_el0=True)
         )
         pa = (frame << self.mmu.page_shift)
-        self.mmu.phys.store_instruction(pa, Hlt(), address)
+        self.mmu.phys.store_instruction(pa, isa.Hlt(), address)
         self.regs.sysregs["sim:landing"] = address
         return address

@@ -3,12 +3,15 @@
 Instructions are small Python objects with an :meth:`execute` method.
 Memory holds each as one 32-bit word: a fixed 6-bit opcode
 (``_OPCODES``) over the operand fields its class lists in ``fields``.
-The CPU fetches that word, :func:`decode` rebuilds the instruction,
-and the CPU accounts its cycle cost.  The cost model is a coarse
-in-order Cortex-A53-like model, with every PAuth computation costing
-``PAUTH_CYCLES`` extra cycles — exactly the "PA-analogue" the paper
-substitutes for PAuth instructions when measuring on ARMv8.0 hardware
-(Section 6.1).
+That list is the one place a class names its operands: it drives the
+encoder, :func:`decode` and the constructor generated from it (a
+class attribute of a field's name is its default; a PC-relative field
+takes a label or an address).  The CPU fetches the word, :func:`decode`
+rebuilds the instruction, and the CPU accounts its cycle cost.  The
+cost model is a coarse in-order Cortex-A53-like model, with every
+PAuth computation costing ``PAUTH_CYCLES`` extra cycles — exactly the
+"PA-analogue" the paper substitutes for PAuth instructions when
+measuring on ARMv8.0 hardware (Section 6.1).
 
 Register operand conventions:
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 
 from repro.arch.registers import KEY_REGISTERS, LR, SYSTEM_REGISTERS, XZR
 from repro.errors import ReproError, UndefinedInstructionFault
@@ -155,6 +157,50 @@ def _expand(cls, read, value):
             yield indent, None, _SLOT.sub(slot, text)
 
 
+#: Generated functions by (filename, source); cleared when full.
+_CODE = {}
+_CODE_LIMIT = 4096
+
+
+def _generate(source, filename, name):
+    """The function ``name`` that ``source`` defines, compiled (once) as
+    ``filename`` in this module's globals: the one code generator, for
+    a template's ``execute``, a field constructor and a CPU block body."""
+    key = (filename, source)
+    function = _CODE.get(key)
+    if function is None:
+        if len(_CODE) >= _CODE_LIMIT:
+            _CODE.clear()
+        namespace = {}
+        exec(compile(source, filename, "exec"), globals(), namespace)
+        function = _CODE[key] = namespace[name]
+    return function
+
+
+def _field_init(cls):
+    """``cls.__init__``, built from ``cls.fields``: one parameter per
+    field in field order, defaulting to the class attribute of its name
+    if there is one.  A PC-relative field takes ``label=None`` and
+    itself ``=None``: a label the assembler resolves, or the address.
+    Each class gets its own code object: CPython caches an attribute
+    store per code object and class, so one constructor shared by
+    classes built in turn (a decoded block's) stores unspecialised."""
+    params, body = ["self"], []
+    for name, field in cls.fields:
+        if field.relative:
+            params += ["label=None", f"{name}=None"]
+            body.append("self.label = label")
+        elif hasattr(cls, name):
+            params.append(f"{name}={getattr(cls, name)!r}")
+        else:
+            params.append(name)
+        body.append(f"self.{name} = {name}")
+    source = "\n    ".join([f"def __init__({', '.join(params)}):", *body])
+    init = _generate(source, f"<{cls.__name__}.__init__>", "__init__")
+    init.__qualname__ = f"{cls.__name__}.__init__"
+    return init
+
+
 def _template_execute(cls):
     """``cls.execute``, built from ``cls.template``: X-register fields
     index ``regs.x`` (slot 31 reads 0, a write to it is skipped) and
@@ -185,9 +231,7 @@ def _template_execute(cls):
         + ["mmu = cpu.mmu"] * ("mmu" in uses)
     )
     source = "\n    ".join(["def execute(self, cpu):", *prologue, *body, "pass"])
-    namespace = {}
-    exec(compile(source, f"<{cls.__name__}.execute>", "exec"), globals(), namespace)
-    execute = namespace["execute"]
+    execute = _generate(source, f"<{cls.__name__}.execute>", "execute")
     execute.__qualname__ = f"{cls.__name__}.execute"
     return execute
 
@@ -200,7 +244,9 @@ class Instruction:
     #: True when the CPU ends a translation block after this instruction:
     #: every :func:`branch_kind` class and HostCall.
     ends_block = False
-    #: (attribute, field) pairs, packed from bit 0 upward.
+    #: (attribute, field) pairs, packed from bit 0 upward; a class that
+    #: declares no ``__init__`` takes them as its parameters
+    #: (:func:`_field_init`).
     fields = ()
     #: The semantics as source lines with operand slots (see
     #: :func:`_expand`), or None: ``execute`` is built from it, and the
@@ -211,8 +257,21 @@ class Instruction:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        if cls.fields and "__init__" not in cls.__dict__:
+            cls.__init__ = _field_init(cls)
         if "template" in cls.__dict__:
             cls.execute = _template_execute(cls)
+
+    def __eq__(self, other):
+        """The same class with the same instance attributes: the
+        operands, a branch's label, a HostCall's callable."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    #: Unhashable: equality is by value and an instruction is mutable
+    #: (the assembler resolves ``target`` in place).
+    __hash__ = None
 
     def inline(self, el, page_size):
         """The template's lines with this instruction's operands as
@@ -285,43 +344,46 @@ class Instruction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(repr=False)
 class Movz(Instruction):
     """MOVZ Xd, #imm16, LSL #shift — zero the register, set one slice."""
 
-    rd: int
-    imm16: int
-    shift: int = 0
+    shift = 0
     mnemonic = "movz"
     fields = (("imm16", _IMM16), ("rd", _X), ("shift", _HALFWORD))
     template = ("{rd} = ({imm16} & 0xFFFF) << {shift}",)
+
+    # The assembly order: ``fields`` keeps imm16 in the low half-word.
+    def __init__(self, rd, imm16, shift=shift):
+        self.imm16 = imm16
+        self.rd = rd
+        self.shift = shift
 
     def text(self):
         return f"{self.mnemonic} x{self.rd}, #{self.imm16:#x}, lsl #{self.shift}"
 
 
-@dataclass(repr=False)
 class Movk(Instruction):
     """MOVK Xd, #imm16, LSL #shift — keep other bits, set one slice."""
 
-    rd: int
-    imm16: int
-    shift: int = 0
+    shift = 0
     mnemonic = "movk"
     fields = Movz.fields
     template = (
         "{rd} = ({rd} & ~(0xFFFF << {shift})) | (({imm16} & 0xFFFF) << {shift})",
     )
 
+    # Movz's, as its own code object (see ``_field_init``).
+    def __init__(self, rd, imm16, shift=shift):
+        self.imm16 = imm16
+        self.rd = rd
+        self.shift = shift
+
     text = Movz.text
 
 
-@dataclass(repr=False)
 class MovReg(Instruction):
     """MOV Xd, Xn (also moves to/from SP)."""
 
-    rd: int
-    rn: int
     mnemonic = "mov"
     fields = (("rd", _XSP), ("rn", _XSP))
     template = ("{rd} = {rn}",)
@@ -363,13 +425,9 @@ def _reg(index):
     return f"x{index}"
 
 
-@dataclass(repr=False)
 class AddImm(Instruction):
     """ADD Xd, Xn, #imm (SP allowed both sides)."""
 
-    rd: int
-    rn: int
-    imm: int
     mnemonic = "add"
     fields = (("rd", _XSP), ("rn", _XSP), ("imm", _UIMM))
     template = ("{rd} = ({rn} + {imm}) & _MASK64",)
@@ -378,17 +436,12 @@ class AddImm(Instruction):
         return f"{self.mnemonic} {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
 
 
-@dataclass(repr=False)
 class SubImm(AddImm):
     mnemonic = "sub"
     template = ("{rd} = ({rn} - {imm}) & _MASK64",)
 
 
-@dataclass(repr=False)
 class AddReg(Instruction):
-    rd: int
-    rn: int
-    rm: int
     mnemonic = "add"
     fields = (("rd", _XSP), ("rn", _XSP), ("rm", _XSP))
     template = ("{rd} = ({rn} + {rm}) & _MASK64",)
@@ -397,7 +450,6 @@ class AddReg(Instruction):
         return f"{self.mnemonic} {_reg(self.rd)}, {_reg(self.rn)}, {_reg(self.rm)}"
 
 
-@dataclass(repr=False)
 class SubReg(AddReg):
     mnemonic = "sub"
     template = ("{rd} = ({rn} - {rm}) & _MASK64",)
@@ -411,13 +463,9 @@ _SUBTRACT_FLAGS = (
 )
 
 
-@dataclass(repr=False)
 class SubsReg(Instruction):
     """SUBS / CMP: subtract and set NZCV."""
 
-    rd: int
-    rn: int
-    rm: int
     mnemonic = "subs"
     fields = (("rd", _XSP), ("rn", _XSP), ("rm", _XSP))
     template = ("a = {rn}", "w = {rm}", *_SUBTRACT_FLAGS)
@@ -428,11 +476,7 @@ class SubsReg(Instruction):
         return f"subs {_reg(self.rd)}, {_reg(self.rn)}, {_reg(self.rm)}"
 
 
-@dataclass(repr=False)
 class SubsImm(Instruction):
-    rd: int
-    rn: int
-    imm: int
     mnemonic = "subs"
     fields = (("rd", _XSP), ("rn", _XSP), ("imm", _UIMM))
     template = ("a = {rn}", "w = {imm}", *_SUBTRACT_FLAGS)
@@ -443,11 +487,7 @@ class SubsImm(Instruction):
         return f"subs {_reg(self.rd)}, {_reg(self.rn)}, #{self.imm:#x}"
 
 
-@dataclass(repr=False)
 class AndImm(Instruction):
-    rd: int
-    rn: int
-    imm: int
     mnemonic = "and"
     fields = (("rd", _XSP), ("rn", _XSP), ("imm", _UIMM))
     template = ("{rd} = {rn} & {imm}",)
@@ -455,17 +495,12 @@ class AndImm(Instruction):
     text = AddImm.text
 
 
-@dataclass(repr=False)
 class OrrImm(AndImm):
     mnemonic = "orr"
     template = ("{rd} = {rn} | {imm}",)
 
 
-@dataclass(repr=False)
 class EorReg(Instruction):
-    rd: int
-    rn: int
-    rm: int
     mnemonic = "eor"
     fields = (("rd", _XSP), ("rn", _XSP), ("rm", _XSP))
     template = ("{rd} = {rn} ^ {rm}",)
@@ -473,17 +508,12 @@ class EorReg(Instruction):
     text = AddReg.text
 
 
-@dataclass(repr=False)
 class EorImm(AndImm):
     mnemonic = "eor"
     template = ("{rd} = {rn} ^ {imm}",)
 
 
-@dataclass(repr=False)
 class LslImm(Instruction):
-    rd: int
-    rn: int
-    shift: int
     mnemonic = "lsl"
     fields = (("rd", _XSP), ("rn", _XSP), ("shift", _BIT))
     template = ("{rd} = ({rn} << {shift}) & _MASK64",)
@@ -492,7 +522,6 @@ class LslImm(Instruction):
         return f"{self.mnemonic} {_reg(self.rd)}, {_reg(self.rn)}, #{self.shift}"
 
 
-@dataclass(repr=False)
 class LsrImm(LslImm):
     mnemonic = "lsr"
     template = ("{rd} = {rn} >> {shift}",)
@@ -503,19 +532,12 @@ class Adr(Instruction):
 
     mnemonic = "adr"
     fields = (("rd", _X), ("target", _REL20))
-
     template = ("{rd} = {target}",)
-
-    def __init__(self, rd, label=None, target=None):
-        self.rd = rd
-        self.label = label
-        self.target = target
 
     def text(self):
         return f"adr x{self.rd}, {self.label or hex(self.target)}"
 
 
-@dataclass(repr=False)
 class Bfi(Instruction):
     """BFI Xd, Xn, #lsb, #width — bit-field insert.
 
@@ -525,10 +547,6 @@ class Bfi(Instruction):
     the reason Listing 3 needs the extra ``mov ip1, sp``.
     """
 
-    rd: int
-    rn: int
-    lsb: int
-    width: int
     mnemonic = "bfi"
     fields = (("rd", _XSP), ("rn", _XSP), ("lsb", _BIT), ("width", _WIDTH))
     template = (
@@ -540,9 +558,13 @@ class Bfi(Instruction):
         " | (({rn} & ((1 << {width}) - 1)) << {lsb})",
     )
 
-    def __post_init__(self):
-        if self.lsb + self.width > 64:
-            raise ReproError(f"bfi #{self.lsb}, #{self.width} exceeds 64 bits")
+    def __init__(self, rd, rn, lsb, width):
+        if lsb + width > 64:
+            raise ReproError(f"bfi #{lsb}, #{width} exceeds 64 bits")
+        self.rd = rd
+        self.rn = rn
+        self.lsb = lsb
+        self.width = width
 
     def text(self):
         return f"bfi x{self.rd}, x{self.rn}, #{self.lsb}, #{self.width}"
@@ -553,13 +575,10 @@ class Bfi(Instruction):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(repr=False)
 class Ldr(Instruction):
     """LDR Xt, [Xn, #imm]"""
 
-    rt: int
-    rn: int
-    imm: int = 0
+    imm = 0
     mnemonic = "ldr"
     cycles = 2
     fields = (("rt", _X), ("rn", _XSP), ("imm", _OFFSET))
@@ -569,20 +588,15 @@ class Ldr(Instruction):
         return f"{self.mnemonic} x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]"
 
 
-@dataclass(repr=False)
 class Str(Ldr):
     mnemonic = "str"
     fields = (("rt", _XSP), ("rn", _XSP), ("imm", _OFFSET))
     template = ("mmu.write_u64(({rn} + {imm}) & _MASK64, {rt}, {el})",)
 
 
-@dataclass(repr=False)
 class LdrPost(Instruction):
     """LDR Xt, [Xn], #imm — post-indexed."""
 
-    rt: int
-    rn: int
-    imm: int
     mnemonic = "ldr"
     cycles = 2
     fields = (("rt", _X), ("rn", _XSP), ("imm", _OFFSET))
@@ -597,13 +611,9 @@ class LdrPost(Instruction):
         return f"ldr x{self.rt}, [{_reg(self.rn)}], #{self.imm:#x}"
 
 
-@dataclass(repr=False)
 class StrPre(Instruction):
     """STR Xt, [Xn, #imm]! — pre-indexed."""
 
-    rt: int
-    rn: int
-    imm: int
     mnemonic = "str"
     cycles = 2
     fields = (("rt", _XSP), ("rn", _XSP), ("imm", _OFFSET))
@@ -635,14 +645,10 @@ _LOAD_PAIR = (
 )
 
 
-@dataclass(repr=False)
 class Ldp(Instruction):
     """LDP Xt1, Xt2, [Xn, #imm]"""
 
-    rt1: int
-    rt2: int
-    rn: int
-    imm: int = 0
+    imm = 0
     mnemonic = "ldp"
     cycles = 2
     fields = (("rt1", _X), ("rt2", _X), ("rn", _XSP), ("imm", _PAIR))
@@ -655,21 +661,15 @@ class Ldp(Instruction):
         )
 
 
-@dataclass(repr=False)
 class Stp(Ldp):
     mnemonic = "stp"
     fields = (("rt1", _XSP), ("rt2", _XSP), ("rn", _XSP), ("imm", _PAIR))
     template = ("mmu.write_pair(({rn} + {imm}) & _MASK64, {rt1}, {rt2}, {el})",)
 
 
-@dataclass(repr=False)
 class LdpPost(Instruction):
     """LDP Xt1, Xt2, [Xn], #imm — the canonical epilogue load."""
 
-    rt1: int
-    rt2: int
-    rn: int
-    imm: int
     mnemonic = "ldp"
     cycles = 2
     fields = (("rt1", _X), ("rt2", _X), ("rn", _XSP), ("imm", _PAIR))
@@ -681,14 +681,9 @@ class LdpPost(Instruction):
         )
 
 
-@dataclass(repr=False)
 class StpPre(Instruction):
     """STP Xt1, Xt2, [Xn, #imm]! — the canonical prologue store."""
 
-    rt1: int
-    rt2: int
-    rn: int
-    imm: int
     mnemonic = "stp"
     cycles = 2
     fields = (("rt1", _XSP), ("rt2", _XSP), ("rn", _XSP), ("imm", _PAIR))
@@ -714,10 +709,6 @@ class _LabelBranch(Instruction):
     fields = (("target", _REL26),)
     ends_block = True
 
-    def __init__(self, label=None, target=None):
-        self.label = label
-        self.target = target
-
     def text(self):
         return f"{self.mnemonic} {self.label or hex(self.target)}"
 
@@ -740,11 +731,9 @@ class Bl(_LabelBranch):
         return self.target
 
 
-@dataclass(repr=False)
 class Br(Instruction):
     """BR Xn — indirect jump (a JOP target when unprotected)."""
 
-    rn: int
     mnemonic = "br"
     fields = (("rn", _X),)
     ends_block = True
@@ -756,11 +745,9 @@ class Br(Instruction):
         return f"{self.mnemonic} x{self.rn}"
 
 
-@dataclass(repr=False)
 class Blr(Instruction):
     """BLR Xn — indirect call."""
 
-    rn: int
     mnemonic = "blr"
     fields = (("rn", _X),)
     ends_block = True
@@ -773,11 +760,10 @@ class Blr(Instruction):
     text = Br.text
 
 
-@dataclass(repr=False)
 class Ret(Instruction):
     """RET — return through LR (the ROP pivot when unprotected)."""
 
-    rn: int = LR
+    rn = LR
     mnemonic = "ret"
     fields = (("rn", _X),)
     ends_block = True
@@ -792,10 +778,6 @@ class Ret(Instruction):
 class Cbz(_LabelBranch):
     mnemonic = "cbz"
     fields = (("rn", _X), ("target", _REL20))
-
-    def __init__(self, rn, label=None, target=None):
-        super().__init__(label, target)
-        self.rn = rn
 
     def execute(self, cpu):
         if cpu.regs.x[self.rn] == 0:
@@ -872,11 +854,10 @@ class Hlt(Instruction):
         return cpu.regs.pc  # freeze PC
 
 
-@dataclass(repr=False)
 class Svc(Instruction):
     """SVC #imm — supervisor call (syscall entry)."""
 
-    imm: int = 0
+    imm = 0
     mnemonic = "svc"
     cycles = 4
     ends_block = True
@@ -901,7 +882,6 @@ class Eret(Instruction):
         return cpu.exception_return()
 
 
-@dataclass(repr=False)
 class Hvc(Instruction):
     """HVC #imm — hypervisor call (EL1 -> EL2).
 
@@ -912,7 +892,7 @@ class Hvc(Instruction):
     optimized for frequent occurrence" (Section 7).
     """
 
-    imm: int = 0
+    imm = 0
     mnemonic = "hvc"
     cycles = 4
     ends_block = True
@@ -937,7 +917,6 @@ class Isb(Instruction):
         pass
 
 
-@dataclass(repr=False)
 class Msr(Instruction):
     """MSR sysreg, Xn — system register write.
 
@@ -948,8 +927,6 @@ class Msr(Instruction):
     end a translation block.
     """
 
-    sysreg: str
-    rn: int
     mnemonic = "msr"
     cycles = 2
     fields = (("sysreg", _SYSREG), ("rn", _X))
@@ -966,7 +943,6 @@ class Msr(Instruction):
         return f"msr {self.sysreg}, x{self.rn}"
 
 
-@dataclass(repr=False)
 class Mrs(Instruction):
     """MRS Xd, sysreg — system register read.
 
@@ -975,8 +951,6 @@ class Mrs(Instruction):
     Section 4.1 / 6.2.2).
     """
 
-    rd: int
-    sysreg: str
     mnemonic = "mrs"
     cycles = 2
     fields = (("rd", _X), ("sysreg", _SYSREG))
@@ -1021,7 +995,6 @@ class HostCall(Instruction):
         return f"hostcall {self.label}"
 
 
-@dataclass(repr=False)
 class Work(Instruction):
     """Pseudo-instruction: ``units`` cycles of pure computation.
 
@@ -1030,7 +1003,7 @@ class Work(Instruction):
     assembling thousands of ALU ops.
     """
 
-    units: int = 1
+    units = 1
     mnemonic = "work"
     fields = (("units", _COUNT),)
     template = ()
@@ -1055,6 +1028,11 @@ class _PAuthInstruction(Instruction):
     #: NOP-compatible on pre-8.3 cores? (HINT-space encodings only)
     hint_space = False
 
+    @property
+    def mnemonic(self):
+        """The class's ``mnemonic_format`` with the key operand."""
+        return self.mnemonic_format.format(key=self.key)
+
     def cost_on(self, cpu):
         """HINT-space encodings retire as 1-cycle NOPs on v8.0 cores."""
         if self.hint_space and not cpu.has_pauth:
@@ -1072,18 +1050,11 @@ class _PAuthInstruction(Instruction):
         )
 
 
-@dataclass(repr=False)
 class Pac(_PAuthInstruction):
     """PACIA/PACIB/PACDA/PACDB Xd, Xn — sign Xd with modifier Xn."""
 
-    key: str
-    rd: int
-    rn: int
     fields = (("key", _KEY), ("rd", _X), ("rn", _XSP))
-
-    @property
-    def mnemonic(self):
-        return f"pac{self.key}"
+    mnemonic_format = "pac{key}"
 
     def execute(self, cpu):
         if not self._require_pauth(cpu):
@@ -1097,18 +1068,11 @@ class Pac(_PAuthInstruction):
         return f"{self.mnemonic} x{self.rd}, {_reg(self.rn)}"
 
 
-@dataclass(repr=False)
 class Aut(_PAuthInstruction):
     """AUTIA/AUTIB/AUTDA/AUTDB Xd, Xn — authenticate Xd with Xn."""
 
-    key: str
-    rd: int
-    rn: int
     fields = (("key", _KEY), ("rd", _X), ("rn", _XSP))
-
-    @property
-    def mnemonic(self):
-        return f"aut{self.key}"
+    mnemonic_format = "aut{key}"
 
     def execute(self, cpu):
         if not self._require_pauth(cpu):
@@ -1121,12 +1085,10 @@ class Aut(_PAuthInstruction):
     text = Pac.text
 
 
-@dataclass(repr=False)
 class Xpac(_PAuthInstruction):
     """XPACI/XPACD Xd — strip the PAC (debug aid)."""
 
-    rd: int
-    data: bool = False
+    data = False
     fields = (("rd", _X), ("data", _FLAG))
 
     @property
@@ -1145,13 +1107,9 @@ class Xpac(_PAuthInstruction):
         return f"{self.mnemonic} x{self.rd}"
 
 
-@dataclass(repr=False)
 class PacGa(_PAuthInstruction):
     """PACGA Xd, Xn, Xm — generic 32-bit MAC of Xn under modifier Xm."""
 
-    rd: int
-    rn: int
-    rm: int
     mnemonic = "pacga"
     fields = (("rd", _X), ("rn", _X), ("rm", _XSP))
 
@@ -1167,7 +1125,6 @@ class PacGa(_PAuthInstruction):
         return f"pacga x{self.rd}, x{self.rn}, {_reg(self.rm)}"
 
 
-@dataclass(repr=False)
 class Pac1716(_PAuthInstruction):
     """PACIA1716/PACIB1716 — sign X17 with modifier X16.
 
@@ -1177,12 +1134,8 @@ class Pac1716(_PAuthInstruction):
     """
 
     fields = (("key", _IKEY),)
-    key: str  # "ia" or "ib"
     hint_space = True
-
-    @property
-    def mnemonic(self):
-        return f"pac{self.key}1716"
+    mnemonic_format = "pac{key}1716"
 
     def execute(self, cpu):
         if not self._require_pauth(cpu):
@@ -1191,11 +1144,8 @@ class Pac1716(_PAuthInstruction):
         x[17] = cpu.pac_add(self.key, x[17], x[16])
 
 
-@dataclass(repr=False)
 class Aut1716(Pac1716):
-    @property
-    def mnemonic(self):
-        return f"aut{self.key}1716"
+    mnemonic_format = "aut{key}1716"
 
     def execute(self, cpu):
         if not self._require_pauth(cpu):
@@ -1204,7 +1154,6 @@ class Aut1716(Pac1716):
         x[17] = cpu.pac_auth(self.key, x[17], x[16])
 
 
-@dataclass(repr=False)
 class PacSp(_PAuthInstruction):
     """PACIASP/PACIBSP — sign LR with SP as modifier (HINT space).
 
@@ -1212,13 +1161,10 @@ class PacSp(_PAuthInstruction):
     modifier weakness is what Section 4.2 hardens.
     """
 
-    key: str = "ia"
+    key = "ia"
     hint_space = True
     fields = (("key", _IKEY),)
-
-    @property
-    def mnemonic(self):
-        return f"pac{self.key}sp"
+    mnemonic_format = "pac{key}sp"
 
     def execute(self, cpu):
         if not self._require_pauth(cpu):
@@ -1229,11 +1175,8 @@ class PacSp(_PAuthInstruction):
         )
 
 
-@dataclass(repr=False)
 class AutSp(PacSp):
-    @property
-    def mnemonic(self):
-        return f"aut{self.key}sp"
+    mnemonic_format = "aut{key}sp"
 
     def execute(self, cpu):
         if not self._require_pauth(cpu):
@@ -1244,18 +1187,14 @@ class AutSp(PacSp):
         )
 
 
-@dataclass(repr=False)
 class RetA(_PAuthInstruction):
     """RETAA/RETAB — authenticate LR against SP and return."""
 
-    key: str = "ia"
+    key = "ia"
     cycles = 1 + PAUTH_CYCLES
     fields = (("key", _IKEY),)
     ends_block = True
-
-    @property
-    def mnemonic(self):
-        return f"reta{self.key[1]}"
+    mnemonic_format = "reta{key[1]}"
 
     def execute(self, cpu):
         self._require_pauth(cpu)  # not HINT space: undefined on v8.0
@@ -1263,20 +1202,13 @@ class RetA(_PAuthInstruction):
         return cpu.pac_auth(self.key, regs.x[LR], regs.sp_el[regs.current_el])
 
 
-@dataclass(repr=False)
 class BlrA(_PAuthInstruction):
     """BLRAA/BLRAB Xn, Xm — authenticated indirect call."""
 
-    key: str
-    rn: int
-    rm: int
     cycles = 1 + PAUTH_CYCLES
     fields = (("key", _IKEY), ("rn", _X), ("rm", _XSP))
     ends_block = True
-
-    @property
-    def mnemonic(self):
-        return f"blra{self.key[1]}"
+    mnemonic_format = "blra{key[1]}"
 
     def execute(self, cpu):
         self._require_pauth(cpu)
@@ -1290,13 +1222,10 @@ class BlrA(_PAuthInstruction):
         return f"{self.mnemonic} x{self.rn}, {_reg(self.rm)}"
 
 
-@dataclass(repr=False)
 class BrA(BlrA):
     """BRAA/BRAB Xn, Xm — authenticated indirect jump."""
 
-    @property
-    def mnemonic(self):
-        return f"bra{self.key[1]}"
+    mnemonic_format = "bra{key[1]}"
 
     def execute(self, cpu):
         self._require_pauth(cpu)

@@ -1048,6 +1048,7 @@ class TestInstructionFormat:
         decoded = isa.decode(_word(instruction, pc), pc)
         assert type(decoded) is cls
         assert _fields(decoded) == _fields(instruction)
+        assert decoded == instruction
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -1124,6 +1125,151 @@ class TestInstructionFormat:
         # The same fields as a word: never decoded.
         fields = 0 | 1 << 6 | lsb << 12 | (width - 1) << 18
         assert (isa.decode(0x12 << 26 | fields, 0) is None) == (lsb + width > 64)
+
+
+
+# ---------------------------------------------------------------------------
+# Construction: a class names its operands once, in ``fields``.
+# ---------------------------------------------------------------------------
+
+
+def _host_fn(cpu):
+    return None
+
+
+#: Every constructor default (a PC-relative field adds ``label`` and
+#: ``target``, both None); any other operand is required.
+_DEFAULTS = {
+    isa.Movz: {"shift": 0}, isa.Movk: {"shift": 0},
+    isa.Ldr: {"imm": 0}, isa.Str: {"imm": 0},
+    isa.Ldp: {"imm": 0}, isa.Stp: {"imm": 0},
+    isa.Ret: {"rn": LR}, isa.Svc: {"imm": 0}, isa.Hvc: {"imm": 0},
+    isa.Work: {"units": 1}, isa.Xpac: {"data": False},
+    isa.PacSp: {"key": "ia"}, isa.AutSp: {"key": "ia"},
+    isa.RetA: {"key": "ia"},
+    isa.HostCall: {"label": "host", "slot": None},
+}
+
+
+def _defaults(cls):
+    defaults = dict(_DEFAULTS.get(cls, {}))
+    if any(field.relative for _, field in cls.fields):
+        defaults.update(label=None, target=None)
+    return defaults
+
+
+def _arguments(cls):
+    """One argument per constructor parameter, in positional order:
+    ``fields`` order (a relative field as ``label``, ``target``), except
+    MOVZ/MOVK's assembly order ``(rd, imm16, shift)`` and HostCall's
+    callable."""
+    if cls is isa.HostCall:
+        return {"fn": _host_fn, "label": "h", "slot": 3}
+    names = ["rd", "imm16", "shift"] if cls in (isa.Movz, isa.Movk) else [
+        name for name, _ in cls.fields
+    ]
+    fields = dict(cls.fields)
+    arguments = {}
+    for index, name in enumerate(names):
+        field = fields[name]
+        if field.relative:
+            arguments.update(label="l", target=0x1000)
+        else:
+            arguments[name] = field.values[(3 + 5 * index) % len(field.values)]
+    if cls is isa.Bfi:
+        arguments.update(lsb=8, width=16)
+    return arguments
+
+
+_CLASSES = [cls for _, cls in _STORABLE]
+
+
+@pytest.mark.parametrize("cls", _CLASSES, ids=lambda cls: cls.__name__)
+class TestConstructorContract:
+    """Every storable class's constructor.  The operands a constructor
+    refuses (BFI's ``lsb + width > 64``, an unknown B.cond condition)
+    are ``TestInstructionFormat``'s and ``TestBranches``' cases."""
+
+    def test_positional_and_keyword_construction_agree(self, cls):
+        arguments = _arguments(cls)
+        positional = cls(*arguments.values())
+        assert vars(positional) == vars(cls(**arguments)) == arguments
+
+    def test_defaults(self, cls):
+        defaults = _defaults(cls)
+        required = {
+            name: value for name, value in _arguments(cls).items()
+            if name not in defaults
+        }
+        assert vars(cls(*required.values())) == {**required, **defaults}
+        assert vars(cls(**required)) == {**required, **defaults}
+
+    def test_a_missing_extra_or_unknown_operand_is_a_type_error(self, cls):
+        arguments = _arguments(cls)
+        for name in arguments.keys() - _defaults(cls).keys():
+            with pytest.raises(TypeError):
+                cls(**{k: v for k, v in arguments.items() if k != name})
+        with pytest.raises(TypeError):
+            cls(*arguments.values(), 0)
+        with pytest.raises(TypeError):
+            cls(**arguments, operand=0)
+
+
+class TestConstructorLabels:
+    @pytest.mark.parametrize(
+        "instance, operands",
+        [
+            (isa.B("l"), {}),
+            (isa.Bl("l"), {}),
+            (isa.Cbz(1, "l"), {"rn": 1}),
+            (isa.Cbnz(1, "l"), {"rn": 1}),
+            (isa.BCond("eq", "l"), {"condition": "eq"}),
+            (isa.Adr(2, "l"), {"rd": 2}),
+        ],
+        ids=["b", "bl", "cbz", "cbnz", "b.cond", "adr"],
+    )
+    def test_a_label_waits_for_the_assembler(self, instance, operands):
+        assert vars(instance) == {**operands, "label": "l", "target": None}
+
+
+class TestInstructionEquality:
+    """Equal means the same class and the same instance attributes."""
+
+    def test_operands_label_and_callable_are_compared(self):
+        assert isa.Nop() == isa.Nop()
+        assert isa.Ldr(1, 2) == isa.Ldr(1, 2, 0)
+        assert isa.Ldr(1, 2) != isa.Ldr(1, 2, 8)
+        assert isa.B(target=8) == isa.B(target=8)
+        assert isa.B("l", 8) != isa.B(target=8)
+        assert isa.HostCall(_host_fn, "h", 0) == isa.HostCall(_host_fn, "h", 0)
+        assert isa.HostCall(_host_fn, "h", 0) != isa.HostCall(
+            lambda cpu: None, "h", 0
+        )
+
+    def test_the_class_is_compared(self):
+        assert isa.AddImm(1, 2, 3) != isa.SubImm(1, 2, 3)
+        assert isa.Ldr(1, 2) != isa.Str(1, 2)
+        assert isa.Nop() != "nop"
+
+    def test_instructions_are_unhashable(self):
+        for cls in _CLASSES:
+            with pytest.raises(TypeError):
+                hash(cls(**_arguments(cls)))
+
+
+class TestCodeGenerator:
+    @pytest.mark.parametrize(
+        "name, classes",
+        [("__init__", (isa.Ldr, isa.Str)), ("execute", (isa.Nop, isa.Work))],
+    )
+    def test_each_class_has_its_own_generated_code(self, name, classes):
+        """The two classes' source is the same; their functions are not."""
+        first, second = (getattr(cls, name) for cls in classes)
+        assert first is not second
+        for cls in classes:
+            method = getattr(cls, name)
+            assert method.__code__.co_filename == f"<{cls.__name__}.{name}>"
+            assert method.__qualname__ == f"{cls.__name__}.{name}"
 
 
 def _random_page(seed, base):
