@@ -9,6 +9,8 @@ symbol table, ready to be placed into memory by an image loader.
 
 from __future__ import annotations
 
+import copy
+
 from repro.arch import isa
 from repro.errors import ReproError
 
@@ -161,8 +163,13 @@ class Assembler:
                 return extern[label]
             raise ReproError(f"undefined label {label!r}")
 
-        for _, instruction in expanded:
-            if hasattr(instruction, "label") and hasattr(instruction, "target"):
-                if instruction.target is None:
-                    instruction.target = resolve(instruction.label)
+        # On copies: the emitted objects keep no target, so a body
+        # assembled again at another base resolves afresh.
+        for index, (address, instruction) in enumerate(expanded):
+            if not hasattr(instruction, "target"):
+                continue
+            if instruction.label is not None or instruction.target is None:
+                instruction = copy.copy(instruction)
+                instruction.target = resolve(instruction.label)
+                expanded[index] = (address, instruction)
         return Program(self.base, expanded, symbols, functions=self._functions)

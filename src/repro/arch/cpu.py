@@ -56,22 +56,6 @@ BLOCK_LIMIT = 64
 #: a few times, too few to repay the compile.
 HOT_BLOCK_RUNS = 8
 
-_BODY_HEAD = """\
-def body(cpu, executes, generation):
-    regs = cpu.regs
-    x = regs.x
-    sp = regs.sp_el
-    mmu = cpu.mmu
-    cell = mmu.generation
-    i = 0
-    try:
-"""
-_BODY_TAIL = """\
-    except BaseException:
-        cpu._block_fault = i
-        raise
-"""
-
 
 def _compile_body(instructions, el, page_size):
     """One function running every entry of ``instructions`` but the
@@ -92,9 +76,16 @@ def _compile_body(instructions, el, page_size):
         lines += [f"executes[{index}](cpu)"] if inlined is None else inlined
         if inlined is None or "mmu.write" in text:
             lines.append(f"if cell.value != generation: return {index + 1}")
-    source = _BODY_HEAD + "".join(
-        f"        {line}\n" for line in lines or ["pass"]
-    ) + _BODY_TAIL
+    source = "\n".join([
+        "def body(cpu, executes, generation):",
+        *(f"    {line}" for line in isa._prologue(lines)),
+        "    i = 0",
+        "    try:",
+        *(f"        {line}" for line in lines or ["pass"]),
+        "    except BaseException:",
+        "        cpu._block_fault = i",
+        "        raise",
+    ])
     return isa._generate(source, "<translation block>", "body")
 
 

@@ -30,6 +30,7 @@ from it, and the CPU inlines the same template into compiled blocks
 from __future__ import annotations
 
 import re
+import struct
 from collections import namedtuple
 
 from repro.arch.registers import KEY_REGISTERS, LR, SYSTEM_REGISTERS, XZR
@@ -140,7 +141,7 @@ def _expand(cls, read, value):
     line's is None) and must have a right-hand side without side
     effects.  Each slot becomes ``read(name)`` for a register field and
     ``value(name)`` otherwise: another field, ``el`` (the exception
-    level) or ``page`` (the page size)."""
+    level), ``page`` (the page size) or ``page_shift`` (its log2)."""
     registers = {name for name, field in cls.fields if field in (_X, _XSP)}
 
     def slot(match):
@@ -201,6 +202,29 @@ def _field_init(cls):
     return init
 
 
+#: The locals a generated ``execute`` or block body binds from ``cpu``,
+#: in order: those its lines name, and those their values need.
+_LOCALS = (
+    ("regs", "cpu.regs"),
+    ("x", "regs.x"),
+    ("sp", "regs.sp_el"),
+    ("mmu", "cpu.mmu"),
+    ("walks", "mmu._walk_cache"),
+    ("frames", "mmu.phys._frames"),
+    ("code", "mmu.phys._code_frames"),
+    ("cell", "mmu.generation"),
+)
+
+
+def _prologue(lines):
+    """The assignments binding the :data:`_LOCALS` that ``lines`` use."""
+    used = set(re.findall(r"\w+", "\n".join(lines)))
+    for name, value in reversed(_LOCALS):
+        if name in used:
+            used.update(re.findall(r"\w+", value))
+    return [f"{name} = {value}" for name, value in _LOCALS if name in used]
+
+
 def _template_execute(cls):
     """``cls.execute``, built from ``cls.template``: X-register fields
     index ``regs.x`` (slot 31 reads 0, a write to it is skipped) and
@@ -212,10 +236,14 @@ def _template_execute(cls):
             return f"get_operand(regs, self.{name})"
         return f"x[self.{name}]"
 
+    special = {
+        "el": "regs.current_el",
+        "page": "mmu.page_size",
+        "page_shift": "mmu.page_shift",
+    }
+
     def value(name):
-        return {"el": "regs.current_el", "page": "mmu.page_size"}.get(
-            name, f"self.{name}"
-        )
+        return special.get(name, f"self.{name}")
 
     body = []
     for indent, target, text in _expand(cls, read, value):
@@ -224,13 +252,9 @@ def _template_execute(cls):
         elif target is not None:
             text = f"if self.{target} != XZR: x[self.{target}] = {text}"
         body.append(indent + text)
-    uses = set(re.findall(r"\b(regs|x|mmu)\b", "\n".join(body)))
-    prologue = (
-        ["regs = cpu.regs"] * bool(uses & {"regs", "x"})
-        + ["x = regs.x"] * ("x" in uses)
-        + ["mmu = cpu.mmu"] * ("mmu" in uses)
+    source = "\n    ".join(
+        ["def execute(self, cpu):", *_prologue(body), *body, "pass"]
     )
-    source = "\n    ".join(["def execute(self, cpu):", *prologue, *body, "pass"])
     execute = _generate(source, f"<{cls.__name__}.execute>", "execute")
     execute.__qualname__ = f"{cls.__name__}.execute"
     return execute
@@ -250,9 +274,10 @@ class Instruction:
     fields = ()
     #: The semantics as source lines with operand slots (see
     #: :func:`_expand`), or None: ``execute`` is built from it, and the
-    #: CPU inlines it into compiled blocks.  ``cpu``, ``x`` (the
-    #: registers), ``mmu`` and this module's globals are bound; ``a``,
-    #: ``v`` and ``w`` are free for temporaries.
+    #: CPU inlines it into compiled blocks.  ``cpu``, this module's
+    #: globals and the :data:`_LOCALS` are bound (``x`` the registers,
+    #: ``mmu``, ``walks``, ``frames``, ``code``); ``a``, ``v``, ``w``,
+    #: ``o``, ``n`` and ``f`` are free for temporaries.
     template = None
 
     def __init_subclass__(cls, **kwargs):
@@ -269,8 +294,7 @@ class Instruction:
             return NotImplemented
         return self.__dict__ == other.__dict__
 
-    #: Unhashable: equality is by value and an instruction is mutable
-    #: (the assembler resolves ``target`` in place).
+    #: Unhashable: equality is by value and an instruction is mutable.
     __hash__ = None
 
     def inline(self, el, page_size):
@@ -286,7 +310,9 @@ class Instruction:
                 return f"sp[{el}]"
             return "0" if index == XZR else f"x[{index}]"
 
-        special = {"el": el, "page": page_size}
+        special = {
+            "el": el, "page": page_size, "page_shift": page_size.bit_length() - 1,
+        }
 
         def value(name):
             return repr(special[name] if name in special else getattr(self, name))
@@ -575,56 +601,29 @@ class Bfi(Instruction):
 # ---------------------------------------------------------------------------
 
 
-class Ldr(Instruction):
-    """LDR Xt, [Xn, #imm]"""
-
-    imm = 0
-    mnemonic = "ldr"
-    cycles = 2
-    fields = (("rt", _X), ("rn", _XSP), ("imm", _OFFSET))
-    template = ("v = mmu.read_u64(({rn} + {imm}) & _MASK64, {el})", "{rt} = v")
-
-    def text(self):
-        return f"{self.mnemonic} x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]"
-
-
-class Str(Ldr):
-    mnemonic = "str"
-    fields = (("rt", _XSP), ("rn", _XSP), ("imm", _OFFSET))
-    template = ("mmu.write_u64(({rn} + {imm}) & _MASK64, {rt}, {el})",)
-
-
-class LdrPost(Instruction):
-    """LDR Xt, [Xn], #imm — post-indexed."""
-
-    mnemonic = "ldr"
-    cycles = 2
-    fields = (("rt", _X), ("rn", _XSP), ("imm", _OFFSET))
-    template = (
-        "a = {rn}",
-        "v = mmu.read_u64(a, {el})",
-        "{rt} = v",
-        "{rn} = (a + {imm}) & _MASK64",
+def _host_frame(access, size):
+    """Template lines of the in-page fast path of an ``access`` ('r' or
+    'w') of ``size`` bytes at ``a``: ``f`` is the host frame behind it
+    when the walk cache holds ``a``'s page for that access at this EL
+    (the key ``MMU.translate`` probes), the bytes sit in that page at
+    offset ``o``, the frame is allocated and, for a store, it is not
+    code.  Otherwise ``f`` is None and the access takes its ``MMU``
+    call, which walks, allocates, straddles and bumps the generation
+    for a code frame."""
+    code = " and n not in code" if access == "w" else ""
+    return (
+        "o = a & {page} - 1",
+        f"n = walks.get((a >> {{page_shift}}, '{access}', {{el}}), -1)"
+        " >> {page_shift}",
+        f"f = frames.get(n) if o <= {{page}} - {size}{code} else None",
     )
 
-    def text(self):
-        return f"ldr x{self.rt}, [{_reg(self.rn)}], #{self.imm:#x}"
 
-
-class StrPre(Instruction):
-    """STR Xt, [Xn, #imm]! — pre-indexed."""
-
-    mnemonic = "str"
-    cycles = 2
-    fields = (("rt", _XSP), ("rn", _XSP), ("imm", _OFFSET))
-    template = (
-        "a = ({rn} + {imm}) & _MASK64",
-        "mmu.write_u64(a, {rt}, {el})",
-        "{rn} = a",
-    )
-
-    def text(self):
-        return f"str x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]!"
+#: One word or a pair, unpacked from or packed into a host frame in place.
+_unpack_u64 = struct.Struct("<Q").unpack_from
+_pack_u64 = struct.Struct("<Q").pack_into
+_unpack_pair = struct.Struct("<QQ").unpack_from
+_pack_pair = struct.Struct("<QQ").pack_into
 
 
 def _straddling_pair(mmu, x, rt1, address, el):
@@ -636,13 +635,74 @@ def _straddling_pair(mmu, x, rt1, address, el):
     return first, mmu.read_u64(address + 8, el)
 
 
-#: LDP's two loads from ``a``: one ``MMU.read_pair`` within a page.
+#: The four accesses at ``a``; a load leaves its words in ``v``/``w``.
+_LOAD = (
+    *_host_frame("r", 8),
+    "v = _unpack_u64(f, o)[0] if f is not None else mmu.read_u64(a, {el})",
+)
+_STORE = (
+    *_host_frame("w", 8),
+    "_pack_u64(f, o, {rt} & _MASK64) if f is not None"
+    " else mmu.write_u64(a, {rt}, {el})",
+)
+#: Off the fast path, a pair within a page is one ``MMU.read_pair``/
+#: ``write_pair`` call, and LDP across a page goes word by word.
 _LOAD_PAIR = (
-    "v, w = mmu.read_pair(a, {el}) if a & {page} - 1 <= {page} - 16"
+    *_host_frame("r", 16),
+    "v, w = _unpack_pair(f, o) if f is not None"
+    " else mmu.read_pair(a, {el}) if o <= {page} - 16"
     " else _straddling_pair(mmu, x, {rt1:n}, a, {el})",
     "{rt1} = v",
     "{rt2} = w",
 )
+_STORE_PAIR = (
+    *_host_frame("w", 16),
+    "_pack_pair(f, o, {rt1} & _MASK64, {rt2} & _MASK64) if f is not None"
+    " else mmu.write_pair(a, {rt1}, {rt2}, {el})",
+)
+
+
+class Ldr(Instruction):
+    """LDR Xt, [Xn, #imm]"""
+
+    imm = 0
+    mnemonic = "ldr"
+    cycles = 2
+    fields = (("rt", _X), ("rn", _XSP), ("imm", _OFFSET))
+    template = ("a = ({rn} + {imm}) & _MASK64", *_LOAD, "{rt} = v")
+
+    def text(self):
+        return f"{self.mnemonic} x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]"
+
+
+class Str(Ldr):
+    mnemonic = "str"
+    fields = (("rt", _XSP), ("rn", _XSP), ("imm", _OFFSET))
+    template = ("a = ({rn} + {imm}) & _MASK64", *_STORE)
+
+
+class LdrPost(Instruction):
+    """LDR Xt, [Xn], #imm — post-indexed."""
+
+    mnemonic = "ldr"
+    cycles = 2
+    fields = (("rt", _X), ("rn", _XSP), ("imm", _OFFSET))
+    template = ("a = {rn}", *_LOAD, "{rt} = v", "{rn} = (a + {imm}) & _MASK64")
+
+    def text(self):
+        return f"ldr x{self.rt}, [{_reg(self.rn)}], #{self.imm:#x}"
+
+
+class StrPre(Instruction):
+    """STR Xt, [Xn, #imm]! — pre-indexed."""
+
+    mnemonic = "str"
+    cycles = 2
+    fields = (("rt", _XSP), ("rn", _XSP), ("imm", _OFFSET))
+    template = ("a = ({rn} + {imm}) & _MASK64", *_STORE, "{rn} = a")
+
+    def text(self):
+        return f"str x{self.rt}, [{_reg(self.rn)}, #{self.imm:#x}]!"
 
 
 class Ldp(Instruction):
@@ -664,7 +724,7 @@ class Ldp(Instruction):
 class Stp(Ldp):
     mnemonic = "stp"
     fields = (("rt1", _XSP), ("rt2", _XSP), ("rn", _XSP), ("imm", _PAIR))
-    template = ("mmu.write_pair(({rn} + {imm}) & _MASK64, {rt1}, {rt2}, {el})",)
+    template = ("a = ({rn} + {imm}) & _MASK64", *_STORE_PAIR)
 
 
 class LdpPost(Instruction):
@@ -687,11 +747,7 @@ class StpPre(Instruction):
     mnemonic = "stp"
     cycles = 2
     fields = (("rt1", _XSP), ("rt2", _XSP), ("rn", _XSP), ("imm", _PAIR))
-    template = (
-        "a = ({rn} + {imm}) & _MASK64",
-        "mmu.write_pair(a, {rt1}, {rt2}, {el})",
-        "{rn} = a",
-    )
+    template = ("a = ({rn} + {imm}) & _MASK64", *_STORE_PAIR, "{rn} = a")
 
     def text(self):
         return (

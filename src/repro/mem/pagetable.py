@@ -42,28 +42,12 @@ class Permissions:
         return getattr(self, f"{access}_{suffix}")
 
     @classmethod
-    def kernel_text(cls):
-        return cls(r_el1=True, x_el1=True)
-
-    @classmethod
-    def kernel_rodata(cls):
-        return cls(r_el1=True)
-
-    @classmethod
     def kernel_data(cls):
         return cls(r_el1=True, w_el1=True)
 
     @classmethod
-    def user_text(cls):
-        return cls(r_el0=True, x_el0=True, r_el1=True)
-
-    @classmethod
     def user_data(cls):
         return cls(r_el0=True, w_el0=True, r_el1=True, w_el1=True)
-
-    @classmethod
-    def all_access(cls):
-        return cls(True, True, True, True, True, True)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,18 @@ class TestAssembly:
         assert program.instructions[0][1].target == TEXT_BASE + 4
 
 
+    def test_a_body_assembled_again_resolves_at_its_new_base(self):
+        body = [isa.B("end"), isa.Nop()]
+        programs = []
+        for base in (0x1000, 0x2000):
+            asm = Assembler(base)
+            asm.emit(*body)
+            asm.label("end")
+            programs.append(asm.assemble())
+        assert [p.instructions[0][1].target for p in programs] == [0x1008, 0x2008]
+        assert body[0].target is None
+
+
 class TestProgram:
     def test_size_and_end(self):
         asm = Assembler(TEXT_BASE)

@@ -541,8 +541,8 @@ def _block_core(cached, ops, start, timer):
         with hotpath.disabled_caches():
             cpu = CPU()
     mmu = cpu.mmu
-    mmu.map_range(BLOCK_TEXT, 0x2000, 0x700, Permissions.all_access())
-    mmu.map_range(BLOCK_VECTORS, 0x1000, 0x702, Permissions.kernel_text())
+    mmu.map_range(BLOCK_TEXT, 0x2000, 0x700, Permissions(*[True] * 6))
+    mmu.map_range(BLOCK_VECTORS, 0x1000, 0x702, Permissions(r_el1=True, x_el1=True))
     mmu.map_range(BLOCK_DATA, 0x1000, 0x703, Permissions.kernel_data())
     vectors = Assembler(BLOCK_VECTORS)
     vectors.emit(*[isa.Nop()] * (VBAR_OFFSETS[("irq", 1)] // 4))
@@ -652,7 +652,7 @@ class TestTranslationBlocks:
         else:
             with hotpath.disabled_caches():
                 cpu = CPU(features=features)
-        cpu.mmu.map_range(BLOCK_TEXT, 0x2000, 0x700, Permissions.all_access())
+        cpu.mmu.map_range(BLOCK_TEXT, 0x2000, 0x700, Permissions(*[True] * 6))
         cpu.mmu.place_program(program)
         cpu.regs.current_el = 1
         cpu.regs.write(_TEXT_BASE_REG, BLOCK_TEXT)

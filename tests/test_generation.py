@@ -35,7 +35,7 @@ def _vpn(mmu, va):
 @pytest.fixture
 def mmu():
     mmu = MMU()
-    mmu.map_range(KERNEL_VA, 0x1000, CODE_FRAME, Permissions.kernel_text())
+    mmu.map_range(KERNEL_VA, 0x1000, CODE_FRAME, Permissions(r_el1=True, x_el1=True))
     mmu.map_range(
         KERNEL_VA + 0x1000, 0x1000, DATA_FRAME, Permissions.kernel_data()
     )
@@ -146,7 +146,7 @@ class TestOneGeneration:
         for frame, imm in ((old, 1), (new, 2)):
             mmu.phys.store_instruction(frame << 12, isa.Movz(0, imm, 0))
             mmu.phys.write_u64((frame << 12) + 8, imm)
-        mmu.map_range(USER_VA, 0x1000, old, Permissions.all_access())
+        mmu.map_range(USER_VA, 0x1000, old, Permissions(*[True] * 6))
 
         def observe():
             value = mmu.read_u64(USER_VA + 8, 0)
@@ -158,7 +158,7 @@ class TestOneGeneration:
         # Twice, so the second round is served from the caches.
         assert observe() == observe() == (1, "movz x0, #0x1, lsl #0", 1)
         table = Stage1Table()
-        table.map_page(_vpn(mmu, USER_VA), new, Permissions.all_access())
+        table.map_page(_vpn(mmu, USER_VA), new, Permissions(*[True] * 6))
         mmu.address_space.user = table
         assert observe() == (2, "movz x0, #0x2, lsl #0", 2)
 
@@ -172,7 +172,7 @@ SCOPES = {
     "map_empty_slot": (MUTATIONS["map_range"],
                        {KERNEL_VA, KERNEL_VA + 0x1000, USER_ALIAS}),
     "remap": (lambda mmu: mmu.map_range(
-        KERNEL_VA, 0x1000, 0x400, Permissions.kernel_text()
+        KERNEL_VA, 0x1000, 0x400, Permissions(r_el1=True, x_el1=True)
     ), {KERNEL_VA + 0x1000}),
     "unmap_page": (MUTATIONS["unmap_page"], {KERNEL_VA + 0x1000}),
     "set_frame": (MUTATIONS["set_frame"], set()),
@@ -239,10 +239,10 @@ SLOTS = 3
 #: next page.
 U64_OFFSETS = (0x0, 0xFFC)
 PERMISSIONS = (
-    Permissions.all_access(),
-    Permissions.kernel_text(),
+    Permissions(*[True] * 6),
+    Permissions(r_el1=True, x_el1=True),
     Permissions.kernel_data(),
-    Permissions.user_text(),
+    Permissions(r_el0=True, x_el0=True, r_el1=True),
 )
 
 _page = st.integers(0, PAGES - 1)
@@ -351,7 +351,7 @@ def _apply(cpu, operation):
                 table.map_page(
                     _vpn(mmu, _va(kernel, page)),
                     FRAMES[(page + rotate) % PAGES],
-                    Permissions.all_access(),
+                    Permissions(*[True] * 6),
                 )
             setattr(mmu.address_space, "kernel" if kernel else "user", table)
         elif name == "set_frame":

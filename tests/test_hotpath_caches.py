@@ -407,7 +407,9 @@ class TestScopedInvalidation:
             cpu.mmu.phys.store_instruction(0x421 << 12, isa.Movz(0, 8, 0))
             first = _step_from(cpu, _SMC_TEXT)
             flushes = cpu.decode_stats.flushes
-            cpu.mmu.map_range(_SMC_TEXT, 0x1000, 0x421, Permissions.kernel_text())
+            cpu.mmu.map_range(
+                _SMC_TEXT, 0x1000, 0x421, Permissions(r_el1=True, x_el1=True)
+            )
             observed.append((first, _step_from(cpu, _SMC_TEXT)))
             if cached:
                 assert cpu.decode_stats.flushes == flushes

@@ -956,7 +956,9 @@ class TestOperandOracle:
         """An operand the format cannot hold raises ReproError, and the
         store leaves memory and the generation untouched."""
         cpu = CPU()
-        cpu.mmu.map_range(pc & ~0xFFF, 0x1000, 0x400, Permissions.kernel_text())
+        cpu.mmu.map_range(
+            pc & ~0xFFF, 0x1000, 0x400, Permissions(r_el1=True, x_el1=True)
+        )
         pa = cpu.mmu.translate(pc, "x", 1)
         cpu.mmu.phys.store_instruction(pa, isa.Nop(), pc)
         if getattr(instruction, "target", None) is not None:
@@ -1093,14 +1095,14 @@ class TestInstructionFormat:
     )
     def test_non_instruction_words_fault_on_fetch(self, word):
         cpu = CPU()
-        cpu.mmu.map_range(USER_TEXT, 0x1000, 0x400, Permissions.kernel_text())
+        cpu.mmu.map_range(USER_TEXT, 0x1000, 0x400, Permissions(r_el1=True, x_el1=True))
         cpu.mmu.phys.write(0x400 << 12, word.to_bytes(4, "little"))
         with pytest.raises(TranslationFault, match="no instruction at"):
             cpu.mmu.fetch(USER_TEXT, 1)
 
     def test_misaligned_pc_faults_on_fetch(self):
         cpu = CPU()
-        cpu.mmu.map_range(USER_TEXT, 0x1000, 0x400, Permissions.kernel_text())
+        cpu.mmu.map_range(USER_TEXT, 0x1000, 0x400, Permissions(r_el1=True, x_el1=True))
         cpu.mmu.place_program(
             Assembler(USER_TEXT).emit(isa.Nop(), isa.Nop()).assemble()
         )
@@ -1290,7 +1292,7 @@ def _random_core(cached, page, seed, el):
     else:
         with hotpath.disabled_caches():
             cpu = CPU()
-    everything = Permissions.all_access()
+    everything = Permissions(*[True] * 6)
     cpu.mmu.map_range(USER_TEXT, 0x1000, 0x400, everything)
     cpu.mmu.map_range(USER_DATA, 0x1000, 0x500, everything)
     rng = random.Random(seed)

@@ -277,7 +277,7 @@ class TestU64Oracle:
 
     @pytest.mark.parametrize(
         "second",
-        [None, Permissions.kernel_rodata(), Permissions.kernel_text()],
+        [None, Permissions(r_el1=True), Permissions(r_el1=True, x_el1=True)],
         ids=["unmapped", "read-only", "no-read"],
     )
     def test_faults_like_byte_path(self, second):
@@ -320,7 +320,7 @@ class TestU64Oracle:
     def test_code_frame_write_bumps_generation(self, va):
         from repro.arch import isa
 
-        mmu = _two_page_mmu(Permissions.all_access())
+        mmu = _two_page_mmu(Permissions(*[True] * 6))
         mmu.phys.store_instruction(0x101 * PAGE, isa.Nop())
         generation = mmu.generation.value
         mmu.write_u64(va, 0xDEAD, 1)
@@ -375,7 +375,7 @@ class TestU64Oracle:
 
     @pytest.mark.parametrize(
         "second",
-        [None, Permissions.kernel_rodata(), Permissions.kernel_text()],
+        [None, Permissions(r_el1=True), Permissions(r_el1=True, x_el1=True)],
         ids=["unmapped", "read-only", "no-read"],
     )
     def test_pair_faults_like_byte_path(self, second):
@@ -401,7 +401,7 @@ class TestU64Oracle:
     def test_code_frame_write_pair_bumps_generation(self, va):
         from repro.arch import isa
 
-        mmu = _two_page_mmu(Permissions.all_access())
+        mmu = _two_page_mmu(Permissions(*[True] * 6))
         mmu.phys.store_instruction(0x101 * PAGE, isa.Nop())
         generation = mmu.generation.value
         mmu.write_pair(va, 0xDEAD, 0xBEEF, 1)
