@@ -20,6 +20,7 @@ exception mechanism — that is the mini-kernel's job.
 
 from __future__ import annotations
 
+import re
 from itertools import accumulate
 
 from repro import hotpath
@@ -57,25 +58,38 @@ BLOCK_LIMIT = 64
 HOT_BLOCK_RUNS = 8
 
 
-def _compile_body(instructions, el, page_size):
-    """One function running every entry of ``instructions`` but the
-    last at ``el``: ``body(cpu, executes, generation)``.  A class with
-    a template runs inlined, its operands as literals; any other is
-    called through ``executes``.  After each store or call, a moved
-    ``generation`` returns the number of entries run; None means all
-    ran.  An entry that raises leaves its index in
-    ``cpu._block_fault``.  The function is memoised by its source
-    (``isa._generate``), so blocks with the same instructions (a rebuilt
-    task's, say) share one code object."""
+#: A call out of generated code, which may raise or run host code.
+_CALL = re.compile(r"\bcpu\.\w+\(")
+
+
+def _compile_body(instructions, el, page_size, pc):
+    """One function running the block ``instructions`` at ``pc`` and
+    ``el``: ``body(cpu, executes, generation)``.  It runs every entry
+    but the last, and the last too when that is a block ender with a
+    template (a branch).  A class with a template runs inlined, its
+    operands as literals; any other is called through ``executes``.
+    After each store or call, a moved ``generation`` returns minus the
+    number of entries run.  Otherwise the body returns the next PC when
+    it ran the last entry, and None when the caller runs it.  An entry
+    that raises leaves its index in ``cpu._block_fault``.  The function
+    is memoised by its source (``isa._generate``), so blocks with the
+    same instructions at the same address (a rebuilt task's, say) share
+    one code object."""
+    ender = instructions[-1]
+    whole = ender.ends_block and ender.template is not None
     lines = []
-    for index, instruction in enumerate(instructions[:-1]):
-        inlined = instruction.inline(el, page_size)
+    for index, instruction in enumerate(instructions[: None if whole else -1]):
+        inlined = instruction.inline(el, page_size, pc + 4 * index)
         text = "\n".join(inlined or ())
-        if inlined is None or "mmu." in text or "raise" in text:
+        calls = inlined is None or _CALL.search(text)
+        if calls or "mmu." in text or "raise" in text:
             lines.append(f"i = {index}")
         lines += [f"executes[{index}](cpu)"] if inlined is None else inlined
-        if inlined is None or "mmu.write" in text:
-            lines.append(f"if cell.value != generation: return {index + 1}")
+        if calls or "mmu.write" in text:
+            lines.append(f"if cell.value != generation: return {-index - 1}")
+    if whole:
+        # A conditional branch not taken falls through.
+        lines.append(f"return {(pc + 4 * len(instructions)) & _MASK64}")
     source = "\n".join([
         "def body(cpu, executes, generation):",
         *(f"    {line}" for line in isa._prologue(lines)),
@@ -213,13 +227,13 @@ class CPU:
         self.tracer = None
         self.pac.trace_hook = None
 
-    def _key_bank(self):
-        """The key bank PAC instructions, MSR and MRS address: the
-        secondary one when a ``pauth-ks`` core has APKSSEL_EL1 = 1."""
-        regs = self.regs
-        if self.has_banked_keys and regs.sysregs.get("APKSSEL_EL1") == 1:
-            return regs.alt_keys
-        return regs.keys
+    #: The key bank PAC instructions, MSR and MRS address: the secondary
+    #: one when a ``pauth-ks`` core has APKSSEL_EL1 = 1.  Built from the
+    #: rule the inlined PAuth and MSR lines state (``isa._BANK``).
+    _key_bank = isa._generate(
+        f"def _key_bank(cpu):\n    regs = cpu.regs\n    return {isa._BANK}",
+        "<CPU._key_bank>", "_key_bank",
+    )
 
     # -- operand plumbing ----------------------------------------------------
 
@@ -450,7 +464,10 @@ class CPU:
         once, from the block's cost prefix, just before the last entry
         runs.  Only block enders read them or run host code (a hook may
         halt the core, attach a tracer or write code), so each
-        instruction sees the same state as one step at a time.  A fault
+        instruction sees the same state as one step at a time.  A hot
+        block ending in a branch runs whole in its body, which knows its
+        own PC (a branch reads nothing else of that state and cannot
+        fault), and the state is set after it.  A fault
         mid-block, or a moved generation (a store over code, say) after
         an entry, ends the block there, and the state is rebuilt from
         the prefix.  Only the first entry runs when a tracer is
@@ -502,13 +519,13 @@ class CPU:
                             block[5] = runs + 1
                         else:
                             compiled = block[4] = _compile_body(
-                                instructions, key[1], page_size
+                                instructions, key[1], page_size, start
                             )
                 else:
                     instructions, executes, body, costs, compiled, _ = (
                         self._build_block(start, regs.current_el, 1)
                     )
-                moved = None
+                moved = ended = None
                 if compiled is None:
                     for execute in body:
                         execute(self)
@@ -518,10 +535,12 @@ class CPU:
                             break
                 else:
                     try:
-                        moved = compiled(self, executes, generation)
+                        ended = compiled(self, executes, generation)
                     except BaseException:
                         done = self._block_fault
                         raise
+                    if ended is not None and ended < 0:
+                        moved, ended = -ended, None
                 if moved is not None:
                     # A store moved the generation: the block ends here,
                     # as if this entry were its last.
@@ -531,11 +550,16 @@ class CPU:
                     next_pc = None
                 else:
                     done = len(body)
-                    regs.pc = start + 4 * done
                     self.cycles = cycles + costs[done + 1]
-                    self.instructions_retired = retired + done
-                    next_pc = executes[done](self)
-                    self.instructions_retired += 1
+                    if ended is None:
+                        regs.pc = start + 4 * done
+                        self.instructions_retired = retired + done
+                        next_pc = executes[done](self)
+                        self.instructions_retired += 1
+                    else:
+                        # The body ran the last entry too: a branch.
+                        next_pc = ended
+                        self.instructions_retired = retired + done + 1
                     done += 1
             except BaseException as error:
                 if done < len(body):

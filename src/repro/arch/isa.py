@@ -107,12 +107,6 @@ _FLAG = _field(1, (False, True))
 _SYSREG = _field(5, SYSTEM_REGISTERS)
 
 
-def _s64(value):
-    """Interpret a 64-bit value as signed."""
-    value &= _MASK64
-    return value - (1 << 64) if value >> 63 else value
-
-
 def get_operand(regs, index):
     """Read an operand that may name SP: X0-X30, XZR (31) reads 0, and
     SP (32) is the current exception level's stack pointer."""
@@ -140,8 +134,10 @@ def _expand(cls, read, value):
     ``{rd} = ...`` writes register field ``rd`` (its target; any other
     line's is None) and must have a right-hand side without side
     effects.  Each slot becomes ``read(name)`` for a register field and
-    ``value(name)`` otherwise: another field, ``el`` (the exception
-    level), ``page`` (the page size) or ``page_shift`` (its log2)."""
+    ``value(name)`` otherwise: another field or attribute, ``el`` (the
+    exception level), ``page`` (the page size), ``page_shift`` (its
+    log2), ``link`` (the address after the instruction) or ``test``
+    (B.cond's condition, true when the branch is taken)."""
     registers = {name for name, field in cls.fields if field in (_X, _XSP)}
 
     def slot(match):
@@ -240,6 +236,8 @@ def _template_execute(cls):
         "el": "regs.current_el",
         "page": "mmu.page_size",
         "page_shift": "mmu.page_shift",
+        "link": "(regs.pc + 4) & _MASK64",
+        "test": "_TESTS[self.condition](n, z, c, v)",
     }
 
     def value(name):
@@ -276,8 +274,11 @@ class Instruction:
     #: :func:`_expand`), or None: ``execute`` is built from it, and the
     #: CPU inlines it into compiled blocks.  ``cpu``, this module's
     #: globals and the :data:`_LOCALS` are bound (``x`` the registers,
-    #: ``mmu``, ``walks``, ``frames``, ``code``); ``a``, ``v``, ``w``,
-    #: ``o``, ``n`` and ``f`` are free for temporaries.
+    #: ``mmu``, ``walks``, ``frames``, ``code``); ``a``, ``c``, ``f``,
+    #: ``m``, ``n``, ``o``, ``v``, ``w`` and ``z`` are free for
+    #: temporaries.  A branch's template ``return``s its target (none
+    #: means the next instruction); a block ender with a template runs
+    #: inside a compiled block as its last entry.
     template = None
 
     def __init_subclass__(cls, **kwargs):
@@ -297,10 +298,10 @@ class Instruction:
     #: Unhashable: equality is by value and an instruction is mutable.
     __hash__ = None
 
-    def inline(self, el, page_size):
+    def inline(self, el, page_size, pc):
         """The template's lines with this instruction's operands as
-        literals, for code that runs at ``el``: XZR reads 0, SP is
-        ``sp[el]``.  None for a class without a template."""
+        literals, for code that runs at ``pc`` and ``el``: XZR reads 0,
+        SP is ``sp[el]``.  None for a class without a template."""
         if self.template is None:
             return None
 
@@ -312,9 +313,12 @@ class Instruction:
 
         special = {
             "el": el, "page": page_size, "page_shift": page_size.bit_length() - 1,
+            "link": (pc + 4) & _MASK64,
         }
 
         def value(name):
+            if name == "test":
+                return f"({_CONDITIONS[self.condition]})"
             return repr(special[name] if name in special else getattr(self, name))
 
         lines = []
@@ -481,10 +485,12 @@ class SubReg(AddReg):
     template = ("{rd} = ({rn} - {rm}) & _MASK64",)
 
 
-#: SUBS of ``a`` and ``w``: NZCV from the 64-bit difference.
+#: SUBS of ``a`` and ``w``: NZCV from the 64-bit difference.  V (signed
+#: overflow) is set when the operands' signs differ and the result's
+#: sign differs from ``a``'s.
 _SUBTRACT_FLAGS = (
     "v = (a - w) & _MASK64",
-    "cpu.nzcv = (v >> 63 == 1, v == 0, a >= w, _s64(a) - _s64(w) != _s64(v))",
+    "cpu.nzcv = (v >> 63 == 1, v == 0, a >= w, ((a ^ w) & (a ^ v)) >> 63 == 1)",
     "{rd} = v",
 )
 
@@ -771,20 +777,14 @@ class _LabelBranch(Instruction):
 
 class B(_LabelBranch):
     mnemonic = "b"
-
-    def execute(self, cpu):
-        return self.target
+    template = ("return {target}",)
 
 
 class Bl(_LabelBranch):
     """BL label — saves the return address in LR."""
 
     mnemonic = "bl"
-
-    def execute(self, cpu):
-        regs = cpu.regs
-        regs.x[LR] = (regs.pc + 4) & _MASK64
-        return self.target
+    template = (f"x[{LR}] = {{link}}", "return {target}")
 
 
 class Br(Instruction):
@@ -793,9 +793,7 @@ class Br(Instruction):
     mnemonic = "br"
     fields = (("rn", _X),)
     ends_block = True
-
-    def execute(self, cpu):
-        return cpu.regs.x[self.rn]
+    template = ("return {rn}",)
 
     def text(self):
         return f"{self.mnemonic} x{self.rn}"
@@ -807,11 +805,8 @@ class Blr(Instruction):
     mnemonic = "blr"
     fields = (("rn", _X),)
     ends_block = True
-
-    def execute(self, cpu):
-        x = cpu.regs.x
-        x[LR] = (cpu.regs.pc + 4) & _MASK64
-        return x[self.rn]
+    # The link is written first: ``blr x30`` jumps to the next instruction.
+    template = (f"x[{LR}] = {{link}}", "return {rn}")
 
     text = Br.text
 
@@ -823,9 +818,7 @@ class Ret(Instruction):
     mnemonic = "ret"
     fields = (("rn", _X),)
     ends_block = True
-
-    def execute(self, cpu):
-        return cpu.regs.x[self.rn]
+    template = ("return {rn}",)
 
     def text(self):
         return "ret" if self.rn == LR else f"ret x{self.rn}"
@@ -834,11 +827,7 @@ class Ret(Instruction):
 class Cbz(_LabelBranch):
     mnemonic = "cbz"
     fields = (("rn", _X), ("target", _REL20))
-
-    def execute(self, cpu):
-        if cpu.regs.x[self.rn] == 0:
-            return self.target
-        return None
+    template = ("if {rn} == 0: return {target}",)
 
     def text(self):
         return f"{self.mnemonic} x{self.rn}, {self.label or hex(self.target)}"
@@ -846,24 +835,26 @@ class Cbz(_LabelBranch):
 
 class Cbnz(Cbz):
     mnemonic = "cbnz"
-
-    def execute(self, cpu):
-        if cpu.regs.x[self.rn] != 0:
-            return self.target
-        return None
+    template = ("if {rn} != 0: return {target}",)
 
 
+#: B.cond's conditions, as source over the flags ``n z c v``: a compiled
+#: block inlines it, and ``execute`` calls it compiled once (``_TESTS``).
 _CONDITIONS = {
-    "eq": lambda n, z, c, v: z,
-    "ne": lambda n, z, c, v: not z,
-    "lt": lambda n, z, c, v: n != v,
-    "ge": lambda n, z, c, v: n == v,
-    "gt": lambda n, z, c, v: (not z) and n == v,
-    "le": lambda n, z, c, v: z or n != v,
-    "cs": lambda n, z, c, v: c,
-    "cc": lambda n, z, c, v: not c,
-    "mi": lambda n, z, c, v: n,
-    "pl": lambda n, z, c, v: not n,
+    "eq": "z",
+    "ne": "not z",
+    "lt": "n != v",
+    "ge": "n == v",
+    "gt": "not z and n == v",
+    "le": "z or n != v",
+    "cs": "c",
+    "cc": "not c",
+    "mi": "n",
+    "pl": "not n",
+}
+_TESTS = {
+    name: _generate(f"def test(n, z, c, v): return {test}", f"<b.{name}>", "test")
+    for name, test in _CONDITIONS.items()
 }
 _CONDITION = _field(4, tuple(_CONDITIONS))
 
@@ -873,17 +864,13 @@ class BCond(_LabelBranch):
 
     mnemonic = "b.cond"
     fields = (("condition", _CONDITION), ("target", _REL22))
+    template = ("n, z, c, v = cpu.nzcv", "if {test}: return {target}")
 
     def __init__(self, condition, label=None, target=None):
         super().__init__(label, target)
         if condition not in _CONDITIONS:
             raise ReproError(f"unknown condition {condition!r}")
         self.condition = condition
-
-    def execute(self, cpu):
-        if _CONDITIONS[self.condition](*cpu.nzcv):
-            return self.target
-        return None
 
     def text(self):
         return f"b.{self.condition} {self.label or hex(self.target)}"
@@ -973,6 +960,17 @@ class Isb(Instruction):
         pass
 
 
+#: The exception-return registers MSR and MRS reach directly, by the
+#: ``RegisterFile`` attribute that holds them (EL1's slot).
+_LINK = {"ELR_EL1": "elr", "SPSR_EL1": "spsr"}
+#: The key bank PAC instructions, MSR and MRS address, as source over
+#: ``cpu`` and ``regs`` (``CPU._key_bank`` is built from it).
+_BANK = (
+    "(regs.alt_keys if cpu.has_banked_keys"
+    " and regs.sysregs.get('APKSSEL_EL1') == 1 else regs.keys)"
+)
+
+
 class Msr(Instruction):
     """MSR sysreg, Xn — system register write.
 
@@ -986,14 +984,27 @@ class Msr(Instruction):
     mnemonic = "msr"
     cycles = 2
     fields = (("sysreg", _SYSREG), ("rn", _X))
+    # A key register or ELR/SPSR is stored here, after the hypervisor
+    # hook; any other register, or any write under a tracer, takes
+    # ``write_sysreg_checked``.
+    template = (
+        "n = {rn}",
+        "o = KEY_REGISTERS.get({sysreg})",
+        "if cpu.tracer is not None or (not cpu.has_pauth if o else {sysreg} not in _LINK):",
+        "    cpu.write_sysreg_checked({sysreg}, n)",
+        "else:",
+        "    if cpu.sysreg_write_hook is not None:",
+        "        cpu.sysreg_write_hook(cpu, {sysreg}, n)",
+        "    if o:",
+        "        setattr(getattr(" + _BANK + ", o[0]), o[1], n)",
+        "    else:",
+        "        getattr(regs, _LINK[{sysreg}])[1] = n",
+    )
 
     def cost_on(self, cpu):
         if self.sysreg in KEY_REGISTERS:
             return self.cycles + KEY_WRITE_EXTRA_CYCLES
         return self.cycles
-
-    def execute(self, cpu):
-        cpu.write_sysreg_checked(self.sysreg, cpu.regs.x[self.rn])
 
     def text(self):
         return f"msr {self.sysreg}, x{self.rn}"
@@ -1010,11 +1021,10 @@ class Mrs(Instruction):
     mnemonic = "mrs"
     cycles = 2
     fields = (("rd", _X), ("sysreg", _SYSREG))
-
-    def execute(self, cpu):
-        value = cpu.read_sysreg_checked(self.sysreg)
-        if self.rd != XZR:
-            cpu.regs.x[self.rd] = value
+    template = (
+        "{rd} = getattr(regs, _LINK[{sysreg}])[1] if {sysreg} in _LINK"
+        " else cpu.read_sysreg_checked({sysreg})",
+    )
 
     def text(self):
         return f"mrs x{self.rd}, {self.sysreg}"
@@ -1100,10 +1110,38 @@ class _PAuthInstruction(Instruction):
             return True
         if self.hint_space:
             return False  # behaves as NOP
-        raise UndefinedInstructionFault(
-            f"{self.mnemonic} undefined without FEAT_PAuth",
-            el=cpu.regs.current_el,
-        )
+        _undefined(cpu, self.mnemonic)
+
+
+def _undefined(cpu, mnemonic):
+    raise UndefinedInstructionFault(
+        f"{mnemonic} undefined without FEAT_PAuth", el=cpu.regs.current_el
+    )
+
+
+#: The MAC of pointer ``a`` under modifier ``w`` and key ``{key}``, from
+#: the memo of the key's cipher.  ``m`` is that memo when the core has
+#: PAuth, no trace hook is set, the key is enabled and its value has a
+#: cipher with a memo (a cache-free core's has none); ``o`` is then the
+#: pointer's field geometry, ``c`` its canonical form and ``v`` the MAC,
+#: or None on a miss.  When ``m`` is None the instruction takes the
+#: CPU's unchanged path.
+_MAC = (
+    "n = cpu.pac",
+    "o = getattr(" + _BANK + ", {key})",
+    "f = n._cipher_cache.get((o.lo, o.hi)) if cpu.has_pauth"
+    " and n.trace_hook is None and getattr(regs.sctlr_el1, 'en_' + {key}) else None",
+    "m = None if f is None else f._memo",
+    "if m is not None:",
+    "    o = n._fields[a >> 55 & 1]",
+    "    c = a & o.ext_keep | o.ext_fill",
+    "    v = m.get((c, w))",
+)
+#: MAC ``v`` inserted into the PAC field of ``c`` (``PACEngine._add_pac``).
+_INSERT = (
+    "(c & o.clear | (v & o.low_mask) << o.va_bits"
+    " | (v >> o.low_len & o.high_mask) << 56)"
+)
 
 
 class Pac(_PAuthInstruction):
@@ -1111,14 +1149,20 @@ class Pac(_PAuthInstruction):
 
     fields = (("key", _KEY), ("rd", _X), ("rn", _XSP))
     mnemonic_format = "pac{key}"
-
-    def execute(self, cpu):
-        if not self._require_pauth(cpu):
-            return
-        x = cpu.regs.x
-        value = cpu.pac_add(self.key, x[self.rd], get_operand(cpu.regs, self.rn))
-        if self.rd != XZR:
-            x[self.rd] = value
+    # A memo miss computes the MAC with ``Qarma64.encrypt``.
+    template = (
+        "a = {rd}",
+        "w = {rn}",
+        *_MAC,
+        "    if v is None:",
+        "        v = f.encrypt(c, w)",
+        "    else:",
+        "        f.memo_stats.hits += 1",
+        "    v = " + _INSERT + " ^ (o.poison if c != a else 0)",
+        "else:",
+        "    v = cpu.pac_add({key}, a, w) if cpu.has_pauth else _undefined(cpu, {mnemonic})",
+        "{rd} = v",
+    )
 
     def text(self):
         return f"{self.mnemonic} x{self.rd}, {_reg(self.rn)}"
@@ -1129,14 +1173,21 @@ class Aut(_PAuthInstruction):
 
     fields = (("key", _KEY), ("rd", _X), ("rn", _XSP))
     mnemonic_format = "aut{key}"
-
-    def execute(self, cpu):
-        if not self._require_pauth(cpu):
-            return
-        x = cpu.regs.x
-        value = cpu.pac_auth(self.key, x[self.rd], get_operand(cpu.regs, self.rn))
-        if self.rd != XZR:
-            x[self.rd] = value
+    # Only a memo hit that authenticates stays here: a miss or a failure
+    # takes ``CPU.pac_auth``, which counts the memo probe once.
+    template = (
+        "a = {rd}",
+        "w = {rn}",
+        *_MAC,
+        "    if v is not None and " + _INSERT + " == a:",
+        "        f.memo_stats.hits += 1",
+        "        v = c",
+        "    else:",
+        "        m = None",
+        "if m is None:",
+        "    v = cpu.pac_auth({key}, a, w) if cpu.has_pauth else _undefined(cpu, {mnemonic})",
+        "{rd} = v",
+    )
 
     text = Pac.text
 
@@ -1146,18 +1197,20 @@ class Xpac(_PAuthInstruction):
 
     data = False
     fields = (("rd", _X), ("data", _FLAG))
+    template = (
+        "a = {rd}",
+        "n = cpu.pac",
+        "if cpu.has_pauth and n.trace_hook is None:",
+        "    o = n._fields[a >> 55 & 1]",
+        "    v = a & o.ext_keep | o.ext_fill",
+        "else:",
+        "    v = cpu.pac_strip(a) if cpu.has_pauth else _undefined(cpu, {mnemonic})",
+        "{rd} = v",
+    )
 
     @property
     def mnemonic(self):
         return "xpacd" if self.data else "xpaci"
-
-    def execute(self, cpu):
-        if not self._require_pauth(cpu):
-            return
-        x = cpu.regs.x
-        value = cpu.pac_strip(x[self.rd])
-        if self.rd != XZR:
-            x[self.rd] = value
 
     def text(self):
         return f"{self.mnemonic} x{self.rd}"

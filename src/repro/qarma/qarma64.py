@@ -183,14 +183,6 @@ def _byte_tables(linear, sbox=tuple(range(16))):
     )
 
 
-def _apply(tables, word):
-    """``word`` through eight byte tables from :func:`_byte_tables`."""
-    result = 0
-    for table, byte in zip(tables, word.to_bytes(8, "big")):
-        result ^= table[byte]
-    return result
-
-
 def _byte_sbox(sbox):
     """``sbox`` on both cells of a byte, as a ``bytes.translate`` table."""
     return bytes((sbox[v >> 4] << 4) | sbox[v & 0xF] for v in range(256))

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import hotpath
+from repro.arch import cpu as cpu_module
 from repro.arch import isa
 from repro.arch.assembler import Assembler
 from repro.arch.cpu import CPU
@@ -125,6 +126,14 @@ class TestArithmetic:
         assert result == 0x12
 
 
+#: A 64-bit operand, the signed-overflow edges (0, 1, the largest and
+#: smallest signed values, -1) drawn often.
+_SUBS_OPERAND = st.one_of(
+    st.sampled_from((0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1)),
+    st.integers(0, (1 << 64) - 1),
+)
+
+
 class TestFlags:
     def test_subs_sets_zero(self, machine):
         _, _ = run_body(machine, [isa.SubsReg(XZR, 0, 1)], args=(5, 5))
@@ -144,6 +153,26 @@ class TestFlags:
             machine, [isa.SubsImm(XZR, 0, 1)], args=(1 << 63,)
         )
         assert machine.cpu.nzcv[3]  # V
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_SUBS_OPERAND, b=_SUBS_OPERAND)
+    def test_subs_overflow_is_signed_overflow(self, a, b):
+        """V is set exactly when ``a - b`` of the two as signed 64-bit
+        numbers leaves the signed range, in ``execute`` and inlined."""
+        expected = not -(1 << 63) <= _s64(a) - _s64(b) < 1 << 63
+        cpu = CPU()
+        body = cpu_module._compile_body(
+            [isa.SubsReg(XZR, 1, 2), isa.Hlt()], 1, cpu.mmu.page_size, 0
+        )
+        for run in (
+            isa.SubsReg(XZR, 1, 2).execute,
+            lambda cpu: body(cpu, (), cpu.mmu.generation.value),
+        ):
+            cpu.nzcv = None
+            cpu.regs.write(1, a)
+            cpu.regs.write(2, b)
+            run(cpu)
+            assert cpu.nzcv[3] == expected
 
 
 class TestBfi:

@@ -13,7 +13,6 @@ from repro.qarma.qarma64 import (
     SBOXES_INV,
     TAU,
     TAU_INV,
-    _apply,
     _cells_to_text,
     _invert_perm,
     _lfsr,
@@ -25,6 +24,14 @@ from repro.qarma.qarma64 import (
     _word_tables,
 )
 from repro.workloads.lmbench import build_lmbench_system
+
+def _apply(tables, word):
+    """``word`` through eight byte tables from ``_byte_tables``."""
+    result = 0
+    for table, byte in zip(tables, word.to_bytes(8, "big")):
+        result ^= table[byte]
+    return result
+
 
 # Published reference test vectors (w0, k0, tweak, plaintext fixed).
 W0 = 0x84BE85CE9804E94B
