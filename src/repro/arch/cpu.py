@@ -52,55 +52,80 @@ VBAR_OFFSETS = {
 #: Longest translation block, in instructions.
 BLOCK_LIMIT = 64
 
-#: Runs of a cached block after which its body runs as one generated
-#: function (``_compile_body``).  Most of a new task's blocks run only
-#: a few times, too few to repay the compile.
+#: Runs of a cached block after which it heads a trace
+#: (``CPU._form_trace``).  Most of a new task's blocks run only a few
+#: times, too few to repay the compile.
 HOT_BLOCK_RUNS = 8
 
 
 #: A call out of generated code, which may raise or run host code.
 _CALL = re.compile(r"\bcpu\.\w+\(")
+#: A templated branch's exit.
+_RETURN = re.compile(r"\breturn (.+)")
 
 
-def _compile_body(instructions, el, page_size, pc):
-    """One function running the block ``instructions`` at ``pc`` and
-    ``el``: ``body(cpu, executes, generation)``.  It runs every entry
-    but the last, and the last too when that is a block ender with a
-    template (a branch).  A class with a template runs inlined, its
-    operands as literals; any other is called through ``executes``.
-    After each store or call, a moved ``generation`` returns minus the
-    number of entries run.  Otherwise the body returns the next PC when
-    it ran the last entry, and None when the caller runs it.  An entry
-    that raises leaves its index in ``cpu._block_fault``.  The function
-    is memoised by its source (``isa._generate``), so blocks with the
-    same instructions at the same address (a rebuilt task's, say) share
-    one code object."""
-    ender = instructions[-1]
-    whole = ender.ends_block and ender.template is not None
+def _compile_trace(blocks, el, page_size):
+    """One function running the trace ``blocks``, ``(pc, instructions)``
+    pairs at ``el``, each block but the last closed by a branch with a
+    template that was seen to go to the next block:
+    ``body(cpu, executes, generation)``.  Entries are numbered across
+    the trace, and ``executes`` holds their bound ``execute``s.  A class
+    with a template runs inlined, its operands as literals; any other is
+    called through ``executes``.  The body returns ``(k, pc)``: ``pc``
+    is the next PC after entry k when entry k was a branch that left the
+    trace (an inlined exit whose target is not the next block, guarded
+    by ``if t != <next block>``, or the last block's branch); -1 when
+    the generation moved after entry k (checked after each store or
+    call); None when the caller runs entry k, the last block's final
+    entry when it has no template (SVC, ERET, HLT, HostCall, ...).  An
+    entry that raises leaves its index in ``cpu._block_fault``.  The
+    function is memoised by its source (``isa._generate``), so traces
+    of the same code at the same addresses (a rebuilt task's, say)
+    share one code object."""
     lines = []
-    for index, instruction in enumerate(instructions[: None if whole else -1]):
-        inlined = instruction.inline(el, page_size, pc + 4 * index)
-        text = "\n".join(inlined or ())
-        calls = inlined is None or _CALL.search(text)
-        if calls or "mmu." in text or "raise" in text:
-            lines.append(f"i = {index}")
-        lines += [f"executes[{index}](cpu)"] if inlined is None else inlined
-        if calls or "mmu.write" in text:
-            lines.append(f"if cell.value != generation: return {-index - 1}")
-    if whole:
+    k = 0
+    for number, (pc, instructions) in enumerate(blocks):
+        *body, ender = instructions
+        for index, instruction in enumerate(body):
+            inlined = instruction.inline(el, page_size, pc + 4 * index)
+            text = "\n".join(inlined or ())
+            calls = inlined is None or _CALL.search(text)
+            if calls or "mmu." in text or "raise" in text:
+                lines.append(f"i = {k}")
+            lines += [f"executes[{k}](cpu)"] if inlined is None else inlined
+            if calls or "mmu.write" in text:
+                lines.append(f"if cell.value != generation: return {k}, -1")
+            k += 1
+        at = pc + 4 * len(body)
+        if not ender.ends_block or ender.template is None:
+            lines.append(f"return {k}, None")
+            break
+        branch = ender.inline(el, page_size, at)
         # A conditional branch not taken falls through.
-        lines.append(f"return {(pc + 4 * len(instructions)) & _MASK64}")
+        always = branch[-1].startswith("return ")
+        fall = (at + 4) & _MASK64
+        if number + 1 == len(blocks):
+            lines += [_RETURN.sub(rf"return {k}, \1", line) for line in branch]
+            if not always:
+                lines.append(f"return {k}, {fall}")
+        elif branch[-1] == f"return {blocks[number + 1][0]}":
+            lines += branch[:-1]  # B or BL to the next block
+        else:
+            lines += [] if always else [f"t = {fall}"]
+            lines += [_RETURN.sub(r"t = \1", line) for line in branch]
+            lines.append(f"if t != {blocks[number + 1][0]}: return {k}, t")
+        k += 1
     source = "\n".join([
         "def body(cpu, executes, generation):",
         *(f"    {line}" for line in isa._prologue(lines)),
         "    i = 0",
         "    try:",
-        *(f"        {line}" for line in lines or ["pass"]),
+        *(f"        {line}" for line in lines),
         "    except BaseException:",
         "        cpu._block_fault = i",
         "        raise",
     ])
-    return isa._generate(source, "<translation block>", "body")
+    return isa._generate(source, "<trace>", "body")
 
 
 class DecodeCacheStats:
@@ -134,7 +159,9 @@ class CPU:
     host-side caches on, it dispatches per translation block: one
     decode-cache probe per ``(pc, EL)`` yields the straight-line run of
     instructions up to the next branch, exception or HostCall, executed
-    back to back (once hot, as one generated function).  Every
+    back to back.  Once hot, a block heads a trace, one generated
+    function that also runs the blocks it was seen to flow into, and
+    traces run one after another without a probe per block.  Every
     architectural effect — PC, cycles, retired count, faults, IRQ
     delivery, tracing — is the same as one instruction at a time
     (``tests/test_diff_cached.py``, ``tests/test_block_compile.py``).
@@ -194,16 +221,17 @@ class CPU:
         self.irqs_delivered = 0
         #: Host-side decode cache (see repro.hotpath): translation
         #: blocks keyed by (PC, EL) (see ``_build_block``), indexed by
-        #: low VPN and registered with the MMU's machine generation.  A
-        #: remap or unmap drops the blocks of that low VPN; a write to a
-        #: fetched code frame, a stage-2 update or a table install
-        #: flushes it.  Purely host-visible — cycle counts and retired
-        #: streams are identical with the cache off
-        #: (tests/test_diff_cached.py).
+        #: low VPN (a set of keys per page: a trace head sits under
+        #: every page its trace covers) and registered with the MMU's
+        #: machine generation.  A remap or unmap drops the blocks of
+        #: that low VPN; a write to a fetched code frame, a stage-2
+        #: update or a table install flushes it.  Purely host-visible —
+        #: cycle counts and retired streams are identical with the cache
+        #: off (tests/test_diff_cached.py).
         self._decode_enabled = hotpath.caches_enabled()
         self._decode_cache = {}
         self._decode_pages = {}
-        #: Index of the entry a compiled block body raised at.
+        #: Index of the entry a compiled trace raised at.
         self._block_fault = 0
         self.decode_stats = DecodeCacheStats()
         if self._decode_enabled:
@@ -427,15 +455,16 @@ class CPU:
         """The translation block at ``pc``: instructions up to and
         including the first block-ending one, within one page and at
         most ``limit`` long, as ``[instructions, executes, body, costs,
-        compiled, runs]``: their bound ``execute``s, those of all but
-        the last, cycle-cost prefix sums (``costs[k]`` is the cost of
-        the first ``k``), the generated body once the block is hot
-        (``_compile_body``) and the runs before that.  Only the first
-        fetch may raise; a later one that faults ends the block before
-        it, so the fault is raised when (and only if) execution reaches
-        that word.  ``execute`` and the costs are cacheable: ``cost_on``
-        depends only on the operands and the immutable feature set, and
-        any write to a code frame moves the machine generation.
+        trace, runs, successor]``: their bound ``execute``s, those of
+        all but the last, cycle-cost prefix sums (``costs[k]`` is the
+        cost of the first ``k``), the compiled trace the block heads
+        once it is hot (``_form_trace``), its runs before that, and the
+        PC it last went to when it ran whole.  Only the first fetch may
+        raise; a later one that faults ends the block before it, so the
+        fault is raised when (and only if) execution reaches that word.
+        ``execute`` and the costs are cacheable: ``cost_on`` depends
+        only on the operands and the immutable feature set, and any
+        write to a code frame moves the machine generation.
         """
         fetch = self.mmu.fetch
         page_mask = self.mmu.page_size - 1
@@ -450,35 +479,142 @@ class CPU:
                 break
         executes = tuple([i.execute for i in instructions])
         costs = (0, *accumulate([i.cost_on(self) for i in instructions]))
-        return [tuple(instructions), executes, executes[:-1], costs, None, 0]
+        return [tuple(instructions), executes, executes[:-1], costs, None, 0, None]
+
+    def _form_trace(self, key, block):
+        """The trace headed by ``block``, cached at ``key``: it and the
+        cached blocks it was seen to flow into, as ``(body, executes,
+        costs, pcs)``: the function ``_compile_trace`` generates, every
+        entry's bound ``execute``, cycle-cost prefix sums and PC.  The
+        trace follows each block's successor while the block ends in a
+        branch with a template, the successor is cached but heads no
+        trace (a head ends it: the chain runs that trace next) and is
+        not in it already, and the trace stays within ``BLOCK_LIMIT``
+        entries.  The head's key is indexed under the low VPN of every
+        block, so a bump of any page the trace covers drops it."""
+        cache = self._decode_cache
+        start, el = key
+        blocks, keys = [(start, block[0])], {key}
+        length = len(block[0])
+        while block[0][-1].ends_block and block[0][-1].template is not None:
+            successor = (block[6], el)
+            block = cache.get(successor)
+            if (
+                block is None or block[4] is not None or successor in keys
+                or length + len(block[0]) > BLOCK_LIMIT
+            ):
+                break
+            blocks.append((successor[0], block[0]))
+            keys.add(successor)
+            length += len(block[0])
+        shift, mask = self.mmu.page_shift, self.mmu.vpn_mask
+        for pc, _ in blocks[1:]:
+            self._decode_pages.setdefault(pc >> shift & mask, set()).add(key)
+        instructions = [i for _, run in blocks for i in run]
+        return (
+            _compile_trace(blocks, el, self.mmu.page_size),
+            tuple([i.execute for i in instructions]),
+            (0, *accumulate([i.cost_on(self) for i in instructions])),
+            tuple([pc + 4 * n for pc, run in blocks for n in range(len(run))]),
+        )
+
+    def _chain(self, trace, budget):
+        """Run ``trace`` from ``regs.pc``, then each trace its exit leads
+        to, within ``budget`` steps: ``(steps, fault)``, the steps run
+        and the SimFault that stopped the chain, if one did (with
+        ``regs.pc``, ``cycles`` and ``instructions_retired`` at the
+        faulting entry, as one instruction at a time leaves them).
+
+        After each trace the three are set from its cost prefix and
+        ``pcs``; an entry the trace leaves to its caller (a block ender
+        without a template) runs with them set first, as in
+        ``_execute``.  That entry is the only one that runs host code,
+        so after it the chain reads ``current_el`` and the generation
+        again and leaves on a halt, a pending IRQ, an armed timer or an
+        attached tracer.  The chain also leaves on a moved generation
+        mid-trace, a next PC that heads no compiled trace, and a
+        budget below the next trace's length."""
+        regs = self.regs
+        cache = self._decode_cache
+        cell = self.mmu.generation
+        generation = cell.value
+        el = regs.current_el
+        steps = 0
+        while True:
+            body, executes, costs, pcs = trace
+            cycles = self.cycles
+            retired = self.instructions_retired
+            try:
+                k, pc = body(self, executes, generation)
+            except BaseException as error:
+                k = self._block_fault
+                regs.pc = pcs[k]
+                self.cycles = cycles + costs[k + 1]
+                self.instructions_retired = retired + k
+                if not isinstance(error, SimFault):
+                    raise
+                return steps + k + 1, error
+            steps += k + 1
+            self.cycles = cycles + costs[k + 1]
+            if pc is None:
+                regs.pc = pcs[k]
+                self.instructions_retired = retired + k
+                try:
+                    pc = executes[k](self)
+                except SimFault as fault:
+                    return steps, fault
+                self.instructions_retired += 1
+                if self.tracer is not None:
+                    # A hook attached one: it sees this entry retire.
+                    self.tracer.insn(
+                        self, pcs[k], executes[k].__self__, costs[k + 1] - costs[k]
+                    )
+                regs.pc = (pcs[k] + 4 if pc is None else pc) & _MASK64
+                if (
+                    self.halted or self.pending_irq
+                    or self.timer_period is not None or self.tracer is not None
+                ):
+                    return steps, None
+                el = regs.current_el
+                generation = cell.value
+            else:
+                self.instructions_retired = retired + k + 1
+                if pc < 0:
+                    # A store moved the generation: leave after entry k.
+                    regs.pc = (pcs[k] + 4) & _MASK64
+                    return steps, None
+                regs.pc = pc & _MASK64
+            block = cache.get((regs.pc, el))
+            trace = None if block is None else block[4]
+            if trace is None or budget - steps < len(trace[3]):
+                return steps, None
 
     def _execute(self, budget):
         """The one interpreter loop: up to ``budget`` steps, stopping at
         HLT.  An IRQ delivery and a fault ``fault_hook`` handles each use
         up one step.
 
-        A decode-cache probe yields a whole translation block.  Every
-        entry but the last runs as a bare ``execute`` or, once the block
-        has run ``HOT_BLOCK_RUNS`` times, inside its generated body;
-        ``regs.pc``, ``cycles`` and ``instructions_retired`` are set
-        once, from the block's cost prefix, just before the last entry
-        runs.  Only block enders read them or run host code (a hook may
-        halt the core, attach a tracer or write code), so each
-        instruction sees the same state as one step at a time.  A hot
-        block ending in a branch runs whole in its body, which knows its
-        own PC (a branch reads nothing else of that state and cannot
-        fault), and the state is set after it.  A fault
-        mid-block, or a moved generation (a store over code, say) after
-        an entry, ends the block there, and the state is rebuilt from
-        the prefix.  Only the first entry runs when a tracer is
-        attached, an IRQ is pending or a timer is armed, or fewer than
-        the block's length of steps remain, so ``step()``, tracing and
-        IRQ delivery stay per instruction."""
+        A decode-cache probe yields a whole translation block.  For its
+        first ``HOT_BLOCK_RUNS`` runs every entry but the last runs as a
+        bare ``execute``, and ``regs.pc``, ``cycles`` and
+        ``instructions_retired`` are set once, from the block's cost
+        prefix, just before the last entry runs.  Only block enders
+        read them or run host code (a hook may halt the core, attach a
+        tracer or write code), so each instruction sees the same state
+        as one step at a time.  A fault mid-block, or a moved generation
+        (a store over code, say) after an entry, ends the block there,
+        and the state is rebuilt from the prefix.  A block that ran
+        whole records the PC it went to.  Once hot, the block heads a
+        compiled trace (``_form_trace``), and ``_chain`` runs it and
+        the traces it leads to.  Only the first entry runs when a
+        tracer is attached, an IRQ is pending or a timer is armed, or
+        fewer than the block's length of steps remain, so ``step()``,
+        tracing and IRQ delivery stay per instruction; a trace runs
+        only when its whole length of steps remains."""
         regs = self.regs
         cache = self._decode_cache
         pages = self._decode_pages
         shift, mask = self.mmu.page_shift, self.mmu.vpn_mask
-        page_size = self.mmu.page_size
         generation_cell = self.mmu.generation
         decode_enabled = self._decode_enabled
         stats = self.decode_stats
@@ -493,7 +629,7 @@ class CPU:
             retired = self.instructions_retired
             done = 0
             body = ()
-            fault = None
+            block = trace = fault = None
             built = True
             try:
                 generation = generation_cell.value
@@ -502,10 +638,10 @@ class CPU:
                     block = cache.get(key)
                     if block is None:
                         block = cache[key] = self._build_block(start, key[1])
-                        pages.setdefault(start >> shift & mask, []).append(key)
+                        pages.setdefault(start >> shift & mask, set()).add(key)
                     else:
                         built = False
-                    instructions, executes, body, costs, compiled, runs = block
+                    instructions, executes, body, costs, trace, runs, _ = block
                     # Per-instruction mode, through the same cache.
                     if (
                         interrupts
@@ -513,54 +649,36 @@ class CPU:
                         or budget - steps < len(executes)
                     ):
                         body = ()
-                        compiled = None
-                    elif compiled is None and body:
+                        trace = None
+                    elif trace is None:
                         if runs < HOT_BLOCK_RUNS:
                             block[5] = runs + 1
                         else:
-                            compiled = block[4] = _compile_body(
-                                instructions, key[1], page_size, start
-                            )
+                            trace = block[4] = self._form_trace(key, block)
+                    if trace is not None and budget - steps < len(trace[3]):
+                        trace = None
                 else:
-                    instructions, executes, body, costs, compiled, _ = (
+                    instructions, executes, body, costs, *_ = (
                         self._build_block(start, regs.current_el, 1)
                     )
-                moved = ended = None
-                if compiled is None:
+                if trace is None:
                     for execute in body:
                         execute(self)
                         done += 1
                         if generation_cell.value != generation:
-                            moved = done
+                            # A store moved the generation: the block
+                            # ends here, as if this entry were its last.
+                            self.cycles = cycles + costs[done]
+                            self.instructions_retired = retired + done
+                            next_pc = None
                             break
-                else:
-                    try:
-                        ended = compiled(self, executes, generation)
-                    except BaseException:
-                        done = self._block_fault
-                        raise
-                    if ended is not None and ended < 0:
-                        moved, ended = -ended, None
-                if moved is not None:
-                    # A store moved the generation: the block ends here,
-                    # as if this entry were its last.
-                    done = moved
-                    self.cycles = cycles + costs[done]
-                    self.instructions_retired = retired + done
-                    next_pc = None
-                else:
-                    done = len(body)
-                    self.cycles = cycles + costs[done + 1]
-                    if ended is None:
+                    else:
                         regs.pc = start + 4 * done
+                        self.cycles = cycles + costs[done + 1]
                         self.instructions_retired = retired + done
                         next_pc = executes[done](self)
                         self.instructions_retired += 1
-                    else:
-                        # The body ran the last entry too: a branch.
-                        next_pc = ended
-                        self.instructions_retired = retired + done + 1
-                    done += 1
+                        done += 1
             except BaseException as error:
                 if done < len(body):
                     # A body entry faulted: its state, from the prefix.
@@ -570,7 +688,10 @@ class CPU:
                 if not isinstance(error, SimFault):
                     raise
                 fault = error
-            dispatched = done + 1 if fault is not None else done
+            if trace is not None:
+                dispatched, fault = self._chain(trace, budget - steps)
+            else:
+                dispatched = done + 1 if fault is not None else done
             steps += dispatched
             if built:
                 stats.misses += dispatched
@@ -580,6 +701,8 @@ class CPU:
                 if self.fault_hook is not None and self.fault_hook(self, fault):
                     continue
                 raise fault
+            if trace is not None:
+                continue
             pc = start + 4 * (done - 1)  # the last entry run
             if self.tracer is not None:
                 self.tracer.insn(
@@ -587,6 +710,8 @@ class CPU:
                     costs[done] - costs[done - 1],
                 )
             regs.pc = (pc + 4 if next_pc is None else next_pc) & _MASK64
+            if done == len(executes) and block is not None:
+                block[6] = regs.pc
 
     def call(self, address, args=(), stack_top=None, max_steps=1_000_000):
         """Host-level helper: call a simulated function and run to return.

@@ -48,9 +48,6 @@ class PAuthKey:
     def as_pair(self):
         return (self.lo, self.hi)
 
-    def is_zero(self):
-        return self.lo == 0 and self.hi == 0
-
     def copy(self):
         return PAuthKey(self.lo, self.hi)
 

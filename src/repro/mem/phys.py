@@ -49,10 +49,12 @@ class Generation:
 
     def register(self, cache, pages, stats=None):
         """Have every bump drop what it covers from the dict ``cache``.
-        ``pages`` maps a low VPN to the list of ``cache``'s keys on it,
-        appended by the owner on each insert: a page-bump pops that list
-        and deletes its keys, an everything-bump clears both dicts,
-        counted in ``stats.flushes`` if ``cache`` was not empty."""
+        ``pages`` maps a low VPN to the collection of ``cache``'s keys
+        on it, added by the owner on each insert: a page-bump pops that
+        collection and deletes its keys still cached (one key may sit
+        under several pages, and an earlier bump may have dropped it),
+        an everything-bump clears both dicts, counted in
+        ``stats.flushes`` if ``cache`` was not empty."""
         self._caches.append((cache, pages, stats))
 
     def bump(self, scope):
@@ -67,7 +69,7 @@ class Generation:
                 pages.clear()
             else:
                 for key in pages.pop(scope, ()):
-                    del cache[key]
+                    cache.pop(key, None)
 
 
 class PhysicalMemory:

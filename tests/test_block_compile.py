@@ -32,7 +32,7 @@ from repro.arch.cpu import CPU
 from repro.arch.isa import SP, XZR
 from repro.arch.pac import PACEngine
 from repro.arch.registers import KEY_REGISTER_NAMES, LR, KeyBank, PAuthKey
-from repro.errors import HypervisorTrap, SimFault
+from repro.errors import HypervisorTrap, ReproError, SimFault
 from repro.mem.mmu import MMU
 from repro.mem.pagetable import Permissions
 from repro.workloads.guest import syscall_cycles
@@ -254,13 +254,17 @@ def _core(
     return cpu
 
 
-def _outcome(cpu):
+def _outcome(cpu, frames=_FRAMES, max_steps=64):
     try:
         with _caches(cpu._decode_enabled):
-            cpu.run(max_steps=64)
+            cpu.run(max_steps=max_steps)
         fault = None
     except SimFault as error:
         fault = (type(error).__name__, getattr(error, "address", None))
+    except ReproError as error:
+        # A block that branches back to START runs out of steps: the
+        # state it stops in is compared like any other.
+        fault = ("overrun", str(error))
     regs = cpu.regs
     phys = cpu.mmu.phys
     return {
@@ -276,10 +280,11 @@ def _outcome(cpu):
         "keys": (regs.keys.snapshot(), regs.alt_keys.snapshot()),
         "elr": dict(regs.elr),
         "spsr": dict(regs.spsr),
+        "el": regs.current_el,
         "generation": cpu.mmu.generation.value,
         # Before the reads below, which allocate.
         "frames": sorted(phys._frames),
-        "memory": [bytes(phys.read(frame << 12, 0x1000)) for frame in _FRAMES],
+        "memory": [bytes(phys.read(frame << 12, 0x1000)) for frame in frames],
     }
 
 
@@ -317,21 +322,22 @@ class TestCompiledBlocks:
     @given(entries=_BLOCK, registers=_REGISTERS, closer=_CLOSER)
     def test_every_prefix_matches_the_reference(self, entries, registers, closer):
         compiled = []
-        compile_body = cpu_module._compile_body
+        compile_trace = cpu_module._compile_trace
 
-        def counted(*args):
-            compiled.append(args)
-            return compile_body(*args)
+        def counted(blocks, *args):
+            compiled.append(blocks)
+            return compile_trace(blocks, *args)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cpu_module, "HOT_BLOCK_RUNS", 0)
-            patch.setattr(cpu_module, "_compile_body", counted)
+            patch.setattr(cpu_module, "_compile_trace", counted)
             for length in range(1, len(entries) + 1):
                 prefix = entries[:length]
                 del compiled[:]
                 outcome = _outcome(_core(True, prefix, registers, closer))
-                # The first block spans the whole prefix, compiled.
-                assert len(compiled[0][0]) == length + 1
+                # The first trace is one block spanning the whole prefix.
+                ((pc, instructions),) = compiled[0]
+                assert (pc, len(instructions)) == (START, length + 1)
                 reference = _outcome(_core(False, prefix, registers, closer))
                 assert outcome == reference, length
 
@@ -362,6 +368,23 @@ class TestCompiledBlocks:
                         _MUTATIONS[mutation](cpu.mmu)
                         _rerun(cpu)
                 assert outcomes[0] == outcomes[1], (length, mutations)
+
+    @pytest.mark.parametrize("hot_runs", (0, 2))
+    def test_a_block_looping_to_its_start_overruns_like_the_reference(
+        self, hot_runs, monkeypatch
+    ):
+        """``adr x0, START; br x0`` loops until the step budget runs out:
+        the compiled trace, which runs back to itself, stops after
+        exactly the budget, as the cache-free core does."""
+        monkeypatch.setattr(cpu_module, "HOT_BLOCK_RUNS", hot_runs)
+        entries = [isa.Movz(1, 1, 0), isa.Adr(0, target=START)]
+        outcomes = [
+            _outcome(_core(cached, entries, [0] * 8, isa.Br(0)))
+            for cached in (True, False)
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0]["fault"][0] == "overrun"
+        assert (outcomes[0]["pc"], outcomes[0]["retired"]) == (START + 4, 64)
 
     def test_a_walk_cache_hit_makes_no_translate_call(self, monkeypatch):
         """A compiled STP/LDP whose walks are cached reads and writes the
@@ -418,9 +441,9 @@ class TestCompiledBlocks:
         for _ in range(2):
             cpu = _core(True, entries, [0] * 8)
             cpu.run(max_steps=8)
-            bodies.append(cpu._decode_cache[(START, 1)][4])
+            bodies.append(cpu._decode_cache[(START, 1)][4][0])
         assert bodies[0] is bodies[1]
-        assert bodies[0].__code__.co_filename == "<translation block>"
+        assert bodies[0].__code__.co_filename == "<trace>"
 
 
 #: The checked paths the inlined PAuth, MSR and MRS lines fall back to.
@@ -451,10 +474,11 @@ def _run_compiled(monkeypatch, entries, registers, **core):
     return outcome, calls
 
 
-def _source(body):
-    """The generated source of a compiled block body."""
+def _source(trace):
+    """The generated source of a compiled trace."""
     return next(
-        source for (_, source), function in isa._CODE.items() if function is body
+        source for (_, source), function in isa._CODE.items()
+        if function is trace[0]
     )
 
 
@@ -559,18 +583,246 @@ class TestCompiledPAuth:
         )
 
     def test_key_setter_and_signed_return_run_whole(self):
-        """The key setter (MOVZ/MOVK, key MSRs, RET) and a signed
-        function's epilogue (AUTIB, RET) compile with no call left."""
+        """The key setter (MOVZ/MOVK, key MSRs, RET) and the traces
+        holding a signed function's epilogue (AUTIB, RET) compile with
+        no call left."""
         system = build_lmbench_system("full")
         system.map_user_stack()
         syscall_cycles(system, "stat", 3)
         blocks = system.cpu._decode_cache
-        setter = blocks[(system.key_setter_address, 1)]
+        setter = blocks[(system.key_setter_address, 1)][4]
         epilogues = [
-            block for block in blocks.values()
-            if block[4] is not None and isinstance(block[0][-1], isa.Ret)
-            and any(isinstance(entry, isa.Aut) for entry in block[0])
+            trace for trace in (block[4] for block in blocks.values())
+            if trace is not None
+            and {isa.Aut, isa.Ret} <= {type(run.__self__) for run in trace[1]}
         ]
-        assert setter[4] is not None and epilogues
-        for block in (setter, *epilogues):
-            assert "executes[" not in _source(block[4])
+        assert setter is not None and epilogues
+        for trace in (setter, *epilogues):
+            assert "executes[" not in _source(trace)
+
+
+# -- chained traces -------------------------------------------------------------
+
+#: User code pages A and B, a user data page and a kernel page whose
+#: SVC handler (from EL0) adds 1 to X5 and returns.
+CHAIN_A = 0x0000_0000_0040_0000
+CHAIN_B = CHAIN_A + 0x1000
+CHAIN_DATA = CHAIN_A + 0x2000
+VECTORS = 0xFFFF_0000_0E00_0000
+#: Frames: A, B, data, the vectors and the one a remap moves B onto.
+_CHAIN_FRAMES = (0x710, 0x711, 0x713, 0x714, 0x712)
+#: X10-X15 hold the blocks' addresses (BR/BLR targets), X19 a counter
+#: SUBS counts down, X20 the data page; X21 and X23 pages B and A, into
+#: which a store writes the patch word X22.
+_CHAIN_REG = st.integers(0, 5)
+_CHAIN_ENTRY = st.one_of(
+    st.builds(isa.Movz, _CHAIN_REG, st.integers(0, 0xFFFF), st.just(0)),
+    st.builds(isa.AddImm, _CHAIN_REG, _CHAIN_REG, st.integers(0, 0x40)),
+    st.builds(isa.EorReg, _CHAIN_REG, _CHAIN_REG, _CHAIN_REG),
+    st.just(isa.SubsImm(19, 19, 1)),
+    *(
+        st.builds(cls, _CHAIN_REG, st.just(20), st.integers(0, 15).map(lambda slot: 8 * slot))
+        for cls in (isa.Ldr, isa.Str)
+    ),
+)
+#: A store over code: a later entry of the program in page A or B.
+_CODE_STORE = st.builds(
+    isa.Str, st.just(_PATCH_REG), st.sampled_from((21, 23)),
+    st.integers(0x40, 0x60).map(lambda words: 4 * words),
+)
+#: What closes a block: a branch ``j`` blocks on, wrapping around (BR
+#: and BLR through X10 plus the block's index), RET, an SVC round trip
+#: or HLT.  A HLT also closes each page's run.
+_CHAIN_ENDER = st.one_of(
+    st.tuples(
+        st.sampled_from(("b", "bl", "br", "blr", "b.ne", "b.eq", "cbz", "cbnz")),
+        st.integers(0, 5),
+    ),
+    st.tuples(st.sampled_from(("ret", "ret", "svc", "svc", "hlt")), st.just(0)),
+)
+#: Blocks: in page B or not, their entries, their ender.
+_CHAIN_BLOCKS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.lists(st.one_of(*[_CHAIN_ENTRY] * 19, _CODE_STORE), max_size=4),
+        _CHAIN_ENDER,
+    ),
+    min_size=2, max_size=6,
+)
+
+
+def _chain_program(blocks):
+    """The blocks' addresses, laid out back to back from offset 0x100 of
+    their page, each page's run closed by a HLT; and the ``(pc,
+    instruction)`` words.  A BL returns to, and a B.cond or CBZ not
+    taken falls into, the next block of the same page."""
+    starts, ends = [], {False: CHAIN_A + 0x100, True: CHAIN_B + 0x100}
+    for in_b, entries, _ in blocks:
+        starts.append(ends[in_b])
+        ends[in_b] += 4 * (len(entries) + 1)
+    words = [(end, isa.Hlt()) for end in ends.values()]
+    for index, (start, (_, entries, (kind, j))) in enumerate(zip(starts, blocks)):
+        j = (index + 1 + j) % len(starts)
+        target = starts[j]
+        ender = {
+            "b": lambda: isa.B(target=target),
+            "bl": lambda: isa.Bl(target=target),
+            "br": lambda: isa.Br(10 + j),
+            "blr": lambda: isa.Blr(10 + j),
+            "b.ne": lambda: isa.BCond("ne", target=target),
+            "b.eq": lambda: isa.BCond("eq", target=target),
+            "cbz": lambda: isa.Cbz(19, target=target),
+            "cbnz": lambda: isa.Cbnz(19, target=target),
+            "ret": isa.Ret,
+            "svc": lambda: isa.Svc(0),
+            "hlt": isa.Hlt,
+        }[kind]()
+        words += [(start + 4 * n, entry) for n, entry in enumerate([*entries, ender])]
+    return starts, words
+
+
+def _chain_core(cached, blocks, counter):
+    """A core at EL0 at the first block of ``blocks``, with page B's code
+    also stored, each ADD immediate one higher, in the frame a remap
+    moves B onto; LR holds the first block's address."""
+    with _caches(cached):
+        cpu = CPU()
+    mmu = cpu.mmu
+    mmu.map_range(CHAIN_A, 0x2000, 0x710, Permissions(*[True] * 6))
+    mmu.map_range(CHAIN_DATA, 0x1000, 0x713, Permissions.user_data())
+    mmu.map_range(VECTORS, 0x1000, 0x714, Permissions(r_el1=True, x_el1=True))
+    starts, words = _chain_program(blocks)
+    for pc, instruction in words:
+        mmu.phys.store_instruction(mmu.translate(pc, "x", 0), instruction, pc)
+        if pc >= CHAIN_B:
+            if isinstance(instruction, isa.AddImm):
+                instruction = isa.AddImm(
+                    instruction.rd, instruction.rn, instruction.imm + 1
+                )
+            mmu.phys.store_instruction((0x712 << 12) + (pc & 0xFFF), instruction, pc)
+    for offset, instruction in ((0x400, isa.AddImm(5, 5, 1)), (0x404, isa.Eret())):
+        mmu.phys.store_instruction((0x714 << 12) + offset, instruction, VECTORS + offset)
+    regs = cpu.regs
+    regs.write_sysreg("VBAR_EL1", VECTORS)
+    for index, start in enumerate(starts):
+        regs.write(10 + index, start)
+    regs.write(19, counter)
+    regs.write(20, CHAIN_DATA)
+    regs.write(21, CHAIN_B)
+    regs.write(_PATCH_REG, _PATCH)
+    regs.write(23, CHAIN_A)
+    regs.write(LR, starts[0])
+    _chain_rerun(cpu, starts[0])
+    return cpu
+
+
+def _chain_rerun(cpu, start):
+    cpu.halted = False
+    cpu.regs.current_el = 0
+    cpu.regs.interrupts_masked = False
+    cpu.regs.pc = start
+
+
+def _store_into_b(mmu):
+    frame = mmu.frame_of(CHAIN_B)
+    if frame is not None:
+        mmu.phys.store_instruction((frame << 12) + 0x104, isa.AddImm(3, 3, 9))
+
+
+#: What changes between two runs: nothing, page B unmapped, remapped
+#: onto its other frame, or a word stored into its frame.
+_CHAIN_MUTATIONS = {
+    "none": lambda mmu: None,
+    "unmap": lambda mmu: mmu.address_space.user.unmap_page(
+        CHAIN_B >> mmu.page_shift & mmu.vpn_mask
+    ),
+    "remap": lambda mmu: mmu.map_range(
+        CHAIN_B, 0x1000, 0x712, Permissions(*[True] * 6)
+    ),
+    "store": _store_into_b,
+}
+
+
+def _chain_outcome(cpu):
+    return _outcome(cpu, _CHAIN_FRAMES, max_steps=120)
+
+
+class TestChainedTraces:
+    """Multi-block programs across two pages, their traces chained."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        blocks=_CHAIN_BLOCKS,
+        counter=st.integers(1, 4),
+        mutations=st.lists(
+            st.sampled_from(sorted(_CHAIN_MUTATIONS)), min_size=3, max_size=3
+        ),
+        hot_runs=st.sampled_from((0, 1, 2)),
+    )
+    def test_chained_runs_match_the_reference(
+        self, blocks, counter, mutations, hot_runs
+    ):
+        """Branches of every kind leave or stay on their trace, SVC and
+        ERET run inside a chain, stores write over later code, and page
+        B is unmapped, remapped or written between runs; after every
+        run the state matches the cache-free core's."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cpu_module, "HOT_BLOCK_RUNS", hot_runs)
+            cores = [_chain_core(cached, blocks, counter) for cached in (True, False)]
+            start = cores[0].regs.pc
+            for mutation in [*mutations, "none"]:
+                outcomes = [_chain_outcome(cpu) for cpu in cores]
+                assert outcomes[0] == outcomes[1], mutation
+                for cpu in cores:
+                    _CHAIN_MUTATIONS[mutation](cpu.mmu)
+                    _chain_rerun(cpu, start)
+
+    #: A loop over both pages: A calls a function in B, which returns,
+    #: makes an SVC round trip and counts X19 down.
+    _LOOP = [
+        (False, [isa.AddImm(1, 1, 1)], ("bl", 1)),
+        (False, [isa.SubsImm(19, 19, 1)], ("svc", 0)),
+        (True, [isa.AddImm(2, 2, 3), isa.EorReg(3, 3, 2)], ("ret", 0)),
+        (False, [], ("b.ne", 0)),
+    ]
+
+    def _loop(self, monkeypatch, mutate=lambda mmu: None):
+        """Run the loop twice (``mutate`` between) on a cached core whose
+        blocks head a trace after two runs, and on a cache-free one;
+        return the cached core and its chained steps by ``_chain`` call."""
+        monkeypatch.setattr(cpu_module, "HOT_BLOCK_RUNS", 2)
+        chains = []
+        chain = CPU._chain
+
+        def counted(cpu, trace, budget):
+            steps, fault = chain(cpu, trace, budget)
+            chains.append(steps)
+            return steps, fault
+
+        monkeypatch.setattr(CPU, "_chain", counted)
+        cores = [_chain_core(cached, self._LOOP, 20) for cached in (True, False)]
+        start = cores[0].regs.pc
+        for _ in range(2):
+            outcomes = [_outcome(cpu, _CHAIN_FRAMES, 400) for cpu in cores]
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0]["halted"] and outcomes[0]["x"][19] == 0
+            for cpu in cores:
+                mutate(cpu.mmu)
+                _chain_rerun(cpu, start)
+                cpu.regs.write(19, 20)
+        return cores[0], chains
+
+    def test_a_hot_loop_chains_across_pages_and_svc(self, monkeypatch):
+        """Once hot, the loop's call into page B runs inside the trace
+        its head in page A forms, and each pass's SVC round trip runs
+        inside the chain: a second run of 20 passes is one chain."""
+        cpu, chains = self._loop(monkeypatch)
+        head = cpu._decode_cache[(CHAIN_A + 0x100, 0)][4]
+        assert {pc >> 12 for pc in head[3]} == {CHAIN_A >> 12, CHAIN_B >> 12}
+        assert chains[-1] > 100 and len(chains) < 12
+
+    def test_remapping_a_successor_page_drops_the_head(self, monkeypatch):
+        """Remapping page B between runs drops the trace headed in page
+        A that runs B's code, so the second run adds B's new immediate."""
+        cpu, _ = self._loop(monkeypatch, _CHAIN_MUTATIONS["remap"])
+        assert cpu.regs.read(2) == 20 * 3 + 20 * 4

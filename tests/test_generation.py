@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import hotpath
+from repro.arch import cpu as cpu_module
 from repro.arch import isa
 from repro.arch.cpu import CPU, DecodeCacheStats
 from repro.errors import ReproError, SimFault
@@ -213,6 +214,43 @@ class TestScopes:
         mutate, kept = SCOPES[name]
         mmu.fetch(KERNEL_VA, 1)
         assert self._replay(mmu, [mutate]) == (kept, not kept)
+
+
+class TestTraceScopes:
+    """A trace head is indexed under every page its trace covers."""
+
+    def test_a_bump_of_a_trace_page_drops_the_head(self, monkeypatch):
+        """A loop whose head at KERNEL_VA branches to a block on the next
+        page forms one trace over both pages: a bump of the second page
+        drops the head, and a later bump of the head's own page, whose
+        index still names it, does not raise."""
+        monkeypatch.setattr(cpu_module, "HOT_BLOCK_RUNS", 1)
+        cpu = CPU()
+        mmu = cpu.mmu
+        code = Permissions(r_el1=True, x_el1=True)
+        mmu.map_range(KERNEL_VA, 0x2000, CODE_FRAME, code)
+        second = KERNEL_VA + 0x1000
+        for pc, instruction in (
+            (KERNEL_VA, isa.AddImm(0, 0, 1)),
+            (KERNEL_VA + 4, isa.B(target=second)),
+            (second, isa.SubsImm(1, 1, 1)),
+            (second + 4, isa.BCond("ne", target=KERNEL_VA)),
+            (second + 8, isa.Hlt()),
+        ):
+            mmu.phys.store_instruction(mmu.translate(pc, "x", 1), instruction, pc)
+        cpu.regs.current_el = 1
+        cpu.regs.write(1, 4)
+        cpu.regs.pc = KERNEL_VA
+        cpu.run(max_steps=20)
+        assert cpu.regs.read(0) == 4
+        head = (KERNEL_VA, 1)
+        assert cpu._decode_cache[head][4][3] == (
+            KERNEL_VA, KERNEL_VA + 4, second, second + 4
+        )
+        mmu.address_space.kernel.unmap_page(_vpn(mmu, second))
+        assert head not in cpu._decode_cache
+        mmu.address_space.kernel.unmap_page(_vpn(mmu, KERNEL_VA))
+        assert not cpu._decode_cache
 
 
 # -- cached machine vs cache-free twin -----------------------------------------

@@ -161,8 +161,8 @@ class TestFlags:
         numbers leaves the signed range, in ``execute`` and inlined."""
         expected = not -(1 << 63) <= _s64(a) - _s64(b) < 1 << 63
         cpu = CPU()
-        body = cpu_module._compile_body(
-            [isa.SubsReg(XZR, 1, 2), isa.Hlt()], 1, cpu.mmu.page_size, 0
+        body = cpu_module._compile_trace(
+            [(0, [isa.SubsReg(XZR, 1, 2), isa.Hlt()])], 1, cpu.mmu.page_size
         )
         for run in (
             isa.SubsReg(XZR, 1, 2).execute,

@@ -74,7 +74,7 @@ class TestKeys:
         bank = KeyBank()
         assert bank.NAMES == ("ia", "ib", "da", "db", "ga")
         for name in bank.NAMES:
-            assert bank.get(name).is_zero()
+            assert bank.get(name).as_pair() == (0, 0)
 
     def test_key_bank_unknown_key(self):
         with pytest.raises(ReproError):
@@ -114,7 +114,7 @@ class TestKeys:
     def test_pauth_key_pair(self):
         key = PAuthKey(lo=1, hi=2)
         assert key.as_pair() == (1, 2)
-        assert not key.is_zero()
+        assert key.as_pair() != (0, 0)
 
 
 class TestSCTLR:
