@@ -621,7 +621,10 @@ _CHAIN_ENTRY = st.one_of(
     st.builds(isa.EorReg, _CHAIN_REG, _CHAIN_REG, _CHAIN_REG),
     st.just(isa.SubsImm(19, 19, 1)),
     *(
-        st.builds(cls, _CHAIN_REG, st.just(20), st.integers(0, 15).map(lambda slot: 8 * slot))
+        st.builds(
+            cls, _CHAIN_REG, st.just(20),
+            st.integers(0, 15).map(lambda slot: 8 * slot),
+        )
         for cls in (isa.Ldr, isa.Str)
     ),
 )
@@ -701,7 +704,9 @@ def _chain_core(cached, blocks, counter):
                 )
             mmu.phys.store_instruction((0x712 << 12) + (pc & 0xFFF), instruction, pc)
     for offset, instruction in ((0x400, isa.AddImm(5, 5, 1)), (0x404, isa.Eret())):
-        mmu.phys.store_instruction((0x714 << 12) + offset, instruction, VECTORS + offset)
+        mmu.phys.store_instruction(
+            (0x714 << 12) + offset, instruction, VECTORS + offset
+        )
     regs = cpu.regs
     regs.write_sysreg("VBAR_EL1", VECTORS)
     for index, start in enumerate(starts):
