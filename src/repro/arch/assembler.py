@@ -3,8 +3,8 @@
 Collects instructions and labels, expands pseudo-instructions
 (:class:`~repro.arch.isa.MovImm`), then resolves label references
 (B/BL/CBZ/ADR and friends) to absolute addresses.  The result is a
-:class:`Program`: an ordered list of (address, instruction) pairs plus a
-symbol table, ready to be placed into memory by an image loader.
+:class:`Program`: an ordered tuple of (address, instruction) pairs plus
+a symbol table, ready to be placed into memory by an image loader.
 """
 
 from __future__ import annotations
@@ -43,9 +43,12 @@ class Program:
 
     def __init__(self, base, instructions, symbols, functions=()):
         self.base = base
-        self.instructions = instructions  # list of (address, Instruction)
+        #: (address, Instruction) pairs at ``base``, ``base + 4``, ...: a
+        #: tuple, so the encoded image (``encoded``) cannot go stale.
+        self.instructions = tuple(instructions)
         self.symbols = dict(symbols)  # label -> address
         self.functions = frozenset(functions) & frozenset(self.symbols)
+        self._image = None
 
     @property
     def size(self):
@@ -54,6 +57,31 @@ class Program:
     @property
     def end(self):
         return self.base + self.size
+
+    def encoded(self, host_calls):
+        """The program's bytes, one word per instruction, each HostCall
+        bound to the next slot of the list ``host_calls`` (appended), in
+        program order.  The words are encoded once per program; an
+        operand the format cannot hold raises ReproError before any call
+        is bound."""
+        if self._image is None:
+            words, calls = [], []
+            for address, instruction in self.instructions:
+                if isinstance(instruction, isa.HostCall):
+                    calls.append((address - self.base, instruction))
+                    words.append(bytes(4))
+                else:
+                    words.append(instruction.encoding(address))
+            self._image = (b"".join(words), tuple(calls))
+        data, calls = self._image
+        if not calls:
+            return data
+        data = bytearray(data)
+        for offset, call in calls:
+            call = call.bound(len(host_calls))
+            host_calls.append(call)
+            data[offset:offset + 4] = call.encoding()
+        return bytes(data)
 
     def function_ranges(self):
         """Every function's ``(entry, limit)``: see :func:`function_ranges`."""

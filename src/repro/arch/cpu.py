@@ -231,6 +231,9 @@ class CPU:
         self._decode_enabled = hotpath.caches_enabled()
         self._decode_cache = {}
         self._decode_pages = {}
+        #: Head key -> the low VPNs its trace indexed it under besides
+        #: its own (see ``_form_trace``).
+        self._trace_pages = {}
         #: Index of the entry a compiled trace raised at.
         self._block_fault = 0
         self.decode_stats = DecodeCacheStats()
@@ -459,27 +462,19 @@ class CPU:
         all but the last, cycle-cost prefix sums (``costs[k]`` is the
         cost of the first ``k``), the compiled trace the block heads
         once it is hot (``_form_trace``), its runs before that, and the
-        PC it last went to when it ran whole.  Only the first fetch may
-        raise; a later one that faults ends the block before it, so the
-        fault is raised when (and only if) execution reaches that word.
+        PC it last went to when it ran whole.  One fetch
+        (``MMU.fetch_block``) translates the page once and decodes the
+        words from its frame.  Only the first word may fault; a later
+        one that does not decode ends the block before it, so the fault
+        is raised when (and only if) execution reaches that word.
         ``execute`` and the costs are cacheable: ``cost_on`` depends
         only on the operands and the immutable feature set, and any
         write to a code frame moves the machine generation.
         """
-        fetch = self.mmu.fetch
-        page_mask = self.mmu.page_size - 1
-        instructions = [fetch(pc, el)]
-        while not instructions[-1].ends_block and len(instructions) < limit:
-            pc += 4
-            if not pc & page_mask:
-                break
-            try:
-                instructions.append(fetch(pc, el))
-            except SimFault:
-                break
+        instructions = tuple(self.mmu.fetch_block(pc, el, limit))
         executes = tuple([i.execute for i in instructions])
         costs = (0, *accumulate([i.cost_on(self) for i in instructions]))
-        return [tuple(instructions), executes, executes[:-1], costs, None, 0, None]
+        return [instructions, executes, executes[:-1], costs, None, 0, None]
 
     def _form_trace(self, key, block):
         """The trace headed by ``block``, cached at ``key``: it and the
@@ -491,7 +486,9 @@ class CPU:
         trace (a head ends it: the chain runs that trace next) and is
         not in it already, and the trace stays within ``BLOCK_LIMIT``
         entries.  The head's key is indexed under the low VPN of every
-        block, so a bump of any page the trace covers drops it."""
+        block, so a bump of any page the trace covers drops it, and
+        ``_trace_pages`` keeps those pages until a block is built at the
+        key again, which takes it out of them (``_execute``)."""
         cache = self._decode_cache
         start, el = key
         blocks, keys = [(start, block[0])], {key}
@@ -508,8 +505,11 @@ class CPU:
             keys.add(successor)
             length += len(block[0])
         shift, mask = self.mmu.page_shift, self.mmu.vpn_mask
-        for pc, _ in blocks[1:]:
-            self._decode_pages.setdefault(pc >> shift & mask, set()).add(key)
+        covered = self._trace_pages[key] = {
+            pc >> shift & mask for pc, _ in blocks[1:]
+        }
+        for page in covered:
+            self._decode_pages.setdefault(page, set()).add(key)
         instructions = [i for _, run in blocks for i in run]
         return (
             _compile_trace(blocks, el, self.mmu.page_size),
@@ -614,6 +614,7 @@ class CPU:
         regs = self.regs
         cache = self._decode_cache
         pages = self._decode_pages
+        trace_pages = self._trace_pages
         shift, mask = self.mmu.page_shift, self.mmu.vpn_mask
         generation_cell = self.mmu.generation
         decode_enabled = self._decode_enabled
@@ -638,6 +639,9 @@ class CPU:
                     block = cache.get(key)
                     if block is None:
                         block = cache[key] = self._build_block(start, key[1])
+                        # A trace the key headed left it under its pages.
+                        for page in trace_pages.pop(key, ()):
+                            pages.get(page, set()).discard(key)
                         pages.setdefault(start >> shift & mask, set()).add(key)
                     else:
                         built = False

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.assembler import Program, function_ranges
-from repro.arch.isa import HostCall, decode
+from repro.arch.isa import decode
 from repro.errors import ReproError
 from repro.mem.pagetable import Permissions
 
@@ -204,18 +204,12 @@ class ImageBuilder:
             r_el0=el0_executable,
             x_el0=el0_executable,
         )
-        words, host_calls = [], self._image.host_calls
-        for address, instruction in program.instructions:
-            if isinstance(instruction, HostCall):
-                instruction = instruction.bound(len(host_calls))
-                host_calls.append(instruction)
-            words.append(instruction.encoding(address))
         section = Section(
             name=name,
             base=program.base,
             size=_page_align(max(program.size, 4)),
             permissions=permissions,
-            data=b"".join(words),
+            data=program.encoded(self._image.host_calls),
         )
         self._register(section)
         for symbol, address in program.symbols.items():

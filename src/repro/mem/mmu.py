@@ -207,14 +207,21 @@ class MMU:
             self.write_u64(va + 8, second, el)
 
     def fetch(self, va, el):
-        """Instruction fetch: execute-permission check, then decode."""
-        pa = self.translate(va, "x", el)
-        instruction = self.phys.fetch_instruction(pa, va)
-        if instruction is None:
+        """Instruction fetch: execute-permission check, then decode (a
+        one-word ``fetch_block``)."""
+        return self.fetch_block(va, el, 1)[0]
+
+    def fetch_block(self, va, el, limit):
+        """The translation block at ``va`` (``PhysicalMemory.fetch_block``):
+        one execute-permission check covers it, since it never crosses a
+        page.  Its first word faults as a fetch of it does; a later word
+        that does not decode ends the block before it."""
+        block = self.phys.fetch_block(self.translate(va, "x", el), va, limit)
+        if not block:
             raise TranslationFault(
                 f"no instruction at {va:#x}", address=va, el=el
             )
-        return instruction
+        return block
 
     # -- mapping helpers ------------------------------------------------------------
 
@@ -244,14 +251,23 @@ class MMU:
         return None if mapping is None else mapping.frame
 
     def place_program(self, program):
-        """Store an assembled program's instructions in the frames mapped
-        at their addresses (no permission check, so XOM pages too)."""
-        page = frame = None
-        for address, instruction in program.instructions:
-            if address >> self.page_shift != page:
-                page, frame = address >> self.page_shift, self.frame_of(address)
+        """Write an assembled program's image (``Program.encoded``) into
+        the frames mapped at its addresses, one write per page, with no
+        permission check, so XOM pages too.  Like a loaded image's text,
+        it is plain bytes until fetched.  An unmapped page or an operand
+        the format cannot hold raises ReproError before anything is
+        written."""
+        writes, va = [], program.base
+        while va < program.end:
+            frame = self.frame_of(va)
             if frame is None:
-                raise ReproError(f"cannot place code at unmapped {address:#x}")
-            pa = (frame << self.page_shift) | (address & (self.page_size - 1))
-            self.phys.store_instruction(pa, instruction, address)
+                raise ReproError(f"cannot place code at unmapped {va:#x}")
+            offset = va & (self.page_size - 1)
+            size = min(program.end - va, self.page_size - offset)
+            pa = (frame << self.page_shift) | offset
+            writes.append((pa, va - program.base, size))
+            va += size
+        data = program.encoded(self.phys.host_calls)
+        for pa, start, size in writes:
+            self.phys.write(pa, data[start:start + size])
         return program

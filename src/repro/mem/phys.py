@@ -18,6 +18,7 @@ from repro.errors import ReproError
 __all__ = ["EVERYTHING", "Generation", "NOTHING", "PhysicalMemory"]
 
 _MASK64 = (1 << 64) - 1
+_WORD = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _PAIR = struct.Struct("<QQ")
 
@@ -86,8 +87,9 @@ class PhysicalMemory:
         self.page_size = 1 << page_shift
         self._frames = {}
         #: Bumped on every write to a code frame, one store_instruction
-        #: wrote or a fetch read (a loaded image's text is plain bytes
-        #: until then); an MMU shares this cell with its page tables.
+        #: wrote or a fetch read (a loaded image's or placed program's
+        #: text is plain bytes until then); an MMU shares this cell with
+        #: its page tables.
         self.generation = Generation()
         self._code_frames = set()
         #: The code frames a fetch has read: only writes to these can
@@ -192,22 +194,39 @@ class PhysicalMemory:
         self._code_frames.add(pa >> self.page_shift)
         self.write(pa, data)
 
-    def fetch_instruction(self, pa, pc):
-        """Decode the word at ``pa`` as the instruction at virtual
-        address ``pc`` (None if it is not one)."""
+    def fetch_block(self, pa, pc, limit):
+        """The instructions decoded from the words at ``pa`` on, the
+        first at virtual address ``pc``: up to and including the first
+        that ends a block, at most ``limit`` and within the frame, and
+        before the first word that does not decode (none if ``pa`` is
+        not 4-aligned or its word does not decode)."""
         if pa % 4:
-            return None
+            return []
         frame_number, offset = divmod(pa, self.page_size)
         self._code_frames.add(frame_number)
         self._fetched.add(frame_number)
         frame = self._frames.get(frame_number) or self._frame(frame_number)
-        key = (int.from_bytes(frame[offset:offset + 4], "little"), pc)
-        instruction = self._words.get(key)
-        if instruction is None:
-            instruction = decode(*key, self.host_calls)
-            if self._memoize and instruction is not None:
-                self._words[key] = instruction
-        return instruction
+        words, block = self._words, []
+        for (word,) in _WORD.iter_unpack(frame[offset:offset + 4 * limit]):
+            key = (word, pc)
+            instruction = words.get(key)
+            if instruction is None:
+                instruction = decode(word, pc, self.host_calls)
+                if instruction is None:
+                    break
+                if self._memoize:
+                    words[key] = instruction
+            block.append(instruction)
+            if instruction.ends_block:
+                break
+            pc += 4
+        return block
+
+    def fetch_instruction(self, pa, pc):
+        """Decode the word at ``pa`` as the instruction at virtual
+        address ``pc`` (None if it is not one): a one-word block."""
+        block = self.fetch_block(pa, pc, 1)
+        return block[0] if block else None
 
     def erase_instruction(self, pa):
         """Zero the word at ``pa`` (a plain write, skipped if it is 0)."""

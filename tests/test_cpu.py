@@ -2,6 +2,8 @@
 feature gating, cycle accounting, the interpreter loop and its
 translation blocks."""
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,9 @@ from repro.arch.pac import PACEngine
 from repro.arch.registers import LR, PAuthKey
 from repro.errors import (
     HypervisorTrap,
+    PermissionFault,
     ReproError,
+    SimFault,
     TranslationFault,
     UndefinedInstructionFault,
 )
@@ -894,3 +898,158 @@ class TestTranslationBlocks:
         stats = cpu.decode_stats
         assert stats.hits + stats.misses == cpu.instructions_retired
         assert stats.hits > stats.misses
+
+
+# -- block fetch ----------------------------------------------------------------
+
+FETCH_TEXT = 0x0000_0000_0040_0000
+FETCH_FRAME = 0x740
+FETCH_EXECUTABLE = Permissions(r_el0=True, x_el0=True, r_el1=True)
+#: Stage-1 permissions of the fetched page and the EL that fetches:
+#: mostly an executable page, else one the EL may not execute (at EL1,
+#: or not executable at all) or none.
+_FETCH_MAPPINGS = st.sampled_from(
+    [(FETCH_EXECUTABLE, 0)] * 6
+    + [(FETCH_EXECUTABLE, 1), (Permissions.user_data(), 0), (None, 0)]
+)
+_FETCH_INSTRUCTION = st.sampled_from((
+    isa.Nop(), isa.AddImm(1, 1, 3), isa.Movz(2, 7, 0), isa.SubsImm(1, 1, 1),
+    isa.Hlt(), isa.Ret(), isa.Svc(0),
+))
+_FETCH_WORD = st.one_of(
+    _FETCH_INSTRUCTION, _FETCH_INSTRUCTION, _FETCH_INSTRUCTION,
+    st.just("branch"),
+    # Slots 0 and 1 are bound, 2 and 3 are not.
+    st.integers(0, 3).map(lambda slot: isa.HostCall(None, slot=slot)),
+    st.just(0),
+    st.integers(0, (1 << 32) - 1),
+)
+
+
+def _word_at(item, pc):
+    """The word ``item`` draws at virtual address ``pc``."""
+    if item == "branch":
+        item = isa.B(target=pc + 8)
+    if isinstance(item, int):
+        return item
+    return int.from_bytes(item.encoding(pc), "little")
+
+
+def _fetch_core(cached, permissions, first, items):
+    """A core whose page at FETCH_TEXT holds ``items`` from word
+    ``first`` on, plain bytes, and whose next page holds NOPs, so a
+    block that ran past the page end would show it."""
+    if cached:
+        cpu = CPU()
+    else:
+        with hotpath.disabled_caches():
+            cpu = CPU()
+    mmu = cpu.mmu
+    for call in range(2):
+        mmu.phys.host_calls.append(isa.HostCall(lambda cpu: None, slot=call))
+    if permissions is not None:
+        mmu.map_range(FETCH_TEXT, 0x2000, FETCH_FRAME, permissions)
+    words = [_word_at(item, FETCH_TEXT + 4 * (first + k))
+             for k, item in enumerate(items[:1024 - first])]
+    mmu.phys.write(
+        (FETCH_FRAME << 12) + 4 * first,
+        b"".join(word.to_bytes(4, "little") for word in words),
+    )
+    mmu.phys.write((FETCH_FRAME + 1) << 12, isa.Nop().encoding() * 8)
+    return cpu
+
+
+def _word_by_word(mmu, pc, el, limit):
+    """The block a loop of one ``MMU.fetch`` per word builds, each
+    checked against ``isa.decode`` of the word's bytes."""
+    page_mask = mmu.page_size - 1
+
+    def fetch(pc):
+        instruction = mmu.fetch(pc, el)
+        word = mmu.phys.read(mmu.translate(pc, "x", el), 4)
+        assert type(instruction) is type(
+            isa.decode(int.from_bytes(word, "little"), pc, mmu.phys.host_calls)
+        )
+        assert instruction.encoding(pc) == word
+        return instruction
+
+    instructions = [fetch(pc)]
+    while not instructions[-1].ends_block and len(instructions) < limit:
+        pc += 4
+        if not pc & page_mask:
+            break
+        try:
+            instructions.append(fetch(pc))
+        except SimFault:
+            break
+    return instructions
+
+
+def _fetched(build, pc):
+    """The words of the block ``build()`` returns, or the type, address
+    and EL of the fault it raises."""
+    try:
+        instructions = build()
+    except SimFault as fault:
+        return type(fault), fault.address, fault.el
+    return [instruction.encoding(pc + 4 * k)
+            for k, instruction in enumerate(instructions)]
+
+
+class TestBlockFetch:
+    """A block is built from one translation and one read of its frame
+    (``MMU.fetch_block``): it holds the instructions, and raises the
+    fault, that one ``MMU.fetch`` per word did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # A block starts near the page's start or its end, mostly on a
+        # drawn word and aligned.
+        mapping=_FETCH_MAPPINGS,
+        first=st.one_of(st.integers(0, 8), st.integers(950, 1023)),
+        items=st.lists(_FETCH_WORD, min_size=1, max_size=80),
+        skip=st.sampled_from((0, 0, 0, 1, 4)),
+        misaligned=st.sampled_from((0, 0, 0, 0, 0, 2)),
+        limit=st.sampled_from((1, 2, 5, cpu_module.BLOCK_LIMIT)),
+    )
+    def test_a_block_holds_what_word_by_word_fetches_built(
+        self, mapping, first, items, skip, misaligned, limit
+    ):
+        permissions, el = mapping
+        pc = FETCH_TEXT + 4 * min(first + skip, 1023) + misaligned
+        for cached in (True, False):
+            cpu = _fetch_core(cached, permissions, first, items)
+            expected = _fetched(
+                lambda: _word_by_word(cpu.mmu, pc, el, limit), pc
+            )
+            cpu = _fetch_core(cached, permissions, first, items)
+            # The second build decodes from the memo on a cached core.
+            for _ in range(2):
+                built = _fetched(lambda: cpu._build_block(pc, el, limit)[0], pc)
+                assert built == expected
+            if isinstance(expected, list):
+                block = cpu._build_block(pc, el, limit)
+                assert block[3] == (0, *accumulate(
+                    instruction.cost_on(cpu) for instruction in block[0]
+                ))
+
+    @pytest.mark.parametrize("cached", (True, False))
+    @pytest.mark.parametrize("permissions, word, el, fault", [
+        (None, isa.Nop(), 0, TranslationFault),
+        (Permissions.user_data(), isa.Nop(), 0, PermissionFault),
+        (Permissions(r_el1=True, x_el1=True), isa.Nop(), 0, PermissionFault),
+        (FETCH_EXECUTABLE, 0, 0, TranslationFault),
+        (FETCH_EXECUTABLE, isa.HostCall(None, slot=3), 0, TranslationFault),
+        (FETCH_EXECUTABLE, isa.Nop(), 1, PermissionFault),
+    ])
+    def test_a_first_word_that_faults_raises_as_a_fetch_does(
+        self, cached, permissions, word, el, fault
+    ):
+        pc = FETCH_TEXT + 0x40
+        cpu = _fetch_core(cached, permissions, 0x10, [word, isa.Nop()])
+        with pytest.raises(fault) as raised:
+            cpu._build_block(pc, el)
+        assert (raised.value.address, raised.value.el) == (pc, el)
+        with pytest.raises(fault) as fetched:
+            cpu.mmu.fetch(pc, el)
+        assert str(fetched.value) == str(raised.value)

@@ -219,17 +219,18 @@ class TestScopes:
 class TestTraceScopes:
     """A trace head is indexed under every page its trace covers."""
 
-    def test_a_bump_of_a_trace_page_drops_the_head(self, monkeypatch):
+    SECOND = KERNEL_VA + 0x1000
+    HEAD = (KERNEL_VA, 1)
+
+    def _hot_loop(self, monkeypatch):
         """A loop whose head at KERNEL_VA branches to a block on the next
-        page forms one trace over both pages: a bump of the second page
-        drops the head, and a later bump of the head's own page, whose
-        index still names it, does not raise."""
+        page, run until it forms one trace over both pages."""
         monkeypatch.setattr(cpu_module, "HOT_BLOCK_RUNS", 1)
         cpu = CPU()
         mmu = cpu.mmu
         code = Permissions(r_el1=True, x_el1=True)
         mmu.map_range(KERNEL_VA, 0x2000, CODE_FRAME, code)
-        second = KERNEL_VA + 0x1000
+        second = self.SECOND
         for pc, instruction in (
             (KERNEL_VA, isa.AddImm(0, 0, 1)),
             (KERNEL_VA + 4, isa.B(target=second)),
@@ -243,14 +244,41 @@ class TestTraceScopes:
         cpu.regs.pc = KERNEL_VA
         cpu.run(max_steps=20)
         assert cpu.regs.read(0) == 4
-        head = (KERNEL_VA, 1)
-        assert cpu._decode_cache[head][4][3] == (
+        assert cpu._decode_cache[self.HEAD][4][3] == (
             KERNEL_VA, KERNEL_VA + 4, second, second + 4
         )
-        mmu.address_space.kernel.unmap_page(_vpn(mmu, second))
-        assert head not in cpu._decode_cache
-        mmu.address_space.kernel.unmap_page(_vpn(mmu, KERNEL_VA))
+        return cpu
+
+    def test_a_bump_of_a_trace_page_drops_the_head(self, monkeypatch):
+        """A bump of the trace's second page drops the head, and a later
+        bump of the head's own page, whose index still names it, does
+        not raise."""
+        cpu = self._hot_loop(monkeypatch)
+        kernel = cpu.mmu.address_space.kernel
+        kernel.unmap_page(_vpn(cpu.mmu, self.SECOND))
+        assert self.HEAD not in cpu._decode_cache
+        kernel.unmap_page(_vpn(cpu.mmu, KERNEL_VA))
         assert not cpu._decode_cache
+
+    def test_a_block_rebuilt_at_a_dropped_head_leaves_its_trace_pages(
+        self, monkeypatch
+    ):
+        """A remap of the head's page drops the trace; the cold block
+        built at the head's key again lies on that page only, so an
+        unmap of the page the old trace ran into keeps it."""
+        cpu = self._hot_loop(monkeypatch)
+        mmu = cpu.mmu
+        mmu.map_range(
+            KERNEL_VA, 0x1000, CODE_FRAME, Permissions(r_el1=True, x_el1=True)
+        )
+        assert self.HEAD not in cpu._decode_cache
+        cpu.halted = False
+        cpu.regs.pc = KERNEL_VA
+        cpu.step()
+        rebuilt = cpu._decode_cache[self.HEAD]
+        assert rebuilt[4] is None
+        mmu.address_space.kernel.unmap_page(_vpn(mmu, self.SECOND))
+        assert cpu._decode_cache.get(self.HEAD) is rebuilt
 
 
 # -- cached machine vs cache-free twin -----------------------------------------

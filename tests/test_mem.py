@@ -6,6 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import hotpath
+from repro.arch import cpu as cpu_module
+from repro.arch import isa
+from repro.arch.assembler import Assembler
+from repro.arch.cpu import CPU
 from repro.arch.vmsa import VMSAConfig
 from repro.errors import PermissionFault, ReproError, TranslationFault
 from repro.mem.mmu import MMU
@@ -221,6 +226,123 @@ class TestMMU:
 
 
 PAGE = 1 << 12
+
+
+CODE = Permissions(r_el1=True, x_el1=True)
+#: Two instructions before the end of a page: a program placed here
+#: spans two pages.
+STRADDLE_VA = KERNEL_VA + 0xFF8
+
+
+def _code_mmu():
+    mmu = MMU()
+    mmu.map_range(KERNEL_VA, 0x2000, 0x100, CODE)
+    return mmu
+
+
+def _hostcall(label):
+    return isa.HostCall(lambda cpu: None, label=label)
+
+
+class TestPlaceProgram:
+    """``MMU.place_program`` writes a program's encoded image, one write
+    per page, binding its HostCalls as it goes."""
+
+    @pytest.mark.parametrize("position", (0, 2, 4))
+    def test_an_unencodable_operand_writes_nothing(self, position):
+        body = [isa.Nop(), _hostcall("h"), isa.Nop(), isa.Nop(), isa.Hlt()]
+        body[position] = isa.Movz(0, 0x10000, 0)
+        program = Assembler(STRADDLE_VA).emit(*body).assemble()
+        mmu = _code_mmu()
+        generation = mmu.generation.value
+        with pytest.raises(ReproError, match="does not fit"):
+            mmu.place_program(program)
+        assert mmu.phys.read(0x100 << 12, 0x2000) == bytes(0x2000)
+        assert mmu.phys.host_calls == []
+        assert mmu.generation.value == generation
+
+    def test_host_calls_bind_as_word_by_word_stores_bind_them(self):
+        """Twice over a page boundary, after a call the machine already
+        holds: the same slots, table and bytes as one
+        ``store_instruction`` per word."""
+        program = Assembler(STRADDLE_VA - 8).emit(
+            _hostcall("a"), isa.Movz(1, 2, 0), _hostcall("b"),
+            _hostcall("c"), isa.Hlt(),
+        ).assemble()
+        placed, stored = _code_mmu(), _code_mmu()
+        held = _hostcall("held").bound(0)
+        for mmu in (placed, stored):
+            mmu.phys.host_calls.append(held)
+        for _ in range(2):
+            placed.place_program(program)
+            for address, instruction in program.instructions:
+                pa = stored.translate(address, "x", 1)
+                stored.phys.store_instruction(pa, instruction, address)
+        assert [
+            (call.fn, call.label, call.slot) for call in placed.phys.host_calls
+        ] == [
+            (call.fn, call.label, call.slot) for call in stored.phys.host_calls
+        ]
+        assert [call.slot for call in placed.phys.host_calls] == list(range(7))
+        assert placed.phys.read(0x100 << 12, 0x2000) == stored.phys.read(
+            0x100 << 12, 0x2000
+        )
+
+    def test_placing_over_fetched_code_drops_its_blocks_and_traces(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(cpu_module, "HOT_BLOCK_RUNS", 0)
+        cpu = CPU()
+        cpu.mmu.map_range(KERNEL_VA, 0x1000, 0x100, CODE)
+        cpu.regs.current_el = 1
+        for value in (1, 2):
+            cpu.mmu.place_program(
+                Assembler(KERNEL_VA).emit(isa.Movz(0, value, 0), isa.Hlt())
+                .assemble()
+            )
+            assert not cpu._decode_cache
+            cpu.halted = False
+            cpu.regs.pc = KERNEL_VA
+            cpu.run(max_steps=10)
+            assert cpu.regs.read(0) == value
+            assert cpu._decode_cache[(KERNEL_VA, 1)][4] is not None
+
+    @pytest.mark.parametrize("hot_runs", (0, 2, 8))
+    def test_a_program_placed_again_over_a_fresh_frame_runs_as_cache_free(
+        self, monkeypatch, hot_runs
+    ):
+        """The task_churn pattern: each task maps the same VA onto a new
+        frame and places its own program there."""
+        monkeypatch.setattr(cpu_module, "HOT_BLOCK_RUNS", hot_runs)
+
+        def tasks(cpu):
+            outcomes = []
+            for task, value in enumerate((1, 2, 3, 2)):
+                cpu.mmu.map_range(USER_VA, 0x1000, 0x200 + task, CODE)
+                asm = Assembler(USER_VA)
+                asm.mov_imm(1, 5)
+                asm.label("loop")
+                asm.emit(
+                    isa.AddImm(0, 0, value), isa.SubsImm(1, 1, 1),
+                    isa.BCond("ne", label="loop"), isa.Hlt(),
+                )
+                cpu.mmu.place_program(asm.assemble())
+                cpu.halted = False
+                cpu.regs.pc = USER_VA
+                cpu.run(max_steps=100)
+                outcomes.append(
+                    (cpu.regs.read(0), cpu.cycles, cpu.instructions_retired)
+                )
+            return outcomes
+
+        cpu = CPU()
+        cpu.regs.current_el = 1
+        with hotpath.disabled_caches():
+            reference = CPU()
+        reference.regs.current_el = 1
+        outcomes = tasks(reference)
+        assert [x0 for x0, _, _ in outcomes] == [5, 15, 30, 40]
+        assert tasks(cpu) == outcomes
 
 
 def _two_page_mmu(second=Permissions.kernel_data()):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
+from repro.arch.assembler import Assembler, Program
 from repro.arch.isa import SP
 from repro.arch.registers import FP, KEY_REGISTER_NAMES, LR
 from repro.analysis.cfg import recover_cfg
@@ -450,13 +450,17 @@ class TestKernelImages:
         }
         assert sum(len(p.instructions) for p in programs) == 672
         assert len(inside) == cfg.instruction_count == 544
-        outside = set()
-        for program in programs:
-            for index, (address, _) in enumerate(program.instructions):
-                if address not in inside:
-                    outside.add(address)
-                    program.instructions[index] = (address, _KEY_READ)
-        report = verify_image(programs, rules=(KeyRegisterRule,))
+        outside = {address for program in programs
+                   for address, _ in program.instructions
+                   if address not in inside}
+        planted = [
+            Program(program.base, [
+                (address, _KEY_READ if address in outside else instruction)
+                for address, instruction in program.instructions
+            ], program.symbols, program.functions)
+            for program in programs
+        ]
+        report = verify_image(planted, rules=(KeyRegisterRule,))
         assert report.instructions == 544
         assert len(outside) == 128
         assert {f.address for f in report.errors} == outside
