@@ -199,15 +199,15 @@ def _field_init(cls):
 
 
 #: The locals a generated ``execute`` or block body binds from ``cpu``,
-#: in order: those its lines name, and those their values need.
+#: in order: those its lines name, and those their values need
+#: (``reads``/``writes`` are the MMU's host-frame TLBs, indexed by EL).
 _LOCALS = (
     ("regs", "cpu.regs"),
     ("x", "regs.x"),
     ("sp", "regs.sp_el"),
     ("mmu", "cpu.mmu"),
-    ("walks", "mmu._walk_cache"),
-    ("frames", "mmu.phys._frames"),
-    ("code", "mmu.phys._code_frames"),
+    ("reads", "mmu._reads"),
+    ("writes", "mmu._writes"),
     ("cell", "mmu.generation"),
 )
 
@@ -274,7 +274,7 @@ class Instruction:
     #: :func:`_expand`), or None: ``execute`` is built from it, and the
     #: CPU inlines it into compiled blocks.  ``cpu``, this module's
     #: globals and the :data:`_LOCALS` are bound (``x`` the registers,
-    #: ``mmu``, ``walks``, ``frames``, ``code``); ``a``, ``c``, ``f``,
+    #: ``mmu``, the TLBs ``reads`` and ``writes``); ``a``, ``c``, ``f``,
     #: ``m``, ``n``, ``o``, ``v``, ``w`` and ``z`` are free for
     #: temporaries.  A branch's template ``return``s its target (none
     #: means the next instruction); a block ender with a template runs
@@ -610,18 +610,16 @@ class Bfi(Instruction):
 def _host_frame(access, size):
     """Template lines of the in-page fast path of an ``access`` ('r' or
     'w') of ``size`` bytes at ``a``: ``f`` is the host frame behind it
-    when the walk cache holds ``a``'s page for that access at this EL
-    (the key ``MMU.translate`` probes), the bytes sit in that page at
-    offset ``o``, the frame is allocated and, for a store, it is not
-    code.  Otherwise ``f`` is None and the access takes its ``MMU``
-    call, which walks, allocates, straddles and bumps the generation
-    for a code frame."""
-    code = " and n not in code" if access == "w" else ""
+    when the bytes sit in one page, at offset ``o``, and the MMU's TLB
+    for that access at this EL holds the page (see ``MMU.translate``:
+    the frame is allocated and, for a store, not code).  Otherwise ``f``
+    is None and the access takes its ``MMU`` call, which walks,
+    allocates, straddles and bumps the generation for a code frame."""
+    tlb = "reads" if access == "r" else "writes"
     return (
         "o = a & {page} - 1",
-        f"n = walks.get((a >> {{page_shift}}, '{access}', {{el}}), -1)"
-        " >> {page_shift}",
-        f"f = frames.get(n) if o <= {{page}} - {size}{code} else None",
+        f"f = {tlb}[{{el}}].get(a >> {{page_shift}})"
+        f" if o <= {{page}} - {size} else None",
     )
 
 

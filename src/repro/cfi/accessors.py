@@ -197,18 +197,3 @@ class AccessorGenerator:
         emit_keyed_op(asm, self.profile, key, _PTR, _MOD, authenticate=True)
         asm.emit(isa.Blr(_PTR))
         return asm
-
-    def access_cycles(self, field):
-        """Modelled cycle cost of one accessor invocation's body."""
-        key = self._protection_key(field)
-        cost = 2  # the LDR/STR itself
-        if key is not None:
-            cost += 1 + 1 + isa.PAUTH_CYCLES  # movz + bfi + pac/aut
-        return cost
-
-
-def validate_constant(constant):
-    """Check a (type, member) discriminator fits the 16-bit field."""
-    if not 0 <= constant <= 0xFFFF:
-        raise ReproError(f"constant {constant:#x} does not fit 16 bits")
-    return constant

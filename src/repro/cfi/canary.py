@@ -131,14 +131,3 @@ def emit_canary_function(
         asm.emit(isa.HostCall(stack_chk_fail, "stack-chk-fail"))
     asm.emit(isa.Hlt())
     return asm
-
-
-def canary_cost_cycles(kind):
-    """Modelled per-call cost of the canary discipline."""
-    if kind == CanaryKind.NONE:
-        return 0
-    if kind == CanaryKind.GLOBAL:
-        # store: movimm(4) + ldr(2) + str(2); check: same + cmp + branch.
-        return 4 + 2 + 2 + 4 + 2 + 2 + 1 + 1
-    # PACed: mov + pacga(4) + str on each side, plus cmp + branch.
-    return (1 + isa.PAUTH_CYCLES + 2) * 2 + 1 + 1

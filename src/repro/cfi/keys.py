@@ -56,10 +56,6 @@ class KeyAllocation:
             return self.dfi
         raise ReproError(f"unknown role {role!r}")
 
-    def keys_in_use(self):
-        """Distinct architectural keys this allocation needs."""
-        return tuple(sorted({self.backward, self.forward, self.dfi}))
-
     @classmethod
     def default(cls):
         """The paper's allocation: IB backward, IA forward, DB for DFI."""

@@ -67,13 +67,6 @@ class ModifierScheme:
         """The modifier value this scheme produces (host-side model)."""
         raise NotImplementedError
 
-    def instruction_overhead(self):
-        """(prologue count, epilogue count) of added instructions."""
-        return (
-            len(self.prologue("f", "ib")),
-            len(self.epilogue("f", "ib")),
-        )
-
 
 class SPOnlyScheme(ModifierScheme):
     """Modifier = SP, as emitted by stock Clang/GCC (Listing 2).

@@ -9,7 +9,9 @@ interpreter fast without changing a single architectural outcome:
   to back on one probe instead of re-walking the MMU on every fetch,
   a hot block's body as one generated function;
 * the **translation cache** (:mod:`repro.mem.mmu`): successful stage-1 +
-  stage-2 translations are memoised per (page, access, EL);
+  stage-2 translations are memoised per (page, access, EL), and the
+  host frame behind each page loaded or stored per (access, EL), the
+  TLB a templated load or store probes;
 * the **decode memo** (:mod:`repro.mem.phys`): decoded instructions per
   (word, PC), which never go stale;
 * the **cipher memo** (:mod:`repro.qarma.qarma64`): pure memoisation of

@@ -84,8 +84,30 @@ class MMU:
         self._cache_walks = hotpath.caches_enabled()
         self._walk_cache = {}
         self._walk_pages = {}
+        # Host-frame TLB: per EL, VPN -> the host frame (bytearray) of
+        # a page translated for loads (``_reads``) or for stores
+        # (``_writes``), which a templated access probes instead of
+        # translating (``isa._host_frame``).  ``translate`` fills it once
+        # the frame is allocated and, for stores, while the frame is not
+        # code: physical memory empties the store TLBs when a frame
+        # becomes code, so a store to code still takes the ``MMU`` call
+        # that bumps the generation.  Registered like the walk cache,
+        # under the same low-VPN scopes; a cache-free core never fills
+        # them.
+        self._reads = tuple({} for _ in range(4))
+        self._writes = tuple({} for _ in range(4))
+        #: (access, EL) -> (that TLB, its low VPN -> VPNs index).
+        self._tlbs = {
+            (access, el): (tlbs[el], {})
+            for access, tlbs in (("r", self._reads), ("w", self._writes))
+            for el in range(4)
+        }
         if self._cache_walks:
             self.generation.register(self._walk_cache, self._walk_pages)
+            for (access, _), (tlb, pages) in self._tlbs.items():
+                self.generation.register(tlb, pages)
+                if access == "w":
+                    self.phys.store_caches += (tlb, pages)
 
     # -- generation -------------------------------------------------------------
 
@@ -107,15 +129,30 @@ class MMU:
         """
         va &= _MASK64
         if self._cache_walks:
-            key = (va >> self.page_shift, access, el)
+            vpn = va >> self.page_shift
+            key = (vpn, access, el)
             base = self._walk_cache.get(key, -1)
-            if base >= 0:
-                return base | (va & (self.page_size - 1))
-            pa = self._translate_walk(va, access, el)
-            self._walk_cache[key] = pa & ~(self.page_size - 1)
-            self._walk_pages.setdefault(key[0] & self.vpn_mask, []).append(key)
-            return pa
+            if base < 0:
+                base = self._translate_walk(va, access, el) & -self.page_size
+                self._walk_cache[key] = base
+                self._walk_pages.setdefault(vpn & self.vpn_mask, []).append(key)
+            if access != "x":
+                tlb, pages = self._tlbs[access, el]
+                if vpn not in tlb:
+                    self._fill(tlb, pages, vpn, access, base)
+            return base | (va & (self.page_size - 1))
         return self._translate_walk(va, access, el)
+
+    def _fill(self, tlb, pages, vpn, access, base):
+        """Hold the host frame at ``base`` in ``tlb`` (indexed in
+        ``pages``) if it is allocated and, for a store, not code."""
+        number = base >> self.page_shift
+        frame = self.phys._frames.get(number)
+        if frame is not None and (
+            access == "r" or number not in self.phys._code_frames
+        ):
+            tlb[vpn] = frame
+            pages.setdefault(vpn & self.vpn_mask, []).append(vpn)
 
     def _translate_walk(self, va, access, el):
         """The full (uncached) two-stage walk."""

@@ -92,6 +92,9 @@ class PhysicalMemory:
         #: its page tables.
         self.generation = Generation()
         self._code_frames = set()
+        #: Emptied whenever a frame becomes code: an MMU's store TLBs and
+        #: their page indexes (see ``MMU.translate``).
+        self.store_caches = ()
         #: The code frames a fetch has read: only writes to these can
         #: stale a decoded block.
         self._fetched = set()
@@ -173,6 +176,14 @@ class PhysicalMemory:
         if frame_number in self._code_frames:
             self._code_written(frame_number)
 
+    def _join_code(self, frame_number):
+        """Make ``frame_number`` code.  The first time, empty the store
+        TLBs, so a store to it takes the ``MMU`` call that bumps."""
+        if frame_number not in self._code_frames:
+            self._code_frames.add(frame_number)
+            for cache in self.store_caches:
+                cache.clear()
+
     def _code_written(self, frame_number):
         fetched = frame_number in self._fetched
         self.generation.bump(EVERYTHING if fetched else NOTHING)
@@ -191,7 +202,7 @@ class PhysicalMemory:
         data = instruction.encoding(pc)
         # The frame is code from here on, so the write bumps the
         # generation.
-        self._code_frames.add(pa >> self.page_shift)
+        self._join_code(pa >> self.page_shift)
         self.write(pa, data)
 
     def fetch_block(self, pa, pc, limit):
@@ -203,7 +214,7 @@ class PhysicalMemory:
         if pa % 4:
             return []
         frame_number, offset = divmod(pa, self.page_size)
-        self._code_frames.add(frame_number)
+        self._join_code(frame_number)
         self._fetched.add(frame_number)
         frame = self._frames.get(frame_number) or self._frame(frame_number)
         words, block = self._words, []

@@ -139,10 +139,6 @@ class SymbolTable:
             return f"{symbol.name}+{symbol.offset:#x}"
         return symbol.name
 
-    def entry_of(self, name):
-        """Entry address of a registered function name (or None)."""
-        return self._names.get(name)
-
     def __contains__(self, name):
         return name in self._names
 

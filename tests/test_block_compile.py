@@ -32,9 +32,9 @@ from repro.arch.cpu import CPU
 from repro.arch.isa import SP, XZR
 from repro.arch.pac import PACEngine
 from repro.arch.registers import KEY_REGISTER_NAMES, LR, KeyBank, PAuthKey
-from repro.errors import HypervisorTrap, ReproError, SimFault
+from repro.errors import HypervisorTrap, PermissionFault, ReproError, SimFault
 from repro.mem.mmu import MMU
-from repro.mem.pagetable import Permissions
+from repro.mem.pagetable import Permissions, Stage1Table
 from repro.workloads.guest import syscall_cycles
 from repro.workloads.lmbench import build_lmbench_system
 
@@ -444,6 +444,137 @@ class TestCompiledBlocks:
             bodies.append(cpu._decode_cache[(START, 1)][4][0])
         assert bodies[0] is bodies[1]
         assert bodies[0].__code__.co_filename == "<trace>"
+
+
+#: A page past the unmapped one: an executable alias of the data frame.
+ALIAS = UNMAPPED + 0x1000
+#: A user page (EL0 read and execute) the EL0 loads run from.
+USER_TEXT = 0x40_0000
+
+
+def _stage1_copy(mmu):
+    """Install a new kernel table: the text pages as before, the data
+    page on frame 0x706 (a table install, not a remap)."""
+    old, table = mmu.address_space.kernel, Stage1Table(mmu.page_shift)
+    for va, frame in ((TEXT, 0x700), (STORED, 0x701), (DATA, 0x706)):
+        vpn = va >> mmu.page_shift & mmu.vpn_mask
+        table.map_page(vpn, frame, old.lookup(vpn).permissions)
+    mmu.address_space.kernel = table
+
+
+#: What a load through the TLB must not outlive, and the fault it then
+#: takes: an unmap, a remap onto frame 0x706, a stage-2 restriction and
+#: a stage-1 table install that maps the page onto 0x706.
+_TLB_MUTATIONS = {
+    "unmap": (_MUTATIONS["unmap"], "TranslationFault"),
+    "remap": (_MUTATIONS["remap"], None),
+    "stage-2": (
+        lambda mmu: mmu.stage2.set_frame(0x703, r=False, w=False, x_el1=False),
+        "PermissionFault",
+    ),
+    "stage-1-install": (_stage1_copy, None),
+}
+
+
+class TestHostFrameTLB:
+    """The MMU's host-frame TLB (``MMU._reads``/``_writes``, one dict per
+    EL), which a templated load or store probes instead of translating:
+    what fills it and what must empty it, each against a cache-free
+    core."""
+
+    @staticmethod
+    def _warm(monkeypatch, entries, cached=True):
+        """A core that has run ``entries`` compiled twice: the first
+        run's accesses fill the TLB (or, cache-free, would)."""
+        monkeypatch.setattr(cpu_module, "HOT_BLOCK_RUNS", 0)
+        cpu = _core(cached, entries, [5, 6, 7, 8, 0, 0, 0, 0])
+        for _ in range(2):
+            _outcome(cpu)
+            _rerun(cpu)
+        return cpu
+
+    def test_a_store_to_a_frame_fetched_since_bumps_and_drops_its_block(
+        self, monkeypatch
+    ):
+        """The STP's page is in the store TLB; an executable alias of its
+        frame is then fetched, so the frame is code, and the STP takes
+        ``MMU.write_pair`` again: it bumps and drops the alias's block."""
+        entries = [isa.Stp(1, 2, _DATA_REG, 0)]
+        cores = [self._warm(monkeypatch, entries, cached) for cached in (True, False)]
+        page = DATA >> cores[0].mmu.page_shift
+        assert page in cores[0].mmu._writes[1]
+        outcomes = []
+        for cpu in cores:
+            mmu = cpu.mmu
+            mmu.map_range(ALIAS, 0x1000, 0x703, Permissions(r_el1=True, x_el1=True))
+            mmu.phys.write((0x703 << 12) + 0x800, isa.Hlt().encoding())
+            cpu.regs.pc = ALIAS + 0x800
+            cpu.run(max_steps=4)
+            generation = mmu.generation.value
+            _rerun(cpu)
+            outcomes.append(_outcome(cpu))
+            assert mmu.generation.value > generation
+        cached = cores[0]
+        assert page not in cached.mmu._writes[1]
+        assert (ALIAS + 0x800, 1) not in cached._decode_cache
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "execute"])
+    def test_a_kernel_page_read_at_el1_still_faults_at_el0(self, compiled, monkeypatch):
+        """Each EL has its own dict: the kernel page an EL1 load filled
+        is not in EL0's, so an EL0 load of it walks and faults, from a
+        compiled block in a user page and from the template ``execute``."""
+        load = isa.Ldr(1, _DATA_REG, 0)
+        cpu = self._warm(monkeypatch, [load])
+        mmu = cpu.mmu
+        assert DATA >> mmu.page_shift in mmu._reads[1]
+        cpu.regs.current_el = 0
+        with pytest.raises(PermissionFault) as fault:
+            if compiled:
+                mmu.map_range(
+                    USER_TEXT, 0x1000, 0x708, Permissions(r_el0=True, x_el0=True)
+                )
+                for index, instruction in enumerate((load, isa.Hlt())):
+                    mmu.phys.store_instruction((0x708 << 12) + 4 * index, instruction)
+                cpu.regs.pc = USER_TEXT
+                cpu.run(max_steps=4)
+            else:
+                load.execute(cpu)
+        assert fault.value.address == DATA + 0x100
+        assert not mmu._reads[0]
+
+    @pytest.mark.parametrize("mutation", sorted(_TLB_MUTATIONS))
+    def test_a_load_after_a_mapping_change_walks_again(self, mutation, monkeypatch):
+        """The TLB drops what the machine generation's bumps drop: after
+        an unmap, a remap, a stage-2 restriction or a stage-1 table
+        install, the compiled LDR that hit it walks again and faults or
+        reads the new frame, as on a cache-free core."""
+        entries = [isa.Ldr(1, _DATA_REG, 0)]
+        cores = [self._warm(monkeypatch, entries, cached) for cached in (True, False)]
+        assert DATA >> cores[0].mmu.page_shift in cores[0].mmu._reads[1]
+        mutate, fault = _TLB_MUTATIONS[mutation]
+        outcomes = []
+        for cpu in cores:
+            cpu.mmu.phys.write_u64((0x706 << 12) + 0x100, 0xFEED)
+            mutate(cpu.mmu)
+            outcomes.append(_outcome(cpu))
+        assert outcomes[0] == outcomes[1]
+        if fault is None:
+            assert (outcomes[0]["fault"], outcomes[0]["x"][1]) == (None, 0xFEED)
+        else:
+            assert outcomes[0]["fault"] == (fault, DATA + 0x100)
+
+    def test_a_cache_free_core_never_fills_it(self, monkeypatch):
+        """Built under ``disabled_caches()``, a core's TLB stays empty,
+        so its every load and store takes the ``MMU`` call."""
+        entries = [
+            isa.Stp(1, 2, _DATA_REG, 0x10), isa.Ldp(3, 4, _DATA_REG, 0x10),
+            isa.Str(1, _FRESH_REG, 0), isa.Ldr(5, _FRESH_REG, 0),
+        ]
+        mmu = self._warm(monkeypatch, entries, cached=False).mmu
+        mmu.read_u64(DATA, 1)
+        mmu.write_u64(DATA, 1, 1)
+        assert not any(mmu._reads) and not any(mmu._writes)
 
 
 #: The checked paths the inlined PAuth, MSR and MRS lines fall back to.

@@ -11,7 +11,7 @@ from repro.cfi.accessors import (
     sign_field_value,
 )
 from repro.cfi.policy import ProtectionProfile
-from repro.errors import ReproError, TranslationFault
+from repro.errors import TranslationFault
 from repro.kernel.kobject import Field
 from repro.workloads.guest import DATA_BASE
 
@@ -146,14 +146,6 @@ class TestGeneratedAccessors:
         )
         assert stored == expected
 
-    def test_access_cycles_model(self):
-        generator = AccessorGenerator(_full_profile())
-        protected_cost = generator.access_cycles(FOPS_FIELD)
-        plain_cost = AccessorGenerator(_none_profile()).access_cycles(
-            FOPS_FIELD
-        )
-        assert protected_cost > plain_cost
-
 
 class TestIndirectCall:
     def test_listing4_call_through_table(self, machine):
@@ -201,12 +193,3 @@ class TestIndirectCall:
                 program.address_of("dispatch"), args=(obj,),
                 stack_top=0xFFFF_0000_0900_0000,
             )
-
-
-class TestValidation:
-    def test_validate_constant(self):
-        from repro.cfi.accessors import validate_constant
-
-        assert validate_constant(0xFFFF) == 0xFFFF
-        with pytest.raises(ReproError):
-            validate_constant(0x10000)

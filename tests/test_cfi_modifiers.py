@@ -107,9 +107,10 @@ class TestCostOrdering:
     def test_instruction_overhead_ordering(self):
         # The Figure 2 ordering is structural: sp-only < camouflage <
         # parts in added instructions.
-        sp = sum(SPOnlyScheme().instruction_overhead())
-        camo = sum(CamouflageScheme().instruction_overhead())
-        parts = sum(PARTSScheme().instruction_overhead())
+        sp, camo, parts = (
+            len(scheme.prologue("f", "ib")) + len(scheme.epilogue("f", "ib"))
+            for scheme in (SPOnlyScheme(), CamouflageScheme(), PARTSScheme())
+        )
         assert sp < camo < parts
 
     def test_registry(self):

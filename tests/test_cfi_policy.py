@@ -21,13 +21,11 @@ class TestKeyAllocation:
         assert allocation.key_for(KeyRole.BACKWARD) == "ib"
         assert allocation.key_for(KeyRole.FORWARD) == "ia"
         assert allocation.key_for(KeyRole.DFI) == "db"
-        assert allocation.keys_in_use() == ("db", "ia", "ib")
 
     def test_compat_collapses_onto_ib(self):
         allocation = KeyAllocation.compat()
         for role in KeyRole.ALL:
             assert allocation.key_for(role) == "ib"
-        assert allocation.keys_in_use() == ("ib",)
 
     def test_unknown_role(self):
         with pytest.raises(ReproError):

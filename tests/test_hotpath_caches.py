@@ -500,9 +500,11 @@ class TestScopedInvalidation:
 
     def test_only_cached_machines_register_caches(self):
         cached = CPU()
-        registered = [cache for cache, *_ in cached.mmu.generation._caches]
+        mmu = cached.mmu
+        registered = [cache for cache, *_ in mmu.generation._caches]
         assert [id(cache) for cache in registered] == [
-            id(cached.mmu._walk_cache), id(cached._decode_cache)
+            id(mmu._walk_cache), *map(id, mmu._reads + mmu._writes),
+            id(cached._decode_cache),
         ]
         with hotpath.disabled_caches():
             reference = CPU()

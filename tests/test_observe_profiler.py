@@ -46,6 +46,10 @@ def _two_function_program():
     return asm.assemble()
 
 
+#: Where ``beta`` starts.
+BETA = _two_function_program().address_of("beta")
+
+
 class TestSymbolTable:
     def test_functions_bound_by_next_entry(self):
         table = SymbolTable(include_landing_pad=False)
@@ -53,19 +57,17 @@ class TestSymbolTable:
         assert len(table) == 2
         assert table.resolve(0x1000).name == "alpha"
         assert table.resolve(0x100C).name == "alpha"  # the loop label
-        beta = table.entry_of("beta")
-        assert table.resolve(beta).name == "beta"
-        assert table.resolve(beta + 4) == table.resolve(beta + 4)
+        assert table.resolve(BETA).name == "beta"
+        assert table.resolve(BETA + 4) == table.resolve(BETA + 4)
 
     def test_adding_a_function_clears_resolved_addresses(self):
         table = SymbolTable(include_landing_pad=False)
         table.add_program(_two_function_program())
-        beta = table.entry_of("beta")
-        assert table.resolve(beta).name == "beta"
-        assert table.resolve(beta + 4) == ("beta", beta, 4, "function")
-        table.add_function("gamma", beta + 4, limit=beta + 8)
-        assert table.resolve(beta + 4) == ("gamma", beta + 4, 0, "function")
-        assert table.resolve(beta).name == "beta"
+        assert table.resolve(BETA).name == "beta"
+        assert table.resolve(BETA + 4) == ("beta", BETA, 4, "function")
+        table.add_function("gamma", BETA + 4, limit=BETA + 8)
+        assert table.resolve(BETA + 4) == ("gamma", BETA + 4, 0, "function")
+        assert table.resolve(BETA).name == "beta"
 
     def test_labels_are_not_entries(self):
         table = SymbolTable(include_landing_pad=False)
@@ -101,7 +103,7 @@ class TestSymbolTable:
         table = SymbolTable.from_system(system)
         for name in ("el0_sync", "sys_read", "vfs_read", "tracefs_read"):
             assert name in table, name
-            entry = table.entry_of(name)
+            entry = system.kernel_image.address_of(name)
             assert table.resolve(entry + 4).name == name
 
     def test_from_system_registers_the_xom_key_setter(self):
@@ -130,26 +132,24 @@ class TestProfilerStateMachine:
         return Profiler(table), table
 
     def test_call_pushes_after_the_branch_retires(self):
-        profiler, table = self._profiler()
-        beta = table.entry_of("beta")
+        profiler, _ = self._profiler()
         profiler(_insn(0x1000, "bl"))
-        profiler(_insn(beta))
+        profiler(_insn(BETA))
         assert profiler.calls == {"beta": 1}
         assert ("alpha", "beta") in profiler.folded
 
     def test_ret_pops_the_callee(self):
-        profiler, table = self._profiler()
-        beta = table.entry_of("beta")
+        profiler, _ = self._profiler()
         profiler(_insn(0x1000, "bl"))
-        profiler(_insn(beta, "ret"))
+        profiler(_insn(BETA, "ret"))
         profiler(_insn(0x1004))
         assert profiler.folded.get(("alpha",)) == 2
 
     def test_pac_cost_bills_the_next_retire(self):
-        profiler, table = self._profiler()
+        profiler, _ = self._profiler()
         profiler(_insn(0x1000, "bl"))
         profiler(ev.TraceEvent(ev.PAC_ADD, 0, 4, {}))
-        profiler(_insn(table.entry_of("beta"), "pacib"))
+        profiler(_insn(BETA, "pacib"))
         assert profiler.pauth == {"beta": 4}
 
     def test_orphan_pac_cost_lands_on_the_host(self):
